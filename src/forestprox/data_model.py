@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,32 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Per-column ranks of the training rows, shape (p, n), computed once.
+
+        ranks[j, i] is the position of row i's value in column j sorted
+        ascending, taken at that value's first occurrence. Equal values
+        share a rank, ranks order like the values, and
+        `sorted_features[ranks[j, i], j]` is the value.
+        """
+        order = np.argsort(self.features, axis=0, kind="stable")
+        first = np.zeros(order.shape, dtype=np.int64)
+        first[1:] = self.sorted_features[1:] != self.sorted_features[:-1]
+        first *= np.arange(self.n)[:, None]
+        ranks = np.empty_like(first)
+        np.put_along_axis(ranks, order, np.maximum.accumulate(first, axis=0), axis=0)
+        ranks = np.ascontiguousarray(ranks.T)
+        ranks.setflags(write=False)
+        return ranks
+
+    @cached_property
+    def sorted_features(self) -> np.ndarray:
+        """Each feature column sorted ascending, computed once."""
+        out = np.sort(self.features, axis=0)
+        out.setflags(write=False)
+        return out
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset restricted to the given row indices (order kept)."""

@@ -37,6 +37,12 @@ class KernelGrid:
     values: np.ndarray
 
 
+def _one_sided(kernel, x0, k0, coord: int, sign: int, h: float) -> float:
+    x = x0.copy()
+    x[coord] += sign * h
+    return (kernel(x, x0) - k0) / h
+
+
 def directional_derivative(kernel, x0, coord: int, sign: int, h: float) -> float:
     """One-sided finite difference (k(x0 + sign*h*e_coord, x0) - k(x0, x0)) / h."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -46,25 +52,25 @@ def directional_derivative(kernel, x0, coord: int, sign: int, h: float) -> float
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not 0 <= coord < x0.size:
         raise ValueError(f"coordinate {coord} out of range for p={x0.size}")
-    x = x0.copy()
-    x[coord] += sign * h
-    return (kernel(x, x0) - kernel(x0, x0)) / h
+    return _one_sided(kernel, x0, kernel(x0, x0), coord, sign, h)
 
 
 def derivative_report(kernel, x0, steps) -> DerivativeReport:
     """Both one-sided derivatives for every coordinate.
 
     `steps` is a scalar or a per-coordinate vector of positive step sizes.
+    k(x0, x0) is evaluated once, so the report costs 2p + 1 kernel calls.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     h = np.broadcast_to(np.asarray(steps, dtype=np.float64), x0.shape).copy()
     if (h <= 0).any():
         raise ValueError("all steps must be > 0")
+    k0 = kernel(x0, x0)
     left = np.empty(x0.size)
     right = np.empty(x0.size)
     for j in range(x0.size):
-        right[j] = directional_derivative(kernel, x0, j, +1, float(h[j]))
-        left[j] = directional_derivative(kernel, x0, j, -1, float(h[j]))
+        right[j] = _one_sided(kernel, x0, k0, j, +1, float(h[j]))
+        left[j] = _one_sided(kernel, x0, k0, j, -1, float(h[j]))
     return DerivativeReport(center=x0, steps=h, left=left, right=right)
 
 

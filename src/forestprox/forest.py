@@ -67,16 +67,22 @@ class Forest:
     def p(self) -> int:
         return self.train.p
 
+    # NaN would route right at every split, since x <= thr is false for it
     def _check_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.p,):
             raise ValueError(f"expected {self.p} coordinates, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite query coordinate {int(np.argmin(np.isfinite(x)))}")
         return x
 
     def _check_matrix(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.p:
             raise ValueError(f"expected (q, {self.p}) matrix, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            bad = np.argwhere(~np.isfinite(X))[0]
+            raise ValueError(f"non-finite query value at row {bad[0]}, column {bad[1]}")
         return X
 
     def predict_proba(self, x, mode: str = "prox") -> float:
@@ -215,25 +221,25 @@ class Forest:
         )
         trees = []
         for td in payload["trees"]:
-            trees.append(
-                Tree(
-                    feature=np.asarray(td["feature"], dtype=np.int32),
-                    threshold=np.asarray(
-                        [np.nan if v is None else v for v in td["threshold"]], dtype=np.float64
-                    ),
-                    left=np.asarray(td["left"], dtype=np.int32),
-                    right=np.asarray(td["right"], dtype=np.int32),
-                    node_depth=np.asarray(td["node_depth"], dtype=np.int32),
-                    leaf_n=np.asarray(td["leaf_n"], dtype=np.int64),
-                    leaf_pos=np.asarray(td["leaf_pos"], dtype=np.int64),
-                    leaf_rows=[
-                        None if r is None else np.asarray(r, dtype=np.int64)
-                        for r in td["leaf_rows"]
-                    ],
-                    seed=int(td["seed"]),
-                    n_features=train.p,
-                )
+            t = Tree(
+                feature=np.asarray(td["feature"], dtype=np.int32),
+                threshold=np.asarray(
+                    [np.nan if v is None else v for v in td["threshold"]], dtype=np.float64
+                ),
+                left=np.asarray(td["left"], dtype=np.int32),
+                right=np.asarray(td["right"], dtype=np.int32),
+                node_depth=np.asarray(td["node_depth"], dtype=np.int32),
+                leaf_n=np.asarray(td["leaf_n"], dtype=np.int64),
+                leaf_pos=np.asarray(td["leaf_pos"], dtype=np.int64),
+                leaf_rows=[
+                    None if r is None else np.asarray(r, dtype=np.int64)
+                    for r in td["leaf_rows"]
+                ],
+                seed=int(td["seed"]),
+                n_features=train.p,
             )
+            t.check(train.labels)
+            trees.append(t)
         return cls(trees=tuple(trees), train=train, params=params)
 
 

@@ -138,7 +138,9 @@ def mc_selection_freq(
     return counts / trials
 
 
-@functools.lru_cache(maxsize=16)
+# Each entry is an (n_trees, p) array, 8 MB at 20,000 trees and p = 50;
+# two entries serve repeated calls with one seed without holding many.
+@functools.lru_cache(maxsize=2)
 def _zero_cell_extents(spec: NaiveKernelSpec, n_trees: int, seed: int) -> np.ndarray:
     """Simulate the cell containing the origin for n_trees stylized trees;
     returns its per-coordinate upper edges after growth (n_trees, p).

@@ -121,6 +121,41 @@ class Tree:
                 stack.append((int(self.right[node]), r_idx))
         return out
 
+    def check(self, labels: np.ndarray) -> None:
+        """Raise ValueError unless the arrays form a tree grown on training
+        rows with these labels.
+
+        Every child index exceeds its parent's, so routing always ends at
+        a leaf; splits use a feature in [0, n_features) and a finite
+        threshold; every leaf lists leaf_n > 0 valid training rows whose
+        positive count is leaf_pos.
+        """
+        m = self.n_nodes
+        arrays = (self.threshold, self.left, self.right, self.node_depth,
+                  self.leaf_n, self.leaf_pos, self.leaf_rows)
+        if m == 0 or any(len(a) != m for a in arrays):
+            raise ValueError(f"tree node arrays must be nonempty and of one length, got {m} nodes")
+        inner = np.flatnonzero(self.feature >= 0)
+        kids = np.concatenate([self.left[inner], self.right[inner]])
+        if ((kids <= np.tile(inner, 2)) | (kids >= m)).any():
+            raise ValueError("every child index must exceed its parent's and be < n_nodes")
+        if (self.feature[inner] >= self.n_features).any():
+            raise ValueError(f"split feature outside [0, {self.n_features})")
+        if not np.isfinite(self.threshold[inner]).all():
+            raise ValueError("split thresholds must be finite")
+        leaves = np.flatnonzero(self.feature < 0)
+        n, pos = self.leaf_n[leaves], self.leaf_pos[leaves]
+        if (n <= 0).any() or (pos < 0).any() or (pos > n).any():
+            raise ValueError("every leaf needs leaf_n > 0 and 0 <= leaf_pos <= leaf_n")
+        rows = [self.leaf_rows[i] for i in leaves]
+        if any(r is None or len(r) != c for r, c in zip(rows, n)):
+            raise ValueError("every leaf must list leaf_n training rows")
+        flat = np.concatenate(rows)
+        if ((flat < 0) | (flat >= labels.size)).any():
+            raise ValueError(f"leaf rows must lie in [0, {labels.size})")
+        if (np.add.reduceat(labels[flat], np.cumsum(n) - n) != pos).any():
+            raise ValueError("leaf_pos disagrees with the training labels of the leaf's rows")
+
     def prob(self, x: np.ndarray) -> float:
         leaf = self.locate(x)
         return float(self.leaf_pos[leaf]) / float(self.leaf_n[leaf])
@@ -194,26 +229,84 @@ def tree_prob(t: Tree, x: np.ndarray) -> float:
     return t.prob(x)
 
 
-def _split_scores(xs, ys, total_pos, criterion):
-    """Score every boundary between consecutive sorted values, one column
-    per candidate feature. Invalid boundaries (equal values) score +inf."""
-    m = xs.shape[0]
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
-    nr = float(m) - nl
-    pos_l = np.cumsum(ys, axis=0)[:-1].astype(np.float64)
-    pos_r = float(total_pos) - pos_l
-    pl = pos_l / nl
-    pr = pos_r / nr
-    if criterion == "gini":
-        score = nl * pl * (1.0 - pl) + nr * pr * (1.0 - pr)
-    else:
-        score = (
-            pos_l * (1.0 - pl) ** 2
-            + (nl - pos_l) * pl**2
-            + pos_r * (1.0 - pr) ** 2
-            + (nr - pos_r) * pr**2
-        )
-    return np.where(xs[1:] != xs[:-1], score, np.inf)
+def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
+    """Best split of every node of a batch over that node's candidates.
+
+    Node i holds rows[starts[i]:starts[i] + sizes[i]] (at least two rows,
+    pos[i] of them positive) and scores the sorted, distinct features
+    cand[i]. All (candidate, node) segments are sorted at once, by a key
+    that packs segment, rank and label into one integer, and every
+    boundary is scored with segmented cumulative sums. Returns (feature,
+    threshold, score) arrays; feature is -1 for a node where no candidate
+    has two distinct values.
+    """
+    n, (n_nodes, k) = d.n, cand.shape
+    # the batch's rows once; segment c * n_nodes + i is node i's copy for its c-th candidate
+    offset = np.cumsum(sizes) - sizes
+    rb = rows[np.arange(offset[-1] + sizes[-1]) + np.repeat(starts - offset, sizes)]
+    seg_m = np.tile(sizes, k)
+    seg_start = np.cumsum(seg_m) - seg_m
+    size = k * rb.size
+    f = cand.T.ravel()
+    # Segments stay in place and sort by value. The order within a run of
+    # equal values is arbitrary: no boundary inside a run is scored, and
+    # the counts at the run's ends do not depend on it.
+    key = d.ranks.ravel()[np.repeat(f * n, seg_m) + np.tile(rb, k)] * 2
+    key += np.tile(d.labels[rb], k)
+    key += np.repeat(np.arange(0, 2 * n * seg_m.size, 2 * n), seg_m)
+    key.sort()
+    ys = key & 1
+    key >>= 1
+    cs = np.cumsum(ys)
+
+    # boundary after each element: valid when the next element is in the
+    # same segment and has a larger value
+    valid = np.empty(size, dtype=bool)
+    valid[:-1] = key[1:] != key[:-1]
+    valid[seg_start - 1] = False
+    nl = np.arange(1.0, rb.size + 1.0) - np.repeat(offset.astype(np.float64), sizes)
+    nr = np.tile(np.repeat(sizes.astype(np.float64), sizes) - nl, k)
+    nl = np.tile(nl, k)
+    pos_l = (cs - np.repeat(cs[seg_start] - ys[seg_start], seg_m)).astype(np.float64)
+    pos_r = np.tile(np.repeat(pos.astype(np.float64), sizes), k) - pos_l
+    with np.errstate(divide="ignore", invalid="ignore"):  # nr = 0 at segment ends
+        pl = pos_l / nl
+        pr = pos_r / nr
+        if criterion == "gini":
+            score = nl * pl * (1.0 - pl) + nr * pr * (1.0 - pr)
+        else:
+            score = (
+                pos_l * (1.0 - pl) ** 2
+                + (nl - pos_l) * pl**2
+                + pos_r * (1.0 - pr) ** 2
+                + (nr - pos_r) * pr**2
+            )
+    score[~valid] = np.inf
+
+    # lowest feature within eps of the node's best, then lowest threshold
+    seg_min = np.minimum.reduceat(score, seg_start)
+    col_min = seg_min.reshape(k, n_nodes).T
+    best = col_min.min(axis=1)
+    ok = np.isfinite(best)
+    eps = _TIE_EPS * np.maximum(1.0, sizes.astype(np.float64))
+    col = np.argmax(col_min <= (best + eps)[:, None], axis=1)
+    chosen = (col * n_nodes + np.arange(n_nodes))[ok]
+    lim = np.full(seg_m.size, -np.inf)
+    lim[chosen] = seg_min[chosen] + eps[ok]
+    hit = np.flatnonzero(score <= np.repeat(lim, seg_m))
+    first = hit[np.searchsorted(hit, seg_start[chosen])]
+
+    feature = np.full(n_nodes, -1, dtype=np.int64)
+    threshold = np.full(n_nodes, np.nan)
+    feature[ok] = jf = f[chosen]
+    base = chosen * n
+    lo = d.sorted_features[key[first] - base, jf]
+    hi = d.sorted_features[key[first + 1] - base, jf]
+    thr = lo + (hi - lo) / 2.0
+    threshold[ok] = np.where(thr >= hi, lo, thr)  # adjacent floats; keep both sides nonempty
+    node_score = np.full(n_nodes, np.inf)
+    node_score[ok] = score[first]
+    return feature, threshold, node_score
 
 
 def best_split(
@@ -238,62 +331,17 @@ def best_split(
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
     m = rows.size
-    yv = d.labels[rows]
-    total_pos = int(yv.sum())
+    total_pos = int(d.labels[rows].sum())
     if m < 2 or total_pos == 0 or total_pos == m:
         return None
-
-    Xs = d.features[rows][:, cand]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=0)
-    ys = yv[order]
-    score = _split_scores(xs, ys, total_pos, criterion)
-
-    col_min = score.min(axis=0)
-    best = col_min.min()
-    if not np.isfinite(best):
-        return None
-    eps = _TIE_EPS * max(1.0, float(m))
-    col = int(np.argmax(col_min <= best + eps))
-    row = int(np.argmax(score[:, col] <= col_min[col] + eps))
-
-    lo = float(xs[row, col])
-    hi = float(xs[row + 1, col])
-    thr = lo + (hi - lo) / 2.0
-    if thr >= hi:  # adjacent floats; keep both sides nonempty
-        thr = lo
-    j = int(cand[col])
-    mask = d.features[rows, j] <= thr
-    return Split(
-        feature=j,
-        threshold=thr,
-        left_rows=rows[mask],
-        right_rows=rows[~mask],
-        score=float(score[row, col]),
+    feature, threshold, score = _best_splits(
+        d, rows, np.array([0]), np.array([m]), np.array([total_pos]), cand[None, :], criterion
     )
-
-
-def _random_split(rows: np.ndarray, d: Dataset, rng: np.random.Generator) -> Split | None:
-    """Uniform feature among those with spread in-node, uniform threshold
-    inside that feature's in-node value range."""
-    sub = d.features[rows]
-    lo = sub.min(axis=0)
-    hi = sub.max(axis=0)
-    eligible = np.flatnonzero(hi > lo)
-    if eligible.size == 0:
+    if feature[0] < 0:
         return None
-    j = int(eligible[rng.integers(eligible.size)])
-    thr = float(rng.uniform(lo[j], hi[j]))
-    if not lo[j] < thr < hi[j]:
-        return None
-    mask = sub[:, j] <= thr
-    if mask.all() or not mask.any():
-        return None
-    left, right = rows[mask], rows[~mask]
-    yl, yr = d.labels[left], d.labels[right]
-    pl, pr = yl.mean(), yr.mean()
-    score = len(left) * pl * (1 - pl) + len(right) * pr * (1 - pr)
-    return Split(j, thr, left, right, float(score))
+    j, thr = int(feature[0]), float(threshold[0])
+    mask = d.features[rows, j] <= thr
+    return Split(j, thr, rows[mask], rows[~mask], float(score[0]))
 
 
 def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
@@ -302,61 +350,104 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
     A node becomes a leaf when it is pure, smaller than twice
     min_node_size, the leaf budget is exhausted, or no usable split
     exists among the drawn candidates.
+
+    Growth runs one BFS level per pass. The level's rows sit in one array,
+    each node's rows a contiguous segment, and a stable partition carries
+    them to the next level. Candidates (or, in completely_random mode, the
+    feature and threshold) are drawn node by node in BFS order from the
+    tree's one stream, and a node draws only while the leaf budget lasts.
     """
     params.check_dimension(d.p)
     rng = np.random.default_rng(seed)
     n, p = d.n, d.p
-    base_rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+    k = min(params.mtry, p)
+    rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+    sizes = np.array([n])
+    # splits left in the leaf budget; a tree never has more than n leaves
+    budget = n if params.max_leaves is None else params.max_leaves - 1
+    levels = []
+    leaf_rows = []
+    n_nodes = depth = 0
+    while sizes.size:
+        cnt = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        pos = np.add.reduceat(d.labels[rows], starts)
+        feature = np.full(cnt, -1, dtype=np.int64)
+        threshold = np.full(cnt, np.nan)
+        todo = np.flatnonzero((sizes >= 2 * params.min_node_size) & (pos > 0) & (pos < sizes))
+        if params.split_mode == "completely_random" and todo.size:
+            # uniform feature among those with in-node spread, uniform
+            # threshold inside that feature's in-node range
+            block = d.features[rows]
+            lo = np.minimum.reduceat(block, starts, axis=0)
+            hi = np.maximum.reduceat(block, starts, axis=0)
+            for i in todo:
+                if budget == 0:
+                    break
+                spread = np.flatnonzero(hi[i] > lo[i])
+                if spread.size == 0:
+                    continue
+                j = int(spread[rng.integers(spread.size)])
+                thr = float(rng.uniform(lo[i, j], hi[i, j]))
+                if lo[i, j] < thr < hi[i, j]:
+                    feature[i], threshold[i] = j, thr
+                    budget -= 1
+        else:
+            # The first `budget` splittable nodes all draw whatever their
+            # outcome; a node that finds no split leaves budget for the
+            # next ones, which draw in a further batch.
+            while todo.size and budget > 0:
+                batch, todo = todo[:budget], todo[budget:]
+                cand = np.sort([rng.choice(p, size=k, replace=False) for _ in batch], axis=1)
+                f, t, _ = _best_splits(
+                    d, rows, starts[batch], sizes[batch], pos[batch], cand, params.criterion
+                )
+                found = f >= 0
+                feature[batch[found]] = f[found]
+                threshold[batch[found]] = t[found]
+                budget -= int(found.sum())
 
-    feature, threshold, left, right, depth = [], [], [], [], []
-    leaf_n, leaf_pos, leaf_rows = [], [], []
+        split = np.flatnonzero(feature >= 0)
+        n_nodes += cnt
+        left = np.full(cnt, -1, dtype=np.int64)
+        right = np.full(cnt, -1, dtype=np.int64)
+        left[split] = n_nodes + 2 * np.arange(split.size)
+        right[split] = left[split] + 1
+        leaf = feature < 0
+        levels.append(
+            (feature, threshold, left, right, np.full(cnt, depth),
+             np.where(leaf, sizes, 0), np.where(leaf, pos, 0))
+        )
 
-    def new_node(dpt: int) -> int:
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        depth.append(dpt)
-        leaf_n.append(0)
-        leaf_pos.append(0)
-        leaf_rows.append(None)
-        return len(feature) - 1
+        node_of = np.repeat(np.arange(cnt), sizes)
+        in_leaf = leaf[node_of]
+        level_leaf_rows = [None] * cnt
+        leaves = np.flatnonzero(leaf)
+        parts = np.split(rows[in_leaf], np.cumsum(sizes[leaves])[:-1])
+        for i, part in zip(leaves, parts):
+            level_leaf_rows[i] = part
+        leaf_rows.extend(level_leaf_rows)
 
-    queue = deque([(new_node(0), base_rows)])
-    n_leaves = 1
-    while queue:
-        idx, rows = queue.popleft()
-        m = rows.size
-        pos = int(d.labels[rows].sum())
-        budget_ok = params.max_leaves is None or n_leaves < params.max_leaves
-        split = None
-        if budget_ok and m >= 2 * params.min_node_size and 0 < pos < m:
-            if params.split_mode == "impurity":
-                cand = rng.choice(p, size=min(params.mtry, p), replace=False)
-                split = best_split(rows, d, cand, params.criterion)
-            else:
-                split = _random_split(rows, d, rng)
-        if split is None:
-            leaf_n[idx] = m
-            leaf_pos[idx] = pos
-            leaf_rows[idx] = rows
-            continue
-        feature[idx] = split.feature
-        threshold[idx] = split.threshold
-        left[idx] = new_node(depth[idx] + 1)
-        right[idx] = new_node(depth[idx] + 1)
-        n_leaves += 1
-        queue.append((left[idx], split.left_rows))
-        queue.append((right[idx], split.right_rows))
+        # stable partition: each split node's left rows, then its right rows
+        rows, node_of = rows[~in_leaf], node_of[~in_leaf]
+        go_right = d.features[rows, feature[node_of]] > threshold[node_of]
+        order = np.argsort(2 * node_of + go_right, kind="stable")
+        rows = rows[order]
+        n_left = np.bincount(node_of[~go_right], minlength=cnt)[split]
+        sizes = np.column_stack([n_left, sizes[split] - n_left]).ravel()
+        depth += 1
 
+    feature, threshold, left, right, node_depth, leaf_n, leaf_pos = (
+        np.concatenate(cols) for cols in zip(*levels)
+    )
     return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        node_depth=np.asarray(depth, dtype=np.int32),
-        leaf_n=np.asarray(leaf_n, dtype=np.int64),
-        leaf_pos=np.asarray(leaf_pos, dtype=np.int64),
+        feature=feature.astype(np.int32),
+        threshold=threshold,
+        left=left.astype(np.int32),
+        right=right.astype(np.int32),
+        node_depth=node_depth.astype(np.int32),
+        leaf_n=leaf_n.astype(np.int64),
+        leaf_pos=leaf_pos.astype(np.int64),
         leaf_rows=leaf_rows,
         seed=int(seed),
         n_features=p,

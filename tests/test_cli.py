@@ -83,6 +83,20 @@ class TestTrainPredict:
             for cell in row[1:]:
                 assert 0.0 <= float(cell) <= 1.0
 
+    @pytest.mark.parametrize("cells", [["nan", "nan"], ["inf", "-inf"]])
+    def test_predict_rejects_non_finite_points(self, workspace, tmp_path, capsys, cells):
+        _, _, model = workspace
+        query = tmp_path / "q.csv"
+        query.write_text("x1,x2\n0.1,0.2\n" + ",".join(cells) + "\n", encoding="utf-8")
+        rc = main([
+            "predict", "--model", str(model), "--data", str(query),
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert "non-finite query value at row 1" in err["message"]
+
     def test_predict_deterministic_through_save_load(self, workspace, tmp_path):
         _, data, model = workspace
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -95,6 +95,22 @@ class TestDerivativeReport:
         with pytest.raises(ValueError):
             derivative_report(k, np.zeros(1), 0.0)
 
+    def test_center_evaluated_once(self):
+        k = laplace(0.7, [2.0, 1.0, 0.5, 0.0])
+        calls = []
+
+        def counting(x, z):
+            calls.append(x.copy())
+            return k(x, z)
+
+        x0 = np.array([0.3, -0.2, 0.1, 0.0])
+        rep = derivative_report(counting, x0, [0.25, 0.1, 0.4, 0.2])
+        assert len(calls) == 2 * x0.size + 1
+        assert sum(np.array_equal(x, x0) for x in calls) == 1
+        for j, h in enumerate([0.25, 0.1, 0.4, 0.2]):
+            assert rep.right[j] == directional_derivative(k, x0, j, +1, h)
+            assert rep.left[j] == directional_derivative(k, x0, j, -1, h)
+
 
 class TestKernelGrid:
     def test_center_cell_is_one(self):

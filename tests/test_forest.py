@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,18 @@ class TestPredictProba:
             f.predict_proba(np.zeros(3), "reg_mean")
         with pytest.raises(ValueError):
             f.predict_proba(np.zeros(2), "median")
+
+    @pytest.mark.parametrize("x", [[np.nan, np.nan], [np.inf, -np.inf], [0.0, np.nan]])
+    def test_non_finite_query_rejected(self, x):
+        # NaN would route right at every split and return a silent estimate
+        d = sample(get_model("xor"), 60, seed=1)
+        f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=0))
+        with pytest.raises(ValueError, match="non-finite"):
+            f.predict_proba(x, "prox")
+        with pytest.raises(ValueError, match="non-finite"):
+            f.proximity(np.zeros(2), x)
+        with pytest.raises(ValueError, match="non-finite"):
+            f.predict_proba_batch(np.array([[0.1, 0.2], x]), "reg_mean")
 
 
 class TestProximity:
@@ -382,3 +396,97 @@ class TestSaveLoad:
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(ValueError, match="forestprox-forest"):
             Forest.load(path)
+
+
+def _first_leaf(td, min_n=1):
+    return next(i for i, f in enumerate(td["feature"]) if f < 0 and td["leaf_n"][i] >= min_n)
+
+
+def _self_loop(td):
+    td["left"][0] = td["right"][0] = 0
+
+
+def _child_out_of_range(td):
+    td["right"][0] = len(td["feature"])
+
+
+def _feature_out_of_range(td):
+    td["feature"][0] = 2
+
+
+def _threshold_not_finite(td):
+    td["threshold"][0] = None
+
+
+def _empty_leaf(td):
+    td["leaf_n"][_first_leaf(td)] = 0
+
+
+def _too_many_positives(td):
+    i = _first_leaf(td)
+    td["leaf_pos"][i] = td["leaf_n"][i] + 1
+
+
+def _negative_positives(td):
+    td["leaf_pos"][_first_leaf(td)] = -1
+
+
+def _rows_length_mismatch(td):
+    td["leaf_rows"][_first_leaf(td)].append(0)
+
+
+def _row_out_of_range(td):
+    td["leaf_rows"][_first_leaf(td)][0] = 60
+
+
+def _positives_disagree_with_labels(td):
+    i = _first_leaf(td, min_n=2)
+    td["leaf_pos"][i] = (td["leaf_pos"][i] + 1) % (td["leaf_n"][i] + 1)
+
+
+def _arrays_of_unequal_length(td):
+    td["left"].pop()
+
+
+class TestLoadValidation:
+    """A model file whose tree could misroute or hang fails at load."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        d = sample(get_model("xor"), 60, seed=3)
+        f = train_forest(
+            d, ForestParams(n_trees=2, tree=TreeParams(mtry=2, min_node_size=3), seed=0)
+        )
+        path = tmp_path_factory.mktemp("load") / "forest.json"
+        f.save(path)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_self_loop, "child index"),
+            (_child_out_of_range, "child index"),
+            (_feature_out_of_range, "split feature"),
+            (_threshold_not_finite, "threshold"),
+            (_empty_leaf, "leaf_n > 0"),
+            (_too_many_positives, "leaf_pos <= leaf_n"),
+            (_negative_positives, "0 <= leaf_pos"),
+            (_rows_length_mismatch, "leaf_n training rows"),
+            (_row_out_of_range, "leaf rows must lie"),
+            (_positives_disagree_with_labels, "disagrees"),
+            (_arrays_of_unequal_length, "one length"),
+        ],
+    )
+    def test_corrupt_tree_rejected(self, saved, tmp_path, corrupt, message):
+        payload = json.loads(json.dumps(saved))
+        assert payload["trees"][0]["feature"][0] >= 0  # the root splits
+        corrupt(payload["trees"][0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            Forest.load(path)
+
+    def test_untouched_file_loads(self, saved, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(saved), encoding="utf-8")
+        assert Forest.load(path).n_trees == 2

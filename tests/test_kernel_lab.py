@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestprox import kernel_lab
 from forestprox.data_model import Dataset
 from forestprox.kernel_lab import (
     LaplaceKernel,
@@ -198,6 +199,18 @@ class TestNaiveKernel:
 
 
 class TestMcProximity:
+    def test_simulation_cache_stays_small(self):
+        # each cached batch is (n_trees, p); changing seeds must not pile them up
+        spec = NaiveKernelSpec(leaves=8, strong=1, weak=2, mtry=2)
+        cache = kernel_lab._zero_cell_extents
+        cache.cache_clear()
+        for seed in range(5):
+            mc_proximity(spec, np.full(3, 0.5), [0], n_trees=200, seed=seed)
+            assert cache.cache_info().currsize <= 2
+        hits = cache.cache_info().hits
+        mc_proximity(spec, np.full(3, 0.25), [0], n_trees=200, seed=4)
+        assert cache.cache_info().hits == hits + 1
+
     def test_same_point_certain(self):
         spec = NaiveKernelSpec(leaves=16, strong=1, weak=1, mtry=1)
         assert mc_proximity(spec, np.zeros(2), [0], n_trees=500, seed=0) == 1.0

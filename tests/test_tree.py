@@ -80,6 +80,17 @@ class TestBestSplit:
         s = best_split(np.arange(3), d, [0])
         assert s.threshold == pytest.approx(3.0)
 
+    def test_adjacent_floats_threshold_falls_back_to_lower_value(self):
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)
+        assert lo + (hi - lo) / 2.0 == hi  # the midpoint rounds onto hi
+        d = make_data([lo, hi, hi], [0, 1, 1])
+        s = best_split(np.arange(3), d, [0])
+        assert s.threshold == lo
+        assert (len(s.left_rows), len(s.right_rows)) == (1, 2)
+        t = grow_tree(d, TreeParams(mtry=1, bootstrap=False), seed=0)
+        assert t.threshold[0] == lo and t.leaf_count == 2
+
     def test_tie_breaks_to_lowest_feature(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         d = make_data(np.column_stack([x, x]), [0, 0, 1, 1])
@@ -355,3 +366,145 @@ def test_grown_tree_invariants(n, p, seed):
     assert (t.leaf_pos[leaves] <= t.leaf_n[leaves]).all()
     assert t.leaf_n[leaves].sum() == n
     assert t.leaf_count == len(leaves)
+
+
+def reference_split(d, rows, cand, criterion):
+    """Per-node split search, one node at a time: the reference that the
+    level-synchronous scorer must match bit for bit."""
+    m = rows.size
+    yv = d.labels[rows]
+    total_pos = int(yv.sum())
+    Xs = d.features[rows][:, np.unique(cand)]
+    order = np.argsort(Xs, axis=0, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=0)
+    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    nr = float(m) - nl
+    pos_l = np.cumsum(yv[order], axis=0)[:-1].astype(np.float64)
+    pos_r = float(total_pos) - pos_l
+    pl, pr = pos_l / nl, pos_r / nr
+    if criterion == "gini":
+        score = nl * pl * (1.0 - pl) + nr * pr * (1.0 - pr)
+    else:
+        score = (
+            pos_l * (1.0 - pl) ** 2 + (nl - pos_l) * pl**2
+            + pos_r * (1.0 - pr) ** 2 + (nr - pos_r) * pr**2
+        )
+    score = np.where(xs[1:] != xs[:-1], score, np.inf)
+    col_min = score.min(axis=0)
+    if not np.isfinite(col_min.min()):
+        return None
+    eps = 1e-12 * max(1.0, float(m))
+    col = int(np.argmax(col_min <= col_min.min() + eps))
+    row = int(np.argmax(score[:, col] <= col_min[col] + eps))
+    lo, hi = float(xs[row, col]), float(xs[row + 1, col])
+    thr = lo + (hi - lo) / 2.0
+    return int(np.unique(cand)[col]), lo if thr >= hi else thr
+
+
+def reference_grow(d, params, seed):
+    """Node-at-a-time breadth-first growth from one random stream."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, d.n, size=d.n) if params.bootstrap else np.arange(d.n)
+    nodes = []  # (feature, threshold, left, right, rows)
+    queue = [(0, rows)]
+    nodes.append(None)
+    n_leaves = 1
+    while queue:
+        idx, rows = queue.pop(0)
+        m, pos = rows.size, int(d.labels[rows].sum())
+        split = None
+        budget_ok = params.max_leaves is None or n_leaves < params.max_leaves
+        if budget_ok and m >= 2 * params.min_node_size and 0 < pos < m:
+            if params.split_mode == "impurity":
+                cand = rng.choice(d.p, size=min(params.mtry, d.p), replace=False)
+                split = reference_split(d, rows, cand, params.criterion)
+            else:
+                sub = d.features[rows]
+                lo, hi = sub.min(axis=0), sub.max(axis=0)
+                spread = np.flatnonzero(hi > lo)
+                if spread.size:
+                    j = int(spread[rng.integers(spread.size)])
+                    thr = float(rng.uniform(lo[j], hi[j]))
+                    split = (j, thr) if lo[j] < thr < hi[j] else None
+        if split is None:
+            nodes[idx] = (-1, np.nan, -1, -1, rows)
+            continue
+        j, thr = split
+        mask = d.features[rows, j] <= thr
+        nodes[idx] = (j, thr, len(nodes), len(nodes) + 1, None)
+        nodes += [None, None]
+        n_leaves += 1
+        queue += [(len(nodes) - 2, rows[mask]), (len(nodes) - 1, rows[~mask])]
+    return nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=90),
+    p=st.integers(min_value=1, max_value=5),
+    ties=st.booleans(),
+    mtry=st.integers(min_value=1, max_value=5),
+    min_node_size=st.sampled_from([1, 2, 5]),
+    max_leaves=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    mode=st.sampled_from(["gini", "mse", "completely_random"]),
+    bootstrap=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_level_growth_matches_node_at_a_time_reference(
+    n, p, ties, mtry, min_node_size, max_leaves, mode, bootstrap, seed
+):
+    # few distinct values make nodes whose drawn candidates cannot split,
+    # so a leaf budget can run out partway through a level
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n, p)).astype(float) if ties else rng.normal(size=(n, p))
+    d = Dataset(X, rng.integers(0, 2, n), tuple(f"f{j}" for j in range(p)))
+    params = TreeParams(
+        mtry=min(mtry, p),
+        min_node_size=min_node_size,
+        max_leaves=max_leaves,
+        split_mode="completely_random" if mode == "completely_random" else "impurity",
+        bootstrap=bootstrap,
+        criterion="mse" if mode == "mse" else "gini",
+    )
+    assert_matches_reference(d, params, seed)
+
+
+def assert_matches_reference(d, params, seed):
+    t = grow_tree(d, params, seed)
+    ref = reference_grow(d, params, seed)
+    assert t.n_nodes == len(ref)
+    for i, (f, thr, left, right, rows) in enumerate(ref):
+        assert (t.feature[i], t.left[i], t.right[i]) == (f, left, right)
+        if f < 0:
+            np.testing.assert_array_equal(t.leaf_rows[i], rows)
+            assert t.leaf_pos[i] == d.labels[rows].sum()
+        else:
+            assert t.threshold[i] == thr
+    return t
+
+
+def test_budget_left_by_a_node_without_split_goes_to_the_next():
+    # both features are constant among the rows with x0 = 0, so once the
+    # root splits on x0 its left child cannot split, and the last unit of
+    # a 3-leaf budget passes to the right child on the same level
+    x0 = np.repeat([0.0, 1.0], 6)
+    x1 = np.r_[np.full(6, 5.0), np.arange(6.0)]
+    d = Dataset(np.column_stack([x0, x1]), [0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 1, 1], ("x0", "x1"))
+    params = TreeParams(mtry=1, max_leaves=3, bootstrap=False)
+    seen = 0
+    for seed in range(20):
+        t = assert_matches_reference(d, params, seed)
+        seen += t.n_nodes == 5 and t.feature[0] == 0 and t.feature[1] < 0
+    assert seen
+
+
+def test_dataset_ranks_order_like_values():
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.normal(size=40), rng.integers(0, 4, 40).astype(float)])
+    X[:6, 1] = [0.0, -0.0, 0.0, -0.0, 1.0, 1.0]
+    d = Dataset(X, rng.integers(0, 2, 40), ("a", "b"))
+    for j in range(2):
+        r, x = d.ranks[j], X[:, j]
+        np.testing.assert_array_equal(r[:, None] == r[None, :], x[:, None] == x[None, :])
+        np.testing.assert_array_equal(r[:, None] < r[None, :], x[:, None] < x[None, :])
+        np.testing.assert_array_equal(d.sorted_features[r, j], x)
