@@ -241,39 +241,41 @@ def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
     has two distinct values.
     """
     n, (n_nodes, k) = d.n, cand.shape
-    # the batch's rows once; segment c * n_nodes + i is node i's copy for its c-th candidate
+    # The batch's M rows once; segment c * n_nodes + i is node i's copy for
+    # its c-th candidate, so each candidate's segments form one row of a
+    # (k, M) layout over which per-row quantities broadcast.
     offset = np.cumsum(sizes) - sizes
-    rb = rows[np.arange(offset[-1] + sizes[-1]) + np.repeat(starts - offset, sizes)]
-    seg_m = np.tile(sizes, k)
-    seg_start = np.cumsum(seg_m) - seg_m
-    size = k * rb.size
-    f = cand.T.ravel()
+    M = int(offset[-1] + sizes[-1])
+    rb = rows[np.arange(M) + np.repeat(starts - offset, sizes)]
+    seg_start = (np.arange(0, k * M, M)[:, None] + offset).ravel()
+    seg = np.arange(k * n_nodes).reshape(k, n_nodes)
     # Segments stay in place and sort by value. The order within a run of
     # equal values is arbitrary: no boundary inside a run is scored, and
     # the counts at the run's ends do not depend on it.
-    key = d.ranks.ravel()[np.repeat(f * n, seg_m) + np.tile(rb, k)] * 2
-    key += np.tile(d.labels[rb], k)
-    key += np.repeat(np.arange(0, 2 * n * seg_m.size, 2 * n), seg_m)
+    key = d.ranks.ravel()[np.repeat(cand.T * n, sizes, axis=1) + rb] * 2
+    key += np.repeat(seg * (2 * n), sizes, axis=1) + d.labels[rb]
+    key = key.ravel()
     key.sort()
     ys = key & 1
     key >>= 1
     cs = np.cumsum(ys)
 
-    # boundary after each element: valid when the next element is in the
-    # same segment and has a larger value
-    valid = np.empty(size, dtype=bool)
-    valid[:-1] = key[1:] != key[:-1]
-    valid[seg_start - 1] = False
-    nl = np.arange(1.0, rb.size + 1.0) - np.repeat(offset.astype(np.float64), sizes)
-    nr = np.tile(np.repeat(sizes.astype(np.float64), sizes) - nl, k)
-    nl = np.tile(nl, k)
-    pos_l = (cs - np.repeat(cs[seg_start] - ys[seg_start], seg_m)).astype(np.float64)
-    pos_r = np.tile(np.repeat(pos.astype(np.float64), sizes), k) - pos_l
+    # score the boundary after each element; shapes (k, M) or (M,)
+    nl = np.arange(1.0, M + 1.0) - np.repeat(offset.astype(np.float64), sizes)
+    nr = np.repeat(sizes.astype(np.float64), sizes) - nl
+    pos_l = cs.reshape(k, M) - np.repeat((cs - ys)[seg_start].reshape(k, n_nodes), sizes, axis=1)
+    pos_l = pos_l.astype(np.float64)
+    pos_r = np.repeat(pos.astype(np.float64), sizes) - pos_l
     with np.errstate(divide="ignore", invalid="ignore"):  # nr = 0 at segment ends
         pl = pos_l / nl
         pr = pos_r / nr
         if criterion == "gini":
-            score = nl * pl * (1.0 - pl) + nr * pr * (1.0 - pr)
+            # nl * pl * (1 - pl) + nr * pr * (1 - pr), in place
+            score = nl * pl
+            score *= np.subtract(1.0, pl, out=pl)
+            right = np.multiply(nr, pr, out=pos_r)
+            right *= np.subtract(1.0, pr, out=pr)
+            score += right
         else:
             score = (
                 pos_l * (1.0 - pl) ** 2
@@ -281,7 +283,11 @@ def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
                 + pos_r * (1.0 - pr) ** 2
                 + (nr - pos_r) * pr**2
             )
-    score[~valid] = np.inf
+    # valid only when the next element is in the same segment and has a
+    # larger value
+    score = score.ravel()
+    score[:-1][key[1:] == key[:-1]] = np.inf
+    score[seg_start - 1] = np.inf
 
     # lowest feature within eps of the node's best, then lowest threshold
     seg_min = np.minimum.reduceat(score, seg_start)
@@ -291,14 +297,16 @@ def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
     eps = _TIE_EPS * np.maximum(1.0, sizes.astype(np.float64))
     col = np.argmax(col_min <= (best + eps)[:, None], axis=1)
     chosen = (col * n_nodes + np.arange(n_nodes))[ok]
-    lim = np.full(seg_m.size, -np.inf)
-    lim[chosen] = seg_min[chosen] + eps[ok]
-    hit = np.flatnonzero(score <= np.repeat(lim, seg_m))
-    first = hit[np.searchsorted(hit, seg_start[chosen])]
+    # first boundary of each chosen segment within eps of its minimum
+    m_ch = sizes[ok]
+    g_start = np.cumsum(m_ch) - m_ch
+    at = np.arange(m_ch.sum()) + np.repeat(seg_start[chosen] - g_start, m_ch)
+    hit = np.flatnonzero(score[at] <= np.repeat(seg_min[chosen] + eps[ok], m_ch))
+    first = at[hit[np.searchsorted(hit, g_start)]]
 
     feature = np.full(n_nodes, -1, dtype=np.int64)
     threshold = np.full(n_nodes, np.nan)
-    feature[ok] = jf = f[chosen]
+    feature[ok] = jf = cand[ok, col[ok]]
     base = chosen * n
     lo = d.sorted_features[key[first] - base, jf]
     hi = d.sorted_features[key[first + 1] - base, jf]
@@ -407,34 +415,32 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
                 threshold[batch[found]] = t[found]
                 budget -= int(found.sum())
 
-        split = np.flatnonzero(feature >= 0)
+        leaf = feature < 0
+        split = np.flatnonzero(~leaf)
         n_nodes += cnt
         left = np.full(cnt, -1, dtype=np.int64)
-        right = np.full(cnt, -1, dtype=np.int64)
         left[split] = n_nodes + 2 * np.arange(split.size)
-        right[split] = left[split] + 1
-        leaf = feature < 0
         levels.append(
-            (feature, threshold, left, right, np.full(cnt, depth),
+            (feature, threshold, left, np.where(leaf, -1, left + 1), np.full(cnt, depth),
              np.where(leaf, sizes, 0), np.where(leaf, pos, 0))
         )
 
         node_of = np.repeat(np.arange(cnt), sizes)
         in_leaf = leaf[node_of]
+        block = rows[in_leaf]
         level_leaf_rows = [None] * cnt
-        leaves = np.flatnonzero(leaf)
-        parts = np.split(rows[in_leaf], np.cumsum(sizes[leaves])[:-1])
-        for i, part in zip(leaves, parts):
-            level_leaf_rows[i] = part
+        end = 0
+        for i, m in zip(np.flatnonzero(leaf).tolist(), sizes[leaf].tolist()):
+            level_leaf_rows[i] = block[end:end + m]
+            end += m
         leaf_rows.extend(level_leaf_rows)
 
         # stable partition: each split node's left rows, then its right rows
         rows, node_of = rows[~in_leaf], node_of[~in_leaf]
         go_right = d.features[rows, feature[node_of]] > threshold[node_of]
-        order = np.argsort(2 * node_of + go_right, kind="stable")
-        rows = rows[order]
+        rows = rows[np.argsort(2 * node_of + go_right, kind="stable")]
         n_left = np.bincount(node_of[~go_right], minlength=cnt)[split]
-        sizes = np.column_stack([n_left, sizes[split] - n_left]).ravel()
+        sizes = np.stack([n_left, sizes[split] - n_left], axis=1).ravel()
         depth += 1
 
     feature, threshold, left, right, node_depth, leaf_n, leaf_pos = (
