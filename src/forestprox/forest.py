@@ -221,25 +221,26 @@ class Forest:
         )
         trees = []
         for td in payload["trees"]:
-            t = Tree(
-                feature=np.asarray(td["feature"], dtype=np.int32),
-                threshold=np.asarray(
-                    [np.nan if v is None else v for v in td["threshold"]], dtype=np.float64
-                ),
-                left=np.asarray(td["left"], dtype=np.int32),
-                right=np.asarray(td["right"], dtype=np.int32),
-                node_depth=np.asarray(td["node_depth"], dtype=np.int32),
-                leaf_n=np.asarray(td["leaf_n"], dtype=np.int64),
-                leaf_pos=np.asarray(td["leaf_pos"], dtype=np.int64),
-                leaf_rows=[
-                    None if r is None else np.asarray(r, dtype=np.int64)
-                    for r in td["leaf_rows"]
-                ],
-                seed=int(td["seed"]),
-                n_features=train.p,
+            trees.append(
+                Tree(
+                    feature=np.asarray(td["feature"], dtype=np.int32),
+                    threshold=np.asarray(
+                        [np.nan if v is None else v for v in td["threshold"]], dtype=np.float64
+                    ),
+                    left=np.asarray(td["left"], dtype=np.int32),
+                    right=np.asarray(td["right"], dtype=np.int32),
+                    node_depth=np.asarray(td["node_depth"], dtype=np.int32),
+                    leaf_n=np.asarray(td["leaf_n"], dtype=np.int64),
+                    leaf_pos=np.asarray(td["leaf_pos"], dtype=np.int64),
+                    leaf_rows=[
+                        None if r is None else np.asarray(r, dtype=np.int64)
+                        for r in td["leaf_rows"]
+                    ],
+                    seed=int(td["seed"]),
+                    n_features=train.p,
+                )
             )
-            t.check(train.labels)
-            trees.append(t)
+            trees[-1].check(train.labels)
         return cls(trees=tuple(trees), train=train, params=params)
 
 

@@ -147,8 +147,12 @@ class Tree:
         n, pos = self.leaf_n[leaves], self.leaf_pos[leaves]
         if (n <= 0).any() or (pos < 0).any() or (pos > n).any():
             raise ValueError("every leaf needs leaf_n > 0 and 0 <= leaf_pos <= leaf_n")
-        rows = [self.leaf_rows[i] for i in leaves]
-        if any(r is None or len(r) != c for r, c in zip(rows, n)):
+        rows = [self.leaf_rows[i] for i in leaves.tolist()]
+        try:
+            counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        except TypeError:  # a leaf without its row list
+            counts = None
+        if counts is None or (counts != n).any():
             raise ValueError("every leaf must list leaf_n training rows")
         flat = np.concatenate(rows)
         if ((flat < 0) | (flat >= labels.size)).any():
@@ -248,11 +252,11 @@ def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
     M = int(offset[-1] + sizes[-1])
     rb = rows[np.arange(M) + np.repeat(starts - offset, sizes)]
     seg_start = (np.arange(0, k * M, M)[:, None] + offset).ravel()
-    seg = np.arange(k * n_nodes).reshape(k, n_nodes)
     # Segments stay in place and sort by value. The order within a run of
     # equal values is arbitrary: no boundary inside a run is scored, and
     # the counts at the run's ends do not depend on it.
     key = d.ranks.ravel()[np.repeat(cand.T * n, sizes, axis=1) + rb] * 2
+    seg = np.arange(k * n_nodes).reshape(k, n_nodes)
     key += np.repeat(seg * (2 * n), sizes, axis=1) + d.labels[rb]
     key = key.ravel()
     key.sort()
@@ -307,6 +311,8 @@ def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
     feature = np.full(n_nodes, -1, dtype=np.int64)
     threshold = np.full(n_nodes, np.nan)
     feature[ok] = jf = cand[ok, col[ok]]
+    # key - segment * n is the value's rank; a run that mixes 0.0 and -0.0
+    # gives the same threshold whichever of them the rank maps to
     base = chosen * n
     lo = d.sorted_features[key[first] - base, jf]
     hi = d.sorted_features[key[first + 1] - base, jf]
@@ -336,6 +342,8 @@ def best_split(
     cand = np.unique(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
+    if cand[0] < 0 or cand[-1] >= d.p:
+        raise ValueError(f"candidate features must lie in [0, {d.p})")
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
     m = rows.size

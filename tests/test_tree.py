@@ -168,6 +168,12 @@ class TestBestSplit:
         with pytest.raises(ValueError):
             best_split(np.array([], dtype=int), d, [0])
 
+    @pytest.mark.parametrize("cand", [[-1], [0, 2]])
+    def test_out_of_range_candidate_rejected(self, cand):
+        d = make_data(np.column_stack([[0.0, 1.0, 2.0, 3.0], [5.0, 6.0, 7.0, 8.0]]), [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="candidate features"):
+            best_split(np.arange(4), d, cand)
+
 
 class TestGrowTree:
     def test_single_row_gives_single_leaf(self):
