@@ -394,9 +394,9 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
         if params.split_mode == "completely_random" and todo.size:
             # uniform feature among those with in-node spread, uniform
             # threshold inside that feature's in-node range
-            block = d.features[rows]
-            lo = np.minimum.reduceat(block, starts, axis=0)
-            hi = np.maximum.reduceat(block, starts, axis=0)
+            X = d.features[rows]
+            lo = np.minimum.reduceat(X, starts, axis=0)
+            hi = np.maximum.reduceat(X, starts, axis=0)
             for i in todo:
                 if budget == 0:
                     break

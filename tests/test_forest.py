@@ -485,8 +485,3 @@ class TestLoadValidation:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             Forest.load(path)
-
-    def test_untouched_file_loads(self, saved, tmp_path):
-        path = tmp_path / "good.json"
-        path.write_text(json.dumps(saved), encoding="utf-8")
-        assert Forest.load(path).n_trees == 2
