@@ -58,7 +58,7 @@ def main():
                     seed=args.seed + m,
                 ),
             )
-            rep = derivative_report(forest.proximity, x0, steps)
+            rep = derivative_report(forest.proximity_many, x0, steps)
             junk_mag = rep.magnitude[junk_slice].mean()
             orig_mag = rep.magnitude[: base.p].mean()
             writer.writerow([m, junk_mag, orig_mag])

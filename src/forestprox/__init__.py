@@ -20,7 +20,7 @@ from .diagnostics import (
     kernel_grid,
     prob_histogram,
 )
-from .forest import Forest, ForestParams, ProximityMatrix, train_forest
+from .forest import Forest, ForestParams, train_forest
 from .kernel_lab import (
     LaplaceKernel,
     NaiveKernelSpec,
@@ -35,7 +35,7 @@ from .kernel_lab import (
     strong_weak_weights,
 )
 from .synthgen import MODELS, SyntheticModel, ccpf, get_model, sample
-from .tree import Split, Tree, TreeParams, best_split, grow_tree, tree_prob
+from .tree import Split, Tree, TreeParams, best_split, grow_tree
 
 __all__ = [
     "Dataset",
@@ -49,10 +49,8 @@ __all__ = [
     "Split",
     "best_split",
     "grow_tree",
-    "tree_prob",
     "Forest",
     "ForestParams",
-    "ProximityMatrix",
     "train_forest",
     "NaiveKernelSpec",
     "LaplaceKernel",

@@ -21,9 +21,9 @@ from .bench import (
     resolve_mtry,
     run_experiment,
 )
-from .data_model import augment_junk, load_csv, save_csv
+from .data_model import augment_junk, load_csv, load_points, save_csv
 from .diagnostics import derivative_report, kernel_grid
-from .forest import Forest, ForestParams, train_forest
+from .forest import PREDICT_MODES, Forest, ForestParams, train_forest
 from .kernel_lab import (
     NaiveKernelSpec,
     mc_proximity,
@@ -216,43 +216,11 @@ def _label_col(value):
         return value
 
 
-def _load_points(path: str, label_column, p: int, names) -> np.ndarray:
-    """Feature matrix from a CSV of query points.
-
-    Columns matching the forest's feature names are used when all are
-    present (extra columns like label or true_prob are ignored); otherwise
-    the first p columns are taken, after dropping the label column if one
-    was named.
-    """
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        rows = [r for r in reader if r]
-    if set(names) <= set(header):
-        cols = [header.index(n) for n in names]
-    else:
-        keep = [
-            j for j, h in enumerate(header)
-            if label_column is None or h != str(label_column)
-        ]
-        if len(keep) < p:
-            raise ValueError(
-                f"{path}: expected columns {list(names)} or at least {p} feature columns"
-            )
-        cols = keep[:p]
-    X = np.empty((len(rows), p))
-    for i, row in enumerate(rows):
-        for k, j in enumerate(cols):
-            X[i, k] = float(row[j])
-    return X
-
-
 def _cmd_predict(args) -> int:
     forest = Forest.load(args.model)
-    X = _load_points(args.data, args.label_column, forest.p, forest.train.feature_names)
-    p_class = forest.predict_proba_batch(X, "class_vote")
-    p_reg = forest.predict_proba_batch(X, "reg_mean")
-    p_prox = forest.predict_proba_batch(X, "prox")
+    X = load_points(args.data, forest.train.feature_names, args.label_column)
+    leaves = forest.leaves(X)
+    p_class, p_reg, p_prox = (forest.estimate(leaves, mode) for mode in PREDICT_MODES)
     _write_csv(
         args.out,
         ["row", "p_class", "p_reg", "p_prox"],
@@ -266,8 +234,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_proximity(args) -> int:
     forest = Forest.load(args.model)
-    X = _load_points(args.data, args.label_column, forest.p, forest.train.feature_names)
-    P = forest.proximity_matrix(X).values
+    X = load_points(args.data, forest.train.feature_names, args.label_column)
+    P = forest.proximity_matrix(X)
     _write_csv(
         args.out,
         [f"p{j}" for j in range(P.shape[1])],
@@ -323,7 +291,7 @@ def _cmd_deriv(args) -> int:
     else:
         sd = X.std(axis=0)
         steps = np.where(sd > 0, args.h_sd * sd, 1e-6)
-    report = derivative_report(forest.proximity, center, steps)
+    report = derivative_report(forest.proximity_many, center, steps)
     _write_csv(
         args.out,
         ["coordinate", "name", "left", "right", "step"],
@@ -347,7 +315,7 @@ def _cmd_grid(args) -> int:
         lo_i, hi_i = float(X[:, i].min()), float(X[:, i].max())
         lo_j, hi_j = float(X[:, j].min()), float(X[:, j].max())
     grid = kernel_grid(
-        forest.proximity, center, (i, j), args.resolution, ((lo_i, hi_i), (lo_j, hi_j))
+        forest.proximity_many, center, (i, j), args.resolution, ((lo_i, hi_i), (lo_j, hi_j))
     )
     rows = []
     for a, vi in enumerate(grid.axis_i):

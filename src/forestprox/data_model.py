@@ -117,6 +117,38 @@ class SplitPair:
     test: Dataset
 
 
+def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Stripped header and nonblank rows of a CSV file, each row holding
+    one cell per header column."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, header row required") from None
+        rows = [r for r in reader if r]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+    return [h.strip() for h in header], rows
+
+
+def _parse_columns(path, header: list[str], rows: list[list[str]], cols: list[int]) -> np.ndarray:
+    """The given columns of every row, parsed by float()."""
+    out = np.empty((len(rows), len(cols)))
+    for i, row in enumerate(rows):
+        for k, j in enumerate(cols):
+            try:
+                out[i, k] = float(row[j])
+            except ValueError:
+                cell = f"row {i}, column {header[j]!r}"
+                raise DataError(f"{path}: non-numeric cell at {cell}") from None
+    return out
+
+
 def load_csv(
     path: str | Path,
     label_column: str | int,
@@ -130,18 +162,7 @@ def load_csv(
     companion column (as written by `simulate`) can be pulled out of the
     feature set by name via `true_prob_column`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        rows = [r for r in reader if r]
-
-    header = [h.strip() for h in header]
+    header, rows = _read_rows(path)
     if isinstance(label_column, int):
         if not 0 <= label_column < len(header):
             raise DataError(f"label column index {label_column} out of range")
@@ -152,38 +173,37 @@ def load_csv(
         label_idx = header.index(label_column)
 
     skip = {label_idx}
-    tp_idx = None
+    tps = None
     if true_prob_column is not None:
         if true_prob_column not in header:
             raise DataError(f"true-prob column {true_prob_column!r} not in header")
         tp_idx = header.index(true_prob_column)
         skip.add(tp_idx)
+        tps = _parse_columns(path, header, rows, [tp_idx])[:, 0]
 
     feat_idx = [j for j in range(len(header)) if j not in skip]
     if not feat_idx:
         raise DataError(f"{path}: no feature columns left")
+    feats = _parse_columns(path, header, rows, feat_idx)
+    labels = _map_labels([row[label_idx].strip() for row in rows])
     names = tuple(header[j] for j in feat_idx)
-
-    n = len(rows)
-    feats = np.empty((n, len(feat_idx)), dtype=np.float64)
-    raw_labels = []
-    tps = np.empty(n) if true_prob_column is not None else None
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        for k, j in enumerate(feat_idx):
-            try:
-                feats[i, k] = float(row[j])
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric feature cell at row {i}, column {header[j]!r}"
-                ) from None
-        raw_labels.append(row[label_idx].strip())
-        if tps is not None:
-            tps[i] = float(row[tp_idx])
-
-    labels = _map_labels(raw_labels)
     return Dataset(features=feats, labels=labels, feature_names=names, true_probs=tps)
+
+
+def load_points(path: str | Path, names, label_column=None) -> np.ndarray:
+    """Feature matrix from a CSV of query points: the columns named
+    `names` when all are present, else the first len(names) columns
+    other than `label_column`."""
+    header, rows = _read_rows(path)
+    p = len(names)
+    keep = [j for j, h in enumerate(header) if label_column is None or h != str(label_column)]
+    if set(names) <= set(header):
+        cols = [header.index(n) for n in names]
+    elif len(keep) >= p:
+        cols = keep[:p]
+    else:
+        raise DataError(f"{path}: expected columns {list(names)} or at least {p} feature columns")
+    return _parse_columns(path, header, rows, cols)
 
 
 def _map_labels(raw: list[str]) -> np.ndarray:

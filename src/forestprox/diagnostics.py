@@ -1,11 +1,13 @@
 """Kernel-shape probes: one-sided directional derivatives, 2-d level-set
 grids, and probability histograms.
 
-A kernel evaluator here is any callable k(x, z) -> float bounded by 1
-with k(x, x) = 1: a forest's proximity, the analytic kernels, or a
-Laplace kernel. Forest proximity is piecewise constant, so derivative
-magnitudes depend on the step size relative to typical cell widths;
-steps are therefore always explicit.
+A kernel evaluator here is any batched callable k(Z, x0) -> (m,) that
+returns k(z, x0) for every row z of the (m, p) matrix Z, bounded by 1
+with k(x0, x0) = 1: a forest's `proximity_many`, or an analytic or
+Laplace kernel evaluated row by row. Each probe hands the kernel all
+its points in one call (the grid, one call per row). Forest proximity
+is piecewise constant, so derivative magnitudes depend on the step size
+relative to typical cell widths; steps are therefore always explicit.
 """
 
 from __future__ import annotations
@@ -37,12 +39,6 @@ class KernelGrid:
     values: np.ndarray
 
 
-def _one_sided(kernel, x0, k0, coord: int, sign: int, h: float) -> float:
-    x = x0.copy()
-    x[coord] += sign * h
-    return (kernel(x, x0) - k0) / h
-
-
 def directional_derivative(kernel, x0, coord: int, sign: int, h: float) -> float:
     """One-sided finite difference (k(x0 + sign*h*e_coord, x0) - k(x0, x0)) / h."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -52,25 +48,27 @@ def directional_derivative(kernel, x0, coord: int, sign: int, h: float) -> float
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not 0 <= coord < x0.size:
         raise ValueError(f"coordinate {coord} out of range for p={x0.size}")
-    return _one_sided(kernel, x0, kernel(x0, x0), coord, sign, h)
+    Z = np.stack([x0, x0])
+    Z[1, coord] += sign * h
+    k0, k1 = kernel(Z, x0)
+    return float((k1 - k0) / h)
 
 
 def derivative_report(kernel, x0, steps) -> DerivativeReport:
     """Both one-sided derivatives for every coordinate.
 
     `steps` is a scalar or a per-coordinate vector of positive step sizes.
-    k(x0, x0) is evaluated once, so the report costs 2p + 1 kernel calls.
+    The kernel is called once, on 2p + 1 probe rows: x0, then x0 + h_j e_j
+    for every j, then x0 - h_j e_j.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     h = np.broadcast_to(np.asarray(steps, dtype=np.float64), x0.shape).copy()
     if (h <= 0).any():
         raise ValueError("all steps must be > 0")
-    k0 = kernel(x0, x0)
-    left = np.empty(x0.size)
-    right = np.empty(x0.size)
-    for j in range(x0.size):
-        right[j] = _one_sided(kernel, x0, k0, j, +1, float(h[j]))
-        left[j] = _one_sided(kernel, x0, k0, j, -1, float(h[j]))
+    p = x0.size
+    k = np.asarray(kernel(np.vstack([x0, x0 + np.diag(h), x0 - np.diag(h)]), x0))
+    right = (k[1:p + 1] - k[0]) / h
+    left = (k[p + 1:] - k[0]) / h
     return DerivativeReport(center=x0, steps=h, left=left, right=right)
 
 
@@ -79,7 +77,8 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
 
     `dims` picks the two plotted coordinates; the remaining coordinates of
     z stay pinned to x0. `bounds` gives ((lo_i, hi_i), (lo_j, hi_j)).
-    values[a, b] corresponds to (axis_i[a], axis_j[b]).
+    values[a, b] corresponds to (axis_i[a], axis_j[b]). The kernel is
+    called once per axis_i value, on `resolution` rows.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     i, j = int(dims[0]), int(dims[1])
@@ -94,13 +93,11 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
     axis_i = np.linspace(lo_i, hi_i, resolution)
     axis_j = np.linspace(lo_j, hi_j, resolution)
     values = np.empty((resolution, resolution))
-    z = x0.copy()
     for a, vi in enumerate(axis_i):
-        z[i] = vi
-        for b, vj in enumerate(axis_j):
-            z[j] = vj
-            values[a, b] = kernel(z, x0)
-        z[j] = x0[j]
+        Z = np.tile(x0, (resolution, 1))
+        Z[:, i] = vi
+        Z[:, j] = axis_j
+        values[a] = kernel(Z, x0)
     return KernelGrid(center=x0, dims=(i, j), axis_i=axis_i, axis_j=axis_j, values=values)
 
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .data_model import Dataset
-from .tree import Tree, TreeParams, grow_tree
+from .tree import Tree, TreeParams, grow_tree, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
@@ -41,10 +43,10 @@ class ForestParams:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
 
 
-@dataclass(frozen=True)
-class ProximityMatrix:
-    values: np.ndarray
-    n: int
+# Largest proximity matrix, in bytes, that `proximity_matrix` builds:
+# the float64 result plus one tree's boolean co-occupancy, 9 bytes a pair
+# (about 5,460 points).
+PROXIMITY_MATRIX_MAX_BYTES = 1 << 28
 
 
 def derive_tree_seeds(seed: int, n_trees: int) -> list[int]:
@@ -85,59 +87,82 @@ class Forest:
             raise ValueError(f"non-finite query value at row {bad[0]}, column {bad[1]}")
         return X
 
+    @cached_property
+    def _packed(self) -> SimpleNamespace:
+        """Every tree's node arrays concatenated once, child indices
+        shifted to point into the concatenation."""
+        sizes = np.array([t.n_nodes for t in self.trees], dtype=np.intp)
+        roots = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
+        cat = lambda name: np.concatenate([getattr(t, name) for t in self.trees])
+        shift = np.repeat(roots, sizes)
+        return SimpleNamespace(
+            roots=roots,
+            feature=cat("feature").astype(np.intp),
+            threshold=cat("threshold"),
+            children=np.stack([cat("right") + shift, cat("left") + shift], axis=1).ravel(),
+            leaf_n=cat("leaf_n"),
+            leaf_pos=cat("leaf_pos"),
+        )
+
+    def _route(self, X: np.ndarray) -> np.ndarray:
+        k = self._packed
+        return route(k.feature, k.threshold, k.children, k.roots, X)
+
+    def leaves(self, X) -> np.ndarray:
+        """Leaf reached by every row of X in every tree, shape (T, q).
+
+        Ids are tree-local: trees[t].leaf_rows[L[t, i]] are the training
+        rows sharing row i's leaf in tree t.
+        """
+        return self._route(self._check_matrix(X)) - self._packed.roots[:, None]
+
+    def estimate(self, L: np.ndarray, mode: str = "prox") -> np.ndarray:
+        """One estimator at q points from their leaves, as `leaves` gives them."""
+        if mode not in PREDICT_MODES:
+            raise ValueError(f"mode must be one of {PREDICT_MODES}, got {mode!r}")
+        k = self._packed
+        G = L + k.roots[:, None]
+        if mode == "prox":
+            return k.leaf_pos[G].sum(axis=0) / k.leaf_n[G].sum(axis=0)
+        p_t = k.leaf_pos[G] / k.leaf_n[G]
+        if mode == "class_vote":
+            return (p_t >= 0.5).sum(axis=0) / self.n_trees
+        # cumsum adds trees in tree order; sum(axis=0) adds pairwise at q = 1
+        return np.cumsum(p_t, axis=0)[-1] / self.n_trees
+
     def predict_proba(self, x, mode: str = "prox") -> float:
         return float(self.predict_proba_batch(np.asarray(x, dtype=np.float64)[None, :], mode)[0])
 
     def predict_proba_batch(self, X, mode: str = "prox") -> np.ndarray:
-        if mode not in PREDICT_MODES:
-            raise ValueError(f"mode must be one of {PREDICT_MODES}, got {mode!r}")
-        X = self._check_matrix(X)
-        q = X.shape[0]
-        if mode == "prox":
-            num = np.zeros(q)
-            den = np.zeros(q)
-            for t in self.trees:
-                leaves = t.apply(X)
-                num += t.leaf_pos[leaves]
-                den += t.leaf_n[leaves]
-            return num / den
-        acc = np.zeros(q)
-        for t in self.trees:
-            leaves = t.apply(X)
-            p_t = t.leaf_pos[leaves] / t.leaf_n[leaves]
-            acc += (p_t >= 0.5) if mode == "class_vote" else p_t
-        return acc / self.n_trees
+        return self.estimate(self.leaves(X), mode)
 
     def proximity(self, x, z) -> float:
         """Fraction of trees in which x and z share a terminal node."""
-        x = self._check_vector(x)
-        z = self._check_vector(z)
-        same = sum(t.locate(x) == t.locate(z) for t in self.trees)
-        return same / self.n_trees
+        return float(self.proximity_many(self._check_vector(x)[None, :], z)[0])
 
     def proximity_many(self, X, z) -> np.ndarray:
-        """proximity(x, z) for every row x of X, vectorized per tree."""
-        X = self._check_matrix(X)
+        """proximity(x, z) for every row x of X, from one routing pass."""
         z = self._check_vector(z)
-        acc = np.zeros(X.shape[0])
-        for t in self.trees:
-            acc += t.apply(X) == t.locate(z)
-        return acc / self.n_trees
-
-    def proximity_matrix(self, points, cap: int = 10_000) -> ProximityMatrix:
-        X = points.features if isinstance(points, Dataset) else self._check_matrix(points)
         X = self._check_matrix(X)
-        n = X.shape[0]
-        if n > cap:
-            raise ValueError(
-                f"{n} points exceed the dense proximity-matrix cap of {cap}"
-            )
+        G = self._route(np.concatenate([z[None, :], X]))
+        return (G[:, 1:] == G[:, :1]).sum(axis=0) / self.n_trees
+
+    def proximity_matrix(self, points, max_bytes: int = PROXIMITY_MATRIX_MAX_BYTES) -> np.ndarray:
+        """Dense (n, n) proximity of every pair of points.
+
+        Refused before anything is allocated when the float64 result plus
+        one tree's (n, n) boolean co-occupancy exceeds `max_bytes`.
+        """
+        X = np.asarray(points.features if isinstance(points, Dataset) else points)
+        n = X.shape[0] if X.ndim else 0
+        if 9 * n * n > max_bytes:
+            raise ValueError(f"{n} points need {9 * n * n} bytes, over the cap of {max_bytes}")
+        L = self._route(self._check_matrix(X))
         P = np.zeros((n, n))
-        for t in self.trees:
-            leaves = t.apply(X)
+        for leaves in L:
             P += leaves[:, None] == leaves[None, :]
         P /= self.n_trees
-        return ProximityMatrix(values=P, n=n)
+        return P
 
     def voting_weights(self, x0) -> np.ndarray:
         """Normalized kernel weights of the training rows at x0.
@@ -145,11 +170,9 @@ class Forest:
         Rows are counted at their in-bag multiplicity per tree, so the
         weighted label average equals the prox estimate exactly.
         """
-        x0 = self._check_vector(x0)
-        counts = np.zeros(self.train.n)
-        for t in self.trees:
-            rows = t.leaf_rows[t.locate(x0)]
-            np.add.at(counts, rows, 1.0)
+        L = self.leaves(self._check_vector(x0)[None, :])[:, 0]
+        rows = np.concatenate([t.leaf_rows[leaf] for t, leaf in zip(self.trees, L.tolist())])
+        counts = np.bincount(rows, minlength=self.train.n).astype(np.float64)
         total = counts.sum()
         if total <= 0:
             raise ValueError("no training rows share a leaf with x0")

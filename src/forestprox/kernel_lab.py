@@ -109,6 +109,26 @@ def naive_kernel(spec: NaiveKernelSpec, x, strong_set) -> float:
     return float(np.exp(-log(spec.leaves) * expo))
 
 
+def _split_coords(rng: np.random.Generator, spec: NaiveKernelSpec, k: int) -> np.ndarray:
+    """Split coordinate of k stylized nodes (strong = first S coordinates).
+
+    Each node draws `mtry` candidates as the smallest of p uniform keys,
+    then one uniform per coordinate that picks among the strong
+    candidates when there are any and among all candidates otherwise.
+    Both (k, p) draws come from `rng` in that order; only the candidate
+    set is kept between them.
+    """
+    p, S, mtry = spec.p, spec.strong, spec.mtry
+    members = np.argpartition(rng.random((k, p)), mtry - 1, axis=1)[:, :mtry].copy()
+    outside = np.ones((k, p), dtype=bool)
+    outside[np.arange(k)[:, None], members] = False
+    del members
+    pick = rng.random((k, p))
+    outside[~outside[:, :S].all(axis=1), S:] = True
+    pick[outside] = np.inf
+    return pick.argmin(axis=1)
+
+
 def mc_selection_freq(
     spec: NaiveKernelSpec, trials: int, seed: int, chunk: int = 20_000
 ) -> np.ndarray:
@@ -116,24 +136,12 @@ def mc_selection_freq(
     draws (strong = first S coordinates). Oracle for strong_weak_weights."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    p, S, mtry = spec.p, spec.strong, spec.mtry
     rng = np.random.default_rng(seed)
-    strong_mask = np.zeros(p, dtype=bool)
-    strong_mask[:S] = True
-    counts = np.zeros(p, dtype=np.int64)
+    counts = np.zeros(spec.p, dtype=np.int64)
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        keys = rng.random((b, p))
-        members = np.argpartition(keys, mtry - 1, axis=1)[:, :mtry]
-        in_set = np.zeros((b, p), dtype=bool)
-        in_set[np.arange(b)[:, None], members] = True
-        pick = rng.random((b, p))
-        strong_in_set = in_set & strong_mask
-        has_strong = strong_in_set.any(axis=1)
-        pool = np.where(has_strong[:, None], strong_in_set, in_set)
-        chosen = np.where(pool, pick, np.inf).argmin(axis=1)
-        counts += np.bincount(chosen, minlength=p)
+        counts += np.bincount(_split_coords(rng, spec, b), minlength=spec.p)
         done += b
     return counts / trials
 
@@ -150,25 +158,13 @@ def _zero_cell_extents(spec: NaiveKernelSpec, n_trees: int, seed: int) -> np.nda
     move its boundaries.
     """
     rng = np.random.default_rng(seed)
-    p, S, mtry = spec.p, spec.strong, spec.mtry
-    strong_mask = np.zeros(p, dtype=bool)
-    strong_mask[:S] = True
-    hi = np.ones((n_trees, p))
+    hi = np.ones((n_trees, spec.p))
     for m in range(1, spec.leaves):
         sel = np.flatnonzero(rng.random(n_trees) < 1.0 / m)
         if sel.size == 0:
             continue
-        k = sel.size
-        keys = rng.random((k, p))
-        members = np.argpartition(keys, mtry - 1, axis=1)[:, :mtry]
-        in_set = np.zeros((k, p), dtype=bool)
-        in_set[np.arange(k)[:, None], members] = True
-        pick = rng.random((k, p))
-        strong_in_set = in_set & strong_mask
-        has_strong = strong_in_set.any(axis=1)
-        pool = np.where(has_strong[:, None], strong_in_set, in_set)
-        coord = np.where(pool, pick, np.inf).argmin(axis=1)
-        cuts = rng.random(k) * hi[sel, coord]
+        coord = _split_coords(rng, spec, sel.size)
+        cuts = rng.random(sel.size) * hi[sel, coord]
         hi[sel, coord] = cuts
     hi.setflags(write=False)
     return hi

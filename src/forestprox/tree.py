@@ -59,6 +59,33 @@ class Split:
     score: float
 
 
+def route(feature, threshold, children, roots, X) -> np.ndarray:
+    """Node reached by every (tree, row) pair, shape (len(roots), q).
+
+    The node arrays hold one or more trees, and tree t starts at node
+    roots[t]. A node is a leaf when its feature is negative; otherwise
+    children[2k] and children[2k + 1] are node k's right and left child,
+    indices into the same arrays. All pairs descend together, one level
+    per pass, and only those still at an internal node are carried on.
+    Rows with x[feature] <= threshold go left.
+    """
+    q, p = X.shape
+    flat = np.ascontiguousarray(X).ravel()
+    node = np.repeat(np.asarray(roots, dtype=np.intp), q)
+    base = np.tile(np.arange(0, q * p, p, dtype=np.intp), len(roots))
+    live = np.flatnonzero(feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = flat[base[live] + feature[at]] <= threshold[at]
+        at = children[2 * at + go_left]
+        node[live] = at
+        live = live[feature[at] >= 0]
+    return node.reshape(len(roots), q)
+
+
+_ROOT = np.zeros(1, dtype=np.intp)
+
+
 @dataclass
 class Tree:
     """Flat-array binary tree; node 0 is the root.
@@ -91,35 +118,13 @@ class Tree:
     def depth(self) -> int:
         return int(self.node_depth[self.feature < 0].max())
 
-    def locate(self, x: np.ndarray) -> int:
-        """Leaf node index containing x."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            raise ValueError(f"expected {self.n_features} coordinates, got {x.shape}")
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-        return i
-
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for every row of X (vectorized routing)."""
+        """Leaf node index for every row of X."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (q, {self.n_features}) matrix, got {X.shape}")
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] < 0:
-                out[idx] = node
-                continue
-            mask = X[idx, self.feature[node]] <= self.threshold[node]
-            l_idx, r_idx = idx[mask], idx[~mask]
-            if l_idx.size:
-                stack.append((int(self.left[node]), l_idx))
-            if r_idx.size:
-                stack.append((int(self.right[node]), r_idx))
-        return out
+        children = np.stack([self.right, self.left], axis=1).ravel()
+        return route(self.feature, self.threshold, children, _ROOT, X)[0]
 
     def check(self, labels: np.ndarray) -> None:
         """Raise ValueError unless the arrays form a tree grown on training
@@ -159,10 +164,6 @@ class Tree:
             raise ValueError(f"leaf rows must lie in [0, {labels.size})")
         if (np.add.reduceat(labels[flat], np.cumsum(n) - n) != pos).any():
             raise ValueError("leaf_pos disagrees with the training labels of the leaf's rows")
-
-    def prob(self, x: np.ndarray) -> float:
-        leaf = self.locate(x)
-        return float(self.leaf_pos[leaf]) / float(self.leaf_n[leaf])
 
     def to_dict(self) -> dict:
         """Nested inspection structure; see README for the field contract."""
@@ -226,11 +227,6 @@ class Tree:
             seed=int(payload.get("seed", 0)),
             n_features=int(payload["n_features"]),
         )
-
-
-def tree_prob(t: Tree, x: np.ndarray) -> float:
-    """Per-tree probability estimate: positive fraction of x's leaf."""
-    return t.prob(x)
 
 
 def _best_splits(d, rows, starts, sizes, pos, cand, criterion):

@@ -319,7 +319,7 @@ def test_c5_derivative_sparsity_adaptation():
             n_trees=500, tree=TreeParams(mtry=22, min_node_size=1, bootstrap=True), seed=8
         ),
     )
-    mag = derivative_report(adaptive.proximity, x0, 0.25).magnitude
+    mag = derivative_report(adaptive.proximity_many, x0, 0.25).magnitude
     signal, noise = mag[:2].mean(), mag[2:].mean()
     ratio_adaptive = signal / noise
 
@@ -333,7 +333,7 @@ def test_c5_derivative_sparsity_adaptation():
             seed=9,
         ),
     )
-    mag_crf = derivative_report(crf.proximity, x0, 0.25).magnitude
+    mag_crf = derivative_report(crf.proximity_many, x0, 0.25).magnitude
     ratio_crf = mag_crf.max() / mag_crf.min()
 
     ok = ratio_adaptive >= 5.0 and ratio_crf <= 2.0
@@ -363,7 +363,7 @@ def test_c6_junk_derivative_flattening():
                 n_trees=200, tree=TreeParams(mtry=m, min_node_size=1, bootstrap=True), seed=60 + m
             ),
         )
-        rep = derivative_report(forest.proximity, x0, steps)
+        rep = derivative_report(forest.proximity_many, x0, steps)
         junk_mag.append(rep.magnitude[base.p :].mean())
     rho = spearman(np.array(mtry_grid, float), np.array(junk_mag))
     report(

@@ -97,6 +97,27 @@ class TestTrainPredict:
         assert err["type"] == "ValueError"
         assert "non-finite query value at row 1" in err["message"]
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.3", "row 1 has 1 cells, expected 2"),
+            ("0.3,0.4,0.5", "row 1 has 3 cells, expected 2"),
+            ("0.3,abc", "non-numeric cell at row 1, column 'x2'"),
+        ],
+    )
+    def test_predict_rejects_malformed_rows(self, workspace, tmp_path, capsys, row, message):
+        _, _, model = workspace
+        query = tmp_path / "q.csv"
+        query.write_text("x1,x2\n0.1,0.2\n" + row + "\n", encoding="utf-8")
+        rc = main([
+            "predict", "--model", str(model), "--data", str(query),
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert message in err["message"]
+
     def test_predict_deterministic_through_save_load(self, workspace, tmp_path):
         _, data, model = workspace
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

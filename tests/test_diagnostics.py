@@ -14,13 +14,21 @@ from forestprox.diagnostics import (
 from forestprox.kernel_lab import LaplaceKernel, breiman_kernel
 
 
+def batched(k):
+    """The batched form k(Z, x0) -> (m,) of a kernel k(x, z), row by row."""
+    return lambda Z, z: np.array([k(x, z) for x in Z])
+
+
 def laplace(bandwidth, weights):
-    return LaplaceKernel(bandwidth, np.asarray(weights, dtype=np.float64))
+    return batched(LaplaceKernel(bandwidth, np.asarray(weights, dtype=np.float64)))
+
+
+def const(Z, z):
+    return np.ones(len(Z))
 
 
 class TestDirectionalDerivative:
     def test_constant_kernel_is_flat(self):
-        const = lambda x, z: 1.0
         for sign in (1, -1):
             assert directional_derivative(const, np.zeros(3), 0, sign, 0.25) == 0.0
 
@@ -51,8 +59,8 @@ class TestDirectionalDerivative:
         x0 = np.array([0.5, 0.5])
         kernels = [
             laplace(0.7, [0.3, 0.7]),
-            lambda x, z: breiman_kernel(x, z, 16),
-            lambda x, z: naive_kernel(spec, np.abs(x - z), [0]),
+            batched(lambda x, z: breiman_kernel(x, z, 16)),
+            batched(lambda x, z: naive_kernel(spec, np.abs(x - z), [0])),
         ]
         for k in kernels:
             for j in (0, 1):
@@ -60,7 +68,6 @@ class TestDirectionalDerivative:
                     assert directional_derivative(k, x0, j, sign, 0.2) <= 0.0
 
     def test_validation(self):
-        const = lambda x, z: 1.0
         with pytest.raises(ValueError):
             directional_derivative(const, np.zeros(2), 0, +1, 0.0)
         with pytest.raises(ValueError):
@@ -96,20 +103,27 @@ class TestDerivativeReport:
             derivative_report(k, np.zeros(1), 0.0)
 
     def test_center_evaluated_once(self):
+        # one kernel call on 2p + 1 rows: x0, then x0 + h_j e_j, then x0 - h_j e_j
         k = laplace(0.7, [2.0, 1.0, 0.5, 0.0])
         calls = []
 
-        def counting(x, z):
-            calls.append(x.copy())
-            return k(x, z)
+        def counting(Z, z):
+            calls.append(Z.copy())
+            return k(Z, z)
 
         x0 = np.array([0.3, -0.2, 0.1, 0.0])
-        rep = derivative_report(counting, x0, [0.25, 0.1, 0.4, 0.2])
-        assert len(calls) == 2 * x0.size + 1
-        assert sum(np.array_equal(x, x0) for x in calls) == 1
-        for j, h in enumerate([0.25, 0.1, 0.4, 0.2]):
-            assert rep.right[j] == directional_derivative(k, x0, j, +1, h)
-            assert rep.left[j] == directional_derivative(k, x0, j, -1, h)
+        h = np.array([0.25, 0.1, 0.4, 0.2])
+        rep = derivative_report(counting, x0, h)
+        assert len(calls) == 1
+        Z = calls[0]
+        assert Z.shape == (2 * x0.size + 1, x0.size)
+        np.testing.assert_array_equal(Z[0], x0)
+        np.testing.assert_array_equal(Z[1:5], x0 + np.diag(h))
+        np.testing.assert_array_equal(Z[5:], x0 - np.diag(h))
+        assert sum(np.array_equal(x, x0) for x in Z) == 1
+        for j in range(x0.size):
+            assert rep.right[j] == directional_derivative(k, x0, j, +1, h[j])
+            assert rep.left[j] == directional_derivative(k, x0, j, -1, h[j])
 
 
 class TestKernelGrid:
@@ -120,7 +134,7 @@ class TestKernelGrid:
         assert grid.values[5, 5] == pytest.approx(1.0)
 
     def test_symmetric_kernel_symmetric_grid(self):
-        k = lambda x, z: breiman_kernel(x, z, 32)
+        k = batched(lambda x, z: breiman_kernel(x, z, 32))
         grid = kernel_grid(k, np.zeros(2), (0, 1), 21, ((-1, 1), (-1, 1)))
         np.testing.assert_allclose(grid.values, grid.values[::-1, :], atol=1e-12)
         np.testing.assert_allclose(grid.values, grid.values[:, ::-1], atol=1e-12)
@@ -130,13 +144,32 @@ class TestKernelGrid:
         # a kernel reading a third coordinate sees the center's value there
         seen = []
 
-        def probe(x, z):
-            seen.append(x[2])
-            return 1.0
+        def probe(Z, z):
+            seen.extend(Z[:, 2].tolist())
+            return np.ones(len(Z))
 
         x0 = np.array([0.0, 0.0, 0.77])
         kernel_grid(probe, x0, (0, 1), 3, ((-1, 1), (-1, 1)))
         assert set(seen) == {0.77}
+
+    def test_one_call_per_axis_i_value(self):
+        # r calls of r rows each: row b of call a is (axis_i[a], axis_j[b])
+        k = laplace(1.0, [0.5, 0.5, 0.5])
+        calls = []
+
+        def counting(Z, z):
+            calls.append(Z.copy())
+            return k(Z, z)
+
+        x0 = np.array([0.1, 0.2, 0.3])
+        grid = kernel_grid(counting, x0, (2, 0), 7, ((-1, 1), (-2, 2)))
+        assert len(calls) == 7
+        for a, Z in enumerate(calls):
+            assert Z.shape == (7, 3)
+            np.testing.assert_array_equal(Z[:, 2], grid.axis_i[a])
+            np.testing.assert_array_equal(Z[:, 0], grid.axis_j)
+            np.testing.assert_array_equal(Z[:, 1], x0[1])
+            np.testing.assert_array_equal(grid.values[a], k(Z, x0))
 
     def test_axis_orientation(self):
         # weight 5 on coordinate 0 shrinks the half-max span along axis_i
@@ -170,7 +203,7 @@ class TestForestKernelShape:
             ),
         )
         grid = kernel_grid(
-            f.proximity, np.array([-0.25, -0.25]), (0, 1), 41, ((-1, 1), (-1, 1))
+            f.proximity_many, np.array([-0.25, -0.25]), (0, 1), 41, ((-1, 1), (-1, 1))
         )
         assert half_max_extent(grid, 0) < half_max_extent(grid, 1)
 

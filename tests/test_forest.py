@@ -6,7 +6,7 @@ import pytest
 from forestprox.data_model import Dataset
 from forestprox.forest import Forest, ForestParams, train_forest
 from forestprox.synthgen import get_model, sample
-from forestprox.tree import Tree, TreeParams, tree_prob
+from forestprox.tree import Tree, TreeParams
 
 
 def make_data(features, labels, names=None):
@@ -25,6 +25,12 @@ def single_leaf_tree(n, positives, rows, n_features=1, seed=0):
             "root": {"n": n, "positives": positives, "rows": list(rows)},
         }
     )
+
+
+def leaf_fraction(t, x):
+    """Positive fraction of the leaf x reaches in tree t."""
+    leaf = t.apply(np.asarray(x, dtype=np.float64)[None, :])[0]
+    return t.leaf_pos[leaf] / t.leaf_n[leaf]
 
 
 def forest_from_trees(trees, train):
@@ -47,7 +53,7 @@ class TestTrainForest:
         d = random_data(np.random.default_rng(0), 60, 3)
         f = train_forest(d, ForestParams(n_trees=1, tree=TreeParams(mtry=2), seed=4))
         x = d.features[5]
-        single = tree_prob(f.trees[0], x)
+        single = leaf_fraction(f.trees[0], x)
         assert f.predict_proba(x, "reg_mean") == pytest.approx(single)
         assert f.predict_proba(x, "prox") == pytest.approx(single)
         assert f.predict_proba(x, "class_vote") == float(single >= 0.5)
@@ -219,7 +225,7 @@ class TestProximityMatrix:
     def test_single_point(self):
         d = random_data(np.random.default_rng(8), 30, 2)
         f = train_forest(d, ForestParams(n_trees=5, tree=TreeParams(mtry=1), seed=1))
-        P = f.proximity_matrix(d.features[:1]).values
+        P = f.proximity_matrix(d.features[:1])
         np.testing.assert_array_equal(P, [[1.0]])
 
     def test_symmetric_unit_diagonal(self):
@@ -227,7 +233,7 @@ class TestProximityMatrix:
         f = train_forest(
             d, ForestParams(n_trees=10, tree=TreeParams(mtry=1, bootstrap=False), seed=1)
         )
-        P = f.proximity_matrix(d).values
+        P = f.proximity_matrix(d)
         np.testing.assert_array_equal(P, P.T)
         np.testing.assert_allclose(np.diag(P), 1.0)
         assert P.min() >= 0.0 and P.max() <= 1.0
@@ -237,7 +243,7 @@ class TestProximityMatrix:
         f = train_forest(
             d, ForestParams(n_trees=25, tree=TreeParams(mtry=2, bootstrap=False), seed=4)
         )
-        P = f.proximity_matrix(d).values
+        P = f.proximity_matrix(d)
         eigs = np.linalg.eigvalsh(P)
         assert eigs.min() >= -1e-9
 
@@ -247,7 +253,7 @@ class TestProximityMatrix:
         f = train_forest(
             d, ForestParams(n_trees=30, tree=TreeParams(mtry=2, bootstrap=False), seed=5)
         )
-        P = f.proximity_matrix(d).values
+        P = f.proximity_matrix(d)
         n = P.shape[0]
         J = np.eye(n) - np.ones((n, n)) / n
         G = -0.5 * J @ (1.0 - P) @ J
@@ -257,7 +263,31 @@ class TestProximityMatrix:
         d = random_data(np.random.default_rng(12), 30, 2)
         f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=0))
         with pytest.raises(ValueError, match="cap"):
-            f.proximity_matrix(d.features, cap=10)
+            f.proximity_matrix(d.features, max_bytes=9 * 10 * 10)
+
+    def test_byte_bound_checked_before_allocating(self):
+        # a broadcast query holds no n x p matrix, so a guard that ran after
+        # any allocation of the result or the leaves would show in the peak
+        import tracemalloc
+
+        from forestprox.forest import PROXIMITY_MATRIX_MAX_BYTES
+
+        d = random_data(np.random.default_rng(12), 30, 2)
+        f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=0))
+        n = int(np.sqrt(PROXIMITY_MATRIX_MAX_BYTES / 9)) + 1
+        X = np.broadcast_to(np.zeros(2), (n, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                f.proximity_matrix(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+        # the bound counts 9 bytes a pair: 8 for the result, 1 for the mask
+        assert f.proximity_matrix(d.features[:10], max_bytes=900).shape == (10, 10)
+        with pytest.raises(ValueError, match="cap"):
+            f.proximity_matrix(d.features[:10], max_bytes=899)
 
 
 class TestVotingWeights:
@@ -296,7 +326,7 @@ class TestVotingWeights:
         )
         x = rng.normal(size=2)
         w = f.voting_weights(x)
-        rows = f.trees[0].leaf_rows[f.trees[0].locate(x)]
+        rows = f.trees[0].leaf_rows[f.trees[0].apply(x[None, :])[0]]
         inside = np.zeros(40, dtype=bool)
         inside[rows] = True
         np.testing.assert_allclose(w[inside], 1.0 / len(rows))

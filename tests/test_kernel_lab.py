@@ -267,6 +267,55 @@ class TestMcProximity:
         assert a == b
 
 
+class TestCandidateDraws:
+    # Outputs of both simulators at fixed seeds, recorded before they
+    # shared one candidate-draw routine: the draws, their order and the
+    # chosen coordinates must not change.
+    SPECS = (
+        NaiveKernelSpec(32, 5, 45, 15),
+        NaiveKernelSpec(16, 1, 3, 1),
+        NaiveKernelSpec(8, 0, 4, 2),
+        NaiveKernelSpec(10, 3, 0, 3),
+    )
+    SELECTION_COUNTS = (
+        [479, 518, 517, 483, 529, 10, 4, 7, 11, 10, 11, 7, 5, 12, 13, 10, 14, 7, 14, 14,
+         12, 13, 12, 10, 10, 10, 7, 8, 10, 7, 10, 14, 12, 9, 9, 17, 3, 7, 13, 17, 4, 10,
+         15, 14, 11, 16, 4, 17, 11, 13],
+        [762, 750, 701, 787],
+        [788, 746, 736, 730],
+        [1029, 939, 1032],
+    )
+    EXTENT_DIGESTS = (
+        "fc6bc2558a4a692829538fc2bd5a7dbb35118d0095086a16f840f0dae0f7be9e",
+        "1ec733d925d35178becfaa0645238fb9fd2f42ae65d1ad411781046b937aca13",
+        "55a3f44ad9d30bdcf422e28dee11171f88e6a5960268ab40404d93e39b962a97",
+        "03ee68d83147872b2f3ed97b3c27d1205d2f4fa4cfe2700bebbd7ed83d6381a0",
+    )
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_outputs_pinned(self, k):
+        import hashlib
+
+        spec = self.SPECS[k]
+        freq = mc_selection_freq(spec, 3000, 5, chunk=1000)
+        np.testing.assert_array_equal(freq, np.array(self.SELECTION_COUNTS[k]) / 3000)
+        hi = kernel_lab._zero_cell_extents.__wrapped__(spec, 500, 7)
+        assert hashlib.sha256(hi.tobytes()).hexdigest() == self.EXTENT_DIGESTS[k]
+
+    def test_transient_memory_at_20000_trees(self):
+        # the output is 8 MB; the draws once held about 36 MB more
+        import tracemalloc
+
+        spec = NaiveKernelSpec(32, 5, 45, 15)
+        tracemalloc.start()
+        try:
+            kernel_lab._zero_cell_extents.__wrapped__(spec, 20_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
+
+
 class TestBreimanKernel:
     def test_identity_and_flat(self):
         x = np.array([0.2, 0.8])

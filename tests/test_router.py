@@ -1,0 +1,193 @@
+"""Forest.leaves and everything built on it against per-tree reference loops.
+
+The reference router is the depth-first, one-tree-at-a-time routing that
+`Tree.apply` used before the packed router, and the reference estimators
+are the per-tree accumulation loops the forest used on top of it. Every
+comparison is exact: the packed versions add the same numbers in the same
+order.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forestprox.data_model import Dataset
+from forestprox.forest import Forest, ForestParams, train_forest
+from forestprox.tree import Tree, TreeParams
+
+
+def reference_apply(t, X):
+    """Leaf of every row of X in tree t, one node at a time."""
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if t.feature[node] < 0:
+            out[idx] = node
+            continue
+        mask = X[idx, t.feature[node]] <= t.threshold[node]
+        l_idx, r_idx = idx[mask], idx[~mask]
+        if l_idx.size:
+            stack.append((int(t.left[node]), l_idx))
+        if r_idx.size:
+            stack.append((int(t.right[node]), r_idx))
+    return out
+
+
+def reference_locate(t, x):
+    i = 0
+    while t.feature[i] >= 0:
+        i = t.left[i] if x[t.feature[i]] <= t.threshold[i] else t.right[i]
+    return i
+
+
+def reference_predict(f, X, mode):
+    q = X.shape[0]
+    if mode == "prox":
+        num = np.zeros(q)
+        den = np.zeros(q)
+        for t in f.trees:
+            leaves = reference_apply(t, X)
+            num += t.leaf_pos[leaves]
+            den += t.leaf_n[leaves]
+        return num / den
+    acc = np.zeros(q)
+    for t in f.trees:
+        leaves = reference_apply(t, X)
+        p_t = t.leaf_pos[leaves] / t.leaf_n[leaves]
+        acc += (p_t >= 0.5) if mode == "class_vote" else p_t
+    return acc / f.n_trees
+
+
+def reference_proximity_many(f, X, z):
+    acc = np.zeros(X.shape[0])
+    for t in f.trees:
+        acc += reference_apply(t, X) == reference_locate(t, z)
+    return acc / f.n_trees
+
+
+def reference_voting_weights(f, x0):
+    counts = np.zeros(f.train.n)
+    for t in f.trees:
+        np.add.at(counts, t.leaf_rows[reference_locate(t, x0)], 1.0)
+    return counts / counts.sum()
+
+
+def single_leaf_tree(labels, n_features):
+    rows = list(range(len(labels)))
+    return Tree.from_dict({
+        "seed": 0,
+        "n_features": n_features,
+        "root": {"n": len(rows), "positives": int(np.sum(labels)), "rows": rows},
+    })
+
+
+# Few distinct values, so trees split on ties, and both signed zeros.
+VALUES = (-1.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0)
+
+
+@st.composite
+def forests_and_queries(draw):
+    n = draw(st.integers(min_value=2, max_value=30))
+    p = draw(st.integers(min_value=1, max_value=3))
+    features = np.array(draw(st.lists(
+        st.sampled_from(VALUES), min_size=n * p, max_size=n * p,
+    ))).reshape(n, p)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    d = Dataset(features, labels, tuple(f"f{j}" for j in range(p)))
+    params = ForestParams(
+        n_trees=draw(st.integers(min_value=1, max_value=4)),
+        tree=TreeParams(
+            mtry=draw(st.integers(min_value=1, max_value=p)),
+            min_node_size=draw(st.sampled_from([1, 3])),
+            split_mode=draw(st.sampled_from(["impurity", "completely_random"])),
+            bootstrap=draw(st.booleans()),
+        ),
+        seed=draw(st.integers(min_value=0, max_value=1000)),
+    )
+    f = train_forest(d, params)
+    if draw(st.booleans()):
+        trees = f.trees + (single_leaf_tree(d.labels, p),)
+        f = Forest(trees=trees, train=d, params=params)
+    # Queries sit on thresholds, one float either side of them, on the
+    # training values and on both zeros.
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in f.trees])
+    pool = np.unique(np.concatenate([
+        thresholds, np.nextafter(thresholds, np.inf), np.nextafter(thresholds, -np.inf),
+        np.array(VALUES), [-0.0, 0.0, -3.0, 3.0],
+    ]))
+    pool = np.concatenate([pool, [-0.0]])  # np.unique keeps only one zero
+    q = draw(st.integers(min_value=0, max_value=12))
+    picks = draw(st.lists(
+        st.integers(min_value=0, max_value=len(pool) - 1), min_size=q * p, max_size=q * p,
+    ))
+    return f, pool[np.array(picks, dtype=np.int64)].reshape(q, p)
+
+
+class TestLeaves:
+    @settings(max_examples=80, deadline=None)
+    @given(case=forests_and_queries())
+    def test_equals_reference_router(self, case):
+        f, X = case
+        L = f.leaves(X)
+        assert L.shape == (f.n_trees, X.shape[0])
+        for t, row in zip(f.trees, L):
+            np.testing.assert_array_equal(row, reference_apply(t, X))
+            np.testing.assert_array_equal(t.apply(X), row)
+            assert (t.feature[row] < 0).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=forests_and_queries())
+    def test_estimators_equal_reference_loops(self, case):
+        f, X = case
+        for mode in ("class_vote", "reg_mean", "prox"):
+            np.testing.assert_array_equal(
+                f.predict_proba_batch(X, mode), reference_predict(f, X, mode)
+            )
+            L = f.leaves(X)
+            np.testing.assert_array_equal(f.estimate(L, mode), reference_predict(f, X, mode))
+        if len(X):
+            z = X[0]
+            np.testing.assert_array_equal(
+                f.proximity_many(X, z), reference_proximity_many(f, X, z)
+            )
+            assert f.proximity(X[-1], z) == reference_proximity_many(f, X[-1:], z)[0]
+            np.testing.assert_array_equal(f.voting_weights(z), reference_voting_weights(f, z))
+
+    def test_leaf_rows_indexing(self):
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.normal(size=(60, 3)), rng.integers(0, 2, 60), ("a", "b", "c"))
+        f = train_forest(
+            d, ForestParams(n_trees=5, tree=TreeParams(mtry=2, bootstrap=False), seed=1)
+        )
+        # ids are tree-local: each training row is among its own leaf's rows
+        L = f.leaves(d.features)
+        for t, row in zip(f.trees, L):
+            for i in range(d.n):
+                assert i in t.leaf_rows[row[i]].tolist()
+
+    def test_empty_batch(self):
+        rng = np.random.default_rng(1)
+        d = Dataset(rng.normal(size=(40, 2)), rng.integers(0, 2, 40), ("a", "b"))
+        f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=2))
+        assert f.leaves(np.empty((0, 2))).shape == (3, 0)
+        for mode in ("class_vote", "reg_mean", "prox"):
+            assert f.predict_proba_batch(np.empty((0, 2)), mode).shape == (0,)
+        assert f.proximity_matrix(np.empty((0, 2))).shape == (0, 0)
+
+    def test_reg_mean_adds_trees_in_order(self):
+        # many trees and one point at a time: numpy's own sum over trees
+        # would add pairwise and change the last bits for most points
+        rng = np.random.default_rng(2)
+        d = Dataset(rng.normal(size=(200, 3)), rng.integers(0, 2, 200), ("a", "b", "c"))
+        f = train_forest(
+            d, ForestParams(n_trees=60, tree=TreeParams(mtry=1, min_node_size=7), seed=3)
+        )
+        X = rng.normal(size=(20, 3))
+        for q in (1, 2):
+            for i in range(0, len(X), q):
+                np.testing.assert_array_equal(
+                    f.predict_proba_batch(X[i:i + q], "reg_mean"),
+                    reference_predict(f, X[i:i + q], "reg_mean"),
+                )
+        assert f.predict_proba(X[0], "reg_mean") == reference_predict(f, X[:1], "reg_mean")[0]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from forestprox.data_model import Dataset
 from forestprox.synthgen import get_model, sample
-from forestprox.tree import Tree, TreeParams, best_split, grow_tree, tree_prob
+from forestprox.tree import Tree, TreeParams, best_split, grow_tree
 
 
 def make_data(features, labels, names=None):
@@ -306,18 +306,24 @@ class TestGrowTree:
         assert means[50] < means[1]
 
 
+def leaf_fraction(t, x):
+    """Positive fraction of the leaf x reaches in tree t."""
+    leaf = t.apply(np.asarray(x, dtype=np.float64)[None, :])[0]
+    return t.leaf_pos[leaf] / t.leaf_n[leaf]
+
+
 class TestTreeProb:
     def test_single_leaf_fraction(self):
         d = make_data([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])
         t = grow_tree(d, TreeParams(mtry=1, max_leaves=1, bootstrap=False), seed=0)
-        assert tree_prob(t, np.array([2.5])) == pytest.approx(0.75)
+        assert leaf_fraction(t, np.array([2.5])) == pytest.approx(0.75)
 
     def test_training_rows_in_purity_tree_recover_labels(self):
         rng = np.random.default_rng(9)
         d = random_data(rng, 80, 3)
         t = grow_tree(d, TreeParams(mtry=3, min_node_size=1, bootstrap=False), seed=4)
         for i in range(d.n):
-            assert tree_prob(t, d.features[i]) == float(d.labels[i])
+            assert leaf_fraction(t, d.features[i]) == float(d.labels[i])
 
     def test_hand_built_depth_one_tree(self):
         payload = {
@@ -331,15 +337,15 @@ class TestTreeProb:
             },
         }
         t = Tree.from_dict(payload)
-        assert tree_prob(t, np.array([0.2])) == pytest.approx(0.5)
-        assert tree_prob(t, np.array([0.9])) == pytest.approx(1.0)
+        assert leaf_fraction(t, np.array([0.2])) == pytest.approx(0.5)
+        assert leaf_fraction(t, np.array([0.9])) == pytest.approx(1.0)
         assert t.leaf_count == 2
 
     def test_dimension_mismatch(self):
         d = make_data([1.0, 2.0], [0, 1])
         t = grow_tree(d, TreeParams(mtry=1, bootstrap=False), seed=0)
         with pytest.raises(ValueError):
-            tree_prob(t, np.array([1.0, 2.0]))
+            leaf_fraction(t, np.array([1.0, 2.0]))
 
 
 class TestSerialization:
