@@ -3,9 +3,8 @@
 
 Grows small forests over a matrix of seeds x {gini, mse, completely_random}
 x bootstrap on/off x {min_node_size 1, min_node_size 5, max_leaves 3,
-max_leaves 17} and digests every tree's arrays (including each leaf's
-training rows, in order) and the class_vote, reg_mean and prox vectors on
-a fixed query batch. A refactor that must keep outputs bit-identical
+max_leaves 17} and digests every tree's arrays, its in-bag count vector
+and the class_vote, reg_mean and prox vectors on a fixed query batch. A refactor that must keep outputs bit-identical
 leaves every digest unchanged.
 
     python scripts/golden_digests.py            # check against the stored file
@@ -79,16 +78,15 @@ def _sha(chunks) -> str:
     return h.hexdigest()
 
 
-def tree_digest(t) -> str:
+def tree_digest(t, n: int) -> str:
     chunks = [str(t.seed).encode(), str(t.n_features).encode()]
     for name in TREE_ARRAYS:
         arr = np.asarray(getattr(t, name))
         dtype = "<f8" if arr.dtype.kind == "f" else "<i8"
         chunks += [name.encode(), arr.astype(dtype).tobytes()]
-    for i, rows in enumerate(t.leaf_rows):
-        chunks.append(f"|{i}:".encode())
-        if rows is not None:
-            chunks.append(np.asarray(rows).astype("<i8").tobytes())
+    rows = np.concatenate([r for r in t.leaf_rows if r is not None])
+    inbag = np.bincount(rows, minlength=n)
+    chunks += [b"inbag", inbag.astype("<i8").tobytes()]
     return _sha(chunks)
 
 
@@ -105,7 +103,7 @@ def compute_digests() -> dict:
                         seed=seed,
                     )
                     f = train_forest(d, params)
-                    entry = {"trees": [tree_digest(t) for t in f.trees]}
+                    entry = {"trees": [tree_digest(t, d.n) for t in f.trees]}
                     for pm in PREDICT_MODES:
                         entry[pm] = _sha([f.predict_proba_batch(Q, pm).astype("<f8").tobytes()])
                     key = f"seed={seed},mtry={mtry},{mode},bootstrap={int(bootstrap)},{stop}"
