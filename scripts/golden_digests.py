@@ -78,15 +78,13 @@ def _sha(chunks) -> str:
     return h.hexdigest()
 
 
-def tree_digest(t, n: int) -> str:
+def tree_digest(t) -> str:
     chunks = [str(t.seed).encode(), str(t.n_features).encode()]
     for name in TREE_ARRAYS:
         arr = np.asarray(getattr(t, name))
         dtype = "<f8" if arr.dtype.kind == "f" else "<i8"
         chunks += [name.encode(), arr.astype(dtype).tobytes()]
-    rows = np.concatenate([r for r in t.leaf_rows if r is not None])
-    inbag = np.bincount(rows, minlength=n)
-    chunks += [b"inbag", inbag.astype("<i8").tobytes()]
+    chunks += [b"inbag", t.inbag.astype("<i8").tobytes()]
     return _sha(chunks)
 
 
@@ -103,7 +101,7 @@ def compute_digests() -> dict:
                         seed=seed,
                     )
                     f = train_forest(d, params)
-                    entry = {"trees": [tree_digest(t, d.n) for t in f.trees]}
+                    entry = {"trees": [tree_digest(t) for t in f.trees]}
                     for pm in PREDICT_MODES:
                         entry[pm] = _sha([f.predict_proba_batch(Q, pm).astype("<f8").tobytes()])
                     key = f"seed={seed},mtry={mtry},{mode},bootstrap={int(bootstrap)},{stop}"

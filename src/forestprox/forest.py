@@ -29,7 +29,7 @@ from .tree import Tree, TreeParams, grow_tree, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
-FOREST_FORMAT = "forestprox-forest-v1"
+FOREST_FORMAT = "forestprox-forest-v2"
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,19 @@ class Forest:
             feature=cat("feature").astype(np.intp),
             threshold=cat("threshold"),
             children=np.stack([cat("right") + shift, cat("left") + shift], axis=1).ravel(),
-            leaf_n=cat("leaf_n"),
-            leaf_pos=cat("leaf_pos"),
         )
+
+    # Packed apart from the routing arrays: `load` routes the training rows
+    # before it knows the trees' leaf counts.
+    @cached_property
+    def _leaf_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.concatenate([t.leaf_n for t in self.trees]),
+                np.concatenate([t.leaf_pos for t in self.trees]))
+
+    @cached_property
+    def _train_leaves(self) -> np.ndarray:
+        """(T, n) tree-local leaf of every training row."""
+        return self.leaves(self.train.features)
 
     def _route(self, X: np.ndarray) -> np.ndarray:
         k = self._packed
@@ -111,8 +121,8 @@ class Forest:
     def leaves(self, X) -> np.ndarray:
         """Leaf reached by every row of X in every tree, shape (T, q).
 
-        Ids are tree-local: trees[t].leaf_rows[L[t, i]] are the training
-        rows sharing row i's leaf in tree t.
+        Ids are tree-local: the training rows whose leaf in tree t is
+        L[t, i], counted trees[t].inbag times, share row i's leaf there.
         """
         return self._route(self._check_matrix(X)) - self._packed.roots[:, None]
 
@@ -120,11 +130,11 @@ class Forest:
         """One estimator at q points from their leaves, as `leaves` gives them."""
         if mode not in PREDICT_MODES:
             raise ValueError(f"mode must be one of {PREDICT_MODES}, got {mode!r}")
-        k = self._packed
-        G = L + k.roots[:, None]
+        leaf_n, leaf_pos = self._leaf_counts
+        G = L + self._packed.roots[:, None]
         if mode == "prox":
-            return k.leaf_pos[G].sum(axis=0) / k.leaf_n[G].sum(axis=0)
-        p_t = k.leaf_pos[G] / k.leaf_n[G]
+            return leaf_pos[G].sum(axis=0) / leaf_n[G].sum(axis=0)
+        p_t = leaf_pos[G] / leaf_n[G]
         if mode == "class_vote":
             return (p_t >= 0.5).sum(axis=0) / self.n_trees
         # cumsum adds trees in tree order; sum(axis=0) adds pairwise at q = 1
@@ -170,9 +180,9 @@ class Forest:
         Rows are counted at their in-bag multiplicity per tree, so the
         weighted label average equals the prox estimate exactly.
         """
-        L = self.leaves(self._check_vector(x0)[None, :])[:, 0]
-        rows = np.concatenate([t.leaf_rows[leaf] for t, leaf in zip(self.trees, L.tolist())])
-        counts = np.bincount(rows, minlength=self.train.n).astype(np.float64)
+        L = self.leaves(self._check_vector(x0)[None, :])
+        inbag = np.stack([t.inbag for t in self.trees])
+        counts = np.where(self._train_leaves == L, inbag, 0).sum(axis=0).astype(np.float64)
         total = counts.sum()
         if total <= 0:
             raise ValueError("no training rows share a leaf with x0")
@@ -215,9 +225,7 @@ class Forest:
                     "left": t.left.tolist(),
                     "right": t.right.tolist(),
                     "node_depth": t.node_depth.tolist(),
-                    "leaf_n": t.leaf_n.tolist(),
-                    "leaf_pos": t.leaf_pos.tolist(),
-                    "leaf_rows": [None if r is None else [int(v) for v in r] for r in t.leaf_rows],
+                    "inbag": t.inbag.tolist(),
                 }
                 for t in self.trees
             ],
@@ -226,6 +234,8 @@ class Forest:
 
     @classmethod
     def load(cls, path: str | Path) -> "Forest":
+        """Read a saved forest, check every tree, and derive each leaf's
+        counts by routing the training rows at their in-bag multiplicity."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload.get("format") != FOREST_FORMAT:
             raise ValueError(f"not a {FOREST_FORMAT} file: {path}")
@@ -242,6 +252,8 @@ class Forest:
             tree=TreeParams(**tp),
             seed=payload["params"]["seed"],
         )
+        if len(payload["trees"]) != params.n_trees:
+            raise ValueError(f"file holds {len(payload['trees'])} trees, params say {params.n_trees}")
         trees = []
         for td in payload["trees"]:
             trees.append(
@@ -253,18 +265,23 @@ class Forest:
                     left=np.asarray(td["left"], dtype=np.int32),
                     right=np.asarray(td["right"], dtype=np.int32),
                     node_depth=np.asarray(td["node_depth"], dtype=np.int32),
-                    leaf_n=np.asarray(td["leaf_n"], dtype=np.int64),
-                    leaf_pos=np.asarray(td["leaf_pos"], dtype=np.int64),
-                    leaf_rows=[
-                        None if r is None else np.asarray(r, dtype=np.int64)
-                        for r in td["leaf_rows"]
-                    ],
+                    leaf_n=None,  # derived below from the routed training rows
+                    leaf_pos=None,
+                    inbag=np.asarray(td["inbag"]),
                     seed=int(td["seed"]),
                     n_features=train.p,
                 )
             )
-            trees[-1].check(train.labels)
-        return cls(trees=tuple(trees), train=train, params=params)
+            trees[-1].check(train.n)
+        forest = cls(trees=tuple(trees), train=train, params=params)
+        for t, leaf in zip(trees, forest._train_leaves):
+            t.leaf_n, t.leaf_pos = (
+                np.bincount(leaf, weights=w, minlength=t.n_nodes).astype(np.int64)
+                for w in (t.inbag, t.inbag * train.labels)
+            )
+            if (t.leaf_n[t.feature < 0] == 0).any():
+                raise ValueError("every leaf needs leaf_n > 0: a leaf holds no in-bag training row")
+        return forest
 
 
 def train_forest(d: Dataset, params: ForestParams) -> Forest:

@@ -3,8 +3,9 @@
 Growth draws `mtry` candidate features per node and either minimizes a
 split criterion over midpoint thresholds (impurity mode) or draws the
 feature and threshold uniformly at random (completely_random mode).
-Leaves keep their training rows and label counts so per-tree probability
-estimates and leaf co-occupancy can be read back out.
+A tree keeps how often each training row was drawn for it and, per leaf,
+the in-bag row and positive counts, so per-tree probability estimates
+and leaf co-occupancy can be read back out.
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ _ROOT = np.zeros(1, dtype=np.intp)
 class Tree:
     """Flat-array binary tree; node 0 is the root.
 
-    Internal nodes have `feature >= 0`; leaves have feature -1 and carry
-    (n, positives, rows) where rows are the in-node training row indices
-    (with bootstrap multiplicity when grown from a bootstrap sample).
+    Internal nodes have `feature >= 0`; leaves have feature -1. inbag[r]
+    is how often training row r was drawn for the tree (all ones without
+    bootstrap). A leaf's leaf_n and leaf_pos count the training rows that
+    reach it, and the positive ones, at that multiplicity; both are 0 at
+    internal nodes.
     """
 
     feature: np.ndarray
@@ -102,7 +105,7 @@ class Tree:
     node_depth: np.ndarray
     leaf_n: np.ndarray
     leaf_pos: np.ndarray
-    leaf_rows: list
+    inbag: np.ndarray
     seed: int
     n_features: int = field(default=0)
 
@@ -126,18 +129,16 @@ class Tree:
         children = np.stack([self.right, self.left], axis=1).ravel()
         return route(self.feature, self.threshold, children, _ROOT, X)[0]
 
-    def check(self, labels: np.ndarray) -> None:
-        """Raise ValueError unless the arrays form a tree grown on training
-        rows with these labels.
+    def check(self, n: int) -> None:
+        """Raise ValueError unless the node arrays form a tree and inbag
+        counts a bootstrap draw of n training rows.
 
         Every child index exceeds its parent's, so routing always ends at
         a leaf; splits use a feature in [0, n_features) and a finite
-        threshold; every leaf lists leaf_n > 0 valid training rows whose
-        positive count is leaf_pos.
+        threshold; inbag holds n non-negative integers summing to n.
         """
         m = self.n_nodes
-        arrays = (self.threshold, self.left, self.right, self.node_depth,
-                  self.leaf_n, self.leaf_pos, self.leaf_rows)
+        arrays = (self.threshold, self.left, self.right, self.node_depth)
         if m == 0 or any(len(a) != m for a in arrays):
             raise ValueError(f"tree node arrays must be nonempty and of one length, got {m} nodes")
         inner = np.flatnonzero(self.feature >= 0)
@@ -148,22 +149,9 @@ class Tree:
             raise ValueError(f"split feature outside [0, {self.n_features})")
         if not np.isfinite(self.threshold[inner]).all():
             raise ValueError("split thresholds must be finite")
-        leaves = np.flatnonzero(self.feature < 0)
-        n, pos = self.leaf_n[leaves], self.leaf_pos[leaves]
-        if (n <= 0).any() or (pos < 0).any() or (pos > n).any():
-            raise ValueError("every leaf needs leaf_n > 0 and 0 <= leaf_pos <= leaf_n")
-        rows = [self.leaf_rows[i] for i in leaves.tolist()]
-        try:
-            counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        except TypeError:  # a leaf without its row list
-            counts = None
-        if counts is None or (counts != n).any():
-            raise ValueError("every leaf must list leaf_n training rows")
-        flat = np.concatenate(rows)
-        if ((flat < 0) | (flat >= labels.size)).any():
-            raise ValueError(f"leaf rows must lie in [0, {labels.size})")
-        if (np.add.reduceat(labels[flat], np.cumsum(n) - n) != pos).any():
-            raise ValueError("leaf_pos disagrees with the training labels of the leaf's rows")
+        b = self.inbag
+        if b.dtype.kind not in "iu" or b.shape != (n,) or (b < 0).any() or b.sum() != n:
+            raise ValueError(f"inbag must hold {n} non-negative integer counts summing to {n}")
 
     def to_dict(self) -> dict:
         """Nested inspection structure; see README for the field contract."""
@@ -171,11 +159,7 @@ class Tree:
         # build bottom-up so no recursion is needed on deep trees
         for i in range(self.n_nodes - 1, -1, -1):
             if self.feature[i] < 0:
-                children[i] = {
-                    "n": int(self.leaf_n[i]),
-                    "positives": int(self.leaf_pos[i]),
-                    "rows": [int(r) for r in self.leaf_rows[i]],
-                }
+                children[i] = {"n": int(self.leaf_n[i]), "positives": int(self.leaf_pos[i])}
             else:
                 children[i] = {
                     "feature": int(self.feature[i]),
@@ -183,12 +167,17 @@ class Tree:
                     "left": children[int(self.left[i])],
                     "right": children[int(self.right[i])],
                 }
-        return {"seed": self.seed, "n_features": self.n_features, "root": children[0]}
+        return {
+            "seed": self.seed,
+            "n_features": self.n_features,
+            "inbag": self.inbag.tolist(),
+            "root": children[0],
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Tree":
         feature, threshold, left, right, depth = [], [], [], [], []
-        leaf_n, leaf_pos, leaf_rows = [], [], []
+        leaf_n, leaf_pos = [], []
 
         def new_node(d: int) -> int:
             feature.append(-1)
@@ -198,7 +187,6 @@ class Tree:
             depth.append(d)
             leaf_n.append(0)
             leaf_pos.append(0)
-            leaf_rows.append(None)
             return len(feature) - 1
 
         queue = deque([(payload["root"], new_node(0))])
@@ -214,7 +202,6 @@ class Tree:
             else:
                 leaf_n[idx] = int(node["n"])
                 leaf_pos[idx] = int(node["positives"])
-                leaf_rows[idx] = np.asarray(node["rows"], dtype=np.int64)
         return cls(
             feature=np.asarray(feature, dtype=np.int32),
             threshold=np.asarray(threshold, dtype=np.float64),
@@ -223,7 +210,7 @@ class Tree:
             node_depth=np.asarray(depth, dtype=np.int32),
             leaf_n=np.asarray(leaf_n, dtype=np.int64),
             leaf_pos=np.asarray(leaf_pos, dtype=np.int64),
-            leaf_rows=leaf_rows,
+            inbag=np.asarray(payload["inbag"], dtype=np.int64),
             seed=int(payload.get("seed", 0)),
             n_features=int(payload["n_features"]),
         )
@@ -374,11 +361,11 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
     n, p = d.n, d.p
     k = min(params.mtry, p)
     rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+    inbag = np.bincount(rows, minlength=n)
     sizes = np.array([n])
     # splits left in the leaf budget; a tree never has more than n leaves
     budget = n if params.max_leaves is None else params.max_leaves - 1
     levels = []
-    leaf_rows = []
     n_nodes = depth = 0
     while sizes.size:
         cnt = sizes.size
@@ -429,17 +416,9 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
              np.where(leaf, sizes, 0), np.where(leaf, pos, 0))
         )
 
+        # stable partition: each split node's left rows, then its right rows
         node_of = np.repeat(np.arange(cnt), sizes)
         in_leaf = leaf[node_of]
-        block = rows[in_leaf]
-        level_leaf_rows = [None] * cnt
-        end = 0
-        for i, m in zip(np.flatnonzero(leaf).tolist(), sizes[leaf].tolist()):
-            level_leaf_rows[i] = block[end:end + m]
-            end += m
-        leaf_rows.extend(level_leaf_rows)
-
-        # stable partition: each split node's left rows, then its right rows
         rows, node_of = rows[~in_leaf], node_of[~in_leaf]
         go_right = d.features[rows, feature[node_of]] > threshold[node_of]
         rows = rows[np.argsort(2 * node_of + go_right, kind="stable")]
@@ -458,7 +437,7 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
         node_depth=node_depth.astype(np.int32),
         leaf_n=leaf_n.astype(np.int64),
         leaf_pos=leaf_pos.astype(np.int64),
-        leaf_rows=leaf_rows,
+        inbag=inbag,
         seed=int(seed),
         n_features=p,
     )

@@ -61,8 +61,11 @@ class TestTrainPredict:
     def test_model_file_format(self, workspace):
         _, _, model = workspace
         payload = json.loads(model.read_text())
-        assert payload["format"] == "forestprox-forest-v1"
+        assert payload["format"] == "forestprox-forest-v2"
         assert payload["params"]["n_trees"] == 25
+        assert len(payload["trees"]) == 25
+        for td in payload["trees"]:
+            assert set(td) == {"seed", "feature", "threshold", "left", "right", "node_depth", "inbag"}
 
     def test_true_prob_column_not_leaked_into_features(self, workspace):
         _, _, model = workspace
@@ -117,6 +120,22 @@ class TestTrainPredict:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "DataError"
         assert message in err["message"]
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_predict_rejects_tree_count_mismatch(self, workspace, tmp_path, capsys, kept):
+        _, data, model = workspace
+        payload = json.loads(model.read_text())
+        payload["trees"] = payload["trees"][:kept]
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main([
+            "predict", "--model", str(short), "--data", str(data),
+            "--label-column", "label", "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert f"file holds {kept} trees, params say 25" in err["message"]
 
     def test_predict_deterministic_through_save_load(self, workspace, tmp_path):
         _, data, model = workspace

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestprox.data_model import Dataset
 from forestprox.forest import Forest, ForestParams, train_forest
@@ -17,14 +21,21 @@ def make_data(features, labels, names=None):
     return Dataset(features, np.asarray(labels), names)
 
 
-def single_leaf_tree(n, positives, rows, n_features=1, seed=0):
+def single_leaf_tree(n, positives, rows, n_rows, n_features=1, seed=0):
+    """One-leaf tree whose in-bag rows are `rows` out of n_rows."""
     return Tree.from_dict(
         {
             "seed": seed,
             "n_features": n_features,
-            "root": {"n": n, "positives": positives, "rows": list(rows)},
+            "inbag": np.bincount(rows, minlength=n_rows).tolist(),
+            "root": {"n": n, "positives": positives},
         }
     )
+
+
+def hand_built_tree(root, n_rows):
+    """Tree on one feature from nested nodes, every training row in-bag once."""
+    return Tree.from_dict({"seed": 0, "n_features": 1, "inbag": [1] * n_rows, "root": root})
 
 
 def leaf_fraction(t, x):
@@ -87,22 +98,22 @@ class TestPredictProba:
 
     def test_hand_built_two_tree_weighting(self):
         train = make_data(np.zeros(8), [1, 1, 1, 1, 0, 0, 0, 0])
-        t1 = single_leaf_tree(2, 1, [0, 4])
-        t2 = single_leaf_tree(6, 3, [1, 2, 3, 5, 6, 7])
+        t1 = single_leaf_tree(2, 1, [0, 4], 8)
+        t2 = single_leaf_tree(6, 3, [1, 2, 3, 5, 6, 7], 8)
         f = forest_from_trees([t1, t2], train)
         x = np.array([0.0])
         assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)
         assert f.predict_proba(x, "prox") == pytest.approx(0.5)
 
-        t1 = single_leaf_tree(2, 2, [0, 1])
-        t2 = single_leaf_tree(6, 0, [2, 3, 4, 5, 6, 7])
+        t1 = single_leaf_tree(2, 2, [0, 1], 8)
+        t2 = single_leaf_tree(6, 0, [2, 3, 4, 5, 6, 7], 8)
         f = forest_from_trees([t1, t2], train)
         assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)
         assert f.predict_proba(x, "prox") == pytest.approx(2 / 8)
 
     def test_round_half_votes_one(self):
         train = make_data(np.zeros(2), [0, 1])
-        t = single_leaf_tree(2, 1, [0, 1])
+        t = single_leaf_tree(2, 1, [0, 1], 2)
         f = forest_from_trees([t], train)
         assert f.predict_proba(np.array([0.0]), "class_vote") == 1.0
 
@@ -120,17 +131,14 @@ class TestPredictProba:
         train = make_data(np.arange(4, dtype=float), [0, 1, 1, 0])
 
         def leaf(i):
-            return {"n": 1, "positives": int(train.labels[i]), "rows": [i]}
+            return {"n": 1, "positives": int(train.labels[i])}
 
         def node(thr, left, right):
             return {"feature": 0, "threshold": thr, "left": left, "right": right}
 
         chain = node(0.5, leaf(0), node(1.5, leaf(1), node(2.5, leaf(2), leaf(3))))
         balanced = node(1.5, node(0.5, leaf(0), leaf(1)), node(2.5, leaf(2), leaf(3)))
-        trees = [
-            Tree.from_dict({"seed": 0, "n_features": 1, "root": chain}),
-            Tree.from_dict({"seed": 0, "n_features": 1, "root": balanced}),
-        ]
+        trees = [hand_built_tree(chain, 4), hand_built_tree(balanced, 4)]
         f = forest_from_trees(trees, train)
         X = np.linspace(-1, 4, 23)[:, None]
         np.testing.assert_allclose(
@@ -194,19 +202,16 @@ class TestProximity:
 
     def test_hand_built_half_co_occupancy(self):
         train = make_data([0.2, 0.8], [0, 1])
-        split_tree = Tree.from_dict(
+        split_tree = hand_built_tree(
             {
-                "seed": 0,
-                "n_features": 1,
-                "root": {
-                    "feature": 0,
-                    "threshold": 0.5,
-                    "left": {"n": 1, "positives": 0, "rows": [0]},
-                    "right": {"n": 1, "positives": 1, "rows": [1]},
-                },
-            }
+                "feature": 0,
+                "threshold": 0.5,
+                "left": {"n": 1, "positives": 0},
+                "right": {"n": 1, "positives": 1},
+            },
+            2,
         )
-        blob_tree = single_leaf_tree(2, 1, [0, 1])
+        blob_tree = single_leaf_tree(2, 1, [0, 1], 2)
         f = forest_from_trees([split_tree, blob_tree], train)
         assert f.proximity(np.array([0.2]), np.array([0.8])) == pytest.approx(0.5)
 
@@ -326,17 +331,17 @@ class TestVotingWeights:
         )
         x = rng.normal(size=2)
         w = f.voting_weights(x)
-        rows = f.trees[0].leaf_rows[f.trees[0].apply(x[None, :])[0]]
-        inside = np.zeros(40, dtype=bool)
-        inside[rows] = True
-        np.testing.assert_allclose(w[inside], 1.0 / len(rows))
+        t = f.trees[0]
+        inside = t.apply(d.features) == t.apply(x[None, :])[0]
+        np.testing.assert_array_equal(t.inbag, 1)
+        np.testing.assert_allclose(w[inside], 1.0 / inside.sum())
         np.testing.assert_allclose(w[~inside], 0.0)
 
 
 class TestStats:
     def test_single_leaf_forest(self):
         train = make_data([0.0, 1.0], [0, 1])
-        f = forest_from_trees([single_leaf_tree(2, 1, [0, 1])], train)
+        f = forest_from_trees([single_leaf_tree(2, 1, [0, 1], 2)], train)
         s = f.stats()
         assert s["mean_leaf_count"] == 1.0
         assert s["mean_depth"] == 0.0
@@ -347,11 +352,7 @@ class TestStats:
 
         def leaf(rows):
             rows = list(rows)
-            return {
-                "n": len(rows),
-                "positives": int(train.labels[rows].sum()),
-                "rows": rows,
-            }
+            return {"n": len(rows), "positives": int(train.labels[rows].sum())}
 
         def node(thr, left, right):
             return {"feature": 0, "threshold": thr, "left": left, "right": right}
@@ -362,13 +363,7 @@ class TestStats:
             leaf([0]),
             node(0.3, leaf([1]), node(0.5, leaf([2]), node(0.7, leaf([3]), leaf([4, 5])))),
         )
-        f = forest_from_trees(
-            [
-                Tree.from_dict({"seed": 0, "n_features": 1, "root": three}),
-                Tree.from_dict({"seed": 0, "n_features": 1, "root": five}),
-            ],
-            train,
-        )
+        f = forest_from_trees([hand_built_tree(three, 6), hand_built_tree(five, 6)], train)
         assert f.stats()["mean_leaf_count"] == 4.0
 
     def test_uniform_leaf_sizes_collapse_reg_and_prox(self):
@@ -421,6 +416,43 @@ class TestSaveLoad:
         np.testing.assert_array_equal(f.train.features, g.train.features)
         assert g.params == f.params
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=50),
+        p=st.integers(min_value=1, max_value=3),
+        mode=st.sampled_from(["gini", "mse", "completely_random"]),
+        bootstrap=st.booleans(),
+        max_leaves=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_round_trip_derives_leaf_counts(self, n, p, mode, bootstrap, max_leaves, seed):
+        # load keeps no leaf counts from the file; routing the training rows
+        # at their in-bag multiplicity must give back the grown ones
+        rng = np.random.default_rng(seed)
+        d = Dataset(rng.integers(0, 4, size=(n, p)) / 2.0, rng.integers(0, 2, n),
+                    tuple(f"f{j}" for j in range(p)))
+        tree = TreeParams(
+            mtry=p, max_leaves=max_leaves, bootstrap=bootstrap,
+            split_mode="completely_random" if mode == "completely_random" else "impurity",
+            criterion="mse" if mode == "mse" else "gini",
+        )
+        f = train_forest(d, ForestParams(n_trees=3, tree=tree, seed=seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "forest.json"
+            f.save(path)
+            g = Forest.load(path)
+        for a, b in zip(f.trees, g.trees):
+            np.testing.assert_array_equal(b.leaf_n, a.leaf_n)
+            np.testing.assert_array_equal(b.leaf_pos, a.leaf_pos)
+            np.testing.assert_array_equal(b.inbag, a.inbag)
+            assert b.to_dict() == a.to_dict()
+        X = np.vstack([d.features, rng.uniform(-0.5, 2.0, size=(5, p))])
+        for pm in ("class_vote", "reg_mean", "prox"):
+            assert f.predict_proba_batch(X, pm).tobytes() == g.predict_proba_batch(X, pm).tobytes()
+        for x in X[::7]:
+            assert f.proximity_many(X, x).tobytes() == g.proximity_many(X, x).tobytes()
+            assert f.voting_weights(x).tobytes() == g.voting_weights(x).tobytes()
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
@@ -428,54 +460,53 @@ class TestSaveLoad:
             Forest.load(path)
 
 
-def _first_leaf(td, min_n=1):
-    return next(i for i, f in enumerate(td["feature"]) if f < 0 and td["leaf_n"][i] >= min_n)
-
-
-def _self_loop(td):
+# Each corrupts tree 0 of a saved forest; leaf_of is the leaf each training
+# row reaches in that tree.
+def _self_loop(td, leaf_of):
     td["left"][0] = td["right"][0] = 0
 
 
-def _child_out_of_range(td):
+def _child_out_of_range(td, leaf_of):
     td["right"][0] = len(td["feature"])
 
 
-def _feature_out_of_range(td):
+def _feature_out_of_range(td, leaf_of):
     td["feature"][0] = 2
 
 
-def _threshold_not_finite(td):
+def _threshold_not_finite(td, leaf_of):
     td["threshold"][0] = None
 
 
-def _empty_leaf(td):
-    td["leaf_n"][_first_leaf(td)] = 0
-
-
-def _too_many_positives(td):
-    i = _first_leaf(td)
-    td["leaf_pos"][i] = td["leaf_n"][i] + 1
-
-
-def _negative_positives(td):
-    td["leaf_pos"][_first_leaf(td)] = -1
-
-
-def _rows_length_mismatch(td):
-    td["leaf_rows"][_first_leaf(td)].append(0)
-
-
-def _row_out_of_range(td):
-    td["leaf_rows"][_first_leaf(td)][0] = 60
-
-
-def _positives_disagree_with_labels(td):
-    i = _first_leaf(td, min_n=2)
-    td["leaf_pos"][i] = (td["leaf_pos"][i] + 1) % (td["leaf_n"][i] + 1)
-
-
-def _arrays_of_unequal_length(td):
+def _arrays_of_unequal_length(td, leaf_of):
     td["left"].pop()
+
+
+def _inbag_too_short(td, leaf_of):
+    td["inbag"].pop()
+
+
+def _negative_count(td, leaf_of):
+    b = td["inbag"]
+    b[0], b[1] = -1, b[1] + b[0] + 1  # the sum stays n
+
+
+def _counts_not_summing_to_n(td, leaf_of):
+    td["inbag"][0] += 1
+
+
+def _fractional_count(td, leaf_of):
+    td["inbag"][0] += 0.5
+    td["inbag"][1] -= 0.5
+
+
+def _empty_leaf(td, leaf_of):
+    # move every in-bag draw of one leaf's rows to a row of another leaf
+    b = np.array(td["inbag"])
+    here = leaf_of == leaf_of[np.flatnonzero(b)[0]]
+    b[np.flatnonzero(~here)[0]] += b[here].sum()
+    b[here] = 0
+    td["inbag"] = b.tolist()
 
 
 class TestLoadValidation:
@@ -489,7 +520,12 @@ class TestLoadValidation:
         )
         path = tmp_path_factory.mktemp("load") / "forest.json"
         f.save(path)
-        return json.loads(path.read_text())
+        return json.loads(path.read_text()), f.trees[0].apply(d.features)
+
+    def _load(self, payload, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return Forest.load(path)
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -498,20 +534,34 @@ class TestLoadValidation:
             (_child_out_of_range, "child index"),
             (_feature_out_of_range, "split feature"),
             (_threshold_not_finite, "threshold"),
-            (_empty_leaf, "leaf_n > 0"),
-            (_too_many_positives, "leaf_pos <= leaf_n"),
-            (_negative_positives, "0 <= leaf_pos"),
-            (_rows_length_mismatch, "leaf_n training rows"),
-            (_row_out_of_range, "leaf rows must lie"),
-            (_positives_disagree_with_labels, "disagrees"),
             (_arrays_of_unequal_length, "one length"),
+            (_inbag_too_short, "inbag must hold 60"),
+            (_negative_count, "non-negative"),
+            (_counts_not_summing_to_n, "summing to 60"),
+            (_fractional_count, "integer counts"),
+            (_empty_leaf, "leaf_n > 0"),
         ],
     )
     def test_corrupt_tree_rejected(self, saved, tmp_path, corrupt, message):
-        payload = json.loads(json.dumps(saved))
+        payload, leaf_of = json.loads(json.dumps(saved[0])), saved[1]
         assert payload["trees"][0]["feature"][0] >= 0  # the root splits
-        corrupt(payload["trees"][0])
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        corrupt(payload["trees"][0], leaf_of)
         with pytest.raises(ValueError, match=message):
-            Forest.load(path)
+            self._load(payload, tmp_path)
+
+    def test_intact_file_loads(self, saved, tmp_path):
+        assert self._load(saved[0], tmp_path).n_trees == 2
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_tree_count_mismatch_rejected(self, saved, tmp_path, kept):
+        # a short list would answer as a smaller forest, or not at all
+        payload = json.loads(json.dumps(saved[0]))
+        payload["trees"] = payload["trees"][:kept]
+        with pytest.raises(ValueError, match=f"file holds {kept} trees, params say 2"):
+            self._load(payload, tmp_path)
+
+    def test_v1_file_rejected(self, saved, tmp_path):
+        payload = json.loads(json.dumps(saved[0]))
+        payload["format"] = "forestprox-forest-v1"
+        with pytest.raises(ValueError, match="not a forestprox-forest-v2 file"):
+            self._load(payload, tmp_path)

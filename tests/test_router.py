@@ -69,16 +69,17 @@ def reference_proximity_many(f, X, z):
 def reference_voting_weights(f, x0):
     counts = np.zeros(f.train.n)
     for t in f.trees:
-        np.add.at(counts, t.leaf_rows[reference_locate(t, x0)], 1.0)
+        same = reference_apply(t, f.train.features) == reference_locate(t, x0)
+        counts += np.where(same, t.inbag, 0)
     return counts / counts.sum()
 
 
 def single_leaf_tree(labels, n_features):
-    rows = list(range(len(labels)))
     return Tree.from_dict({
         "seed": 0,
         "n_features": n_features,
-        "root": {"n": len(rows), "positives": int(np.sum(labels)), "rows": rows},
+        "inbag": [1] * len(labels),
+        "root": {"n": len(labels), "positives": int(np.sum(labels))},
     })
 
 
@@ -160,11 +161,16 @@ class TestLeaves:
         f = train_forest(
             d, ForestParams(n_trees=5, tree=TreeParams(mtry=2, bootstrap=False), seed=1)
         )
-        # ids are tree-local: each training row is among its own leaf's rows
+        # ids are tree-local: the training rows routed to a leaf, counted
+        # in-bag times, are the rows its tree counts there
         L = f.leaves(d.features)
         for t, row in zip(f.trees, L):
-            for i in range(d.n):
-                assert i in t.leaf_rows[row[i]].tolist()
+            np.testing.assert_array_equal(
+                np.bincount(row, weights=t.inbag, minlength=t.n_nodes), t.leaf_n
+            )
+            np.testing.assert_array_equal(
+                np.bincount(row, weights=t.inbag * d.labels, minlength=t.n_nodes), t.leaf_pos
+            )
 
     def test_empty_batch(self):
         rng = np.random.default_rng(1)

@@ -224,20 +224,22 @@ class TestGrowTree:
         rng = np.random.default_rng(3)
         d = random_data(rng, 120, 3)
         t = grow_tree(d, TreeParams(mtry=2, bootstrap=False), seed=9)
-        seen = np.concatenate([t.leaf_rows[i] for i in range(t.n_nodes) if t.feature[i] < 0])
-        assert sorted(seen.tolist()) == list(range(120))
+        np.testing.assert_array_equal(t.inbag, np.ones(120))
         leaves = t.apply(d.features)
-        for i in np.flatnonzero(t.feature < 0):
-            rows = t.leaf_rows[i]
-            assert (leaves[rows] == i).all()
+        assert (t.feature[leaves] < 0).all()
+        np.testing.assert_array_equal(np.bincount(leaves, minlength=t.n_nodes), t.leaf_n)
 
     def test_bootstrap_rows_multiset(self):
         rng = np.random.default_rng(4)
         d = random_data(rng, 50, 2)
         t = grow_tree(d, TreeParams(mtry=2, bootstrap=True), seed=9)
-        seen = np.concatenate([t.leaf_rows[i] for i in range(t.n_nodes) if t.feature[i] < 0])
-        assert len(seen) == 50  # bootstrap keeps the sample size
+        assert t.inbag.sum() == 50  # bootstrap keeps the sample size
+        assert (t.inbag == 0).any()
         assert t.leaf_n.sum() - t.leaf_n[t.feature >= 0].sum() == 50
+        leaves = t.apply(d.features)
+        np.testing.assert_array_equal(
+            np.bincount(leaves, weights=t.inbag, minlength=t.n_nodes), t.leaf_n
+        )
 
     def test_partition_property_random_queries(self):
         rng = np.random.default_rng(5)
@@ -329,11 +331,12 @@ class TestTreeProb:
         payload = {
             "seed": 0,
             "n_features": 1,
+            "inbag": [1, 1, 1, 1, 1],
             "root": {
                 "feature": 0,
                 "threshold": 0.5,
-                "left": {"n": 2, "positives": 1, "rows": [0, 1]},
-                "right": {"n": 3, "positives": 3, "rows": [2, 3, 4]},
+                "left": {"n": 2, "positives": 1},
+                "right": {"n": 3, "positives": 3},
             },
         }
         t = Tree.from_dict(payload)
@@ -355,6 +358,9 @@ class TestSerialization:
         t = grow_tree(d, TreeParams(mtry=2), seed=21)
         back = Tree.from_dict(t.to_dict())
         assert back.to_dict() == t.to_dict()
+        np.testing.assert_array_equal(back.inbag, t.inbag)
+        np.testing.assert_array_equal(back.leaf_n, t.leaf_n)
+        np.testing.assert_array_equal(back.leaf_pos, t.leaf_pos)
         queries = rng.normal(size=(50, 3))
         np.testing.assert_array_equal(t.apply(queries), back.apply(queries))
 
@@ -414,11 +420,12 @@ def reference_split(d, rows, cand, criterion):
 
 
 def reference_grow(d, params, seed):
-    """Node-at-a-time breadth-first growth from one random stream."""
+    """Node-at-a-time breadth-first growth from one random stream; returns
+    the nodes and the drawn rows."""
     rng = np.random.default_rng(seed)
-    rows = rng.integers(0, d.n, size=d.n) if params.bootstrap else np.arange(d.n)
+    drawn = rng.integers(0, d.n, size=d.n) if params.bootstrap else np.arange(d.n)
     nodes = []  # (feature, threshold, left, right, rows)
-    queue = [(0, rows)]
+    queue = [(0, drawn)]
     nodes.append(None)
     n_leaves = 1
     while queue:
@@ -447,7 +454,7 @@ def reference_grow(d, params, seed):
         nodes += [None, None]
         n_leaves += 1
         queue += [(len(nodes) - 2, rows[mask]), (len(nodes) - 1, rows[~mask])]
-    return nodes
+    return nodes, drawn
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,12 +490,17 @@ def test_level_growth_matches_node_at_a_time_reference(
 
 def assert_matches_reference(d, params, seed):
     t = grow_tree(d, params, seed)
-    ref = reference_grow(d, params, seed)
+    ref, drawn = reference_grow(d, params, seed)
     assert t.n_nodes == len(ref)
+    np.testing.assert_array_equal(t.inbag, np.bincount(drawn, minlength=d.n))
+    leaf_of = t.apply(d.features)
     for i, (f, thr, left, right, rows) in enumerate(ref):
         assert (t.feature[i], t.left[i], t.right[i]) == (f, left, right)
         if f < 0:
-            np.testing.assert_array_equal(t.leaf_rows[i], rows)
+            # the training rows routed here, at their in-bag multiplicity
+            here = np.flatnonzero(leaf_of == i)
+            np.testing.assert_array_equal(np.repeat(here, t.inbag[here]), np.sort(rows))
+            assert t.leaf_n[i] == rows.size
             assert t.leaf_pos[i] == d.labels[rows].sum()
         else:
             assert t.threshold[i] == thr
