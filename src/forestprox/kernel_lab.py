@@ -232,24 +232,28 @@ class LaplaceKernel:
             raise ValueError("weights must have positive sum to normalize")
         return cls(bandwidth=bandwidth, weights=w / total)
 
-    def __call__(self, x, z) -> float:
-        return laplace_eval(self, x, z)
+    def __call__(self, Z, x0) -> np.ndarray:
+        """k(z, x0) for every row z of Z, shape (m,)."""
+        Z = np.asarray(Z, dtype=np.float64)
+        x0 = np.asarray(x0, dtype=np.float64)
+        if Z.ndim != 2 or Z.shape[1:] != x0.shape or x0.shape != self.weights.shape:
+            raise ValueError(
+                f"dimension mismatch: Z {Z.shape}, x0 {x0.shape}, weights {self.weights.shape}"
+            )
+        return np.exp(-self.bandwidth * (self.weights * np.abs(Z - x0)).sum(axis=1))
 
 
 def laplace_eval(k: LaplaceKernel, x, z) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.shape != z.shape or x.shape != k.weights.shape:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, z {z.shape}, weights {k.weights.shape}"
-        )
-    return float(np.exp(-k.bandwidth * (k.weights * np.abs(x - z)).sum()))
+    """k(x, z) for two single points."""
+    return float(k(np.asarray(x, dtype=np.float64)[None, :], z)[0])
 
 
 def nw_estimate(kernel, train: Dataset, x0) -> float:
-    """Kernel-weighted label average over the training set at x0."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    vals = np.array([kernel(x0, xi) for xi in train.features], dtype=np.float64)
+    """Kernel-weighted label average over the training set at x0, from one
+    batched call kernel(train.features, x0) -> (n,)."""
+    vals = np.asarray(kernel(train.features, np.asarray(x0, dtype=np.float64)), dtype=np.float64)
+    if vals.shape != (train.n,):
+        raise ValueError(f"kernel returned shape {vals.shape}, expected ({train.n},)")
     total = vals.sum()
     if not total > 0:
         raise ValueError("kernel mass at x0 is zero; bandwidth too extreme")

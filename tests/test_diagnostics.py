@@ -20,7 +20,7 @@ def batched(k):
 
 
 def laplace(bandwidth, weights):
-    return batched(LaplaceKernel(bandwidth, np.asarray(weights, dtype=np.float64)))
+    return LaplaceKernel(bandwidth, np.asarray(weights, dtype=np.float64))
 
 
 def const(Z, z):

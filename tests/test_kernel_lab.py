@@ -360,7 +360,20 @@ class TestLaplaceKernel:
 
     def test_callable_protocol(self):
         k = LaplaceKernel(1.0, np.array([1.0]))
-        assert k(np.array([0.0]), np.array([1.0])) == pytest.approx(np.exp(-1.0))
+        np.testing.assert_allclose(k(np.array([[0.0], [1.0]]), np.array([1.0])), [np.exp(-1.0), 1.0])
+
+    def test_batched_call_equals_scalar_form(self):
+        rng = np.random.default_rng(3)
+        k = LaplaceKernel(0.9, np.array([0.2, 1.5, 0.7]))
+        Z, x0 = rng.normal(size=(12, 3)), rng.normal(size=3)
+        rows = [np.exp(-0.9 * (k.weights * np.abs(z - x0)).sum()) for z in Z]
+        np.testing.assert_array_equal(k(Z, x0), rows)
+        assert laplace_eval(k, Z[4], x0) == rows[4]
+
+    @pytest.mark.parametrize("Z, x0", [(np.zeros(2), np.zeros(2)), (np.zeros((3, 2)), np.zeros(3))])
+    def test_batched_call_rejects_mismatched_shapes(self, Z, x0):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            LaplaceKernel(1.0, np.array([0.5, 0.5]))(Z, x0)
 
 
 class TestNwEstimate:
@@ -389,14 +402,14 @@ class TestNwEstimate:
         train = self._train(labels)
         base = LaplaceKernel(0.7, np.array([1.0, 2.0]))
         x0 = np.array([0.1, -0.2])
-        scaled = lambda x, z: 17.3 * laplace_eval(base, x, z)
+        scaled = lambda Z, z: 17.3 * base(Z, z)
         assert nw_estimate(base, train, x0) == pytest.approx(
             nw_estimate(scaled, train, x0)
         )
 
     def test_zero_mass_rejected(self):
         train = self._train(np.array([0, 1]))
-        dead = lambda x, z: 0.0
+        dead = lambda Z, z: np.zeros(len(Z))
         with pytest.raises(ValueError, match="mass"):
             nw_estimate(dead, train, np.zeros(2))
 
