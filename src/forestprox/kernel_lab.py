@@ -252,8 +252,6 @@ def nw_estimate(kernel, train: Dataset, x0) -> float:
     """Kernel-weighted label average over the training set at x0, from one
     batched call kernel(train.features, x0) -> (n,)."""
     vals = np.asarray(kernel(train.features, np.asarray(x0, dtype=np.float64)), dtype=np.float64)
-    if vals.shape != (train.n,):
-        raise ValueError(f"kernel returned shape {vals.shape}, expected ({train.n},)")
     total = vals.sum()
     if not total > 0:
         raise ValueError("kernel mass at x0 is zero; bandwidth too extreme")
