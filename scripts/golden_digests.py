@@ -101,7 +101,7 @@ def compute_digests() -> dict:
                         seed=seed,
                     )
                     f = train_forest(d, params)
-                    entry = {"trees": [tree_digest(t) for t in f.trees]}
+                    entry = {"trees": [tree_digest(f.tree(t)) for t in range(f.n_trees)]}
                     for pm in PREDICT_MODES:
                         entry[pm] = _sha([f.predict_proba_batch(Q, pm).astype("<f8").tobytes()])
                     key = f"seed={seed},mtry={mtry},{mode},bootstrap={int(bootstrap)},{stop}"

@@ -220,14 +220,11 @@ def _cmd_predict(args) -> int:
     forest = Forest.load(args.model)
     X = load_points(args.data, forest.train.feature_names, args.label_column)
     leaves = forest.leaves(X)
-    p_class, p_reg, p_prox = (forest.estimate(leaves, mode) for mode in PREDICT_MODES)
+    P = np.column_stack([forest.estimate(leaves, mode) for mode in PREDICT_MODES])
     _write_csv(
         args.out,
         ["row", "p_class", "p_reg", "p_prox"],
-        [
-            [i, repr(float(a)), repr(float(b)), repr(float(c))]
-            for i, (a, b, c) in enumerate(zip(p_class, p_reg, p_prox))
-        ],
+        [[i, *map(repr, row)] for i, row in enumerate(P.tolist())],
     )
     return 0
 
@@ -239,7 +236,7 @@ def _cmd_proximity(args) -> int:
     _write_csv(
         args.out,
         [f"p{j}" for j in range(P.shape[1])],
-        [[repr(float(v)) for v in row] for row in P],
+        [list(map(repr, row)) for row in P.tolist()],
     )
     return 0
 
@@ -292,14 +289,11 @@ def _cmd_deriv(args) -> int:
         sd = X.std(axis=0)
         steps = np.where(sd > 0, args.h_sd * sd, 1e-6)
     report = derivative_report(forest.proximity_many, center, steps)
+    cols = np.column_stack([report.left, report.right, report.steps]).tolist()
     _write_csv(
         args.out,
         ["coordinate", "name", "left", "right", "step"],
-        [
-            [j, forest.train.feature_names[j], repr(float(report.left[j])),
-             repr(float(report.right[j])), repr(float(report.steps[j]))]
-            for j in range(forest.p)
-        ],
+        [[j, forest.train.feature_names[j], *map(repr, row)] for j, row in enumerate(cols)],
     )
     return 0
 
@@ -317,10 +311,11 @@ def _cmd_grid(args) -> int:
     grid = kernel_grid(
         forest.proximity_many, center, (i, j), args.resolution, ((lo_i, hi_i), (lo_j, hi_j))
     )
-    rows = []
-    for a, vi in enumerate(grid.axis_i):
-        for b, vj in enumerate(grid.axis_j):
-            rows.append([repr(float(vi)), repr(float(vj)), repr(float(grid.values[a, b]))])
+    rows = [
+        [repr(vi), repr(vj), repr(v)]
+        for vi, values in zip(grid.axis_i.tolist(), grid.values.tolist())
+        for vj, v in zip(grid.axis_j.tolist(), values)
+    ]
     _write_csv(args.out, [f"x{i + 1}", f"x{j + 1}", "kernel"], rows)
     return 0
 

@@ -16,11 +16,13 @@ multiplicity; `voting_weights` exposes those normalized kernel weights.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +31,13 @@ from .tree import Tree, TreeParams, grow_tree, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
-FOREST_FORMAT = "forestprox-forest-v2"
+FOREST_FORMAT = "forestprox-forest-v3"
+
+# Integer dtypes from narrowest to widest. `save` writes an integer array
+# in the first that holds its min and max; there is no '<u8', so every
+# value read back fits int64.
+_INT_DTYPES = tuple(np.dtype(s) for s in ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<i8"))
+_ARRAY_DTYPES = frozenset(["<f8", *(dt.str for dt in _INT_DTYPES)])
 
 
 @dataclass(frozen=True)
@@ -55,19 +63,62 @@ def derive_tree_seeds(seed: int, n_trees: int) -> list[int]:
     return [int(s) for s in state]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forest:
-    trees: tuple[Tree, ...]
+    """Every tree's nodes in one table.
+
+    Tree t owns the n_nodes[t] nodes from roots[t] on. The node arrays
+    are those of `Tree`, concatenated: left and right stay tree-local.
+    For routing, children[2k + 1] and children[2k] are internal node k's
+    left and right child as indices into the whole table (-1 at leaves).
+    inbag[t] is tree t's in-bag count vector.
+    """
+
     train: Dataset
     params: ForestParams
+    seeds: tuple[int, ...]
+    roots: np.ndarray
+    children: np.ndarray
+    inbag: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    node_depth: np.ndarray
+    leaf_n: np.ndarray
+    leaf_pos: np.ndarray
+
+    @classmethod
+    def from_trees(cls, trees, train: Dataset, params: ForestParams) -> "Forest":
+        """Concatenate the trees' node arrays into one table."""
+        a = {k: np.concatenate([getattr(t, k) for t in trees]) for k in _NODE_ARRAYS}
+        sizes = np.array([t.n_nodes for t in trees])
+        roots, children = _check_nodes(a, sizes, len(trees), train.p)
+        inbag = np.stack([t.inbag for t in trees])
+        return cls(train, params, tuple(t.seed for t in trees), roots, children, inbag, **a)
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
+
+    @property
+    def n_nodes(self) -> np.ndarray:
+        """(T,) node count of every tree."""
+        return np.diff(self.roots, append=len(self.feature))
 
     @property
     def p(self) -> int:
         return self.train.p
+
+    def tree(self, t: int) -> Tree:
+        """Tree t, its node arrays views into the table."""
+        nodes = slice(self.roots[t], self.roots[t] + self.n_nodes[t])
+        return Tree(
+            **{k: getattr(self, k)[nodes] for k in _NODE_ARRAYS},
+            inbag=self.inbag[t],
+            seed=self.seeds[t],
+            n_features=self.p,
+        )
 
     # NaN would route right at every split, since x <= thr is false for it
     def _check_vector(self, x) -> np.ndarray:
@@ -88,53 +139,29 @@ class Forest:
         return X
 
     @cached_property
-    def _packed(self) -> SimpleNamespace:
-        """Every tree's node arrays concatenated once, child indices
-        shifted to point into the concatenation."""
-        sizes = np.array([t.n_nodes for t in self.trees], dtype=np.intp)
-        roots = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
-        cat = lambda name: np.concatenate([getattr(t, name) for t in self.trees])
-        shift = np.repeat(roots, sizes)
-        return SimpleNamespace(
-            roots=roots,
-            feature=cat("feature").astype(np.intp),
-            threshold=cat("threshold"),
-            children=np.stack([cat("right") + shift, cat("left") + shift], axis=1).ravel(),
-        )
-
-    # Packed apart from the routing arrays: `load` routes the training rows
-    # before it knows the trees' leaf counts.
-    @cached_property
-    def _leaf_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.concatenate([t.leaf_n for t in self.trees]),
-                np.concatenate([t.leaf_pos for t in self.trees]))
-
-    @cached_property
     def _train_leaves(self) -> np.ndarray:
         """(T, n) tree-local leaf of every training row."""
         return self.leaves(self.train.features)
 
     def _route(self, X: np.ndarray) -> np.ndarray:
-        k = self._packed
-        return route(k.feature, k.threshold, k.children, k.roots, X)
+        return route(self.feature, self.threshold, self.children, self.roots, X)
 
     def leaves(self, X) -> np.ndarray:
         """Leaf reached by every row of X in every tree, shape (T, q).
 
         Ids are tree-local: the training rows whose leaf in tree t is
-        L[t, i], counted trees[t].inbag times, share row i's leaf there.
+        L[t, i], counted inbag[t] times, share row i's leaf there.
         """
-        return self._route(self._check_matrix(X)) - self._packed.roots[:, None]
+        return self._route(self._check_matrix(X)) - self.roots[:, None]
 
     def estimate(self, L: np.ndarray, mode: str = "prox") -> np.ndarray:
         """One estimator at q points from their leaves, as `leaves` gives them."""
         if mode not in PREDICT_MODES:
             raise ValueError(f"mode must be one of {PREDICT_MODES}, got {mode!r}")
-        leaf_n, leaf_pos = self._leaf_counts
-        G = L + self._packed.roots[:, None]
+        G = L + self.roots[:, None]
         if mode == "prox":
-            return leaf_pos[G].sum(axis=0) / leaf_n[G].sum(axis=0)
-        p_t = leaf_pos[G] / leaf_n[G]
+            return self.leaf_pos[G].sum(axis=0) / self.leaf_n[G].sum(axis=0)
+        p_t = self.leaf_pos[G] / self.leaf_n[G]
         if mode == "class_vote":
             return (p_t >= 0.5).sum(axis=0) / self.n_trees
         # cumsum adds trees in tree order; sum(axis=0) adds pairwise at q = 1
@@ -181,8 +208,7 @@ class Forest:
         weighted label average equals the prox estimate exactly.
         """
         L = self.leaves(self._check_vector(x0)[None, :])
-        inbag = np.stack([t.inbag for t in self.trees])
-        counts = np.where(self._train_leaves == L, inbag, 0).sum(axis=0).astype(np.float64)
+        counts = np.where(self._train_leaves == L, self.inbag, 0).sum(axis=0).astype(np.float64)
         total = counts.sum()
         if total <= 0:
             raise ValueError("no training rows share a leaf with x0")
@@ -190,102 +216,175 @@ class Forest:
 
     def stats(self) -> dict[str, float]:
         return {
-            "mean_leaf_count": float(np.mean([t.leaf_count for t in self.trees])),
-            "mean_depth": float(np.mean([t.depth for t in self.trees])),
+            "mean_leaf_count": float((self.feature < 0).sum() / self.n_trees),
+            "mean_depth": float(np.maximum.reduceat(self.node_depth, self.roots).mean()),
         }
 
     def save(self, path: str | Path) -> None:
+        """Write the forest as a `forestprox-forest-v3` file (README "File
+        formats"). Leaf counts are not written; `load` derives them."""
+        tr = self.train
+        arrays = {
+            "features": tr.features,
+            "labels": tr.labels,
+            "true_probs": tr.true_probs,
+            "inbag": self.inbag,
+            "n_nodes": self.n_nodes,
+            **{k: getattr(self, k) for k in _NODE_ARRAYS[:5]},
+        }
         payload = {
             "format": FOREST_FORMAT,
-            "params": {
-                "n_trees": self.params.n_trees,
-                "seed": self.params.seed,
-                "tree": {
-                    "mtry": self.params.tree.mtry,
-                    "min_node_size": self.params.tree.min_node_size,
-                    "max_leaves": self.params.tree.max_leaves,
-                    "split_mode": self.params.tree.split_mode,
-                    "bootstrap": self.params.tree.bootstrap,
-                    "criterion": self.params.tree.criterion,
-                },
-            },
-            "train": {
-                "features": self.train.features.tolist(),
-                "labels": self.train.labels.tolist(),
-                "feature_names": list(self.train.feature_names),
-                "true_probs": None
-                if self.train.true_probs is None
-                else self.train.true_probs.tolist(),
-            },
-            "trees": [
-                {
-                    "seed": t.seed,
-                    "feature": t.feature.tolist(),
-                    "threshold": [None if f < 0 else float(v) for f, v in zip(t.feature, t.threshold)],
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "node_depth": t.node_depth.tolist(),
-                    "inbag": t.inbag.tolist(),
-                }
-                for t in self.trees
-            ],
+            "params": asdict(self.params),
+            "feature_names": list(tr.feature_names),
+            "seeds": list(self.seeds),
+            "arrays": {k: None if a is None else _encode(a) for k, a in arrays.items()},
         }
         Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Forest":
-        """Read a saved forest, check every tree, and derive each leaf's
-        counts by routing the training rows at their in-bag multiplicity."""
+        """Read a saved forest, check every array and tree, and derive each
+        leaf's counts by routing the training rows at their in-bag
+        multiplicity."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != FOREST_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != FOREST_FORMAT:
             raise ValueError(f"not a {FOREST_FORMAT} file: {path}")
-        tr = payload["train"]
-        train = Dataset(
-            features=np.asarray(tr["features"], dtype=np.float64),
-            labels=np.asarray(tr["labels"], dtype=np.int64),
-            feature_names=tuple(tr["feature_names"]),
-            true_probs=None if tr["true_probs"] is None else np.asarray(tr["true_probs"]),
-        )
-        tp = payload["params"]["tree"]
-        params = ForestParams(
-            n_trees=payload["params"]["n_trees"],
-            tree=TreeParams(**tp),
-            seed=payload["params"]["seed"],
-        )
-        if len(payload["trees"]) != params.n_trees:
-            raise ValueError(f"file holds {len(payload['trees'])} trees, params say {params.n_trees}")
-        trees = []
-        for td in payload["trees"]:
-            trees.append(
-                Tree(
-                    feature=np.asarray(td["feature"], dtype=np.int32),
-                    threshold=np.asarray(
-                        [np.nan if v is None else v for v in td["threshold"]], dtype=np.float64
-                    ),
-                    left=np.asarray(td["left"], dtype=np.int32),
-                    right=np.asarray(td["right"], dtype=np.int32),
-                    node_depth=np.asarray(td["node_depth"], dtype=np.int32),
-                    leaf_n=None,  # derived below from the routed training rows
-                    leaf_pos=None,
-                    inbag=np.asarray(td["inbag"]),
-                    seed=int(td["seed"]),
-                    n_features=train.p,
-                )
+        pp = _field(payload, "params", "model file")
+        try:
+            params = ForestParams(**{**pp, "tree": TreeParams(**_field(pp, "tree", "params"))})
+        except TypeError as exc:
+            raise ValueError(f"bad params: {exc}") from exc
+        seeds = _field(payload, "seeds", "model file")
+        if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
+            raise ValueError("seeds must be a list of integers")
+        if len(seeds) != params.n_trees:
+            raise ValueError(f"file holds {len(seeds)} trees, params say {params.n_trees}")
+        names = _field(payload, "feature_names", "model file")
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise ValueError("feature_names must be a list of strings")
+        arrays = _field(payload, "arrays", "model file")
+        a = {k: _decode(_field(arrays, k, "arrays"), k, kind) for k, kind in _ARRAY_KINDS.items()}
+        tp = _field(arrays, "true_probs", "arrays")
+        tp = None if tp is None else _decode(tp, "true_probs", "f")
+        train = Dataset(a.pop("features"), a.pop("labels"), tuple(names), tp)
+        inbag, n = a.pop("inbag"), train.n
+        roots, children = _check_nodes(a, a.pop("n_nodes"), len(seeds), train.p)
+        if (inbag.dtype.kind != "i" or inbag.shape != (len(seeds), n)
+                or ((inbag < 0) | (inbag > n)).any() or (inbag.sum(axis=1) != n).any()):
+            raise ValueError(
+                f"inbag must hold {n} non-negative integer counts summing to {n} per tree"
             )
-            trees[-1].check(train.n)
-        forest = cls(trees=tuple(trees), train=train, params=params)
-        for t, leaf in zip(trees, forest._train_leaves):
-            t.leaf_n, t.leaf_pos = (
-                np.bincount(leaf, weights=w, minlength=t.n_nodes).astype(np.int64)
-                for w in (t.inbag, t.inbag * train.labels)
-            )
-            if (t.leaf_n[t.feature < 0] == 0).any():
-                raise ValueError("every leaf needs leaf_n > 0: a leaf holds no in-bag training row")
+        G = route(a["feature"], a["threshold"], children, roots, train.features)
+        a["leaf_n"], a["leaf_pos"] = (
+            np.bincount(G.ravel(), weights=w.ravel(), minlength=len(a["feature"])).astype(np.int64)
+            for w in (inbag, inbag * train.labels)
+        )
+        if (a["leaf_n"][a["feature"] < 0] == 0).any():
+            raise ValueError("every leaf needs leaf_n > 0: a leaf holds no in-bag training row")
+        forest = cls(train, params, tuple(seeds), roots, children, inbag, **a)
+        forest.__dict__["_train_leaves"] = G - roots[:, None]  # voting_weights reuses the routing
         return forest
+
+
+# A tree's node arrays; a file holds the first five, and `load` derives
+# leaf_n and leaf_pos.
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "node_depth", "leaf_n", "leaf_pos")
+
+# Every array a v3 file must hold but true_probs, with the kind it must
+# hold ('f' float64, 'i' integers); inbag's kind is checked with its counts.
+_ARRAY_KINDS = {
+    "features": "f",
+    "labels": "i",
+    "inbag": None,
+    "n_nodes": "i",
+    "feature": "i",
+    "threshold": "f",
+    "left": "i",
+    "right": "i",
+    "node_depth": "i",
+}
+
+
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} needs an object with key {key!r}")
+    return obj[key]
+
+
+def _encode(a: np.ndarray) -> dict:
+    """{dtype, shape, data}: floats as '<f8', integers in the narrowest
+    dtype of _INT_DTYPES that holds their range, data the base64 of the
+    little-endian bytes."""
+    if a.dtype.kind == "f":
+        dt = np.dtype("<f8")
+    else:
+        lo, hi = int(a.min()), int(a.max())
+        dt = next(d for d in _INT_DTYPES if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
+    data = base64.b64encode(np.ascontiguousarray(a, dtype=dt).tobytes()).decode("ascii")
+    return {"dtype": dt.str, "shape": list(a.shape), "data": data}
+
+
+def _decode(header, name: str, kind: str | None) -> np.ndarray:
+    """The array a {dtype, shape, data} header describes, integers widened
+    to int64. The header is checked before its bytes are used: an
+    allowed dtype of the wanted kind, a shape of non-negative integers,
+    valid base64, and exactly prod(shape) * itemsize bytes."""
+    dtype, shape, data = (_field(header, k, f"array {name}") for k in ("dtype", "shape", "data"))
+    if not isinstance(dtype, str) or dtype not in _ARRAY_DTYPES:
+        raise ValueError(f"array {name}: dtype {dtype!r} is not one of {sorted(_ARRAY_DTYPES)}")
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise ValueError(f"array {name}: shape must be a list of non-negative ints, got {shape!r}")
+    if kind is not None and (dtype == "<f8") != (kind == "f"):
+        wanted = "float64 values" if kind == "f" else "integers"
+        raise ValueError(f"array {name} must hold {wanted}, got dtype {dtype}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, binascii.Error) as exc:
+        raise ValueError(f"array {name}: data is not valid base64") from exc
+    dt = np.dtype(dtype)
+    if len(raw) != math.prod(shape) * dt.itemsize:
+        raise ValueError(f"array {name}: {len(raw)} bytes of data for shape {shape} of {dtype}")
+    out = np.frombuffer(raw, dtype=dt).reshape(shape)
+    return out if dt.kind == "f" else out.astype(np.int64)
+
+
+def _check_nodes(a: dict, sizes: np.ndarray, n_trees: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check n_trees trees of sizes[t] nodes each, their node arrays in
+    `a`, and return their roots and the routing children (see `Forest`).
+
+    Every tree is nonempty and the node arrays have one length; every
+    child index exceeds its parent's and lies inside the parent's tree,
+    so routing always ends at a leaf; splits use a feature in [0, p) and
+    a finite threshold; node_depth is 0 at each root and its parent's
+    plus one elsewhere.
+    """
+    feature, left, right = a["feature"], a["left"], a["right"]
+    m = feature.size
+    # sizes are bounded before they are summed, so the sum cannot wrap
+    if (sizes.shape != (n_trees,) or ((sizes < 1) | (sizes > m)).any() or sizes.sum() != m
+            or any(a[k].shape != (m,) for k in _NODE_ARRAYS[:5])):
+        raise ValueError("tree node arrays must be nonempty and of one length, the sum of n_nodes")
+    roots = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(n_trees), sizes)
+    inner = np.flatnonzero(feature >= 0)
+    base = roots[tree_of[inner]]
+    kids = np.stack([right[inner], left[inner]], axis=1).astype(np.intp)
+    if ((kids <= (inner - base)[:, None]) | (kids >= sizes[tree_of[inner]][:, None])).any():
+        raise ValueError("every child index must exceed its parent's and be < its tree's n_nodes")
+    if (feature[inner] >= p).any():
+        raise ValueError(f"split feature outside [0, {p})")
+    if not np.isfinite(a["threshold"][inner]).all():
+        raise ValueError("split thresholds must be finite")
+    kids += base[:, None]
+    depth = a["node_depth"]
+    if (depth[roots] != 0).any() or (depth[kids] != depth[inner, None] + 1).any():
+        raise ValueError("node_depth must be 0 at each root and its parent's plus 1 elsewhere")
+    children = np.full((m, 2), -1, dtype=np.intp)
+    children[inner] = kids
+    return roots, children.ravel()
 
 
 def train_forest(d: Dataset, params: ForestParams) -> Forest:
     params.tree.check_dimension(d.p)
     seeds = derive_tree_seeds(params.seed, params.n_trees)
-    trees = tuple(grow_tree(d, params.tree, s) for s in seeds)
-    return Forest(trees=trees, train=d, params=params)
+    return Forest.from_trees([grow_tree(d, params.tree, s) for s in seeds], d, params)

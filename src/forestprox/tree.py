@@ -129,30 +129,6 @@ class Tree:
         children = np.stack([self.right, self.left], axis=1).ravel()
         return route(self.feature, self.threshold, children, _ROOT, X)[0]
 
-    def check(self, n: int) -> None:
-        """Raise ValueError unless the node arrays form a tree and inbag
-        counts a bootstrap draw of n training rows.
-
-        Every child index exceeds its parent's, so routing always ends at
-        a leaf; splits use a feature in [0, n_features) and a finite
-        threshold; inbag holds n non-negative integers summing to n.
-        """
-        m = self.n_nodes
-        arrays = (self.threshold, self.left, self.right, self.node_depth)
-        if m == 0 or any(len(a) != m for a in arrays):
-            raise ValueError(f"tree node arrays must be nonempty and of one length, got {m} nodes")
-        inner = np.flatnonzero(self.feature >= 0)
-        kids = np.concatenate([self.left[inner], self.right[inner]])
-        if ((kids <= np.tile(inner, 2)) | (kids >= m)).any():
-            raise ValueError("every child index must exceed its parent's and be < n_nodes")
-        if (self.feature[inner] >= self.n_features).any():
-            raise ValueError(f"split feature outside [0, {self.n_features})")
-        if not np.isfinite(self.threshold[inner]).all():
-            raise ValueError("split thresholds must be finite")
-        b = self.inbag
-        if b.dtype.kind not in "iu" or b.shape != (n,) or (b < 0).any() or b.sum() != n:
-            raise ValueError(f"inbag must hold {n} non-negative integer counts summing to {n}")
-
     def to_dict(self) -> dict:
         """Nested inspection structure; see README for the field contract."""
         children: dict[int, dict] = {}

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import subprocess
@@ -61,16 +62,30 @@ class TestTrainPredict:
     def test_model_file_format(self, workspace):
         _, _, model = workspace
         payload = json.loads(model.read_text())
-        assert payload["format"] == "forestprox-forest-v2"
+        assert set(payload) == {"format", "params", "feature_names", "seeds", "arrays"}
+        assert payload["format"] == "forestprox-forest-v3"
         assert payload["params"]["n_trees"] == 25
-        assert len(payload["trees"]) == 25
-        for td in payload["trees"]:
-            assert set(td) == {"seed", "feature", "threshold", "left", "right", "node_depth", "inbag"}
+        assert len(payload["seeds"]) == 25
+        arrays = payload["arrays"]
+        assert set(arrays) == {
+            "features", "labels", "true_probs", "inbag", "n_nodes",
+            "feature", "threshold", "left", "right", "node_depth",
+        }
+        for h in arrays.values():
+            assert set(h) == {"dtype", "shape", "data"}
+        assert arrays["features"]["dtype"] == "<f8"
+        assert arrays["features"]["shape"] == [150, 2]
+        assert arrays["inbag"]["shape"] == [25, 150]
+        assert arrays["labels"]["dtype"] == "|u1"  # integers are narrowed
+        h = arrays["n_nodes"]
+        m = int(np.frombuffer(base64.b64decode(h["data"]), h["dtype"]).sum())
+        for name in ("feature", "threshold", "left", "right", "node_depth"):
+            assert arrays[name]["shape"] == [m]
 
     def test_true_prob_column_not_leaked_into_features(self, workspace):
         _, _, model = workspace
         payload = json.loads(model.read_text())
-        assert payload["train"]["feature_names"] == ["x1", "x2"]
+        assert payload["feature_names"] == ["x1", "x2"]
 
     def test_predict_emits_three_estimates(self, workspace, tmp_path):
         _, data, model = workspace
@@ -125,7 +140,7 @@ class TestTrainPredict:
     def test_predict_rejects_tree_count_mismatch(self, workspace, tmp_path, capsys, kept):
         _, data, model = workspace
         payload = json.loads(model.read_text())
-        payload["trees"] = payload["trees"][:kept]
+        payload["seeds"] = payload["seeds"][:kept]
         short = tmp_path / "short.json"
         short.write_text(json.dumps(payload), encoding="utf-8")
         rc = main([
@@ -253,6 +268,18 @@ class TestErrorContract:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert "message" in err["error"]
+
+    @pytest.mark.parametrize("text", ["[]", '{"format": "forestprox-forest-v3"}'])
+    def test_malformed_model_machine_readable(self, capsys, tmp_path, text):
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="utf-8")
+        query = tmp_path / "q.csv"
+        query.write_text("x1,x2\n0.1,0.2\n", encoding="utf-8")
+        rc = main([
+            "predict", "--model", str(model), "--data", str(query), "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
     def test_entry_point_subprocess(self, tmp_path):
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import base64
 import json
 import tempfile
 from pathlib import Path
@@ -48,7 +49,11 @@ def forest_from_trees(trees, train):
     params = ForestParams(
         n_trees=len(trees), tree=TreeParams(mtry=1, bootstrap=False), seed=0
     )
-    return Forest(trees=tuple(trees), train=train, params=params)
+    return Forest.from_trees(trees, train, params)
+
+
+def trees_of(f):
+    return [f.tree(t) for t in range(f.n_trees)]
 
 
 def random_data(rng, n, p):
@@ -64,7 +69,7 @@ class TestTrainForest:
         d = random_data(np.random.default_rng(0), 60, 3)
         f = train_forest(d, ForestParams(n_trees=1, tree=TreeParams(mtry=2), seed=4))
         x = d.features[5]
-        single = leaf_fraction(f.trees[0], x)
+        single = leaf_fraction(f.tree(0), x)
         assert f.predict_proba(x, "reg_mean") == pytest.approx(single)
         assert f.predict_proba(x, "prox") == pytest.approx(single)
         assert f.predict_proba(x, "class_vote") == float(single >= 0.5)
@@ -84,7 +89,7 @@ class TestTrainForest:
         d = random_data(np.random.default_rng(1), 50, 2)
         small = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=5))
         large = train_forest(d, ForestParams(n_trees=6, tree=TreeParams(mtry=1), seed=5))
-        for t_small, t_large in zip(small.trees, large.trees):
+        for t_small, t_large in zip(trees_of(small), trees_of(large)):
             assert t_small.to_dict() == t_large.to_dict()
 
 
@@ -331,7 +336,7 @@ class TestVotingWeights:
         )
         x = rng.normal(size=2)
         w = f.voting_weights(x)
-        t = f.trees[0]
+        t = f.tree(0)
         inside = t.apply(d.features) == t.apply(x[None, :])[0]
         np.testing.assert_array_equal(t.inbag, 1)
         np.testing.assert_allclose(w[inside], 1.0 / inside.sum())
@@ -438,10 +443,12 @@ class TestSaveLoad:
         )
         f = train_forest(d, ForestParams(n_trees=3, tree=tree, seed=seed))
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "forest.json"
+            path, again = Path(tmp) / "forest.json", Path(tmp) / "again.json"
             f.save(path)
             g = Forest.load(path)
-        for a, b in zip(f.trees, g.trees):
+            g.save(again)
+            assert again.read_bytes() == path.read_bytes()
+        for a, b in zip(trees_of(f), trees_of(g)):
             np.testing.assert_array_equal(b.leaf_n, a.leaf_n)
             np.testing.assert_array_equal(b.leaf_pos, a.leaf_pos)
             np.testing.assert_array_equal(b.inbag, a.inbag)
@@ -460,53 +467,113 @@ class TestSaveLoad:
             Forest.load(path)
 
 
-# Each corrupts tree 0 of a saved forest; leaf_of is the leaf each training
-# row reaches in that tree.
-def _self_loop(td, leaf_of):
-    td["left"][0] = td["right"][0] = 0
+# A saved file's arrays, decoded and re-encoded without the library's
+# reader and writer. Integers are widened to int64 and written back that
+# wide, so the reader must also take dtypes the writer never narrows to.
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "node_depth")
 
 
-def _child_out_of_range(td, leaf_of):
-    td["right"][0] = len(td["feature"])
+def decode_arrays(payload):
+    out = {}
+    for name, h in payload["arrays"].items():
+        if h is not None:
+            a = np.frombuffer(base64.b64decode(h["data"]), dtype=h["dtype"]).reshape(h["shape"])
+            h = a.astype(np.int64) if a.dtype.kind in "iu" else a.copy()
+        out[name] = h
+    return out
 
 
-def _feature_out_of_range(td, leaf_of):
-    td["feature"][0] = 2
+def encode_arrays(arrays):
+    out = {}
+    for name, a in arrays.items():
+        if a is not None:
+            dt = a.dtype.newbyteorder("<")
+            data = base64.b64encode(a.astype(dt).tobytes()).decode("ascii")
+            a = {"dtype": dt.str, "shape": list(a.shape), "data": data}
+        out[name] = a
+    return out
 
 
-def _threshold_not_finite(td, leaf_of):
-    td["threshold"][0] = None
+# Each corrupts a saved forest's arrays, most of them tree 0, which holds
+# the first n_nodes[0] nodes and inbag row 0; leaf_of is the leaf each
+# training row reaches in tree 0.
+def _self_loop(a, leaf_of):
+    a["left"][0] = a["right"][0] = 0
 
 
-def _arrays_of_unequal_length(td, leaf_of):
-    td["left"].pop()
+def _child_out_of_range(a, leaf_of):
+    a["right"][0] = a["n_nodes"][0]
 
 
-def _inbag_too_short(td, leaf_of):
-    td["inbag"].pop()
+def _feature_out_of_range(a, leaf_of):
+    a["feature"][0] = 2
 
 
-def _negative_count(td, leaf_of):
-    b = td["inbag"]
+def _threshold_not_finite(a, leaf_of):
+    a["threshold"][0] = np.nan
+
+
+def _arrays_of_unequal_length(a, leaf_of):
+    a["left"] = a["left"][:-1]
+
+
+def _n_nodes_of_wrong_length(a, leaf_of):
+    a["n_nodes"] = a["n_nodes"][:1]
+
+
+def _inbag_too_short(a, leaf_of):
+    a["inbag"] = a["inbag"][:, :-1]
+
+
+def _negative_count(a, leaf_of):
+    b = a["inbag"][0]
     b[0], b[1] = -1, b[1] + b[0] + 1  # the sum stays n
 
 
-def _counts_not_summing_to_n(td, leaf_of):
-    td["inbag"][0] += 1
+def _counts_not_summing_to_n(a, leaf_of):
+    a["inbag"][0, 0] += 1
 
 
-def _fractional_count(td, leaf_of):
-    td["inbag"][0] += 0.5
-    td["inbag"][1] -= 0.5
+def _fractional_count(a, leaf_of):
+    a["inbag"] = a["inbag"].astype(np.float64)
+    a["inbag"][0, 0] += 0.5
+    a["inbag"][0, 1] -= 0.5
 
 
-def _empty_leaf(td, leaf_of):
+def _counts_wrapping_to_n(a, leaf_of):
+    a["inbag"][0, :4] += 2**62  # four times 2**62 wraps an int64 sum back to n
+
+
+def _empty_leaf(a, leaf_of):
     # move every in-bag draw of one leaf's rows to a row of another leaf
-    b = np.array(td["inbag"])
+    b = a["inbag"][0]
     here = leaf_of == leaf_of[np.flatnonzero(b)[0]]
     b[np.flatnonzero(~here)[0]] += b[here].sum()
     b[here] = 0
-    td["inbag"] = b.tolist()
+
+
+def _root_depth_not_zero(a, leaf_of):
+    a["node_depth"][0] = 77
+
+
+def _child_depth_skips_a_level(a, leaf_of):
+    a["node_depth"][1] += 1
+
+
+def _fractional(name, delta):
+    def corrupt(a, leaf_of):
+        a[name] = a[name].astype(np.float64)
+        a[name][0] += delta
+    corrupt.__name__ = f"_fractional_{name}"
+    return corrupt
+
+
+def _features_of_wrong_width(a, leaf_of):
+    a["features"] = a["features"][:, :1]
+
+
+def _labels_too_short(a, leaf_of):
+    a["labels"] = a["labels"][:-1]
 
 
 class TestLoadValidation:
@@ -520,12 +587,15 @@ class TestLoadValidation:
         )
         path = tmp_path_factory.mktemp("load") / "forest.json"
         f.save(path)
-        return json.loads(path.read_text()), f.trees[0].apply(d.features)
+        return json.loads(path.read_text()), f.tree(0).apply(d.features)
 
     def _load(self, payload, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         return Forest.load(path)
+
+    def _copy(self, saved):
+        return json.loads(json.dumps(saved[0]))
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -535,33 +605,171 @@ class TestLoadValidation:
             (_feature_out_of_range, "split feature"),
             (_threshold_not_finite, "threshold"),
             (_arrays_of_unequal_length, "one length"),
+            (_n_nodes_of_wrong_length, "one length"),
             (_inbag_too_short, "inbag must hold 60"),
             (_negative_count, "non-negative"),
             (_counts_not_summing_to_n, "summing to 60"),
             (_fractional_count, "integer counts"),
+            (_counts_wrapping_to_n, "summing to 60"),
             (_empty_leaf, "leaf_n > 0"),
+            (_root_depth_not_zero, "node_depth"),
+            (_child_depth_skips_a_level, "node_depth"),
+            (_fractional("labels", 0.6), "labels must hold integers"),
+            (_fractional("feature", 0.7), "feature must hold integers"),
+            (_fractional("left", 0.5), "left must hold integers"),
+            (_fractional("right", 0.5), "right must hold integers"),
+            (_fractional("node_depth", 0.5), "node_depth must hold integers"),
+            (_features_of_wrong_width, "feature names"),
+            (_labels_too_short, "labels must have shape"),
         ],
     )
     def test_corrupt_tree_rejected(self, saved, tmp_path, corrupt, message):
-        payload, leaf_of = json.loads(json.dumps(saved[0])), saved[1]
-        assert payload["trees"][0]["feature"][0] >= 0  # the root splits
-        corrupt(payload["trees"][0], leaf_of)
+        payload, leaf_of = self._copy(saved), saved[1]
+        a = decode_arrays(payload)
+        assert a["feature"][0] >= 0  # the root splits
+        corrupt(a, leaf_of)
+        payload["arrays"] = encode_arrays(a)
         with pytest.raises(ValueError, match=message):
             self._load(payload, tmp_path)
 
     def test_intact_file_loads(self, saved, tmp_path):
-        assert self._load(saved[0], tmp_path).n_trees == 2
+        payload = self._copy(saved)
+        assert self._load(payload, tmp_path).n_trees == 2
+        # widened to int64 by the test's encoder, the file still loads
+        payload["arrays"] = encode_arrays(decode_arrays(payload))
+        assert self._load(payload, tmp_path).n_trees == 2
 
     @pytest.mark.parametrize("kept", [0, 1])
     def test_tree_count_mismatch_rejected(self, saved, tmp_path, kept):
-        # a short list would answer as a smaller forest, or not at all
-        payload = json.loads(json.dumps(saved[0]))
-        payload["trees"] = payload["trees"][:kept]
+        # a short file would answer as a smaller forest, or not at all
+        payload = self._copy(saved)
+        a = decode_arrays(payload)
+        m = a["n_nodes"][:kept].sum()
+        a["n_nodes"], a["inbag"] = a["n_nodes"][:kept], a["inbag"][:kept]
+        for name in NODE_ARRAYS:
+            a[name] = a[name][:m]
+        payload["seeds"] = payload["seeds"][:kept]
+        payload["arrays"] = encode_arrays(a)
         with pytest.raises(ValueError, match=f"file holds {kept} trees, params say 2"):
             self._load(payload, tmp_path)
 
+    def test_node_counts_wrapping_to_m_rejected(self, saved, tmp_path):
+        # four node counts of 2**62 and more wrap an int64 sum back to the
+        # node arrays' length; each count must be bounded before the sum
+        payload = self._copy(saved)
+        a = decode_arrays(payload)
+        a["n_nodes"] = np.array([2**62] * 3 + [2**62 + len(a["feature"])])
+        a["inbag"] = np.tile(a["inbag"][:1], (4, 1))
+        payload["params"]["n_trees"] = 4
+        payload["seeds"] = [1, 2, 3, 4]
+        payload["arrays"] = encode_arrays(a)
+        with pytest.raises(ValueError, match="one length"):
+            self._load(payload, tmp_path)
+
     def test_v1_file_rejected(self, saved, tmp_path):
-        payload = json.loads(json.dumps(saved[0]))
-        payload["format"] = "forestprox-forest-v1"
-        with pytest.raises(ValueError, match="not a forestprox-forest-v2 file"):
+        # v1 stored per-leaf row lists and v2 JSON number arrays; neither is
+        # read, whatever the rest of the file holds
+        for old in ("forestprox-forest-v1", "forestprox-forest-v2"):
+            payload = self._copy(saved)
+            payload["format"] = old
+            with pytest.raises(ValueError, match="not a forestprox-forest-v3 file"):
+                self._load(payload, tmp_path)
+
+
+class TestArrayHeaders:
+    """An array header that is malformed or lies about its data fails
+    with ValueError before its bytes are used."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        d = sample(get_model("xor"), 60, seed=3)
+        f = train_forest(d, ForestParams(n_trees=2, tree=TreeParams(mtry=2), seed=0))
+        path = tmp_path_factory.mktemp("headers") / "forest.json"
+        f.save(path)
+        return path.read_text()
+
+    def _load(self, payload, tmp_path):
+        path = tmp_path / "bad.json"
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        path.write_text(text, encoding="utf-8")
+        return Forest.load(path)
+
+    @pytest.mark.parametrize(
+        "dtype", ["|O", "|V8", "[('a', '<i4')]", ">i8", ">f8", "<f4", "<u8", "<U2", 8]
+    )
+    def test_dtype_outside_allowlist(self, saved, tmp_path, dtype):
+        payload = json.loads(saved)
+        payload["arrays"]["labels"]["dtype"] = dtype
+        with pytest.raises(ValueError, match="dtype"):
+            self._load(payload, tmp_path)
+
+    @pytest.mark.parametrize("name, cut", [("features", 8), ("labels", 1), ("threshold", 3)])
+    def test_byte_count_must_match_shape(self, saved, tmp_path, name, cut):
+        payload = json.loads(saved)
+        h = payload["arrays"][name]
+        h["data"] = base64.b64encode(base64.b64decode(h["data"])[:-cut]).decode("ascii")
+        with pytest.raises(ValueError, match="bytes of data"):
+            self._load(payload, tmp_path)
+
+    def test_byte_bound_checked_before_allocating(self, saved, tmp_path):
+        # a header claiming 8 TB of features must be refused from its
+        # byte count, not by a failed allocation
+        import tracemalloc
+
+        payload = json.loads(saved)
+        payload["arrays"]["features"]["shape"] = [10**12, 2]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bytes of data"):
+                Forest.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("shape", [[-60], [60.0], [True], "60", None])
+    def test_malformed_shape(self, saved, tmp_path, shape):
+        payload = json.loads(saved)
+        payload["arrays"]["labels"]["shape"] = shape
+        with pytest.raises(ValueError, match="shape must be a list"):
+            self._load(payload, tmp_path)
+
+    @pytest.mark.parametrize("data", ["@@@@", "AAA", "AA=A", 12, None])
+    def test_invalid_base64(self, saved, tmp_path, data):
+        payload = json.loads(saved)
+        payload["arrays"]["labels"]["data"] = data
+        with pytest.raises(ValueError, match="base64"):
+            self._load(payload, tmp_path)
+
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"forestprox-forest-v3"'])
+    def test_top_level_not_an_object(self, tmp_path, text):
+        with pytest.raises(ValueError, match="not a forestprox-forest-v3 file"):
+            self._load(text, tmp_path)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("params",), ("params", "tree"), ("params", "tree", "mtry"), ("seeds",),
+            ("feature_names",), ("arrays",), ("arrays", "threshold"), ("arrays", "true_probs"),
+            ("arrays", "inbag", "data"), ("arrays", "labels", "dtype"),
+        ],
+    )
+    def test_missing_key(self, saved, tmp_path, path):
+        payload = json.loads(saved)
+        obj = payload
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+        with pytest.raises(ValueError):
+            self._load(payload, tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("arrays", []), ("seeds", {}), ("feature_names", "x1x2")]
+    )
+    def test_field_of_wrong_type(self, saved, tmp_path, key, value):
+        payload = json.loads(saved)
+        payload[key] = value
+        with pytest.raises(ValueError):
             self._load(payload, tmp_path)

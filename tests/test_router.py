@@ -16,6 +16,10 @@ from forestprox.forest import Forest, ForestParams, train_forest
 from forestprox.tree import Tree, TreeParams
 
 
+def trees_of(f):
+    return [f.tree(t) for t in range(f.n_trees)]
+
+
 def reference_apply(t, X):
     """Leaf of every row of X in tree t, one node at a time."""
     out = np.empty(X.shape[0], dtype=np.int64)
@@ -46,13 +50,13 @@ def reference_predict(f, X, mode):
     if mode == "prox":
         num = np.zeros(q)
         den = np.zeros(q)
-        for t in f.trees:
+        for t in trees_of(f):
             leaves = reference_apply(t, X)
             num += t.leaf_pos[leaves]
             den += t.leaf_n[leaves]
         return num / den
     acc = np.zeros(q)
-    for t in f.trees:
+    for t in trees_of(f):
         leaves = reference_apply(t, X)
         p_t = t.leaf_pos[leaves] / t.leaf_n[leaves]
         acc += (p_t >= 0.5) if mode == "class_vote" else p_t
@@ -61,14 +65,14 @@ def reference_predict(f, X, mode):
 
 def reference_proximity_many(f, X, z):
     acc = np.zeros(X.shape[0])
-    for t in f.trees:
+    for t in trees_of(f):
         acc += reference_apply(t, X) == reference_locate(t, z)
     return acc / f.n_trees
 
 
 def reference_voting_weights(f, x0):
     counts = np.zeros(f.train.n)
-    for t in f.trees:
+    for t in trees_of(f):
         same = reference_apply(t, f.train.features) == reference_locate(t, x0)
         counts += np.where(same, t.inbag, 0)
     return counts / counts.sum()
@@ -108,11 +112,10 @@ def forests_and_queries(draw):
     )
     f = train_forest(d, params)
     if draw(st.booleans()):
-        trees = f.trees + (single_leaf_tree(d.labels, p),)
-        f = Forest(trees=trees, train=d, params=params)
+        f = Forest.from_trees(trees_of(f) + [single_leaf_tree(d.labels, p)], d, params)
     # Queries sit on thresholds, one float either side of them, on the
     # training values and on both zeros.
-    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in f.trees])
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in trees_of(f)])
     pool = np.unique(np.concatenate([
         thresholds, np.nextafter(thresholds, np.inf), np.nextafter(thresholds, -np.inf),
         np.array(VALUES), [-0.0, 0.0, -3.0, 3.0],
@@ -132,7 +135,7 @@ class TestLeaves:
         f, X = case
         L = f.leaves(X)
         assert L.shape == (f.n_trees, X.shape[0])
-        for t, row in zip(f.trees, L):
+        for t, row in zip(trees_of(f), L):
             np.testing.assert_array_equal(row, reference_apply(t, X))
             np.testing.assert_array_equal(t.apply(X), row)
             assert (t.feature[row] < 0).all()
@@ -164,7 +167,7 @@ class TestLeaves:
         # ids are tree-local: the training rows routed to a leaf, counted
         # in-bag times, are the rows its tree counts there
         L = f.leaves(d.features)
-        for t, row in zip(f.trees, L):
+        for t, row in zip(trees_of(f), L):
             np.testing.assert_array_equal(
                 np.bincount(row, weights=t.inbag, minlength=t.n_nodes), t.leaf_n
             )
