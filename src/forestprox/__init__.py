@@ -27,7 +27,6 @@ from .kernel_lab import (
     bandwidth_sweep,
     breiman_kernel,
     default_bandwidth_grid,
-    laplace_eval,
     mc_proximity,
     mc_selection_freq,
     naive_kernel,
@@ -59,7 +58,6 @@ __all__ = [
     "mc_selection_freq",
     "mc_proximity",
     "breiman_kernel",
-    "laplace_eval",
     "nw_estimate",
     "bandwidth_sweep",
     "default_bandwidth_grid",

@@ -13,35 +13,30 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data_model import Dataset, augment_junk, load_csv, train_test_split
-from .forest import ForestParams, train_forest
+from .data_model import TRUE_PROB_COLUMN, Dataset, augment_junk, load_csv, train_test_split
+from .forest import PREDICT_MODES, ForestParams, train_forest
 from .synthgen import get_model, sample
 from .tree import TreeParams
 
 MTRY_SYMBOLS = ("sqrt", "third", "half", "threequarters", "all", "best")
 
 
-def rmse_true(predictions, true_probs) -> float:
-    """Root mean squared error against known probabilities."""
+def rmse_true(predictions, targets) -> float:
+    """Root mean squared error against known probabilities (`rmse_true`)
+    or 0/1 labels (`rmse_empirical`); the mean sits inside the root, so
+    values are comparable across dataset sizes."""
     p_hat = np.asarray(predictions, dtype=np.float64)
-    p = np.asarray(true_probs, dtype=np.float64)
-    if p_hat.shape != p.shape or p_hat.size == 0:
-        raise ValueError(f"need equal nonempty lengths, got {p_hat.shape} vs {p.shape}")
-    return float(np.sqrt(np.mean((p_hat - p) ** 2)))
-
-
-def rmse_empirical(predictions, labels) -> float:
-    """Root mean squared error against 0/1 labels (mean inside the root,
-    so values are comparable across dataset sizes)."""
-    p_hat = np.asarray(predictions, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
     if p_hat.shape != y.shape or p_hat.size == 0:
         raise ValueError(f"need equal nonempty lengths, got {p_hat.shape} vs {y.shape}")
     return float(np.sqrt(np.mean((p_hat - y) ** 2)))
+
+
+rmse_empirical = rmse_true
 
 
 def misclassification(predictions, labels) -> float:
@@ -95,7 +90,7 @@ class EstimatorSpec:
     min_node_size: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("class_vote", "reg_mean", "prox"):
+        if self.mode not in PREDICT_MODES:
             raise ValueError(f"bad mode {self.mode!r}")
         if isinstance(self.mtry, str) and self.mtry not in MTRY_SYMBOLS:
             raise ValueError(f"bad mtry symbol {self.mtry!r}")
@@ -122,7 +117,7 @@ class ExperimentConfig:
     estimators: tuple[EstimatorSpec, ...] = field(default_factory=default_estimators)
     csv_path: str | None = None
     label_column: str | int = "label"
-    true_prob_column: str | None = None  # excluded from CSV features when set
+    true_prob_column: str | None = None  # excluded from CSV features; "auto" as in load_csv
     n_trees: int = 200
     repetitions: int = 10
     train_size: int = 500
@@ -233,6 +228,15 @@ def _estimator_seeds(base_seed: int, rep: int, est_idx: int) -> list[int]:
 NODE_SIZE_GRID = (5, 25, 50)
 
 
+def _forest_params(
+    spec: EstimatorSpec, mtry: int, node_size: int, n_trees: int, bootstrap: bool, seed: int
+) -> ForestParams:
+    tree = TreeParams(
+        mtry=mtry, min_node_size=node_size, split_mode=spec.split_mode, bootstrap=bootstrap
+    )
+    return ForestParams(n_trees=n_trees, tree=tree, seed=seed)
+
+
 def _fit_predict(
     spec: EstimatorSpec,
     train: Dataset,
@@ -247,17 +251,9 @@ def _fit_predict(
     else:
         mtry = resolve_mtry(spec.mtry, train.p)
         node_size = spec.min_node_size
-    params = ForestParams(
-        n_trees=n_trees,
-        tree=TreeParams(
-            mtry=mtry,
-            min_node_size=node_size,
-            split_mode=spec.split_mode,
-            bootstrap=bootstrap,
-        ),
-        seed=forest_seed,
+    forest = train_forest(
+        train, _forest_params(spec, mtry, node_size, n_trees, bootstrap, forest_seed)
     )
-    forest = train_forest(train, params)
     return forest.predict_proba_batch(test_features, spec.mode), (mtry, node_size)
 
 
@@ -273,17 +269,9 @@ def _tune_forest(
     seeds = np.random.SeedSequence(tune_seed).generate_state(len(grid), dtype=np.uint64)
     best, best_score = grid[0], np.inf
     for (m, ns), s in zip(grid, seeds):
-        params = ForestParams(
-            n_trees=n_trees,
-            tree=TreeParams(
-                mtry=m,
-                min_node_size=ns,
-                split_mode=spec.split_mode,
-                bootstrap=bootstrap,
-            ),
-            seed=int(s),
+        forest = train_forest(
+            carve.train, _forest_params(spec, m, ns, n_trees, bootstrap, int(s))
         )
-        forest = train_forest(carve.train, params)
         preds = forest.predict_proba_batch(carve.test.features, spec.mode)
         score = rmse_empirical(preds, carve.test.labels)
         if score < best_score:
@@ -298,6 +286,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         csv_data = load_csv(
             cfg.csv_path, cfg.label_column, true_prob_column=cfg.true_prob_column
         )
+        if cfg.true_prob_column == "auto":  # the report echoes what it resolved to
+            resolved = None if csv_data.true_probs is None else TRUE_PROB_COLUMN
+            cfg = replace(cfg, true_prob_column=resolved)
 
     metric_names = (
         ["rmse_true", "rmse_empirical", "test_error"]

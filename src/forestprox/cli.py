@@ -150,24 +150,18 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_mtry(text: str):
+def _int_or_text(value):
+    """`value` as an int when it parses as one, else unchanged."""
     try:
-        return int(text)
-    except ValueError:
-        return text
+        return int(value)
+    except (TypeError, ValueError):
+        return value
 
 
-def _csv_header(path: str) -> list[str]:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        return [h.strip() for h in next(csv.reader(fh))]
-
-
-def _resolve_true_prob_column(choice: str, path: str) -> str | None:
-    if choice == "none":
-        return None
-    if choice == "auto":
-        return "true_prob" if "true_prob" in _csv_header(path) else None
-    return choice
+def _true_prob_column(args) -> str | None:
+    """The CSV's true-prob column as load_csv takes it; "auto" is resolved
+    there, against the header it reads."""
+    return None if args.data is None or args.true_prob_column == "none" else args.true_prob_column
 
 
 def _cmd_simulate(args) -> int:
@@ -180,15 +174,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     data = load_csv(
-        args.data,
-        _label_col(args.label_column),
-        true_prob_column=_resolve_true_prob_column(args.true_prob_column, args.data),
+        args.data, _int_or_text(args.label_column), true_prob_column=_true_prob_column(args)
     )
     if args.junk > 0:
         data = augment_junk(data, args.junk, args.seed + 1)
     split_mode, default_mns = MODE_GROWTH[args.mode]
     mns = default_mns if args.min_node_size is None else args.min_node_size
-    mtry_arg = _parse_mtry(args.mtry)
+    mtry_arg = _int_or_text(args.mtry)
     if mtry_arg == "best":
         raise ValueError("mtry 'best' is a bench roster option; give train a value or symbol")
     mtry = resolve_mtry(mtry_arg, data.p)
@@ -205,15 +197,6 @@ def _cmd_train(args) -> int:
     forest = train_forest(data, params)
     forest.save(args.out)
     return 0
-
-
-def _label_col(value):
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return value
 
 
 def _cmd_predict(args) -> int:
@@ -255,13 +238,13 @@ def _cmd_kernel(args) -> int:
         m = args.mtry if args.mtry is not None else max(1, p // 2)
         spec = NaiveKernelSpec(leaves=args.leaves, strong=args.strong, weak=args.weak, mtry=m)
         strong_set = list(range(args.strong))
-        rows = []
+        probes, X = [], []
         for axis in ("strong", "weak", "spread"):
             if axis == "strong" and args.strong == 0:
                 continue
             if axis == "weak" and args.weak == 0:
                 continue
-            for t in np.linspace(0.05, 0.5, 10):
+            for t in np.linspace(0.05, 0.5, 10).tolist():
                 x = np.zeros(p)
                 if axis == "strong":
                     x[0] = t
@@ -269,10 +252,15 @@ def _cmd_kernel(args) -> int:
                     x[args.strong] = t
                 else:
                     x[:] = t / p
-                ana = naive_kernel(spec, x, strong_set)
-                mc = mc_proximity(spec, x, strong_set, args.trees, args.seed)
-                rows.append([axis, repr(float(t)), repr(ana), repr(mc)])
-        _write_csv(args.out_compare, ["axis", "scale", "analytic", "monte_carlo"], rows)
+                probes.append([axis, repr(t)])
+                X.append(x)
+        ana = naive_kernel(spec, X, strong_set).tolist()
+        mc = mc_proximity(spec, X, strong_set, args.trees, args.seed).tolist()
+        _write_csv(
+            args.out_compare,
+            ["axis", "scale", "analytic", "monte_carlo"],
+            [[*probe, repr(a), repr(b)] for probe, a, b in zip(probes, ana, mc)],
+        )
     return 0
 
 
@@ -333,10 +321,8 @@ def _cmd_bench(args) -> int:
         source=args.synthetic if args.synthetic else "csv",
         estimators=tuple(roster),
         csv_path=args.data,
-        label_column=_label_col(args.label_column),
-        true_prob_column=None
-        if args.data is None
-        else _resolve_true_prob_column(args.true_prob_column, args.data),
+        label_column=_int_or_text(args.label_column),
+        true_prob_column=_true_prob_column(args),
         n_trees=args.trees,
         repetitions=args.reps,
         train_size=args.train_n,

@@ -15,6 +15,10 @@ from pathlib import Path
 import numpy as np
 
 
+# The companion column `save_csv` writes and `load_csv`'s "auto" pulls out.
+TRUE_PROB_COLUMN = "true_prob"
+
+
 class DataError(ValueError):
     """Raised for malformed input data (files, labels, shapes)."""
 
@@ -160,9 +164,12 @@ def load_csv(
     two distinct values are mapped to 0/1 by sorted order (numeric order
     when both parse as numbers, string order otherwise). A `true_prob`
     companion column (as written by `simulate`) can be pulled out of the
-    feature set by name via `true_prob_column`.
+    feature set by name via `true_prob_column`; "auto" pulls out the
+    column named TRUE_PROB_COLUMN when the header has one.
     """
     header, rows = _read_rows(path)
+    if true_prob_column == "auto":
+        true_prob_column = TRUE_PROB_COLUMN if TRUE_PROB_COLUMN in header else None
     if isinstance(label_column, int):
         if not 0 <= label_column < len(header):
             raise DataError(f"label column index {label_column} out of range")
@@ -228,7 +235,7 @@ def save_csv(d: Dataset, path: str | Path, label_name: str = "label") -> None:
         writer = csv.writer(fh)
         header = list(d.feature_names) + [label_name]
         if d.true_probs is not None:
-            header.append("true_prob")
+            header.append(TRUE_PROB_COLUMN)
         writer.writerow(header)
         for i in range(d.n):
             row = [repr(float(v)) for v in d.features[i]] + [str(int(d.labels[i]))]

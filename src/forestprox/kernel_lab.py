@@ -9,12 +9,12 @@ per-coordinate decay weights p_S / p_W from the per-split selection
 probabilities; both are validated against direct simulation.
 
 Convention throughout: strong coordinates come first (indices 0..S-1)
-unless an explicit `strong_set` says otherwise.
+unless an explicit `strong_set` says otherwise. Every kernel here is
+batched: it takes an (m, p) matrix of points and returns (m,) values.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb, log
 
@@ -75,13 +75,13 @@ def strong_weak_weights(
     return p_s, p_w
 
 
-def _check_unit_vector(x, p: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p,):
-        raise ValueError(f"expected {p} coordinates, got shape {x.shape}")
-    if x.min() < 0.0 or x.max() > 1.0:
+def _check_unit_points(X, p: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ValueError(f"expected an (m, {p}) matrix of points, got shape {X.shape}")
+    if not ((X >= 0.0) & (X <= 1.0)).all():
         raise ValueError("coordinates must lie in [0, 1]")
-    return x
+    return X
 
 
 def _check_strong_set(strong_set, spec: NaiveKernelSpec) -> np.ndarray:
@@ -93,20 +93,22 @@ def _check_strong_set(strong_set, spec: NaiveKernelSpec) -> np.ndarray:
     return idx
 
 
-def naive_kernel(spec: NaiveKernelSpec, x, strong_set) -> float:
-    """Closed-form kernel value against the origin.
+def naive_kernel(spec: NaiveKernelSpec, X, strong_set) -> np.ndarray:
+    """Closed-form kernel value against the origin for every row of X, (m,).
 
     exp(-log(leaves) * (p_S * sum of strong coords + p_W * sum of weak)).
     Translation-variant by construction; callers wanting K(x, z) evaluate
     at |x - z|.
     """
-    x = _check_unit_vector(x, spec.p)
+    X = _check_unit_points(X, spec.p)
     strong = _check_strong_set(strong_set, spec)
     mask = np.zeros(spec.p, dtype=bool)
     mask[strong] = True
     p_s, p_w = strong_weak_weights(spec)
-    expo = p_s * x[mask].sum() + p_w * x[~mask].sum()
-    return float(np.exp(-log(spec.leaves) * expo))
+    # C-contiguous copies sum each row in the order a lone vector's sum does
+    strong_sum = np.ascontiguousarray(X[:, mask]).sum(axis=1)
+    weak_sum = np.ascontiguousarray(X[:, ~mask]).sum(axis=1)
+    return np.exp(-log(spec.leaves) * (p_s * strong_sum + p_w * weak_sum))
 
 
 def _split_coords(rng: np.random.Generator, spec: NaiveKernelSpec, k: int) -> np.ndarray:
@@ -146,9 +148,6 @@ def mc_selection_freq(
     return counts / trials
 
 
-# Each entry is an (n_trees, p) array, 8 MB at 20,000 trees and p = 50;
-# two entries serve repeated calls with one seed without holding many.
-@functools.lru_cache(maxsize=2)
 def _zero_cell_extents(spec: NaiveKernelSpec, n_trees: int, seed: int) -> np.ndarray:
     """Simulate the cell containing the origin for n_trees stylized trees;
     returns its per-coordinate upper edges after growth (n_trees, p).
@@ -166,39 +165,40 @@ def _zero_cell_extents(spec: NaiveKernelSpec, n_trees: int, seed: int) -> np.nda
         coord = _split_coords(rng, spec, sel.size)
         cuts = rng.random(sel.size) * hi[sel, coord]
         hi[sel, coord] = cuts
-    hi.setflags(write=False)
     return hi
 
 
 def mc_proximity(
-    spec: NaiveKernelSpec, x, strong_set, n_trees: int, seed: int
-) -> float:
-    """Fraction of simulated stylized trees whose origin cell contains x.
+    spec: NaiveKernelSpec, X, strong_set, n_trees: int, seed: int
+) -> np.ndarray:
+    """For every row x of X, the fraction of simulated stylized trees whose
+    origin cell contains x, (m,).
 
-    This is the direct simulation the closed form approximates; repeated
-    calls with the same (spec, n_trees, seed) reuse one simulated batch.
+    This is the direct simulation the closed form approximates; one call
+    simulates one batch of n_trees trees and scores every row against it.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    x = _check_unit_vector(x, spec.p)
+    X = _check_unit_points(X, spec.p)
     strong = _check_strong_set(strong_set, spec)
     weak = np.setdiff1d(np.arange(spec.p), strong)
-    x_canonical = np.concatenate([x[strong], x[weak]])
+    X_canonical = X[:, np.concatenate([strong, weak])]
     hi = _zero_cell_extents(spec, n_trees, seed)
-    return float((x_canonical <= hi).all(axis=1).mean())
+    # one row at a time: a broadcast compare would hold (m, n_trees, p)
+    return np.array([(x <= hi).all(axis=1).mean() for x in X_canonical])
 
 
-def breiman_kernel(x, z, leaves: int) -> float:
-    """Symmetric Laplacian kernel for fully non-adaptive splitting:
-    exp(-(log(leaves) / p) * L1 distance)."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.shape != z.shape or x.ndim != 1:
-        raise ValueError(f"need two equal-length vectors, got {x.shape} and {z.shape}")
+def breiman_kernel(Z, x0, leaves: int) -> np.ndarray:
+    """Symmetric Laplacian kernel for fully non-adaptive splitting,
+    exp(-(log(leaves) / p) * L1 distance), for every row z of Z against
+    x0, (m,)."""
+    Z = np.asarray(Z, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    if Z.ndim != 2 or x0.ndim != 1 or Z.shape[1] != x0.size:
+        raise ValueError(f"need an (m, p) matrix and a p-vector, got {Z.shape} and {x0.shape}")
     if leaves < 1:
         raise ValueError(f"leaves must be >= 1, got {leaves}")
-    p = x.size
-    return float(np.exp(-(log(leaves) / p) * np.abs(x - z).sum()))
+    return np.exp(-(log(leaves) / x0.size) * np.ascontiguousarray(np.abs(Z - x0)).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -243,11 +243,6 @@ class LaplaceKernel:
         return np.exp(-self.bandwidth * (self.weights * np.abs(Z - x0)).sum(axis=1))
 
 
-def laplace_eval(k: LaplaceKernel, x, z) -> float:
-    """k(x, z) for two single points."""
-    return float(k(np.asarray(x, dtype=np.float64)[None, :], z)[0])
-
-
 def nw_estimate(kernel, train: Dataset, x0) -> float:
     """Kernel-weighted label average over the training set at x0, from one
     batched call kernel(train.features, x0) -> (n,)."""
@@ -264,20 +259,6 @@ def weighted_l1_distances(A, B, weights) -> np.ndarray:
     B = np.asarray(B, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     return np.abs(A[:, None, :] - B[None, :, :]).dot(w)
-
-
-def laplace_regress_batch(train: Dataset, X_eval, weights, bandwidth: float) -> np.ndarray:
-    """Vectorized kernel regression for many query points at one bandwidth.
-
-    Returns NaN where the kernel mass underflows to zero.
-    """
-    D = weighted_l1_distances(X_eval, train.features, weights)
-    K = np.exp(-bandwidth * D)
-    mass = K.sum(axis=1)
-    out = np.full(X_eval.shape[0] if hasattr(X_eval, "shape") else len(X_eval), np.nan)
-    ok = mass > 0
-    out[ok] = (K[ok] @ train.labels) / mass[ok]
-    return out
 
 
 def bandwidth_sweep(

@@ -24,10 +24,6 @@ class SyntheticModel:
     high: float
     _ccpf: Callable[[np.ndarray], np.ndarray]
 
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.low, self.high)
-
 
 def _p_motivating(X: np.ndarray) -> np.ndarray:
     return np.where(X[:, 0] < 0.0, 0.3, 0.7)

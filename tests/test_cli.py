@@ -259,6 +259,48 @@ class TestBenchCommand:
         assert err["error"]["type"] == "ValueError"
 
 
+class TestTrueProbColumn:
+    """`train` and `bench --data` take the true-prob column from the one
+    CSV read they make: "auto" drops `true_prob` when the header has it."""
+
+    @staticmethod
+    def _run(command, data, choice, out):
+        extra = ["--trees", "5", "--reps", "1", "--estimators", "class_sqrt"]
+        return main([
+            command, "--data", str(data), "--true-prob-column", choice,
+            *(extra if command == "bench" else ["--trees", "5"]), "--out", str(out),
+        ])
+
+    @pytest.mark.parametrize("choice", ["auto", "none", "true_prob"])
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_empty_file_reports_data_error(self, tmp_path, capsys, command, choice):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        assert self._run(command, empty, choice, tmp_path / "out.json") == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert "empty file, header row required" in err["message"]
+
+    @pytest.mark.parametrize(
+        "choice, has_column, dropped",
+        [("auto", True, "true_prob"), ("auto", False, None), ("none", True, None),
+         ("true_prob", True, "true_prob")],
+    )
+    def test_resolved_column(self, workspace, tmp_path, choice, has_column, dropped):
+        _, data, _ = workspace
+        if not has_column:
+            header, rows = read_csv(data)
+            data = tmp_path / "no_truth.csv"
+            with data.open("w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header[:3]] + [r[:3] for r in rows])
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        assert self._run("train", data, choice, model) == 0
+        names = json.loads(model.read_text())["feature_names"]
+        assert names == ["x1", "x2"] + (["true_prob"] if has_column and not dropped else [])
+        assert self._run("bench", data, choice, report) == 0
+        assert json.loads(report.read_text())["config"]["true_prob_column"] == dropped
+
+
 class TestErrorContract:
     def test_missing_file_machine_readable(self, capsys, tmp_path):
         rc = main([

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,6 @@ from forestprox.diagnostics import (
     prob_histogram,
 )
 from forestprox.kernel_lab import LaplaceKernel, breiman_kernel
-
-
-def batched(k):
-    """The batched form k(Z, x0) -> (m,) of a kernel k(x, z), row by row."""
-    return lambda Z, z: np.array([k(x, z) for x in Z])
 
 
 def laplace(bandwidth, weights):
@@ -59,8 +56,8 @@ class TestDirectionalDerivative:
         x0 = np.array([0.5, 0.5])
         kernels = [
             laplace(0.7, [0.3, 0.7]),
-            batched(lambda x, z: breiman_kernel(x, z, 16)),
-            batched(lambda x, z: naive_kernel(spec, np.abs(x - z), [0])),
+            partial(breiman_kernel, leaves=16),
+            lambda Z, z: naive_kernel(spec, np.abs(Z - z), [0]),
         ]
         for k in kernels:
             for j in (0, 1):
@@ -134,7 +131,7 @@ class TestKernelGrid:
         assert grid.values[5, 5] == pytest.approx(1.0)
 
     def test_symmetric_kernel_symmetric_grid(self):
-        k = batched(lambda x, z: breiman_kernel(x, z, 32))
+        k = partial(breiman_kernel, leaves=32)
         grid = kernel_grid(k, np.zeros(2), (0, 1), 21, ((-1, 1), (-1, 1)))
         np.testing.assert_allclose(grid.values, grid.values[::-1, :], atol=1e-12)
         np.testing.assert_allclose(grid.values, grid.values[:, ::-1], atol=1e-12)

@@ -11,7 +11,6 @@ from forestprox.kernel_lab import (
     bandwidth_sweep,
     breiman_kernel,
     default_bandwidth_grid,
-    laplace_eval,
     mc_proximity,
     mc_selection_freq,
     naive_kernel,
@@ -166,68 +165,99 @@ class TestMcSelectionFreq:
         assert all(b < a for a, b in zip(weak_freqs, weak_freqs[1:]))
 
 
+def naive_row(spec, x, strong_set):
+    """Per-row reference for naive_kernel: the closed form on one point."""
+    mask = np.zeros(spec.p, dtype=bool)
+    mask[list(strong_set)] = True
+    p_s, p_w = strong_weak_weights(spec)
+    return float(np.exp(-np.log(spec.leaves) * (p_s * x[mask].sum() + p_w * x[~mask].sum())))
+
+
+def breiman_row(x, z, leaves):
+    """Per-row reference for breiman_kernel."""
+    return float(np.exp(-(np.log(leaves) / x.size) * np.abs(x - z).sum()))
+
+
 class TestNaiveKernel:
     def test_at_origin(self):
         spec = NaiveKernelSpec(leaves=32, strong=2, weak=3, mtry=2)
-        assert naive_kernel(spec, np.zeros(5), [0, 1]) == 1.0
+        np.testing.assert_array_equal(naive_kernel(spec, np.zeros((1, 5)), [0, 1]), [1.0])
 
     def test_single_leaf_tree_is_flat(self):
         spec = NaiveKernelSpec(leaves=1, strong=2, weak=3, mtry=2)
-        x = np.array([0.4, 0.2, 0.9, 0.1, 0.5])
-        assert naive_kernel(spec, x, [0, 1]) == 1.0
+        x = np.array([[0.4, 0.2, 0.9, 0.1, 0.5]])
+        np.testing.assert_array_equal(naive_kernel(spec, x, [0, 1]), [1.0])
 
     def test_weak_coordinate_ignored_when_strong_always_chosen(self):
         spec = NaiveKernelSpec(leaves=32, strong=1, weak=1, mtry=2)
-        for x2 in (0.0, 0.4, 0.9):
-            val = naive_kernel(spec, np.array([0.25, x2]), [0])
+        X = np.array([[0.25, x2] for x2 in (0.0, 0.4, 0.9)])
+        for val in naive_kernel(spec, X, [0]):
             assert val == pytest.approx(np.exp(-np.log(32) * 0.25))
 
     def test_strong_set_relabeling(self):
         spec = NaiveKernelSpec(leaves=16, strong=1, weak=2, mtry=2)
-        a = naive_kernel(spec, np.array([0.3, 0.1, 0.2]), [0])
-        b = naive_kernel(spec, np.array([0.1, 0.3, 0.2]), [1])
-        assert a == pytest.approx(b)
+        a = naive_kernel(spec, np.array([[0.3, 0.1, 0.2]]), [0])
+        b = naive_kernel(spec, np.array([[0.1, 0.3, 0.2]]), [1])
+        assert a[0] == pytest.approx(b[0])
 
     def test_rejects_bad_inputs(self):
         spec = NaiveKernelSpec(leaves=4, strong=1, weak=1, mtry=1)
         with pytest.raises(ValueError):
-            naive_kernel(spec, np.array([0.5, 1.5]), [0])
+            naive_kernel(spec, np.array([[0.5, 1.5]]), [0])
         with pytest.raises(ValueError):
-            naive_kernel(spec, np.array([0.5]), [0])
+            naive_kernel(spec, np.array([[0.5]]), [0])
         with pytest.raises(ValueError):
-            naive_kernel(spec, np.array([0.5, 0.5]), [0, 1])
+            naive_kernel(spec, np.array([[0.5, 0.5]]), [0, 1])
+        with pytest.raises(ValueError):
+            naive_kernel(spec, np.array([0.5, 0.5]), [0])
+        with pytest.raises(ValueError):
+            naive_kernel(spec, np.array([[0.5, np.nan]]), [0])
+
+    # sums over 8 or more coordinates show a change of summation order
+    @pytest.mark.parametrize(
+        "S, W, mtry, strong_set",
+        [
+            (5, 45, 1, range(5)),
+            (0, 40, 20, []),
+            (12, 0, 6, range(12)),
+            (9, 30, 3, [2, 8, 10, 33, 1, 5, 6, 7, 20]),
+            (1, 1, 1, [1]),
+        ],
+    )
+    def test_rows_bit_identical_to_per_row_formula(self, S, W, mtry, strong_set):
+        rng = np.random.default_rng(S * 100 + W)
+        spec = NaiveKernelSpec(32, S, W, mtry)
+        X = rng.random((40, S + W))
+        got = naive_kernel(spec, X, strong_set)
+        assert got.shape == (40,)
+        np.testing.assert_array_equal(got, [naive_row(spec, x, strong_set) for x in X])
+        # a column-major input gives the same bits
+        np.testing.assert_array_equal(naive_kernel(spec, np.asfortranarray(X), strong_set), got)
 
 
 class TestMcProximity:
-    def test_simulation_cache_stays_small(self):
-        # each cached batch is (n_trees, p); changing seeds must not pile them up
-        spec = NaiveKernelSpec(leaves=8, strong=1, weak=2, mtry=2)
-        cache = kernel_lab._zero_cell_extents
-        cache.cache_clear()
-        for seed in range(5):
-            mc_proximity(spec, np.full(3, 0.5), [0], n_trees=200, seed=seed)
-            assert cache.cache_info().currsize <= 2
-        hits = cache.cache_info().hits
-        mc_proximity(spec, np.full(3, 0.25), [0], n_trees=200, seed=4)
-        assert cache.cache_info().hits == hits + 1
-
     def test_same_point_certain(self):
         spec = NaiveKernelSpec(leaves=16, strong=1, weak=1, mtry=1)
-        assert mc_proximity(spec, np.zeros(2), [0], n_trees=500, seed=0) == 1.0
+        np.testing.assert_array_equal(
+            mc_proximity(spec, np.zeros((1, 2)), [0], n_trees=500, seed=0), [1.0]
+        )
 
     def test_single_leaf_certain(self):
         spec = NaiveKernelSpec(leaves=1, strong=1, weak=1, mtry=1)
-        assert mc_proximity(spec, np.array([0.9, 0.9]), [0], n_trees=500, seed=0) == 1.0
+        np.testing.assert_array_equal(
+            mc_proximity(spec, np.array([[0.9, 0.9]]), [0], n_trees=500, seed=0), [1.0]
+        )
 
     def test_matches_exact_law_single_coordinate_family(self):
         # S=1, W=1, mtry=2: the origin cell only ever splits on the strong
         # coordinate, so the exact law is computable by dynamic programming
         trees = 60_000
+        xs = (0.1, 0.3, 0.5)
         for leaves in (8, 32):
-            for x in (0.1, 0.3, 0.5):
-                spec = NaiveKernelSpec(leaves, 1, 1, 2)
+            spec = NaiveKernelSpec(leaves, 1, 1, 2)
+            mcs = mc_proximity(spec, np.array([[x, 0.7] for x in xs]), [0], trees, seed=21)
+            for x, mc in zip(xs, mcs):
                 exact = exact_single_coord_kernel(leaves, x)
-                mc = mc_proximity(spec, np.array([x, 0.7]), [0], trees, seed=21)
                 sigma = np.sqrt(exact * (1 - exact) / trees)
                 assert abs(mc - exact) <= 4 * sigma
 
@@ -236,12 +266,12 @@ class TestMcProximity:
         # exact value at leaves=32, x_strong=0.1 is 0.2790, far from the
         # closed form's 0.7071
         spec = NaiveKernelSpec(32, 1, 1, 2)
-        x = np.array([0.1, 0.9])
+        x = np.array([[0.1, 0.9]])
         exact = exact_single_coord_kernel(32, 0.1)
         assert exact == pytest.approx(0.27904, abs=1e-5)
-        mc = mc_proximity(spec, x, [0], n_trees=20_000, seed=11)
+        mc = mc_proximity(spec, x, [0], n_trees=20_000, seed=11)[0]
         assert mc == pytest.approx(exact, abs=0.02)
-        ana = naive_kernel(spec, x, [0])
+        ana = naive_kernel(spec, x, [0])[0]
         assert ana == pytest.approx(0.70711, abs=1e-5)
         assert ana - mc > 0.3
 
@@ -252,19 +282,41 @@ class TestMcProximity:
         for S, W, mtry in ((5, 45, 5), (5, 85, 10)):
             spec = NaiveKernelSpec(32, S, W, mtry)
             p = S + W
-            devs = []
-            for _ in range(6):
-                x = 0.5 * rng.random() * rng.dirichlet(np.ones(p))
-                ana = naive_kernel(spec, x, list(range(S)))
-                mc = mc_proximity(spec, x, list(range(S)), 20_000, seed=9)
-                devs.append(abs(ana - mc))
-            assert np.mean(devs) <= 0.05
+            X = np.array([0.5 * rng.random() * rng.dirichlet(np.ones(p)) for _ in range(6)])
+            ana = naive_kernel(spec, X, list(range(S)))
+            mc = mc_proximity(spec, X, list(range(S)), 20_000, seed=9)
+            assert np.mean(np.abs(ana - mc)) <= 0.05
 
     def test_strong_set_relabeling(self):
         spec = NaiveKernelSpec(16, 1, 2, 2)
-        a = mc_proximity(spec, np.array([0.3, 0.1, 0.2]), [0], 5000, seed=4)
-        b = mc_proximity(spec, np.array([0.1, 0.3, 0.2]), [1], 5000, seed=4)
-        assert a == b
+        a = mc_proximity(spec, np.array([[0.3, 0.1, 0.2]]), [0], 5000, seed=4)
+        b = mc_proximity(spec, np.array([[0.1, 0.3, 0.2]]), [1], 5000, seed=4)
+        np.testing.assert_array_equal(a, b)
+
+    def test_batch_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(8)
+        spec = NaiveKernelSpec(16, 2, 4, 3)
+        X = 0.4 * rng.random((12, 6))
+        got = mc_proximity(spec, X, [4, 1], 3000, seed=6)
+        assert got.shape == (12,)
+        for i, x in enumerate(X):
+            one = mc_proximity(spec, x[None], [4, 1], 3000, seed=6)
+            np.testing.assert_array_equal(got[i : i + 1], one)
+
+    def test_batch_memory_at_20000_trees(self):
+        # 30 rows against (20,000, 50) extents: compared row by row this
+        # peaks near 25 MB; one broadcast compare would hold 30 MB of bools
+        import tracemalloc
+
+        spec = NaiveKernelSpec(32, 5, 45, 15)
+        X = np.tile(np.linspace(0.0, 0.02, 50), (30, 1))
+        tracemalloc.start()
+        try:
+            mc_proximity(spec, X, range(5), 20_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
 
 
 class TestCandidateDraws:
@@ -299,7 +351,7 @@ class TestCandidateDraws:
         spec = self.SPECS[k]
         freq = mc_selection_freq(spec, 3000, 5, chunk=1000)
         np.testing.assert_array_equal(freq, np.array(self.SELECTION_COUNTS[k]) / 3000)
-        hi = kernel_lab._zero_cell_extents.__wrapped__(spec, 500, 7)
+        hi = kernel_lab._zero_cell_extents(spec, 500, 7)
         assert hashlib.sha256(hi.tobytes()).hexdigest() == self.EXTENT_DIGESTS[k]
 
     def test_transient_memory_at_20000_trees(self):
@@ -309,7 +361,7 @@ class TestCandidateDraws:
         spec = NaiveKernelSpec(32, 5, 45, 15)
         tracemalloc.start()
         try:
-            kernel_lab._zero_cell_extents.__wrapped__(spec, 20_000, 3)
+            kernel_lab._zero_cell_extents(spec, 20_000, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -319,35 +371,42 @@ class TestCandidateDraws:
 class TestBreimanKernel:
     def test_identity_and_flat(self):
         x = np.array([0.2, 0.8])
-        assert breiman_kernel(x, x, 32) == 1.0
-        assert breiman_kernel(x, np.array([0.5, 0.1]), 1) == 1.0
+        np.testing.assert_array_equal(breiman_kernel(x[None], x, 32), [1.0])
+        np.testing.assert_array_equal(breiman_kernel(np.array([[0.5, 0.1]]), x, 1), [1.0])
 
     def test_hand_value(self):
-        x = np.array([0.5, 0.25])
+        x = np.array([[0.5, 0.25]])
         z = np.zeros(2)
         got = breiman_kernel(x, z, np.e**2)
-        assert got == pytest.approx(np.exp(-0.75))
+        assert got[0] == pytest.approx(np.exp(-0.75))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            breiman_kernel(np.zeros(2), np.zeros(3), 8)
+            breiman_kernel(np.zeros((1, 2)), np.zeros(3), 8)
+        with pytest.raises(ValueError):
+            breiman_kernel(np.zeros(2), np.zeros(2), 8)
+
+    def test_rows_bit_identical_to_per_row_formula(self):
+        rng = np.random.default_rng(4)
+        Z, x0 = rng.normal(size=(25, 20)), rng.normal(size=20)
+        got = breiman_kernel(Z, x0, 32)
+        np.testing.assert_array_equal(got, [breiman_row(z, x0, 32) for z in Z])
+        np.testing.assert_array_equal(breiman_kernel(np.asfortranarray(Z), x0, 32), got)
 
 
 class TestLaplaceKernel:
     def test_identity(self):
         k = LaplaceKernel(1.0, np.array([0.5, 0.5]))
         x = np.array([0.3, 0.4])
-        assert laplace_eval(k, x, x) == 1.0
+        np.testing.assert_array_equal(k(x[None], x), [1.0])
 
     def test_zero_bandwidth_flat(self):
         k = LaplaceKernel(0.0, np.array([0.5, 0.5]))
-        assert laplace_eval(k, np.zeros(2), np.array([9.0, -3.0])) == 1.0
+        np.testing.assert_array_equal(k(np.zeros((1, 2)), np.array([9.0, -3.0])), [1.0])
 
     def test_skewed_hand_value(self):
         k = LaplaceKernel(1.0, np.array([10.0, 1.0]))
-        assert laplace_eval(k, np.array([0.1, 0.2]), np.zeros(2)) == pytest.approx(
-            np.exp(-1.2)
-        )
+        assert k(np.array([[0.1, 0.2]]), np.zeros(2))[0] == pytest.approx(np.exp(-1.2))
 
     def test_normalized_constructor(self):
         k = LaplaceKernel.normalized(2.0, np.array([10.0, 1.0, 9.0]))
@@ -368,7 +427,6 @@ class TestLaplaceKernel:
         Z, x0 = rng.normal(size=(12, 3)), rng.normal(size=3)
         rows = [np.exp(-0.9 * (k.weights * np.abs(z - x0)).sum()) for z in Z]
         np.testing.assert_array_equal(k(Z, x0), rows)
-        assert laplace_eval(k, Z[4], x0) == rows[4]
 
     @pytest.mark.parametrize("Z, x0", [(np.zeros(2), np.zeros(2)), (np.zeros((3, 2)), np.zeros(3))])
     def test_batched_call_rejects_mismatched_shapes(self, Z, x0):
