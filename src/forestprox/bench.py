@@ -130,6 +130,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.junk < 0:
+            raise ValueError(f"junk must be >= 0, got {self.junk}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
         if self.source == "csv" and not self.csv_path:

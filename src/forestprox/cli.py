@@ -164,10 +164,15 @@ def _true_prob_column(args) -> str | None:
     return None if args.data is None or args.true_prob_column == "none" else args.true_prob_column
 
 
+def _with_junk(data, args):
+    """`data` with args.junk junk predictors appended, none for 0."""
+    if args.junk < 0:
+        raise ValueError(f"--junk must be >= 0, got {args.junk}")
+    return augment_junk(data, args.junk, args.seed + 1) if args.junk else data
+
+
 def _cmd_simulate(args) -> int:
-    data = sample(get_model(args.model), args.n, args.seed)
-    if args.junk > 0:
-        data = augment_junk(data, args.junk, args.seed + 1)
+    data = _with_junk(sample(get_model(args.model), args.n, args.seed), args)
     save_csv(data, args.out)
     return 0
 
@@ -176,8 +181,7 @@ def _cmd_train(args) -> int:
     data = load_csv(
         args.data, _int_or_text(args.label_column), true_prob_column=_true_prob_column(args)
     )
-    if args.junk > 0:
-        data = augment_junk(data, args.junk, args.seed + 1)
+    data = _with_junk(data, args)
     split_mode, default_mns = MODE_GROWTH[args.mode]
     mns = default_mns if args.min_node_size is None else args.min_node_size
     mtry_arg = _int_or_text(args.mtry)

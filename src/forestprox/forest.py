@@ -27,11 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import Dataset
-from .tree import Tree, TreeParams, grow_tree, route
+from .tree import Tree, TreeParams, first_child, grow_tree, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
-FOREST_FORMAT = "forestprox-forest-v3"
+FOREST_FORMAT = "forestprox-forest-v4"
 
 # Integer dtypes from narrowest to widest. `save` writes an integer array
 # in the first that holds its min and max; there is no '<u8', so every
@@ -68,9 +68,9 @@ class Forest:
     """Every tree's nodes in one table.
 
     Tree t owns the n_nodes[t] nodes from roots[t] on. The node arrays
-    are those of `Tree`, concatenated: left and right stay tree-local.
-    For routing, children[2k + 1] and children[2k] are internal node k's
-    left and right child as indices into the whole table (-1 at leaves).
+    are those of `Tree`, concatenated, so every tree is numbered
+    breadth-first; internal node k's children are first_child[k] and
+    first_child[k] + 1, indices into the whole table (-1 at leaves).
     inbag[t] is tree t's in-bag count vector.
     """
 
@@ -78,13 +78,10 @@ class Forest:
     params: ForestParams
     seeds: tuple[int, ...]
     roots: np.ndarray
-    children: np.ndarray
+    first_child: np.ndarray
     inbag: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    node_depth: np.ndarray
     leaf_n: np.ndarray
     leaf_pos: np.ndarray
 
@@ -93,9 +90,9 @@ class Forest:
         """Concatenate the trees' node arrays into one table."""
         a = {k: np.concatenate([getattr(t, k) for t in trees]) for k in _NODE_ARRAYS}
         sizes = np.array([t.n_nodes for t in trees])
-        roots, children = _check_nodes(a, sizes, len(trees), train.p)
+        roots, first = _check_nodes(a, sizes, len(trees), train.p)
         inbag = np.stack([t.inbag for t in trees])
-        return cls(train, params, tuple(t.seed for t in trees), roots, children, inbag, **a)
+        return cls(train, params, tuple(t.seed for t in trees), roots, first, inbag, **a)
 
     @property
     def n_trees(self) -> int:
@@ -144,7 +141,7 @@ class Forest:
         return self.leaves(self.train.features)
 
     def _route(self, X: np.ndarray) -> np.ndarray:
-        return route(self.feature, self.threshold, self.children, self.roots, X)
+        return route(self.feature, self.threshold, self.first_child, self.roots, X)
 
     def leaves(self, X) -> np.ndarray:
         """Leaf reached by every row of X in every tree, shape (T, q).
@@ -217,11 +214,11 @@ class Forest:
     def stats(self) -> dict[str, float]:
         return {
             "mean_leaf_count": float((self.feature < 0).sum() / self.n_trees),
-            "mean_depth": float(np.maximum.reduceat(self.node_depth, self.roots).mean()),
+            "mean_depth": float(np.mean([self.tree(t).depth for t in range(self.n_trees)])),
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the forest as a `forestprox-forest-v3` file (README "File
+        """Write the forest as a `forestprox-forest-v4` file (README "File
         formats"). Leaf counts are not written; `load` derives them."""
         tr = self.train
         arrays = {
@@ -230,7 +227,8 @@ class Forest:
             "true_probs": tr.true_probs,
             "inbag": self.inbag,
             "n_nodes": self.n_nodes,
-            **{k: getattr(self, k) for k in _NODE_ARRAYS[:5]},
+            "feature": self.feature,
+            "threshold": self.threshold,
         }
         payload = {
             "format": FOREST_FORMAT,
@@ -268,29 +266,29 @@ class Forest:
         tp = None if tp is None else _decode(tp, "true_probs", "f")
         train = Dataset(a.pop("features"), a.pop("labels"), tuple(names), tp)
         inbag, n = a.pop("inbag"), train.n
-        roots, children = _check_nodes(a, a.pop("n_nodes"), len(seeds), train.p)
+        roots, first = _check_nodes(a, a.pop("n_nodes"), len(seeds), train.p)
         if (inbag.dtype.kind != "i" or inbag.shape != (len(seeds), n)
                 or ((inbag < 0) | (inbag > n)).any() or (inbag.sum(axis=1) != n).any()):
             raise ValueError(
                 f"inbag must hold {n} non-negative integer counts summing to {n} per tree"
             )
-        G = route(a["feature"], a["threshold"], children, roots, train.features)
+        G = route(a["feature"], a["threshold"], first, roots, train.features)
         a["leaf_n"], a["leaf_pos"] = (
             np.bincount(G.ravel(), weights=w.ravel(), minlength=len(a["feature"])).astype(np.int64)
             for w in (inbag, inbag * train.labels)
         )
         if (a["leaf_n"][a["feature"] < 0] == 0).any():
             raise ValueError("every leaf needs leaf_n > 0: a leaf holds no in-bag training row")
-        forest = cls(train, params, tuple(seeds), roots, children, inbag, **a)
+        forest = cls(train, params, tuple(seeds), roots, first, inbag, **a)
         forest.__dict__["_train_leaves"] = G - roots[:, None]  # voting_weights reuses the routing
         return forest
 
 
-# A tree's node arrays; a file holds the first five, and `load` derives
+# A tree's node arrays; a file holds the first two, and `load` derives
 # leaf_n and leaf_pos.
-_NODE_ARRAYS = ("feature", "threshold", "left", "right", "node_depth", "leaf_n", "leaf_pos")
+_NODE_ARRAYS = ("feature", "threshold", "leaf_n", "leaf_pos")
 
-# Every array a v3 file must hold but true_probs, with the kind it must
+# Every array a v4 file must hold but true_probs, with the kind it must
 # hold ('f' float64, 'i' integers); inbag's kind is checked with its counts.
 _ARRAY_KINDS = {
     "features": "f",
@@ -299,9 +297,6 @@ _ARRAY_KINDS = {
     "n_nodes": "i",
     "feature": "i",
     "threshold": "f",
-    "left": "i",
-    "right": "i",
-    "node_depth": "i",
 }
 
 
@@ -350,38 +345,33 @@ def _decode(header, name: str, kind: str | None) -> np.ndarray:
 
 def _check_nodes(a: dict, sizes: np.ndarray, n_trees: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Check n_trees trees of sizes[t] nodes each, their node arrays in
-    `a`, and return their roots and the routing children (see `Forest`).
+    `a`, and return their roots and first children (see `Forest`).
 
-    Every tree is nonempty and the node arrays have one length; every
-    child index exceeds its parent's and lies inside the parent's tree,
-    so routing always ends at a leaf; splits use a feature in [0, p) and
-    a finite threshold; node_depth is 0 at each root and its parent's
-    plus one elsewhere.
+    Every tree is nonempty and the node arrays have one length. A tree
+    with r internal nodes has 2r + 1 nodes, and its r-th internal node
+    comes before node 2r + 1, so every child index exceeds its parent's
+    and lies inside the tree, and routing always ends at a leaf. Splits
+    use a feature in [0, p) and a finite threshold.
     """
-    feature, left, right = a["feature"], a["left"], a["right"]
+    feature = a["feature"]
     m = feature.size
     # sizes are bounded before they are summed, so the sum cannot wrap
     if (sizes.shape != (n_trees,) or ((sizes < 1) | (sizes > m)).any() or sizes.sum() != m
-            or any(a[k].shape != (m,) for k in _NODE_ARRAYS[:5])):
+            or a["threshold"].shape != (m,)):
         raise ValueError("tree node arrays must be nonempty and of one length, the sum of n_nodes")
     roots = np.cumsum(sizes) - sizes
     tree_of = np.repeat(np.arange(n_trees), sizes)
     inner = np.flatnonzero(feature >= 0)
-    base = roots[tree_of[inner]]
-    kids = np.stack([right[inner], left[inner]], axis=1).astype(np.intp)
-    if ((kids <= (inner - base)[:, None]) | (kids >= sizes[tree_of[inner]][:, None])).any():
-        raise ValueError("every child index must exceed its parent's and be < its tree's n_nodes")
+    if (2 * np.bincount(tree_of[inner], minlength=n_trees) + 1 != sizes).any():
+        raise ValueError("a tree of r splits needs 2r + 1 nodes, or a child index leaves it")
+    first = first_child(feature, tree_of)
+    if (first[inner] <= inner).any():
+        raise ValueError("a tree's r-th split must come before node 2r + 1, its first child index")
     if (feature[inner] >= p).any():
         raise ValueError(f"split feature outside [0, {p})")
     if not np.isfinite(a["threshold"][inner]).all():
         raise ValueError("split thresholds must be finite")
-    kids += base[:, None]
-    depth = a["node_depth"]
-    if (depth[roots] != 0).any() or (depth[kids] != depth[inner, None] + 1).any():
-        raise ValueError("node_depth must be 0 at each root and its parent's plus 1 elsewhere")
-    children = np.full((m, 2), -1, dtype=np.intp)
-    children[inner] = kids
-    return roots, children.ravel()
+    return roots, first
 
 
 def train_forest(d: Dataset, params: ForestParams) -> Forest:

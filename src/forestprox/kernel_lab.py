@@ -184,8 +184,10 @@ def mc_proximity(
     weak = np.setdiff1d(np.arange(spec.p), strong)
     X_canonical = X[:, np.concatenate([strong, weak])]
     hi = _zero_cell_extents(spec, n_trees, seed)
-    # one row at a time: a broadcast compare would hold (m, n_trees, p)
-    return np.array([(x <= hi).all(axis=1).mean() for x in X_canonical])
+    # one row at a time: a broadcast compare would hold (m, n_trees, p); a
+    # zero coordinate always passes, since the extents are >= 0
+    nonzero = [np.flatnonzero(x) for x in X_canonical]
+    return np.array([(x[j] <= hi[:, j]).all(axis=1).mean() for x, j in zip(X_canonical, nonzero)])
 
 
 def breiman_kernel(Z, x0, leaves: int) -> np.ndarray:

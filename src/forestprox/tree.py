@@ -10,8 +10,7 @@ and leaf co-occupancy can be read back out.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,15 +59,27 @@ class Split:
     score: float
 
 
-def route(feature, threshold, children, roots, X) -> np.ndarray:
+def first_child(feature, tree=0) -> np.ndarray:
+    """First child of every internal node, -1 at leaves.
+
+    A breadth-first tree's r-th internal node has children 2r + 1 and
+    2r + 2. Over trees stored one after another, tree[k] the tree of node
+    k, the table's R-th internal node has first child 2R + tree + 1.
+    """
+    inner = feature >= 0
+    rank = np.cumsum(inner) - inner
+    return np.where(inner, 2 * rank + tree + 1, -1)
+
+
+def route(feature, threshold, first, roots, X) -> np.ndarray:
     """Node reached by every (tree, row) pair, shape (len(roots), q).
 
     The node arrays hold one or more trees, and tree t starts at node
     roots[t]. A node is a leaf when its feature is negative; otherwise
-    children[2k] and children[2k + 1] are node k's right and left child,
-    indices into the same arrays. All pairs descend together, one level
-    per pass, and only those still at an internal node are carried on.
-    Rows with x[feature] <= threshold go left.
+    its children are first[k] and first[k] + 1 (see `first_child`). All
+    pairs descend together, one level per pass, and only those still at
+    an internal node are carried on. Rows with x[feature] <= threshold go
+    to the first child, all others (NaN too) to the second.
     """
     q, p = X.shape
     flat = np.ascontiguousarray(X).ravel()
@@ -77,8 +88,7 @@ def route(feature, threshold, children, roots, X) -> np.ndarray:
     live = np.flatnonzero(feature[node] >= 0)
     while live.size:
         at = node[live]
-        go_left = flat[base[live] + feature[at]] <= threshold[at]
-        at = children[2 * at + go_left]
+        at = first[at] + ~(flat[base[live] + feature[at]] <= threshold[at])
         node[live] = at
         live = live[feature[at] >= 0]
     return node.reshape(len(roots), q)
@@ -89,10 +99,11 @@ _ROOT = np.zeros(1, dtype=np.intp)
 
 @dataclass
 class Tree:
-    """Flat-array binary tree; node 0 is the root.
+    """Flat-array binary tree, numbered breadth-first from the root, node 0.
 
-    Internal nodes have `feature >= 0`; leaves have feature -1. inbag[r]
-    is how often training row r was drawn for the tree (all ones without
+    Internal nodes have `feature >= 0`; leaves have feature -1, and the
+    r-th internal node's children are nodes 2r + 1 and 2r + 2. inbag[i]
+    is how often training row i was drawn for the tree (all ones without
     bootstrap). A leaf's leaf_n and leaf_pos count the training rows that
     reach it, and the positive ones, at that multiplicity; both are 0 at
     internal nodes.
@@ -100,14 +111,11 @@ class Tree:
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    node_depth: np.ndarray
     leaf_n: np.ndarray
     leaf_pos: np.ndarray
     inbag: np.ndarray
     seed: int
-    n_features: int = field(default=0)
+    n_features: int
 
     @property
     def n_nodes(self) -> int:
@@ -118,19 +126,40 @@ class Tree:
         return int((self.feature < 0).sum())
 
     @property
+    def left(self) -> np.ndarray:
+        """Child of every internal node that rows with x <= threshold go to;
+        -1 at leaves."""
+        return first_child(self.feature)
+
+    @property
+    def right(self) -> np.ndarray:
+        return np.where(self.feature < 0, -1, self.left + 1)
+
+    @property
+    def node_depth(self) -> np.ndarray:
+        """Depth of every node. Levels are contiguous, and a level with r
+        internal nodes is followed by one of 2r nodes."""
+        depth = np.empty(self.n_nodes, dtype=np.int64)
+        start, end, d = 0, 1, 0
+        while start < end:
+            depth[start:end] = d
+            start, end, d = end, end + 2 * int((self.feature[start:end] >= 0).sum()), d + 1
+        return depth
+
+    @property
     def depth(self) -> int:
-        return int(self.node_depth[self.feature < 0].max())
+        return int(self.node_depth.max())
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node index for every row of X."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (q, {self.n_features}) matrix, got {X.shape}")
-        children = np.stack([self.right, self.left], axis=1).ravel()
-        return route(self.feature, self.threshold, children, _ROOT, X)[0]
+        return route(self.feature, self.threshold, first_child(self.feature), _ROOT, X)[0]
 
     def to_dict(self) -> dict:
         """Nested inspection structure; see README for the field contract."""
+        left = self.left
         children: dict[int, dict] = {}
         # build bottom-up so no recursion is needed on deep trees
         for i in range(self.n_nodes - 1, -1, -1):
@@ -140,8 +169,8 @@ class Tree:
                 children[i] = {
                     "feature": int(self.feature[i]),
                     "threshold": float(self.threshold[i]),
-                    "left": children[int(self.left[i])],
-                    "right": children[int(self.right[i])],
+                    "left": children[int(left[i])],
+                    "right": children[int(left[i]) + 1],
                 }
         return {
             "seed": self.seed,
@@ -152,40 +181,20 @@ class Tree:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Tree":
-        feature, threshold, left, right, depth = [], [], [], [], []
-        leaf_n, leaf_pos = [], []
-
-        def new_node(d: int) -> int:
-            feature.append(-1)
-            threshold.append(np.nan)
-            left.append(-1)
-            right.append(-1)
-            depth.append(d)
-            leaf_n.append(0)
-            leaf_pos.append(0)
-            return len(feature) - 1
-
-        queue = deque([(payload["root"], new_node(0))])
-        while queue:
-            node, idx = queue.popleft()
+        nodes = [payload["root"]]
+        for node in nodes:  # the list grows as it is read: a breadth-first walk
             if "feature" in node:
-                feature[idx] = int(node["feature"])
-                threshold[idx] = float(node["threshold"])
-                left[idx] = new_node(depth[idx] + 1)
-                right[idx] = new_node(depth[idx] + 1)
-                queue.append((node["left"], left[idx]))
-                queue.append((node["right"], right[idx]))
-            else:
-                leaf_n[idx] = int(node["n"])
-                leaf_pos[idx] = int(node["positives"])
+                nodes += (node["left"], node["right"])
+        feature, threshold, leaf_n, leaf_pos = zip(*(
+            (node["feature"], node["threshold"], 0, 0) if "feature" in node
+            else (-1, np.nan, node["n"], node["positives"])
+            for node in nodes
+        ))
         return cls(
-            feature=np.asarray(feature, dtype=np.int32),
-            threshold=np.asarray(threshold, dtype=np.float64),
-            left=np.asarray(left, dtype=np.int32),
-            right=np.asarray(right, dtype=np.int32),
-            node_depth=np.asarray(depth, dtype=np.int32),
-            leaf_n=np.asarray(leaf_n, dtype=np.int64),
-            leaf_pos=np.asarray(leaf_pos, dtype=np.int64),
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=np.float64),
+            leaf_n=np.array(leaf_n, dtype=np.int64),
+            leaf_pos=np.array(leaf_pos, dtype=np.int64),
             inbag=np.asarray(payload["inbag"], dtype=np.int64),
             seed=int(payload.get("seed", 0)),
             n_features=int(payload["n_features"]),
@@ -342,7 +351,6 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
     # splits left in the leaf budget; a tree never has more than n leaves
     budget = n if params.max_leaves is None else params.max_leaves - 1
     levels = []
-    n_nodes = depth = 0
     while sizes.size:
         cnt = sizes.size
         starts = np.cumsum(sizes) - sizes
@@ -384,13 +392,7 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
 
         leaf = feature < 0
         split = np.flatnonzero(~leaf)
-        n_nodes += cnt
-        left = np.full(cnt, -1, dtype=np.int64)
-        left[split] = n_nodes + 2 * np.arange(split.size)
-        levels.append(
-            (feature, threshold, left, np.where(leaf, -1, left + 1), np.full(cnt, depth),
-             np.where(leaf, sizes, 0), np.where(leaf, pos, 0))
-        )
+        levels.append((feature, threshold, np.where(leaf, sizes, 0), np.where(leaf, pos, 0)))
 
         # stable partition: each split node's left rows, then its right rows
         node_of = np.repeat(np.arange(cnt), sizes)
@@ -400,17 +402,11 @@ def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
         rows = rows[np.argsort(2 * node_of + go_right, kind="stable")]
         n_left = np.bincount(node_of[~go_right], minlength=cnt)[split]
         sizes = np.stack([n_left, sizes[split] - n_left], axis=1).ravel()
-        depth += 1
 
-    feature, threshold, left, right, node_depth, leaf_n, leaf_pos = (
-        np.concatenate(cols) for cols in zip(*levels)
-    )
+    feature, threshold, leaf_n, leaf_pos = (np.concatenate(cols) for cols in zip(*levels))
     return Tree(
         feature=feature.astype(np.int32),
         threshold=threshold,
-        left=left.astype(np.int32),
-        right=right.astype(np.int32),
-        node_depth=node_depth.astype(np.int32),
         leaf_n=leaf_n.astype(np.int64),
         leaf_pos=leaf_pos.astype(np.int64),
         inbag=inbag,

@@ -63,13 +63,12 @@ class TestTrainPredict:
         _, _, model = workspace
         payload = json.loads(model.read_text())
         assert set(payload) == {"format", "params", "feature_names", "seeds", "arrays"}
-        assert payload["format"] == "forestprox-forest-v3"
+        assert payload["format"] == "forestprox-forest-v4"
         assert payload["params"]["n_trees"] == 25
         assert len(payload["seeds"]) == 25
         arrays = payload["arrays"]
         assert set(arrays) == {
-            "features", "labels", "true_probs", "inbag", "n_nodes",
-            "feature", "threshold", "left", "right", "node_depth",
+            "features", "labels", "true_probs", "inbag", "n_nodes", "feature", "threshold",
         }
         for h in arrays.values():
             assert set(h) == {"dtype", "shape", "data"}
@@ -79,7 +78,7 @@ class TestTrainPredict:
         assert arrays["labels"]["dtype"] == "|u1"  # integers are narrowed
         h = arrays["n_nodes"]
         m = int(np.frombuffer(base64.b64decode(h["data"]), h["dtype"]).sum())
-        for name in ("feature", "threshold", "left", "right", "node_depth"):
+        for name in ("feature", "threshold"):
             assert arrays[name]["shape"] == [m]
 
     def test_true_prob_column_not_leaked_into_features(self, workspace):
@@ -259,6 +258,41 @@ class TestBenchCommand:
         assert err["error"]["type"] == "ValueError"
 
 
+class TestBadCounts:
+    """A count no run can use is refused with the JSON error before any
+    forest is grown or any file written."""
+
+    @pytest.fixture(autouse=True)
+    def no_growth(self, monkeypatch):
+        def grow(*args):
+            pytest.fail("a forest was grown")
+
+        for module in ("forestprox.bench", "forestprox.cli"):
+            monkeypatch.setattr(f"{module}.train_forest", grow)
+
+    @staticmethod
+    def _refused(capsys, out, message):
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError" and message in err["message"]
+
+    def test_bench_zero_trees(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["bench", "--synthetic", "xor", "--trees", "0", "--out", str(out)]) == 1
+        self._refused(capsys, out, "n_trees must be >= 1")
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "bench"])
+    def test_negative_junk(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        source = {
+            "simulate": ["--model", "xor", "--n", "30"],
+            "train": ["--data", str(workspace[1])],
+            "bench": ["--synthetic", "xor"],
+        }[command]
+        assert main([command, *source, "--junk", "-3", "--out", str(out)]) == 1
+        self._refused(capsys, out, "junk must be >= 0, got -3")
+
+
 class TestTrueProbColumn:
     """`train` and `bench --data` take the true-prob column from the one
     CSV read they make: "auto" drops `true_prob` when the header has it."""
@@ -311,7 +345,7 @@ class TestErrorContract:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err["error"]
 
-    @pytest.mark.parametrize("text", ["[]", '{"format": "forestprox-forest-v3"}'])
+    @pytest.mark.parametrize("text", ["[]", '{"format": "forestprox-forest-v4"}'])
     def test_malformed_model_machine_readable(self, capsys, tmp_path, text):
         model = tmp_path / "model.json"
         model.write_text(text, encoding="utf-8")

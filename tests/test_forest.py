@@ -470,7 +470,7 @@ class TestSaveLoad:
 # A saved file's arrays, decoded and re-encoded without the library's
 # reader and writer. Integers are widened to int64 and written back that
 # wide, so the reader must also take dtypes the writer never narrows to.
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "node_depth")
+NODE_ARRAYS = ("feature", "threshold")
 
 
 def decode_arrays(payload):
@@ -498,11 +498,18 @@ def encode_arrays(arrays):
 # the first n_nodes[0] nodes and inbag row 0; leaf_of is the leaf each
 # training row reaches in tree 0.
 def _self_loop(a, leaf_of):
-    a["left"][0] = a["right"][0] = 0
+    # the root becomes a leaf and the last node a split, so the count of
+    # nodes holds; that split's second child is the node itself
+    last = a["n_nodes"][0] - 1
+    a["feature"][0], a["threshold"][0] = -1, np.nan
+    a["feature"][last], a["threshold"][last] = 0, 0.0
 
 
 def _child_out_of_range(a, leaf_of):
-    a["right"][0] = a["n_nodes"][0]
+    # the first leaf becomes a split, so the last split's children lie
+    # past the tree's last node
+    first_leaf = np.flatnonzero(a["feature"] < 0)[0]
+    a["feature"][first_leaf], a["threshold"][first_leaf] = 0, 0.0
 
 
 def _feature_out_of_range(a, leaf_of):
@@ -514,7 +521,7 @@ def _threshold_not_finite(a, leaf_of):
 
 
 def _arrays_of_unequal_length(a, leaf_of):
-    a["left"] = a["left"][:-1]
+    a["threshold"] = a["threshold"][:-1]
 
 
 def _n_nodes_of_wrong_length(a, leaf_of):
@@ -550,14 +557,6 @@ def _empty_leaf(a, leaf_of):
     here = leaf_of == leaf_of[np.flatnonzero(b)[0]]
     b[np.flatnonzero(~here)[0]] += b[here].sum()
     b[here] = 0
-
-
-def _root_depth_not_zero(a, leaf_of):
-    a["node_depth"][0] = 77
-
-
-def _child_depth_skips_a_level(a, leaf_of):
-    a["node_depth"][1] += 1
 
 
 def _fractional(name, delta):
@@ -612,13 +611,8 @@ class TestLoadValidation:
             (_fractional_count, "integer counts"),
             (_counts_wrapping_to_n, "summing to 60"),
             (_empty_leaf, "leaf_n > 0"),
-            (_root_depth_not_zero, "node_depth"),
-            (_child_depth_skips_a_level, "node_depth"),
             (_fractional("labels", 0.6), "labels must hold integers"),
             (_fractional("feature", 0.7), "feature must hold integers"),
-            (_fractional("left", 0.5), "left must hold integers"),
-            (_fractional("right", 0.5), "right must hold integers"),
-            (_fractional("node_depth", 0.5), "node_depth must hold integers"),
             (_features_of_wrong_width, "feature names"),
             (_labels_too_short, "labels must have shape"),
         ],
@@ -667,12 +661,12 @@ class TestLoadValidation:
             self._load(payload, tmp_path)
 
     def test_v1_file_rejected(self, saved, tmp_path):
-        # v1 stored per-leaf row lists and v2 JSON number arrays; neither is
-        # read, whatever the rest of the file holds
-        for old in ("forestprox-forest-v1", "forestprox-forest-v2"):
+        # v1 stored per-leaf row lists, v2 JSON number arrays and v3 edge
+        # and depth arrays; none is read, whatever the rest of the file holds
+        for old in ("forestprox-forest-v1", "forestprox-forest-v2", "forestprox-forest-v3"):
             payload = self._copy(saved)
             payload["format"] = old
-            with pytest.raises(ValueError, match="not a forestprox-forest-v3 file"):
+            with pytest.raises(ValueError, match="not a forestprox-forest-v4 file"):
                 self._load(payload, tmp_path)
 
 
@@ -745,7 +739,7 @@ class TestArrayHeaders:
 
     @pytest.mark.parametrize("text", ["[]", "null", "3", '"forestprox-forest-v3"'])
     def test_top_level_not_an_object(self, tmp_path, text):
-        with pytest.raises(ValueError, match="not a forestprox-forest-v3 file"):
+        with pytest.raises(ValueError, match="not a forestprox-forest-v4 file"):
             self._load(text, tmp_path)
 
     @pytest.mark.parametrize(

@@ -175,6 +175,17 @@ class TestLeaves:
                 np.bincount(row, weights=t.inbag * d.labels, minlength=t.n_nodes), t.leaf_pos
             )
 
+    def test_tree_apply_routes_nan_right(self):
+        # Tree.apply does not refuse NaN, and NaN fails x <= threshold
+        rng = np.random.default_rng(3)
+        d = Dataset(rng.normal(size=(60, 2)), rng.integers(0, 2, 60), ("a", "b"))
+        t = train_forest(d, ForestParams(n_trees=1, tree=TreeParams(mtry=1), seed=4)).tree(0)
+        X = rng.normal(size=(30, 2))
+        X[::2, 0] = X[::3, 1] = np.nan
+        leaves = t.apply(X)
+        np.testing.assert_array_equal(leaves, reference_apply(t, X))
+        assert leaves[0] == t.apply(np.full((1, 2), np.inf))[0]
+
     def test_empty_batch(self):
         rng = np.random.default_rng(1)
         d = Dataset(rng.normal(size=(40, 2)), rng.integers(0, 2, 40), ("a", "b"))
