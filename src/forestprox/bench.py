@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data_model import TRUE_PROB_COLUMN, Dataset, augment_junk, load_csv, train_test_split
-from .forest import PREDICT_MODES, ForestParams, train_forest
+from .forest import PREDICT_MODES, ForestParams, derive_seeds, train_forest
 from .synthgen import get_model, sample
 from .tree import TreeParams
 
@@ -169,28 +169,10 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "source": self.config.source,
-                "csv_path": self.config.csv_path,
-                "label_column": self.config.label_column,
-                "true_prob_column": self.config.true_prob_column,
-                "estimators": [vars(e) for e in self.config.estimators],
-                "n_trees": self.config.n_trees,
-                "repetitions": self.config.repetitions,
-                "train_size": self.config.train_size,
-                "test_size": self.config.test_size,
-                "train_fraction": self.config.train_fraction,
-                "junk": self.config.junk,
-                "seed": self.config.seed,
-                "bootstrap": self.config.bootstrap,
-            },
+            "config": asdict(self.config),
             "results": [
                 {
-                    "name": r.spec.name,
-                    "mode": r.spec.mode,
-                    "mtry": r.spec.mtry,
-                    "split_mode": r.spec.split_mode,
-                    "min_node_size": r.spec.min_node_size,
+                    **asdict(r.spec),
                     "chosen": [{"mtry": m, "min_node_size": ns} for m, ns in r.chosen],
                     "errors": [{"repetition": rep, "message": msg} for rep, msg in r.errors],
                     "metrics": {
@@ -213,20 +195,6 @@ class ExperimentReport:
             row["failures"] = len(r.errors)
             rows.append(row)
         return rows
-
-
-def _rep_seeds(base_seed: int, rep: int, n_words: int = 8) -> list[int]:
-    state = np.random.SeedSequence(base_seed, spawn_key=(rep,)).generate_state(
-        n_words, dtype=np.uint64
-    )
-    return [int(s) for s in state]
-
-
-def _estimator_seeds(base_seed: int, rep: int, est_idx: int) -> list[int]:
-    state = np.random.SeedSequence(
-        base_seed, spawn_key=(rep, est_idx + 1)
-    ).generate_state(2, dtype=np.uint64)
-    return [int(s) for s in state]
 
 
 NODE_SIZE_GRID = (5, 25, 50)
@@ -270,12 +238,9 @@ def _tune_forest(
     alongside mtry."""
     carve = train_test_split(train, 0.75, tune_seed)
     grid = [(m, ns) for m in tuning_grid(train.p) for ns in NODE_SIZE_GRID]
-    seeds = np.random.SeedSequence(tune_seed).generate_state(len(grid), dtype=np.uint64)
     best, best_score = grid[0], np.inf
-    for (m, ns), s in zip(grid, seeds):
-        forest = train_forest(
-            carve.train, _forest_params(spec, m, ns, n_trees, bootstrap, int(s))
-        )
+    for (m, ns), s in zip(grid, derive_seeds(tune_seed, len(grid))):
+        forest = train_forest(carve.train, _forest_params(spec, m, ns, n_trees, bootstrap, s))
         preds = forest.predict_proba_batch(carve.test.features, spec.mode)
         score = rmse_empirical(preds, carve.test.labels)
         if score < best_score:
@@ -304,7 +269,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     errors: dict[str, list[tuple[int, str]]] = {e.name: [] for e in cfg.estimators}
 
     for rep in range(cfg.repetitions):
-        seeds = _rep_seeds(cfg.seed, rep)
+        seeds = derive_seeds(cfg.seed, 8, (rep,))
         if cfg.synthetic:
             model = get_model(cfg.source)
             train = sample(model, cfg.train_size, seeds[0])
@@ -320,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             train, test = pair.train, pair.test
 
         for est_idx, spec in enumerate(cfg.estimators):
-            forest_seed, tune_seed = _estimator_seeds(cfg.seed, rep, est_idx)
+            forest_seed, tune_seed = derive_seeds(cfg.seed, 2, (rep, est_idx + 1))
             try:
                 preds, params_used = _fit_predict(
                     spec, train, test.features, cfg.n_trees, cfg.bootstrap,

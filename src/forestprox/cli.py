@@ -171,6 +171,14 @@ def _with_junk(data, args):
     return augment_junk(data, args.junk, args.seed + 1) if args.junk else data
 
 
+def _center(text: str, p: int) -> np.ndarray:
+    """--center's comma-separated values, one per coordinate of the forest."""
+    center = np.array([float(v) for v in text.split(",")])
+    if center.shape != (p,):
+        raise ValueError(f"--center needs the forest's {p} coordinates, got {center.size} values")
+    return center
+
+
 def _cmd_simulate(args) -> int:
     data = _with_junk(sample(get_model(args.model), args.n, args.seed), args)
     save_csv(data, args.out)
@@ -229,6 +237,8 @@ def _cmd_proximity(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    if args.trees < 1:
+        raise ValueError(f"--trees must be >= 1, got {args.trees}")
     p = args.strong + args.weak
     mtry_values = [args.mtry] if args.mtry is not None else list(range(1, p + 1))
     rows = []
@@ -271,10 +281,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_deriv(args) -> int:
     forest = Forest.load(args.model)
     X = forest.train.features
-    if args.center == "means":
-        center = X.mean(axis=0)
-    else:
-        center = np.array([float(v) for v in args.center.split(",")])
+    center = X.mean(axis=0) if args.center == "means" else _center(args.center, forest.p)
     if args.h is not None:
         steps = np.full(forest.p, args.h)
     else:
@@ -292,7 +299,7 @@ def _cmd_deriv(args) -> int:
 
 def _cmd_grid(args) -> int:
     forest = Forest.load(args.model)
-    center = np.array([float(v) for v in args.center.split(",")])
+    center = _center(args.center, forest.p)
     i, j = (int(v) for v in args.dims.split(","))
     if args.bounds is not None:
         lo_i, hi_i, lo_j, hi_j = (float(v) for v in args.bounds.split(","))

@@ -20,8 +20,7 @@ import base64
 import binascii
 import json
 import math
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,51 +56,77 @@ class ForestParams:
 PROXIMITY_MATRIX_MAX_BYTES = 1 << 28
 
 
-def derive_tree_seeds(seed: int, n_trees: int) -> list[int]:
-    """Counter-style per-tree seeds; independent of training order."""
-    state = np.random.SeedSequence(seed).generate_state(n_trees, dtype=np.uint64)
-    return [int(s) for s in state]
+def derive_seeds(entropy: int, count: int, spawn_key=()) -> list[int]:
+    """Counter-style seeds; the i-th depends on neither count nor order."""
+    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return [int(s) for s in seq.generate_state(count, dtype=np.uint64)]
 
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """Every tree's nodes in one table.
+    """Every tree's nodes in one table: what a v4 file holds, and what
+    the constructor derives from it.
 
-    Tree t owns the n_nodes[t] nodes from roots[t] on. The node arrays
-    are those of `Tree`, concatenated, so every tree is numbered
-    breadth-first; internal node k's children are first_child[k] and
-    first_child[k] + 1, indices into the whole table (-1 at leaves).
-    inbag[t] is tree t's in-bag count vector.
+    Tree t owns the n_nodes[t] nodes from roots[t] on, numbered
+    breadth-first as in `Tree`; internal node k's children are
+    first_child[k] and first_child[k] + 1, indices into the whole table
+    (-1 at leaves). inbag[t] is tree t's in-bag count vector. However a
+    forest is made, the constructor checks the trees and their inbag and
+    routes the training rows once: leaf_n and leaf_pos count the rows
+    that reach each leaf, and the positive ones, at that multiplicity.
     """
 
     train: Dataset
     params: ForestParams
     seeds: tuple[int, ...]
-    roots: np.ndarray
-    first_child: np.ndarray
-    inbag: np.ndarray
+    n_nodes: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    leaf_n: np.ndarray
-    leaf_pos: np.ndarray
+    inbag: np.ndarray
+    roots: np.ndarray = field(init=False)
+    first_child: np.ndarray = field(init=False)
+    leaf_n: np.ndarray = field(init=False)
+    leaf_pos: np.ndarray = field(init=False)
+    # (T, n) tree-local leaf of every training row, for voting_weights
+    _train_leaves: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        T, n = len(self.seeds), self.train.n
+        if T != self.params.n_trees:
+            raise ValueError(f"forest holds {T} trees, params say {self.params.n_trees}")
+        roots, first = _check_nodes(self.feature, self.threshold, self.n_nodes, T, self.p)
+        inbag = self.inbag
+        if (inbag.dtype.kind != "i" or inbag.shape != (T, n)
+                or ((inbag < 0) | (inbag > n)).any() or (inbag.sum(axis=1) != n).any()):
+            raise ValueError(
+                f"inbag must hold {n} non-negative integer counts summing to {n} per tree"
+            )
+        G = route(self.feature, self.threshold, first, roots, self.train.features)
+        leaf_n, leaf_pos = (
+            np.bincount(G.ravel(), weights=w.ravel(), minlength=len(self.feature)).astype(np.int64)
+            for w in (inbag, inbag * self.train.labels)
+        )
+        if (leaf_n[self.feature < 0] == 0).any():
+            raise ValueError("every leaf needs leaf_n > 0: a leaf holds no in-bag training row")
+        derived = dict(roots=roots, first_child=first, leaf_n=leaf_n, leaf_pos=leaf_pos,
+                       _train_leaves=G - roots[:, None])
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_trees(cls, trees, train: Dataset, params: ForestParams) -> "Forest":
-        """Concatenate the trees' node arrays into one table."""
-        a = {k: np.concatenate([getattr(t, k) for t in trees]) for k in _NODE_ARRAYS}
-        sizes = np.array([t.n_nodes for t in trees])
-        roots, first = _check_nodes(a, sizes, len(trees), train.p)
-        inbag = np.stack([t.inbag for t in trees])
-        return cls(train, params, tuple(t.seed for t in trees), roots, first, inbag, **a)
+        """Concatenate the trees' node arrays into one table. Their own
+        leaf counts are not read: the constructor derives them."""
+        return cls(
+            train, params, tuple(t.seed for t in trees), np.array([t.n_nodes for t in trees]),
+            np.concatenate([t.feature for t in trees]),
+            np.concatenate([t.threshold for t in trees]),
+            np.stack([t.inbag for t in trees]),
+        )
 
     @property
     def n_trees(self) -> int:
         return len(self.roots)
-
-    @property
-    def n_nodes(self) -> np.ndarray:
-        """(T,) node count of every tree."""
-        return np.diff(self.roots, append=len(self.feature))
 
     @property
     def p(self) -> int:
@@ -111,7 +136,7 @@ class Forest:
         """Tree t, its node arrays views into the table."""
         nodes = slice(self.roots[t], self.roots[t] + self.n_nodes[t])
         return Tree(
-            **{k: getattr(self, k)[nodes] for k in _NODE_ARRAYS},
+            **{k: getattr(self, k)[nodes] for k in ("feature", "threshold", "leaf_n", "leaf_pos")},
             inbag=self.inbag[t],
             seed=self.seeds[t],
             n_features=self.p,
@@ -134,11 +159,6 @@ class Forest:
             bad = np.argwhere(~np.isfinite(X))[0]
             raise ValueError(f"non-finite query value at row {bad[0]}, column {bad[1]}")
         return X
-
-    @cached_property
-    def _train_leaves(self) -> np.ndarray:
-        """(T, n) tree-local leaf of every training row."""
-        return self.leaves(self.train.features)
 
     def _route(self, X: np.ndarray) -> np.ndarray:
         return route(self.feature, self.threshold, self.first_child, self.roots, X)
@@ -218,8 +238,8 @@ class Forest:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the forest as a `forestprox-forest-v4` file (README "File
-        formats"). Leaf counts are not written; `load` derives them."""
+        """Write the forest's fields as a `forestprox-forest-v4` file
+        (README "File formats"); the constructor derives the rest."""
         tr = self.train
         arrays = {
             "features": tr.features,
@@ -241,9 +261,8 @@ class Forest:
 
     @classmethod
     def load(cls, path: str | Path) -> "Forest":
-        """Read a saved forest, check every array and tree, and derive each
-        leaf's counts by routing the training rows at their in-bag
-        multiplicity."""
+        """Read a saved forest; its arrays are checked as they are decoded,
+        its trees and inbag by the constructor."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("format") != FOREST_FORMAT:
             raise ValueError(f"not a {FOREST_FORMAT} file: {path}")
@@ -265,28 +284,8 @@ class Forest:
         tp = _field(arrays, "true_probs", "arrays")
         tp = None if tp is None else _decode(tp, "true_probs", "f")
         train = Dataset(a.pop("features"), a.pop("labels"), tuple(names), tp)
-        inbag, n = a.pop("inbag"), train.n
-        roots, first = _check_nodes(a, a.pop("n_nodes"), len(seeds), train.p)
-        if (inbag.dtype.kind != "i" or inbag.shape != (len(seeds), n)
-                or ((inbag < 0) | (inbag > n)).any() or (inbag.sum(axis=1) != n).any()):
-            raise ValueError(
-                f"inbag must hold {n} non-negative integer counts summing to {n} per tree"
-            )
-        G = route(a["feature"], a["threshold"], first, roots, train.features)
-        a["leaf_n"], a["leaf_pos"] = (
-            np.bincount(G.ravel(), weights=w.ravel(), minlength=len(a["feature"])).astype(np.int64)
-            for w in (inbag, inbag * train.labels)
-        )
-        if (a["leaf_n"][a["feature"] < 0] == 0).any():
-            raise ValueError("every leaf needs leaf_n > 0: a leaf holds no in-bag training row")
-        forest = cls(train, params, tuple(seeds), roots, first, inbag, **a)
-        forest.__dict__["_train_leaves"] = G - roots[:, None]  # voting_weights reuses the routing
-        return forest
+        return cls(train, params, tuple(seeds), **a)
 
-
-# A tree's node arrays; a file holds the first two, and `load` derives
-# leaf_n and leaf_pos.
-_NODE_ARRAYS = ("feature", "threshold", "leaf_n", "leaf_pos")
 
 # Every array a v4 file must hold but true_probs, with the kind it must
 # hold ('f' float64, 'i' integers); inbag's kind is checked with its counts.
@@ -343,9 +342,10 @@ def _decode(header, name: str, kind: str | None) -> np.ndarray:
     return out if dt.kind == "f" else out.astype(np.int64)
 
 
-def _check_nodes(a: dict, sizes: np.ndarray, n_trees: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check n_trees trees of sizes[t] nodes each, their node arrays in
-    `a`, and return their roots and first children (see `Forest`).
+def _check_nodes(feature, threshold, sizes, n_trees: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check n_trees trees of sizes[t] nodes each, their node arrays
+    `feature` and `threshold`, and return their roots and first
+    children (see `Forest`).
 
     Every tree is nonempty and the node arrays have one length. A tree
     with r internal nodes has 2r + 1 nodes, and its r-th internal node
@@ -353,11 +353,10 @@ def _check_nodes(a: dict, sizes: np.ndarray, n_trees: int, p: int) -> tuple[np.n
     and lies inside the tree, and routing always ends at a leaf. Splits
     use a feature in [0, p) and a finite threshold.
     """
-    feature = a["feature"]
     m = feature.size
     # sizes are bounded before they are summed, so the sum cannot wrap
     if (sizes.shape != (n_trees,) or ((sizes < 1) | (sizes > m)).any() or sizes.sum() != m
-            or a["threshold"].shape != (m,)):
+            or threshold.shape != (m,)):
         raise ValueError("tree node arrays must be nonempty and of one length, the sum of n_nodes")
     roots = np.cumsum(sizes) - sizes
     tree_of = np.repeat(np.arange(n_trees), sizes)
@@ -369,12 +368,12 @@ def _check_nodes(a: dict, sizes: np.ndarray, n_trees: int, p: int) -> tuple[np.n
         raise ValueError("a tree's r-th split must come before node 2r + 1, its first child index")
     if (feature[inner] >= p).any():
         raise ValueError(f"split feature outside [0, {p})")
-    if not np.isfinite(a["threshold"][inner]).all():
+    if not np.isfinite(threshold[inner]).all():
         raise ValueError("split thresholds must be finite")
     return roots, first
 
 
 def train_forest(d: Dataset, params: ForestParams) -> Forest:
     params.tree.check_dimension(d.p)
-    seeds = derive_tree_seeds(params.seed, params.n_trees)
+    seeds = derive_seeds(params.seed, params.n_trees)
     return Forest.from_trees([grow_tree(d, params.tree, s) for s in seeds], d, params)

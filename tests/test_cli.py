@@ -217,6 +217,14 @@ class TestDerivCommand:
         _, rows = read_csv(out)
         assert all(float(r[4]) == 0.25 for r in rows)
 
+    def test_center_of_wrong_length(self, workspace, tmp_path, capsys):
+        _, _, model = workspace
+        out = tmp_path / "deriv.csv"
+        assert main(["deriv", "--model", str(model), "--center", "0,0,0", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == "--center needs the forest's 2 coordinates, got 3 values"
+
 
 class TestGridCommand:
     def test_long_form_csv(self, workspace, tmp_path):
@@ -231,6 +239,15 @@ class TestGridCommand:
         assert len(rows) == 49
         values = [float(r[2]) for r in rows]
         assert max(values) <= 1.0 and min(values) >= 0.0
+
+    def test_center_of_wrong_length(self, workspace, tmp_path, capsys):
+        # a short center must be named as such, not blamed on --dims
+        _, _, model = workspace
+        out = tmp_path / "grid.csv"
+        assert main(["grid", "--model", str(model), "--center", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == "--center needs the forest's 2 coordinates, got 1 values"
 
 
 class TestBenchCommand:
@@ -291,6 +308,16 @@ class TestBadCounts:
         }[command]
         assert main([command, *source, "--junk", "-3", "--out", str(out)]) == 1
         self._refused(capsys, out, "junk must be >= 0, got -3")
+
+    @pytest.mark.parametrize("trees, compare", [("0", True), ("-5", False)])
+    def test_kernel_trees_below_one(self, tmp_path, capsys, trees, compare):
+        weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"
+        assert main([
+            "kernel", "--strong", "1", "--weak", "1", "--trees", trees,
+            "--out-weights", str(weights), *(["--out-compare", str(comparison)] if compare else []),
+        ]) == 1
+        assert not comparison.exists()
+        self._refused(capsys, weights, f"--trees must be >= 1, got {trees}")
 
 
 class TestTrueProbColumn:

@@ -39,6 +39,20 @@ def hand_built_tree(root, n_rows):
     return Tree.from_dict({"seed": 0, "n_features": 1, "inbag": [1] * n_rows, "root": root})
 
 
+def stump(train, inbag, claimed=None):
+    """Tree splitting feature 0 at 0.5 over the in-bag counts `inbag`.
+    Its leaves claim the (n, positives) pairs `claimed`, by default the
+    counts the in-bag rows give them."""
+    w = np.asarray(inbag)
+    left = train.features[:, 0] <= 0.5
+    claimed = claimed or [(int(w[m].sum()), int(w[m] @ train.labels[m])) for m in (left, ~left)]
+    leaf_l, leaf_r = ({"n": n, "positives": pos} for n, pos in claimed)
+    return Tree.from_dict({
+        "seed": 0, "n_features": 1, "inbag": list(inbag),
+        "root": {"feature": 0, "threshold": 0.5, "left": leaf_l, "right": leaf_r},
+    })
+
+
 def leaf_fraction(t, x):
     """Positive fraction of the leaf x reaches in tree t."""
     leaf = t.apply(np.asarray(x, dtype=np.float64)[None, :])[0]
@@ -102,19 +116,20 @@ class TestPredictProba:
             assert f.predict_proba(x, mode) == 1.0
 
     def test_hand_built_two_tree_weighting(self):
-        train = make_data(np.zeros(8), [1, 1, 1, 1, 0, 0, 0, 0])
-        t1 = single_leaf_tree(2, 1, [0, 4], 8)
-        t2 = single_leaf_tree(6, 3, [1, 2, 3, 5, 6, 7], 8)
-        f = forest_from_trees([t1, t2], train)
+        # x0 = 0 reaches each stump's left leaf, which holds N_t of the 8
+        # in-bag draws: 2 in the first stump, 6 in the second
+        train = make_data([0, 0, 0, 0, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 1, 1])
         x = np.array([0.0])
-        assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)
-        assert f.predict_proba(x, "prox") == pytest.approx(0.5)
 
-        t1 = single_leaf_tree(2, 2, [0, 1], 8)
-        t2 = single_leaf_tree(6, 0, [2, 3, 4, 5, 6, 7], 8)
-        f = forest_from_trees([t1, t2], train)
-        assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)
-        assert f.predict_proba(x, "prox") == pytest.approx(2 / 8)
+        f = forest_from_trees([stump(train, [1, 0, 1, 0, 2, 2, 1, 1]),
+                               stump(train, [3, 0, 3, 0, 1, 0, 1, 0])], train)
+        assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)  # (1/2 + 3/6) / 2
+        assert f.predict_proba(x, "prox") == pytest.approx(0.5)  # (1 + 3) / (2 + 6)
+
+        f = forest_from_trees([stump(train, [1, 1, 0, 0, 2, 2, 1, 1]),
+                               stump(train, [0, 0, 3, 3, 1, 0, 1, 0])], train)
+        assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)  # (2/2 + 0/6) / 2
+        assert f.predict_proba(x, "prox") == pytest.approx(2 / 8)  # (2 + 0) / (2 + 6)
 
     def test_round_half_votes_one(self):
         train = make_data(np.zeros(2), [0, 1])
@@ -188,6 +203,50 @@ class TestPredictProba:
             f.proximity(np.zeros(2), x)
         with pytest.raises(ValueError, match="non-finite"):
             f.predict_proba_batch(np.array([[0.1, 0.2], x]), "reg_mean")
+
+
+class TestFromTrees:
+    """A forest built from trees meets every check `load` makes, and takes
+    its leaf counts from its training rows, never from the trees."""
+
+    def test_tree_counts_are_not_read(self, tmp_path):
+        train = make_data([0, 0, 0, 0, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 1, 1])
+        trees = [
+            single_leaf_tree(1, 0, np.arange(8), 8),  # 8 draws, 4 positive
+            stump(train, [1, 1, 0, 0, 2, 2, 1, 1], claimed=[(5, 0), (1, 1)]),
+            stump(train, [0, 0, 3, 3, 1, 0, 1, 0], claimed=[(1, 1), (9, 9)]),
+        ]
+        f = forest_from_trees(trees, train)
+        np.testing.assert_array_equal(f.leaf_n, [8, 0, 2, 6, 0, 6, 2])
+        np.testing.assert_array_equal(f.leaf_pos, [4, 0, 2, 2, 0, 0, 1])
+        X = np.array([[0.0], [1.0], [0.5], [-3.0], [3.0]])
+        for x in X:
+            assert f.voting_weights(x) @ train.labels == pytest.approx(
+                f.predict_proba(x, "prox"), abs=1e-12
+            )
+        path = tmp_path / "forest.json"
+        f.save(path)
+        g = Forest.load(path)
+        for mode in ("class_vote", "reg_mean", "prox"):
+            np.testing.assert_array_equal(
+                g.predict_proba_batch(X, mode), f.predict_proba_batch(X, mode)
+            )
+
+    @pytest.mark.parametrize(
+        "inbag, n_trees, message",
+        [
+            ([1, 1, 2], 1, "inbag must hold 4"),  # one row short
+            ([1, 1, 1, 0], 1, "summing to 4"),
+            ([0, 0, 2, 2], 1, "leaf_n > 0"),  # nothing drawn left of 0.5
+            ([1, 1, 1, 1], 2, "holds 1 trees, params say 2"),
+        ],
+    )
+    def test_refused_with_load_messages(self, inbag, n_trees, message):
+        train = make_data([0, 0, 1, 1], [0, 1, 0, 1])
+        tree = stump(train, inbag, claimed=[(2, 1), (2, 1)])
+        params = ForestParams(n_trees=n_trees, tree=TreeParams(mtry=1), seed=0)
+        with pytest.raises(ValueError, match=message):
+            Forest.from_trees([tree], train, params)
 
 
 class TestProximity:

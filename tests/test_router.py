@@ -7,6 +7,8 @@ comparison is exact: the packed versions add the same numbers in the same
 order.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,7 +114,8 @@ def forests_and_queries(draw):
     )
     f = train_forest(d, params)
     if draw(st.booleans()):
-        f = Forest.from_trees(trees_of(f) + [single_leaf_tree(d.labels, p)], d, params)
+        trees = trees_of(f) + [single_leaf_tree(d.labels, p)]
+        f = Forest.from_trees(trees, d, replace(params, n_trees=len(trees)))
     # Queries sit on thresholds, one float either side of them, on the
     # training values and on both zeros.
     thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in trees_of(f)])
