@@ -173,10 +173,15 @@ def _with_junk(data, args):
 
 def _center(text: str, p: int) -> np.ndarray:
     """--center's comma-separated values, one per coordinate of the forest."""
-    center = np.array([float(v) for v in text.split(",")])
-    if center.shape != (p,):
-        raise ValueError(f"--center needs the forest's {p} coordinates, got {center.size} values")
-    return center
+    return np.array(_values(text, "--center", p, f"the forest's {p} coordinates", float))
+
+
+def _values(text: str, flag: str, count: int, what: str, kind) -> list:
+    """A flag's `count` comma-separated values as `kind`; `what` names them."""
+    values = [kind(v) for v in text.split(",")]
+    if len(values) != count:
+        raise ValueError(f"{flag} needs {what}, got {len(values)} values")
+    return values
 
 
 def _cmd_simulate(args) -> int:
@@ -300,9 +305,10 @@ def _cmd_deriv(args) -> int:
 def _cmd_grid(args) -> int:
     forest = Forest.load(args.model)
     center = _center(args.center, forest.p)
-    i, j = (int(v) for v in args.dims.split(","))
+    i, j = _values(args.dims, "--dims", 2, "2 coordinate indices", int)
     if args.bounds is not None:
-        lo_i, hi_i, lo_j, hi_j = (float(v) for v in args.bounds.split(","))
+        bounds = _values(args.bounds, "--bounds", 4, "4 values (lo_i,hi_i,lo_j,hi_j)", float)
+        lo_i, hi_i, lo_j, hi_j = bounds
     else:
         X = forest.train.features
         lo_i, hi_i = float(X[:, i].min()), float(X[:, i].max())

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import Dataset
-from .tree import Tree, TreeParams, first_child, grow_tree, route
+from .tree import Tree, TreeParams, first_child, grow_trees, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
@@ -374,6 +374,6 @@ def _check_nodes(feature, threshold, sizes, n_trees: int, p: int) -> tuple[np.nd
 
 
 def train_forest(d: Dataset, params: ForestParams) -> Forest:
-    params.tree.check_dimension(d.p)
     seeds = derive_seeds(params.seed, params.n_trees)
-    return Forest.from_trees([grow_tree(d, params.tree, s) for s in seeds], d, params)
+    n_nodes, feature, threshold, _, _, inbag = grow_trees(d, params.tree, seeds)
+    return Forest(d, params, tuple(seeds), n_nodes, feature, threshold, inbag)

@@ -249,6 +249,23 @@ class TestGridCommand:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["message"] == "--center needs the forest's 2 coordinates, got 1 values"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dims", "0", "--dims needs 2 coordinate indices, got 1 values"),
+        ("--dims", "0,1,1", "--dims needs 2 coordinate indices, got 3 values"),
+        ("--bounds", "-1,1", "--bounds needs 4 values (lo_i,hi_i,lo_j,hi_j), got 2 values"),
+        ("--bounds", "-1,1,-1,1,0", "--bounds needs 4 values (lo_i,hi_i,lo_j,hi_j), got 5 values"),
+    ])
+    def test_dims_and_bounds_of_wrong_length(
+        self, workspace, tmp_path, capsys, flag, value, message
+    ):
+        _, _, model = workspace
+        out = tmp_path / "grid.csv"
+        assert main([
+            "grid", "--model", str(model), "--center", "0,0", f"{flag}={value}", "--out", str(out),
+        ]) == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == message
+
 
 class TestBenchCommand:
     def test_synthetic_run_emits_report_and_table(self, tmp_path):

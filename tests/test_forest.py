@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestprox import tree as tree_module
 from forestprox.data_model import Dataset
-from forestprox.forest import Forest, ForestParams, train_forest
+from forestprox.forest import Forest, ForestParams, derive_seeds, train_forest
 from forestprox.synthgen import get_model, sample
-from forestprox.tree import Tree, TreeParams
+from forestprox.tree import Tree, TreeParams, grow_tree
 
 
 def make_data(features, labels, names=None):
@@ -105,6 +106,56 @@ class TestTrainForest:
         large = train_forest(d, ForestParams(n_trees=6, tree=TreeParams(mtry=1), seed=5))
         for t_small, t_large in zip(trees_of(small), trees_of(large)):
             assert t_small.to_dict() == t_large.to_dict()
+
+
+@pytest.mark.parametrize(
+    "chunk_elements, group_rows", [(1, 1), (1 << 62, 1 << 62)], ids=["smallest", "unbounded"]
+)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    p=st.integers(min_value=1, max_value=4),
+    ties=st.booleans(),
+    n_trees=st.integers(min_value=1, max_value=9),
+    mtry=st.integers(min_value=1, max_value=4),
+    min_node_size=st.sampled_from([1, 5]),
+    max_leaves=st.sampled_from([None, 3, 17]),
+    mode=st.sampled_from(["gini", "mse", "completely_random"]),
+    bootstrap=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_forest_trees_are_the_trees_grown_alone(
+    chunk_elements, group_rows, n, p, ties, n_trees, mtry, min_node_size, max_leaves, mode,
+    bootstrap, seed,
+):
+    # Trees grown together, with a level cut into one call per node or
+    # none, and one tree per group or one group, are bit for bit the trees
+    # grown one at a time under the default caps.
+    rng = np.random.default_rng(seed)
+    if ties:
+        X = rng.integers(-1, 2, size=(n, p)).astype(float)
+        X[X == 0] = rng.choice([0.0, -0.0], size=int((X == 0).sum()))
+    else:
+        X = rng.normal(size=(n, p))
+    d = Dataset(X, rng.integers(0, 2, n), tuple(f"f{j}" for j in range(p)))
+    params = ForestParams(n_trees, TreeParams(
+        mtry=min(mtry, p),
+        min_node_size=min_node_size,
+        max_leaves=max_leaves,
+        split_mode="completely_random" if mode == "completely_random" else "impurity",
+        bootstrap=bootstrap,
+        criterion="mse" if mode == "mse" else "gini",
+    ), seed=seed)
+    alone = [grow_tree(d, params.tree, s) for s in derive_seeds(seed, n_trees)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "_CHUNK_ELEMENTS", chunk_elements)
+        mp.setattr(tree_module, "_GROUP_ROWS", group_rows)
+        forest = train_forest(d, params)
+    for t, ref in enumerate(alone):
+        got = forest.tree(t)
+        for name in ("feature", "threshold", "leaf_n", "leaf_pos", "inbag"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 class TestPredictProba:

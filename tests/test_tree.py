@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from forestprox.data_model import Dataset
 from forestprox.synthgen import get_model, sample
-from forestprox.tree import Tree, TreeParams, best_split, grow_tree
+from forestprox.forest import derive_seeds
+from forestprox.tree import Tree, TreeParams, best_split, grow_tree, grow_trees
 
 
 def make_data(features, labels, names=None):
@@ -532,3 +535,22 @@ def test_dataset_ranks_order_like_values():
         np.testing.assert_array_equal(r[:, None] == r[None, :], x[:, None] == x[None, :])
         np.testing.assert_array_equal(r[:, None] < r[None, :], x[:, None] < x[None, :])
         np.testing.assert_array_equal(d.sorted_features[r, j], x)
+
+
+def test_growth_memory_does_not_scale_with_forest_size():
+    # 256 trees of 1000 rows hold 256,000 rows a level if grown all at once.
+    # Grown in groups of about 2^15 rows, growth's peak beyond what it
+    # returns stays near one copy of the result (the groups' parts, before
+    # they are joined), 3.9 MiB here; without the groups it is 10.8 MiB.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(1000, 5))
+    d = Dataset(X, (rng.random(1000) < 1 / (1 + np.exp(-X[:, 0]))).astype(int),
+                tuple(f"f{j}" for j in range(5)))
+    d.ranks, d.sorted_features  # computed once per dataset, before growth
+    tracemalloc.start()
+    try:
+        grown = grow_trees(d, TreeParams(mtry=1, min_node_size=5), derive_seeds(0, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in grown) < 8 << 20
