@@ -20,7 +20,7 @@ from .diagnostics import (
     kernel_grid,
     prob_histogram,
 )
-from .forest import Forest, ForestParams, train_forest
+from .forest import Forest, ForestParams, grow_tree, train_forest
 from .kernel_lab import (
     LaplaceKernel,
     NaiveKernelSpec,
@@ -34,7 +34,7 @@ from .kernel_lab import (
     strong_weak_weights,
 )
 from .synthgen import MODELS, SyntheticModel, ccpf, get_model, sample
-from .tree import Split, Tree, TreeParams, best_split, grow_tree
+from .tree import Split, Tree, TreeParams, best_split
 
 __all__ = [
     "Dataset",

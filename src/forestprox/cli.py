@@ -245,17 +245,20 @@ def _cmd_kernel(args) -> int:
     if args.trees < 1:
         raise ValueError(f"--trees must be >= 1, got {args.trees}")
     p = args.strong + args.weak
+
+    def spec(m):
+        return NaiveKernelSpec(leaves=args.leaves, strong=args.strong, weak=args.weak, mtry=m)
+
+    # made first, so counts that give no kernel are refused before any file is written
+    compare = spec(args.mtry if args.mtry is not None else max(1, p // 2))
     mtry_values = [args.mtry] if args.mtry is not None else list(range(1, p + 1))
     rows = []
     for m in mtry_values:
-        spec = NaiveKernelSpec(leaves=args.leaves, strong=args.strong, weak=args.weak, mtry=m)
-        p_s, p_w = strong_weak_weights(spec)
+        p_s, p_w = strong_weak_weights(spec(m))
         rows.append([m, repr(p_s), repr(p_w)])
     _write_csv(args.out_weights, ["mtry", "p_strong", "p_weak"], rows)
 
     if args.out_compare is not None:
-        m = args.mtry if args.mtry is not None else max(1, p // 2)
-        spec = NaiveKernelSpec(leaves=args.leaves, strong=args.strong, weak=args.weak, mtry=m)
         strong_set = list(range(args.strong))
         probes, X = [], []
         for axis in ("strong", "weak", "spread"):
@@ -273,8 +276,8 @@ def _cmd_kernel(args) -> int:
                     x[:] = t / p
                 probes.append([axis, repr(t)])
                 X.append(x)
-        ana = naive_kernel(spec, X, strong_set).tolist()
-        mc = mc_proximity(spec, X, strong_set, args.trees, args.seed).tolist()
+        ana = naive_kernel(compare, X, strong_set).tolist()
+        mc = mc_proximity(compare, X, strong_set, args.trees, args.seed).tolist()
         _write_csv(
             args.out_compare,
             ["axis", "scale", "analytic", "monte_carlo"],
@@ -306,6 +309,8 @@ def _cmd_grid(args) -> int:
     forest = Forest.load(args.model)
     center = _center(args.center, forest.p)
     i, j = _values(args.dims, "--dims", 2, "2 coordinate indices", int)
+    if not (0 <= i < forest.p and 0 <= j < forest.p):
+        raise ValueError(f"--dims needs indices in [0, {forest.p}), got {i},{j}")
     if args.bounds is not None:
         bounds = _values(args.bounds, "--bounds", 4, "4 values (lo_i,hi_i,lo_j,hi_j)", float)
         lo_i, hi_i, lo_j, hi_j = bounds

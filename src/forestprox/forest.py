@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import Dataset
-from .tree import Tree, TreeParams, first_child, grow_trees, route
+from .tree import Tree, TreeParams, first_child, grow_trees, node_depth, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
@@ -112,17 +112,6 @@ class Forest:
                        _train_leaves=G - roots[:, None])
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_trees(cls, trees, train: Dataset, params: ForestParams) -> "Forest":
-        """Concatenate the trees' node arrays into one table. Their own
-        leaf counts are not read: the constructor derives them."""
-        return cls(
-            train, params, tuple(t.seed for t in trees), np.array([t.n_nodes for t in trees]),
-            np.concatenate([t.feature for t in trees]),
-            np.concatenate([t.threshold for t in trees]),
-            np.stack([t.inbag for t in trees]),
-        )
 
     @property
     def n_trees(self) -> int:
@@ -232,9 +221,10 @@ class Forest:
         return counts / total
 
     def stats(self) -> dict[str, float]:
+        depth = node_depth(self.feature, self.first_child, self.roots)
         return {
             "mean_leaf_count": float((self.feature < 0).sum() / self.n_trees),
-            "mean_depth": float(np.mean([self.tree(t).depth for t in range(self.n_trees)])),
+            "mean_depth": float(np.maximum.reduceat(depth, self.roots).mean()),
         }
 
     def save(self, path: str | Path) -> None:
@@ -375,5 +365,9 @@ def _check_nodes(feature, threshold, sizes, n_trees: int, p: int) -> tuple[np.nd
 
 def train_forest(d: Dataset, params: ForestParams) -> Forest:
     seeds = derive_seeds(params.seed, params.n_trees)
-    n_nodes, feature, threshold, _, _, inbag = grow_trees(d, params.tree, seeds)
-    return Forest(d, params, tuple(seeds), n_nodes, feature, threshold, inbag)
+    return Forest(d, params, tuple(seeds), *grow_trees(d, params.tree, seeds))
+
+
+def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
+    """The tree `seed` grows: tree t of `train_forest` for seeds[t]."""
+    return Forest(d, ForestParams(1, params), (int(seed),), *grow_trees(d, params, [seed])).tree(0)

@@ -3,9 +3,9 @@
 Growth draws `mtry` candidate features per node and either minimizes a
 split criterion over midpoint thresholds (impurity mode) or draws the
 feature and threshold uniformly at random (completely_random mode).
-A tree keeps how often each training row was drawn for it and, per leaf,
-the in-bag row and positive counts, so per-tree probability estimates
-and leaf co-occupancy can be read back out.
+Growth returns only the node arrays and how often each training row was
+drawn for each tree; the forest built from them derives every leaf's
+in-bag row and positive counts by routing the training rows.
 """
 
 from __future__ import annotations
@@ -101,7 +101,16 @@ def route(feature, threshold, first, roots, X) -> np.ndarray:
     return node.reshape(len(roots), q)
 
 
-_ROOT = np.zeros(1, dtype=np.intp)
+def node_depth(feature, first, roots) -> np.ndarray:
+    """Depth of every node of the trees that start at roots, walking
+    breadth-first from them through first[k] and first[k] + 1."""
+    depth = np.zeros(len(feature), dtype=np.int64)
+    level, d = np.asarray(roots, dtype=np.intp), 0
+    while level.size:
+        depth[level] = d
+        kids = first[level[feature[level] >= 0]]
+        level, d = np.concatenate([kids, kids + 1]), d + 1
+    return depth
 
 
 @dataclass
@@ -111,9 +120,9 @@ class Tree:
     Internal nodes have `feature >= 0`; leaves have feature -1, and the
     r-th internal node's children are nodes 2r + 1 and 2r + 2. inbag[i]
     is how often training row i was drawn for the tree (all ones without
-    bootstrap). A leaf's leaf_n and leaf_pos count the training rows that
-    reach it, and the positive ones, at that multiplicity; both are 0 at
-    internal nodes.
+    bootstrap). A leaf's leaf_n and leaf_pos, which the forest derives,
+    count the training rows that reach it, and the positive ones, at that
+    multiplicity; both are 0 at internal nodes.
     """
 
     feature: np.ndarray
@@ -144,25 +153,11 @@ class Tree:
 
     @property
     def node_depth(self) -> np.ndarray:
-        """Depth of every node. Levels are contiguous, and a level with r
-        internal nodes is followed by one of 2r nodes."""
-        depth = np.empty(self.n_nodes, dtype=np.int64)
-        start, end, d = 0, 1, 0
-        while start < end:
-            depth[start:end] = d
-            start, end, d = end, end + 2 * int((self.feature[start:end] >= 0).sum()), d + 1
-        return depth
+        return node_depth(self.feature, self.left, [0])
 
     @property
     def depth(self) -> int:
         return int(self.node_depth.max())
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for every row of X."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected (q, {self.n_features}) matrix, got {X.shape}")
-        return route(self.feature, self.threshold, first_child(self.feature), _ROOT, X)[0]
 
     def to_dict(self) -> dict:
         """Nested inspection structure; see README for the field contract."""
@@ -185,27 +180,6 @@ class Tree:
             "inbag": self.inbag.tolist(),
             "root": children[0],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Tree":
-        nodes = [payload["root"]]
-        for node in nodes:  # the list grows as it is read: a breadth-first walk
-            if "feature" in node:
-                nodes += (node["left"], node["right"])
-        feature, threshold, leaf_n, leaf_pos = zip(*(
-            (node["feature"], node["threshold"], 0, 0) if "feature" in node
-            else (-1, np.nan, node["n"], node["positives"])
-            for node in nodes
-        ))
-        return cls(
-            feature=np.array(feature, dtype=np.int32),
-            threshold=np.array(threshold, dtype=np.float64),
-            leaf_n=np.array(leaf_n, dtype=np.int64),
-            leaf_pos=np.array(leaf_pos, dtype=np.int64),
-            inbag=np.asarray(payload["inbag"], dtype=np.int64),
-            seed=int(payload.get("seed", 0)),
-            n_features=int(payload["n_features"]),
-        )
 
 
 def _gather(rows, starts, sizes):
@@ -358,22 +332,14 @@ def best_split(
     return Split(j, thr, rows[mask], rows[~mask], float(score[0]))
 
 
-def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
-    """Grow a tree breadth-first, deterministically for a given seed.
+def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
+    """One tree per seed, grown breadth-first and deterministically for it.
 
     A node becomes a leaf when it is pure, smaller than twice
-    min_node_size, the leaf budget is exhausted, or no usable split
-    exists among the drawn candidates.
-    """
-    _, feature, threshold, leaf_n, leaf_pos, inbag = grow_trees(d, params, [seed])
-    return Tree(feature, threshold, leaf_n, leaf_pos, inbag[0], int(seed), d.p)
-
-
-def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
-    """One tree per seed, tree t the one `grow_tree(d, params, seeds[t])` grows.
-
-    Returns n_nodes, then feature, threshold, leaf_n and leaf_pos of every
-    tree's nodes one after another, then the (T, n) inbag. A group of trees
+    min_node_size, its tree's leaf budget is exhausted, or no usable split
+    exists among the drawn candidates. Returns n_nodes, then feature and
+    threshold of every tree's nodes one after another, then the (T, n)
+    inbag: the arrays a `Forest` is built from. A group of trees
     grows one BFS level of all of them per pass, its rows in one array, node
     by node in tree and then BFS order. A node draws from its own tree's
     stream while that tree's leaf budget lasts, and its scores do not depend
@@ -421,7 +387,7 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
 
         leaf = feature < 0
         split = np.flatnonzero(~leaf)
-        levels.append((tree, feature, threshold, np.where(leaf, sizes, 0), np.where(leaf, pos, 0)))
+        levels.append((tree, feature, threshold))
 
         # stable partition: each split node's left rows, then its right rows
         node_of = np.repeat(np.arange(cnt), sizes)

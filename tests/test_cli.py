@@ -266,6 +266,20 @@ class TestGridCommand:
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
+    @pytest.mark.parametrize("dims", ["0,5", "-1,1"])
+    @pytest.mark.parametrize("bounds", [[], ["--bounds=-1,1,-1,1"]], ids=["data-range", "bounds"])
+    def test_dims_beyond_p(self, workspace, tmp_path, capsys, dims, bounds):
+        _, _, model = workspace
+        out = tmp_path / "grid.csv"
+        assert main([
+            "grid", "--model", str(model), "--center", "0,0", f"--dims={dims}", *bounds,
+            "--out", str(out),
+        ]) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"] == f"--dims needs indices in [0, 2), got {dims}"
+
 
 class TestBenchCommand:
     def test_synthetic_run_emits_report_and_table(self, tmp_path):
@@ -335,6 +349,16 @@ class TestBadCounts:
         ]) == 1
         assert not comparison.exists()
         self._refused(capsys, weights, f"--trees must be >= 1, got {trees}")
+
+    @pytest.mark.parametrize("compare", [True, False])
+    def test_kernel_without_coordinates(self, tmp_path, capsys, compare):
+        weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"
+        assert main([
+            "kernel", "--strong", "0", "--weak", "0",
+            "--out-weights", str(weights), *(["--out-compare", str(comparison)] if compare else []),
+        ]) == 1
+        assert not comparison.exists()
+        self._refused(capsys, weights, "need at least one coordinate (strong + weak >= 1)")
 
 
 class TestTrueProbColumn:

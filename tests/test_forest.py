@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from forestprox import tree as tree_module
 from forestprox.data_model import Dataset
-from forestprox.forest import Forest, ForestParams, derive_seeds, train_forest
+from forestprox.forest import Forest, ForestParams, derive_seeds, grow_tree, train_forest
 from forestprox.synthgen import get_model, sample
-from forestprox.tree import Tree, TreeParams, grow_tree
+from forestprox.tree import TreeParams, node_depth
 
 
 def make_data(features, labels, names=None):
@@ -23,48 +23,40 @@ def make_data(features, labels, names=None):
     return Dataset(features, np.asarray(labels), names)
 
 
-def single_leaf_tree(n, positives, rows, n_rows, n_features=1, seed=0):
-    """One-leaf tree whose in-bag rows are `rows` out of n_rows."""
-    return Tree.from_dict(
-        {
-            "seed": seed,
-            "n_features": n_features,
-            "inbag": np.bincount(rows, minlength=n_rows).tolist(),
-            "root": {"n": n, "positives": positives},
-        }
-    )
+def hand_built_tree(thresholds, inbag):
+    """(feature, threshold, inbag) of a tree splitting feature 0 at its
+    breadth-first `thresholds`, NaN at leaves; inbag counts the draws of
+    every training row."""
+    threshold = np.array(thresholds, dtype=np.float64)
+    return np.where(np.isnan(threshold), -1, 0), threshold, np.array(inbag)
 
 
-def hand_built_tree(root, n_rows):
-    """Tree on one feature from nested nodes, every training row in-bag once."""
-    return Tree.from_dict({"seed": 0, "n_features": 1, "inbag": [1] * n_rows, "root": root})
+def single_leaf_tree(inbag):
+    return hand_built_tree([np.nan], inbag)
 
 
-def stump(train, inbag, claimed=None):
-    """Tree splitting feature 0 at 0.5 over the in-bag counts `inbag`.
-    Its leaves claim the (n, positives) pairs `claimed`, by default the
-    counts the in-bag rows give them."""
-    w = np.asarray(inbag)
-    left = train.features[:, 0] <= 0.5
-    claimed = claimed or [(int(w[m].sum()), int(w[m] @ train.labels[m])) for m in (left, ~left)]
-    leaf_l, leaf_r = ({"n": n, "positives": pos} for n, pos in claimed)
-    return Tree.from_dict({
-        "seed": 0, "n_features": 1, "inbag": list(inbag),
-        "root": {"feature": 0, "threshold": 0.5, "left": leaf_l, "right": leaf_r},
-    })
+def stump(inbag):
+    """Tree splitting feature 0 at 0.5."""
+    return hand_built_tree([0.5, np.nan, np.nan], inbag)
 
 
-def leaf_fraction(t, x):
-    """Positive fraction of the leaf x reaches in tree t."""
-    leaf = t.apply(np.asarray(x, dtype=np.float64)[None, :])[0]
-    return t.leaf_pos[leaf] / t.leaf_n[leaf]
+def leaf_fraction(f, t, x):
+    """Positive fraction of the leaf x reaches in tree t of forest f."""
+    leaf = f.leaves(np.asarray(x, dtype=np.float64)[None, :])[t, 0]
+    tree = f.tree(t)
+    return tree.leaf_pos[leaf] / tree.leaf_n[leaf]
 
 
-def forest_from_trees(trees, train):
+def forest_from_trees(trees, train, n_trees=None):
+    """Forest of hand-built trees, built from their arrays as `load` builds one."""
+    feature, threshold, inbag = zip(*trees)
     params = ForestParams(
-        n_trees=len(trees), tree=TreeParams(mtry=1, bootstrap=False), seed=0
+        n_trees=n_trees or len(trees), tree=TreeParams(mtry=1, bootstrap=False), seed=0
     )
-    return Forest.from_trees(trees, train, params)
+    return Forest(
+        train, params, (0,) * len(trees), np.array([len(f) for f in feature]),
+        np.concatenate(feature), np.concatenate(threshold), np.array(inbag),
+    )
 
 
 def trees_of(f):
@@ -84,7 +76,7 @@ class TestTrainForest:
         d = random_data(np.random.default_rng(0), 60, 3)
         f = train_forest(d, ForestParams(n_trees=1, tree=TreeParams(mtry=2), seed=4))
         x = d.features[5]
-        single = leaf_fraction(f.tree(0), x)
+        single = leaf_fraction(f, 0, x)
         assert f.predict_proba(x, "reg_mean") == pytest.approx(single)
         assert f.predict_proba(x, "prox") == pytest.approx(single)
         assert f.predict_proba(x, "class_vote") == float(single >= 0.5)
@@ -172,20 +164,19 @@ class TestPredictProba:
         train = make_data([0, 0, 0, 0, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 1, 1])
         x = np.array([0.0])
 
-        f = forest_from_trees([stump(train, [1, 0, 1, 0, 2, 2, 1, 1]),
-                               stump(train, [3, 0, 3, 0, 1, 0, 1, 0])], train)
+        f = forest_from_trees([stump([1, 0, 1, 0, 2, 2, 1, 1]),
+                               stump([3, 0, 3, 0, 1, 0, 1, 0])], train)
         assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)  # (1/2 + 3/6) / 2
         assert f.predict_proba(x, "prox") == pytest.approx(0.5)  # (1 + 3) / (2 + 6)
 
-        f = forest_from_trees([stump(train, [1, 1, 0, 0, 2, 2, 1, 1]),
-                               stump(train, [0, 0, 3, 3, 1, 0, 1, 0])], train)
+        f = forest_from_trees([stump([1, 1, 0, 0, 2, 2, 1, 1]),
+                               stump([0, 0, 3, 3, 1, 0, 1, 0])], train)
         assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)  # (2/2 + 0/6) / 2
         assert f.predict_proba(x, "prox") == pytest.approx(2 / 8)  # (2 + 0) / (2 + 6)
 
     def test_round_half_votes_one(self):
         train = make_data(np.zeros(2), [0, 1])
-        t = single_leaf_tree(2, 1, [0, 1], 2)
-        f = forest_from_trees([t], train)
+        f = forest_from_trees([single_leaf_tree([1, 1])], train)
         assert f.predict_proba(np.array([0.0]), "class_vote") == 1.0
 
     def test_modes_bounded(self):
@@ -200,17 +191,10 @@ class TestPredictProba:
     def test_singleton_leaves_make_prox_equal_class(self):
         # every leaf of size one: the three estimators coincide exactly
         train = make_data(np.arange(4, dtype=float), [0, 1, 1, 0])
-
-        def leaf(i):
-            return {"n": 1, "positives": int(train.labels[i])}
-
-        def node(thr, left, right):
-            return {"feature": 0, "threshold": thr, "left": left, "right": right}
-
-        chain = node(0.5, leaf(0), node(1.5, leaf(1), node(2.5, leaf(2), leaf(3))))
-        balanced = node(1.5, node(0.5, leaf(0), leaf(1)), node(2.5, leaf(2), leaf(3)))
-        trees = [hand_built_tree(chain, 4), hand_built_tree(balanced, 4)]
-        f = forest_from_trees(trees, train)
+        nan = np.nan
+        chain = hand_built_tree([0.5, nan, 1.5, nan, 2.5, nan, nan], [1] * 4)
+        balanced = hand_built_tree([1.5, 0.5, 2.5, nan, nan, nan, nan], [1] * 4)
+        f = forest_from_trees([chain, balanced], train)
         X = np.linspace(-1, 4, 23)[:, None]
         np.testing.assert_allclose(
             f.predict_proba_batch(X, "prox"), f.predict_proba_batch(X, "class_vote")
@@ -257,15 +241,15 @@ class TestPredictProba:
 
 
 class TestFromTrees:
-    """A forest built from trees meets every check `load` makes, and takes
-    its leaf counts from its training rows, never from the trees."""
+    """A forest of hand-built trees meets every check `load` makes, and
+    takes its leaf counts from its training rows: a tree states none."""
 
     def test_tree_counts_are_not_read(self, tmp_path):
         train = make_data([0, 0, 0, 0, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 1, 1])
         trees = [
-            single_leaf_tree(1, 0, np.arange(8), 8),  # 8 draws, 4 positive
-            stump(train, [1, 1, 0, 0, 2, 2, 1, 1], claimed=[(5, 0), (1, 1)]),
-            stump(train, [0, 0, 3, 3, 1, 0, 1, 0], claimed=[(1, 1), (9, 9)]),
+            single_leaf_tree([1] * 8),  # 8 draws, 4 positive
+            stump([1, 1, 0, 0, 2, 2, 1, 1]),
+            stump([0, 0, 3, 3, 1, 0, 1, 0]),
         ]
         f = forest_from_trees(trees, train)
         np.testing.assert_array_equal(f.leaf_n, [8, 0, 2, 6, 0, 6, 2])
@@ -294,10 +278,8 @@ class TestFromTrees:
     )
     def test_refused_with_load_messages(self, inbag, n_trees, message):
         train = make_data([0, 0, 1, 1], [0, 1, 0, 1])
-        tree = stump(train, inbag, claimed=[(2, 1), (2, 1)])
-        params = ForestParams(n_trees=n_trees, tree=TreeParams(mtry=1), seed=0)
         with pytest.raises(ValueError, match=message):
-            Forest.from_trees([tree], train, params)
+            forest_from_trees([stump(inbag)], train, n_trees)
 
 
 class TestProximity:
@@ -317,17 +299,7 @@ class TestProximity:
 
     def test_hand_built_half_co_occupancy(self):
         train = make_data([0.2, 0.8], [0, 1])
-        split_tree = hand_built_tree(
-            {
-                "feature": 0,
-                "threshold": 0.5,
-                "left": {"n": 1, "positives": 0},
-                "right": {"n": 1, "positives": 1},
-            },
-            2,
-        )
-        blob_tree = single_leaf_tree(2, 1, [0, 1], 2)
-        f = forest_from_trees([split_tree, blob_tree], train)
+        f = forest_from_trees([stump([1, 1]), single_leaf_tree([1, 1])], train)
         assert f.proximity(np.array([0.2]), np.array([0.8])) == pytest.approx(0.5)
 
     def test_proximity_many_matches_scalar(self):
@@ -446,9 +418,8 @@ class TestVotingWeights:
         )
         x = rng.normal(size=2)
         w = f.voting_weights(x)
-        t = f.tree(0)
-        inside = t.apply(d.features) == t.apply(x[None, :])[0]
-        np.testing.assert_array_equal(t.inbag, 1)
+        inside = f.leaves(d.features)[0] == f.leaves(x[None, :])[0, 0]
+        np.testing.assert_array_equal(f.inbag, 1)
         np.testing.assert_allclose(w[inside], 1.0 / inside.sum())
         np.testing.assert_allclose(w[~inside], 0.0)
 
@@ -456,30 +427,33 @@ class TestVotingWeights:
 class TestStats:
     def test_single_leaf_forest(self):
         train = make_data([0.0, 1.0], [0, 1])
-        f = forest_from_trees([single_leaf_tree(2, 1, [0, 1], 2)], train)
+        f = forest_from_trees([single_leaf_tree([1, 1])], train)
         s = f.stats()
         assert s["mean_leaf_count"] == 1.0
         assert s["mean_depth"] == 0.0
 
     def test_mean_of_leaf_counts(self):
-        xs = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
-        train = make_data(xs, [0, 1, 0, 1, 0, 1])
+        train = make_data([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], [0, 1, 0, 1, 0, 1])
+        nan = np.nan
+        three = hand_built_tree([0.3, nan, 0.7, nan, nan], [1] * 6)  # depth 2
+        five = hand_built_tree([0.1, nan, 0.3, nan, 0.5, nan, 0.7, nan, nan], [1] * 6)  # depth 4
+        f = forest_from_trees([three, five], train)
+        assert f.stats() == {"mean_leaf_count": 4.0, "mean_depth": 3.0}
 
-        def leaf(rows):
-            rows = list(rows)
-            return {"n": len(rows), "positives": int(train.labels[rows].sum())}
+    def test_table_depths_are_the_trees_depths(self):
+        def reference_depth(t):
+            depth = np.zeros(t.n_nodes, dtype=np.int64)
+            for k in np.flatnonzero(t.feature >= 0):  # a parent comes before its children
+                depth[t.left[k]] = depth[t.right[k]] = depth[k] + 1
+            return depth
 
-        def node(thr, left, right):
-            return {"feature": 0, "threshold": thr, "left": left, "right": right}
-
-        three = node(0.3, leaf([0, 1]), node(0.7, leaf([2, 3]), leaf([4, 5])))
-        five = node(
-            0.1,
-            leaf([0]),
-            node(0.3, leaf([1]), node(0.5, leaf([2]), node(0.7, leaf([3]), leaf([4, 5])))),
-        )
-        f = forest_from_trees([hand_built_tree(three, 6), hand_built_tree(five, 6)], train)
-        assert f.stats()["mean_leaf_count"] == 4.0
+        d = random_data(np.random.default_rng(18), 80, 3)
+        f = train_forest(d, ForestParams(n_trees=6, tree=TreeParams(mtry=1), seed=2))
+        trees = trees_of(f)
+        depth = node_depth(f.feature, f.first_child, f.roots)
+        np.testing.assert_array_equal(depth, np.concatenate([t.node_depth for t in trees]))
+        np.testing.assert_array_equal(depth, np.concatenate([reference_depth(t) for t in trees]))
+        assert f.stats()["mean_depth"] == np.mean([t.depth for t in trees]) > 1
 
     def test_uniform_leaf_sizes_collapse_reg_and_prox(self):
         rng = np.random.default_rng(16)
@@ -696,7 +670,7 @@ class TestLoadValidation:
         )
         path = tmp_path_factory.mktemp("load") / "forest.json"
         f.save(path)
-        return json.loads(path.read_text()), f.tree(0).apply(d.features)
+        return json.loads(path.read_text()), f.leaves(d.features)[0]
 
     def _load(self, payload, tmp_path):
         path = tmp_path / "bad.json"

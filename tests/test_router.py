@@ -1,7 +1,7 @@
 """Forest.leaves and everything built on it against per-tree reference loops.
 
-The reference router is the depth-first, one-tree-at-a-time routing that
-`Tree.apply` used before the packed router, and the reference estimators
+The reference router is the depth-first, one-tree-at-a-time routing the
+library used before the packed router, and the reference estimators
 are the per-tree accumulation loops the forest used on top of it. Every
 comparison is exact: the packed versions add the same numbers in the same
 order.
@@ -10,12 +10,13 @@ order.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestprox.data_model import Dataset
 from forestprox.forest import Forest, ForestParams, train_forest
-from forestprox.tree import Tree, TreeParams
+from forestprox.tree import TreeParams, route
 
 
 def trees_of(f):
@@ -80,13 +81,13 @@ def reference_voting_weights(f, x0):
     return counts / counts.sum()
 
 
-def single_leaf_tree(labels, n_features):
-    return Tree.from_dict({
-        "seed": 0,
-        "n_features": n_features,
-        "inbag": [1] * len(labels),
-        "root": {"n": len(labels), "positives": int(np.sum(labels))},
-    })
+def with_single_leaf_tree(f):
+    """f with one more tree: a single leaf holding every training row once."""
+    return Forest(
+        f.train, replace(f.params, n_trees=f.n_trees + 1), (*f.seeds, 0),
+        np.append(f.n_nodes, 1), np.append(f.feature, -1), np.append(f.threshold, np.nan),
+        np.vstack([f.inbag, np.ones(f.train.n, dtype=np.int64)]),
+    )
 
 
 # Few distinct values, so trees split on ties, and both signed zeros.
@@ -114,8 +115,7 @@ def forests_and_queries(draw):
     )
     f = train_forest(d, params)
     if draw(st.booleans()):
-        trees = trees_of(f) + [single_leaf_tree(d.labels, p)]
-        f = Forest.from_trees(trees, d, replace(params, n_trees=len(trees)))
+        f = with_single_leaf_tree(f)
     # Queries sit on thresholds, one float either side of them, on the
     # training values and on both zeros.
     thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in trees_of(f)])
@@ -140,7 +140,6 @@ class TestLeaves:
         assert L.shape == (f.n_trees, X.shape[0])
         for t, row in zip(trees_of(f), L):
             np.testing.assert_array_equal(row, reference_apply(t, X))
-            np.testing.assert_array_equal(t.apply(X), row)
             assert (t.feature[row] < 0).all()
 
     @settings(max_examples=40, deadline=None)
@@ -178,16 +177,21 @@ class TestLeaves:
                 np.bincount(row, weights=t.inbag * d.labels, minlength=t.n_nodes), t.leaf_pos
             )
 
-    def test_tree_apply_routes_nan_right(self):
-        # Tree.apply does not refuse NaN, and NaN fails x <= threshold
+    def test_route_sends_nan_right(self):
+        # Forest.leaves refuses NaN; under it, route sends NaN to the second
+        # child, since NaN fails x <= threshold
         rng = np.random.default_rng(3)
         d = Dataset(rng.normal(size=(60, 2)), rng.integers(0, 2, 60), ("a", "b"))
-        t = train_forest(d, ForestParams(n_trees=1, tree=TreeParams(mtry=1), seed=4)).tree(0)
+        f = train_forest(d, ForestParams(n_trees=1, tree=TreeParams(mtry=1), seed=4))
+        t = f.tree(0)
         X = rng.normal(size=(30, 2))
         X[::2, 0] = X[::3, 1] = np.nan
-        leaves = t.apply(X)
+        leaves = route(t.feature, t.threshold, t.left, [0], X)[0]
         np.testing.assert_array_equal(leaves, reference_apply(t, X))
-        assert leaves[0] == t.apply(np.full((1, 2), np.inf))[0]
+        inf = np.full((1, 2), np.inf)
+        assert leaves[0] == route(t.feature, t.threshold, t.left, [0], inf)[0, 0]
+        with pytest.raises(ValueError, match="non-finite"):
+            f.leaves(X)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(1)

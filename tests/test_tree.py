@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from forestprox.data_model import Dataset
 from forestprox.synthgen import get_model, sample
-from forestprox.forest import derive_seeds
-from forestprox.tree import Tree, TreeParams, best_split, grow_tree, grow_trees
+from forestprox.forest import Forest, ForestParams, derive_seeds, grow_tree, train_forest
+from forestprox.tree import TreeParams, best_split, grow_trees, route
 
 
 def make_data(features, labels, names=None):
@@ -25,6 +26,11 @@ def random_data(rng, n, p):
         rng.integers(0, 2, n),
         tuple(f"f{j}" for j in range(p)),
     )
+
+
+def leaves_of(t, X):
+    """Leaf every row of X reaches in tree t."""
+    return route(t.feature, t.threshold, t.left, [0], np.asarray(X, dtype=np.float64))[0]
 
 
 def leaf_boxes(tree):
@@ -228,7 +234,7 @@ class TestGrowTree:
         d = random_data(rng, 120, 3)
         t = grow_tree(d, TreeParams(mtry=2, bootstrap=False), seed=9)
         np.testing.assert_array_equal(t.inbag, np.ones(120))
-        leaves = t.apply(d.features)
+        leaves = leaves_of(t, d.features)
         assert (t.feature[leaves] < 0).all()
         np.testing.assert_array_equal(np.bincount(leaves, minlength=t.n_nodes), t.leaf_n)
 
@@ -239,7 +245,7 @@ class TestGrowTree:
         assert t.inbag.sum() == 50  # bootstrap keeps the sample size
         assert (t.inbag == 0).any()
         assert t.leaf_n.sum() - t.leaf_n[t.feature >= 0].sum() == 50
-        leaves = t.apply(d.features)
+        leaves = leaves_of(t, d.features)
         np.testing.assert_array_equal(
             np.bincount(leaves, weights=t.inbag, minlength=t.n_nodes), t.leaf_n
         )
@@ -250,7 +256,7 @@ class TestGrowTree:
         for mode in ("impurity", "completely_random"):
             t = grow_tree(d, TreeParams(mtry=2, split_mode=mode, bootstrap=False), seed=1)
             queries = rng.uniform(-4, 4, size=(10_000, 3))
-            located = t.apply(queries)
+            located = leaves_of(t, queries)
             boxes = leaf_boxes(t)
             matches = np.zeros(len(queries), dtype=int)
             box_of = np.full(len(queries), -1)
@@ -313,8 +319,17 @@ class TestGrowTree:
 
 def leaf_fraction(t, x):
     """Positive fraction of the leaf x reaches in tree t."""
-    leaf = t.apply(np.asarray(x, dtype=np.float64)[None, :])[0]
+    leaf = leaves_of(t, [x])[0]
     return t.leaf_pos[leaf] / t.leaf_n[leaf]
+
+
+def hand_built_stump(inbag, seed=0):
+    """Tree 0 of a forest of one stump, x <= 0.5, on five rows: rows 0 and 1
+    on the left, rows 2 to 4 on the right, labels 1, 0, 1, 0, 1."""
+    d = make_data([0.2, 0.4, 0.6, 0.7, 0.9], [1, 0, 1, 0, 1])
+    f = Forest(d, ForestParams(1, TreeParams(mtry=1)), (seed,), np.array([3]),
+               np.array([0, -1, -1]), np.array([0.5, np.nan, np.nan]), np.array([inbag]))
+    return f.tree(0)
 
 
 class TestTreeProb:
@@ -331,41 +346,37 @@ class TestTreeProb:
             assert leaf_fraction(t, d.features[i]) == float(d.labels[i])
 
     def test_hand_built_depth_one_tree(self):
-        payload = {
-            "seed": 0,
-            "n_features": 1,
-            "inbag": [1, 1, 1, 1, 1],
-            "root": {
-                "feature": 0,
-                "threshold": 0.5,
-                "left": {"n": 2, "positives": 1},
-                "right": {"n": 3, "positives": 3},
-            },
-        }
-        t = Tree.from_dict(payload)
+        t = hand_built_stump([1, 1, 2, 0, 1])
         assert leaf_fraction(t, np.array([0.2])) == pytest.approx(0.5)
         assert leaf_fraction(t, np.array([0.9])) == pytest.approx(1.0)
         assert t.leaf_count == 2
 
     def test_dimension_mismatch(self):
+        # a tree is read through its forest's router, which checks the width
         d = make_data([1.0, 2.0], [0, 1])
-        t = grow_tree(d, TreeParams(mtry=1, bootstrap=False), seed=0)
-        with pytest.raises(ValueError):
-            leaf_fraction(t, np.array([1.0, 2.0]))
+        f = train_forest(d, ForestParams(1, TreeParams(mtry=1, bootstrap=False)))
+        with pytest.raises(ValueError, match="expected"):
+            f.leaves(np.array([[1.0, 2.0]]))
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(10)
-        d = random_data(rng, 90, 3)
-        t = grow_tree(d, TreeParams(mtry=2), seed=21)
-        back = Tree.from_dict(t.to_dict())
-        assert back.to_dict() == t.to_dict()
-        np.testing.assert_array_equal(back.inbag, t.inbag)
-        np.testing.assert_array_equal(back.leaf_n, t.leaf_n)
-        np.testing.assert_array_equal(back.leaf_pos, t.leaf_pos)
-        queries = rng.normal(size=(50, 3))
-        np.testing.assert_array_equal(t.apply(queries), back.apply(queries))
+    def test_to_dict_field_contract(self):
+        # README's nested view: {seed, n_features, inbag, root}, internal
+        # nodes {feature, threshold, left, right}, leaves {n, positives},
+        # all plain JSON values
+        view = hand_built_stump([2, 0, 1, 1, 1], seed=7).to_dict()
+        assert view == {
+            "seed": 7,
+            "n_features": 1,
+            "inbag": [2, 0, 1, 1, 1],
+            "root": {
+                "feature": 0,
+                "threshold": 0.5,
+                "left": {"n": 2, "positives": 2},
+                "right": {"n": 3, "positives": 2},
+            },
+        }
+        assert json.loads(json.dumps(view)) == view
 
 
 @settings(max_examples=25, deadline=None)
@@ -496,7 +507,7 @@ def assert_matches_reference(d, params, seed):
     ref, drawn = reference_grow(d, params, seed)
     assert t.n_nodes == len(ref)
     np.testing.assert_array_equal(t.inbag, np.bincount(drawn, minlength=d.n))
-    leaf_of = t.apply(d.features)
+    leaf_of = leaves_of(t, d.features)
     for i, (f, thr, left, right, rows) in enumerate(ref):
         assert (t.feature[i], t.left[i], t.right[i]) == (f, left, right)
         if f < 0:
