@@ -34,7 +34,7 @@ from .kernel_lab import (
     strong_weak_weights,
 )
 from .synthgen import MODELS, SyntheticModel, ccpf, get_model, sample
-from .tree import Split, Tree, TreeParams, best_split
+from .tree import Tree, TreeParams
 
 __all__ = [
     "Dataset",
@@ -45,8 +45,6 @@ __all__ = [
     "train_test_split",
     "Tree",
     "TreeParams",
-    "Split",
-    "best_split",
     "grow_tree",
     "Forest",
     "ForestParams",

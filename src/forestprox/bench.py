@@ -136,6 +136,9 @@ class ExperimentConfig:
             raise ValueError(f"junk must be >= 0, got {self.junk}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
+        names = [e.name for e in self.estimators]
+        if len(set(names)) < len(names):
+            raise ValueError(f"estimator names must be unique, got {names}")
         if self.source == "csv" and not self.csv_path:
             raise ValueError("csv source requires csv_path")
         if self.source != "csv":

@@ -49,6 +49,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by the commands that read a saved forest and query points
+    queries = argparse.ArgumentParser(add_help=False)
+    queries.add_argument("--model", required=True)
+    queries.add_argument("--data", required=True)
+    queries.add_argument("--label-column", default=None)
+    queries.add_argument("--out", required=True)
+
+    # flags shared by the commands that grow forests from a training set
+    growth = argparse.ArgumentParser(add_help=False)
+    growth.add_argument("--label-column", default="label")
+    growth.add_argument(
+        "--true-prob-column", default="auto",
+        help="column to exclude as a known-probability companion; "
+        "'auto' drops a column named true_prob, 'none' keeps everything",
+    )
+    growth.add_argument("--trees", type=int, default=200)
+    growth.add_argument("--junk", type=int, default=0)
+    growth.add_argument("--bootstrap", choices=("on", "off"), default="on")
+    growth.add_argument("--seed", type=int, default=0)
+
     p_sim = sub.add_parser("simulate", help="write a synthetic dataset as CSV")
     p_sim.add_argument("--model", required=True, choices=sorted(MODELS))
     p_sim.add_argument("--n", type=int, required=True)
@@ -56,34 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--junk", type=int, default=0)
     p_sim.add_argument("--out", required=True)
 
-    p_train = sub.add_parser("train", help="train a forest on a CSV and save it")
+    p_train = sub.add_parser("train", parents=[growth], help="train a forest on a CSV and save it")
     p_train.add_argument("--data", required=True)
-    p_train.add_argument("--label-column", default="label")
-    p_train.add_argument(
-        "--true-prob-column", default="auto",
-        help="column to exclude as a known-probability companion; "
-        "'auto' drops a column named true_prob, 'none' keeps everything",
-    )
-    p_train.add_argument("--trees", type=int, default=200)
     p_train.add_argument("--mtry", default="sqrt")
     p_train.add_argument("--mode", choices=sorted(MODE_GROWTH), default="class")
     p_train.add_argument("--min-node-size", type=int, default=None)
-    p_train.add_argument("--bootstrap", choices=("on", "off"), default="on")
-    p_train.add_argument("--junk", type=int, default=0)
-    p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", required=True)
 
-    p_pred = sub.add_parser("predict", help="per-point probabilities from a saved forest")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--label-column", default=None)
-    p_pred.add_argument("--out", required=True)
-
-    p_prox = sub.add_parser("proximity", help="pairwise proximity matrix for a CSV of points")
-    p_prox.add_argument("--model", required=True)
-    p_prox.add_argument("--data", required=True)
-    p_prox.add_argument("--label-column", default=None)
-    p_prox.add_argument("--out", required=True)
+    sub.add_parser("predict", parents=[queries], help="per-point probabilities from a saved forest")
+    sub.add_parser(
+        "proximity", parents=[queries], help="pairwise proximity matrix for a CSV of points"
+    )
 
     p_kern = sub.add_parser(
         "kernel", help="analytic selection weights and simulated-vs-analytic kernel curves"
@@ -115,24 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--bounds", default=None, help="lo_i,hi_i,lo_j,hi_j (default: data range)")
     p_grid.add_argument("--out", required=True)
 
-    p_bench = sub.add_parser("bench", help="repeated-split estimator comparison")
+    p_bench = sub.add_parser("bench", parents=[growth], help="repeated-split estimator comparison")
     src = p_bench.add_mutually_exclusive_group(required=True)
     src.add_argument("--synthetic", choices=sorted(MODELS))
     src.add_argument("--data")
-    p_bench.add_argument("--label-column", default="label")
-    p_bench.add_argument(
-        "--true-prob-column", default="auto",
-        help="column to exclude as a known-probability companion; "
-        "'auto' drops a column named true_prob, 'none' keeps everything",
-    )
-    p_bench.add_argument("--trees", type=int, default=200)
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--train-n", type=int, default=500)
     p_bench.add_argument("--test-n", type=int, default=1000)
     p_bench.add_argument("--train-fraction", type=float, default=0.8)
-    p_bench.add_argument("--junk", type=int, default=0)
-    p_bench.add_argument("--bootstrap", choices=("on", "off"), default="on")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
         "--estimators", default="all",
         help="comma-separated roster names, or 'all' for the default roster",

@@ -228,12 +228,13 @@ def _map_labels(raw: list[str]) -> np.ndarray:
     return np.array([mapping[v] for v in raw], dtype=np.int64)
 
 
-def save_csv(d: Dataset, path: str | Path, label_name: str = "label") -> None:
-    """Write a Dataset to CSV; includes a true_prob column when present."""
+def save_csv(d: Dataset, path: str | Path) -> None:
+    """Write a Dataset to CSV: its features, a "label" column, and a true_prob
+    column when present."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(d.feature_names) + [label_name]
+        header = list(d.feature_names) + ["label"]
         if d.true_probs is not None:
             header.append(TRUE_PROB_COLUMN)
         writer.writerow(header)

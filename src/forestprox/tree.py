@@ -3,6 +3,8 @@
 Growth draws `mtry` candidate features per node and either minimizes a
 split criterion over midpoint thresholds (impurity mode) or draws the
 feature and threshold uniformly at random (completely_random mode).
+`_best_splits` is the one split search; growth scores each level's nodes
+with it once, a chunk of nodes per call.
 Growth returns only the node arrays and how often each training row was
 drawn for each tree; the forest built from them derives every leaf's
 in-bag row and positive counts by routing the training rows.
@@ -55,15 +57,6 @@ class TreeParams:
     def check_dimension(self, p: int) -> None:
         if self.mtry > p:
             raise ValueError(f"mtry={self.mtry} exceeds feature count p={p}")
-
-
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    left_rows: np.ndarray
-    right_rows: np.ndarray
-    score: float
 
 
 def first_child(feature, tree=0) -> np.ndarray:
@@ -214,8 +207,8 @@ def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
     cand[i]. All (candidate, node) segments are sorted at once, by a key
     that packs segment, rank and label into one integer, and every
     boundary is scored with segmented cumulative sums. Returns (feature,
-    threshold, score) arrays; feature is -1 for a node where no candidate
-    has two distinct values.
+    threshold) arrays; feature is -1 for a node where no candidate has two
+    distinct values.
     """
     n, (n_nodes, k) = d.n, cand.shape
     # The batch's M rows once; segment c * n_nodes + i is node i's copy for
@@ -290,46 +283,7 @@ def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
     hi = d.sorted_features[key[first + 1] - base, jf]
     thr = lo + (hi - lo) / 2.0
     threshold[ok] = np.where(thr >= hi, lo, thr)  # adjacent floats; keep both sides nonempty
-    node_score = np.full(n_nodes, np.inf)
-    node_score[ok] = score[first]
-    return feature, threshold, node_score
-
-
-def best_split(
-    rows: np.ndarray,
-    d: Dataset,
-    candidates: np.ndarray,
-    criterion: str = "gini",
-) -> Split | None:
-    """Best split over the candidate features under the given criterion.
-
-    Thresholds are midpoints between consecutive distinct sorted in-node
-    values. Ties are broken toward the lowest feature index, then the
-    lowest threshold. Returns None for pure nodes and for nodes where no
-    candidate feature has two distinct values.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("rows must be nonempty")
-    cand = np.unique(np.asarray(candidates, dtype=np.int64))
-    if cand.size == 0:
-        raise ValueError("candidates must be nonempty")
-    if cand[0] < 0 or cand[-1] >= d.p:
-        raise ValueError(f"candidate features must lie in [0, {d.p})")
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}")
-    m = rows.size
-    total_pos = int(d.labels[rows].sum())
-    if m < 2 or total_pos == 0 or total_pos == m:
-        return None
-    feature, threshold, score = _best_splits(
-        d, rows, np.array([0]), np.array([m]), np.array([total_pos]), cand[None, :], criterion
-    )
-    if feature[0] < 0:
-        return None
-    j, thr = int(feature[0]), float(threshold[0])
-    mask = d.features[rows, j] <= thr
-    return Split(j, thr, rows[mask], rows[~mask], float(score[0]))
+    return feature, threshold
 
 
 def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
@@ -341,16 +295,20 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
     threshold of every tree's nodes one after another, then the (T, n)
     inbag: the arrays a `Forest` is built from. A group of trees
     grows one BFS level of all of them per pass, its rows in one array, node
-    by node in tree and then BFS order. A node draws from its own tree's
-    stream while that tree's leaf budget lasts, and its scores do not depend
-    on which nodes share its `_best_splits` call: trees grow as if alone.
+    by node in tree and then BFS order. Every splittable node of a tree with
+    leaf budget left draws from its tree's stream and is scored once; the
+    tree keeps its first `budget` splits in BFS order, and its other nodes
+    become leaves. A tree whose budget runs out never draws again, so the
+    draws past its budget are never read. A node's scores do not depend on
+    which nodes share its `_best_splits` call: trees grow as if alone, and
+    as if one node at a time.
     """
     params.check_dimension(d.p)
     step = max(1, _GROUP_ROWS // d.n)
     if len(seeds) > step:
         groups = [grow_trees(d, params, seeds[i:i + step]) for i in range(0, len(seeds), step)]
         return tuple(np.concatenate(arrays) for arrays in zip(*groups))
-    n, p, T, k = d.n, d.p, len(seeds), min(params.mtry, d.p)
+    n, p, T, k = d.n, d.p, len(seeds), params.mtry
     random = params.split_mode == "completely_random"
     rngs = np.array([np.random.default_rng(seed) for seed in seeds], dtype=object)
     drawn = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
@@ -366,27 +324,28 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
         starts = np.cumsum(sizes) - sizes
         pos = np.add.reduceat(d.labels[rows], starts)
         feature, threshold = np.full(cnt, -1, dtype=np.int32), np.full(cnt, np.nan)
-        todo = np.flatnonzero((sizes >= 2 * params.min_node_size) & (pos > 0) & (pos < sizes))
-        # A tree's first `budget` splittable nodes draw whatever their outcome; a node
-        # that finds no split leaves budget for the tree's next ones, in a further batch.
-        while (todo := todo[budget[tree[todo]] > 0]).size:
-            t_of = tree[todo]
-            take = np.arange(todo.size) - np.searchsorted(t_of, t_of) < budget[t_of]
-            batch, todo = todo[take], todo[~take]
-            elems = sizes[batch] * (p if random else k)
-            window = (np.cumsum(elems) - elems) // _CHUNK_ELEMENTS
-            for c in np.split(batch, np.flatnonzero(np.diff(window)) + 1):
-                streams, nodes = rngs[tree[c]], (d, rows, starts[c], sizes[c])
-                if random:
-                    found = _random_splits(*nodes, streams)
-                else:
-                    cand = np.sort([r.choice(p, size=k, replace=False) for r in streams], axis=1)
-                    found = _best_splits(*nodes, pos[c], cand, params.criterion)
-                feature[c], threshold[c] = found[:2]
-            budget -= np.bincount(tree[batch[feature[batch] >= 0]], minlength=T)
-
+        # every splittable node of a tree with budget left draws and is scored, in BFS
+        # order; each tree keeps its first `budget` splits and the rest become leaves
+        todo = np.flatnonzero(
+            (sizes >= 2 * params.min_node_size) & (pos > 0) & (pos < sizes) & (budget[tree] > 0)
+        )
+        elems = sizes[todo] * (p if random else k)
+        window = (np.cumsum(elems) - elems) // _CHUNK_ELEMENTS
+        for c in np.split(todo, np.flatnonzero(np.diff(window)) + 1) if todo.size else ():
+            streams, nodes = rngs[tree[c]], (d, rows, starts[c], sizes[c])
+            if random:
+                found = _random_splits(*nodes, streams)
+            else:
+                cand = np.sort([r.choice(p, size=k, replace=False) for r in streams], axis=1)
+                found = _best_splits(*nodes, pos[c], cand, params.criterion)
+            feature[c], threshold[c] = found
+        split = np.flatnonzero(feature >= 0)
+        t_of = tree[split]
+        over = np.arange(split.size) - np.searchsorted(t_of, t_of) >= budget[t_of]
+        feature[split[over]], threshold[split[over]] = -1, np.nan
+        split = split[~over]
+        budget -= np.bincount(tree[split], minlength=T)
         leaf = feature < 0
-        split = np.flatnonzero(~leaf)
         levels.append((tree, feature, threshold))
 
         # stable partition: each split node's left rows, then its right rows

@@ -24,7 +24,7 @@ from forestprox.bench import (
 from forestprox.cli import main as cli_main
 from forestprox.data_model import Dataset, augment_junk
 from forestprox.diagnostics import derivative_report, prob_histogram
-from forestprox.forest import ForestParams, train_forest
+from forestprox.forest import ForestParams, grow_tree, train_forest
 from forestprox.kernel_lab import (
     NaiveKernelSpec,
     bandwidth_sweep,
@@ -35,7 +35,7 @@ from forestprox.kernel_lab import (
     strong_weak_weights,
 )
 from forestprox.synthgen import get_model, sample
-from forestprox.tree import TreeParams, best_split
+from forestprox.tree import TreeParams
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -183,13 +183,18 @@ def test_c2_gini_mse_split_equivalence():
         if i % 3 == 0:  # low-cardinality features force exact score ties
             feats = np.round(feats)
         d = Dataset(feats, rng.integers(0, 2, n), tuple(f"f{j}" for j in range(p)))
-        g = best_split(np.arange(n), d, np.arange(p), "gini")
-        m = best_split(np.arange(n), d, np.arange(p), "mse")
-        if g is None or m is None:
-            assert g is None and m is None
+        # the root of a stump grown on every row over every feature is the
+        # best split under its criterion
+        g, m = (
+            grow_tree(d, TreeParams(mtry=p, max_leaves=2, bootstrap=False, criterion=c), i)
+            for c in ("gini", "mse")
+        )
+        if g.feature[0] < 0 or m.feature[0] < 0:
+            assert g.feature[0] < 0 and m.feature[0] < 0
             continue
-        assert (g.feature, g.threshold) == (m.feature, m.threshold), (
-            f"dataset {i}: gini {g.feature}@{g.threshold} vs mse {m.feature}@{m.threshold}"
+        assert (g.feature[0], g.threshold[0]) == (m.feature[0], m.threshold[0]), (
+            f"dataset {i}: gini {g.feature[0]}@{g.threshold[0]} "
+            f"vs mse {m.feature[0]}@{m.threshold[0]}"
         )
         checked += 1
     report(

@@ -104,6 +104,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(source="xor", estimators=())
 
+    def test_duplicate_estimator_names(self):
+        # results are keyed by name, so two entries of one name would each
+        # report both entries' values
+        spec = EstimatorSpec("class_sqrt", "class_vote", "sqrt")
+        other = EstimatorSpec("class_sqrt", "reg_mean", "third")
+        for roster in ((spec, spec), (spec, other)):
+            with pytest.raises(ValueError, match="unique"):
+                ExperimentConfig(source="xor", estimators=roster)
+
     def test_default_roster_names(self):
         names = [e.name for e in default_estimators()]
         assert names == [

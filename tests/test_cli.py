@@ -305,6 +305,17 @@ class TestBenchCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
 
+    def test_duplicate_estimator_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = main([
+            "bench", "--synthetic", "xor", "--trees", "5", "--reps", "2",
+            "--train-n", "60", "--test-n", "60", "--estimators", "class_sqrt,class_sqrt",
+            "--out", str(out),
+        ])
+        assert rc == 1 and not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError" and "unique" in err["message"]
+
 
 class TestBadCounts:
     """A count no run can use is refused with the JSON error before any

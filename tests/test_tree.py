@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from forestprox.data_model import Dataset
 from forestprox.synthgen import get_model, sample
 from forestprox.forest import Forest, ForestParams, derive_seeds, grow_tree, train_forest
-from forestprox.tree import TreeParams, best_split, grow_trees, route
+from forestprox.tree import TreeParams, grow_trees, route
 
 
 def make_data(features, labels, names=None):
@@ -67,59 +67,67 @@ class TestTreeParams:
             TreeParams(mtry=5).check_dimension(3)
 
 
+def root_split(d, criterion="gini", rows=None):
+    """(feature, threshold) at the root of the one-split tree grown on rows
+    (all by default) over every feature, or None when it stays a leaf."""
+    if rows is not None:
+        d = Dataset(d.features[rows], d.labels[rows], d.feature_names)
+    params = TreeParams(mtry=d.p, max_leaves=2, bootstrap=False, criterion=criterion)
+    t = grow_tree(d, params, seed=0)
+    return None if t.feature[0] < 0 else (int(t.feature[0]), float(t.threshold[0]))
+
+
 class TestBestSplit:
+    """The root split of a stump: the best split over every feature."""
+
     def test_two_point_perfect_split(self):
         d = make_data([0.0, 1.0], [0, 1])
         for criterion in ("gini", "mse"):
-            s = best_split(np.arange(2), d, [0], criterion)
-            assert s.feature == 0
-            assert s.threshold == pytest.approx(0.5)
-            assert s.score == pytest.approx(0.0)
+            t = grow_tree(d, TreeParams(mtry=1, max_leaves=2, bootstrap=False,
+                                        criterion=criterion), seed=0)
+            assert (t.feature[0], t.threshold[0]) == (0, pytest.approx(0.5))
+            np.testing.assert_array_equal(t.leaf_pos[1:], [0, 1])  # both sides pure
 
     def test_pure_node_returns_none(self):
         d = make_data([0.0, 1.0, 2.0], [1, 1, 1])
-        assert best_split(np.arange(3), d, [0]) is None
+        assert root_split(d) is None
 
     def test_constant_feature_returns_none(self):
         d = make_data([2.0, 2.0, 2.0], [0, 1, 0])
-        assert best_split(np.arange(3), d, [0]) is None
+        assert root_split(d) is None
 
     def test_midpoint_thresholds(self):
         d = make_data([1.0, 2.0, 4.0], [0, 0, 1])
-        s = best_split(np.arange(3), d, [0])
-        assert s.threshold == pytest.approx(3.0)
+        assert root_split(d) == (0, pytest.approx(3.0))
 
     def test_adjacent_floats_threshold_falls_back_to_lower_value(self):
         lo = np.nextafter(1.0, 2.0)
         hi = np.nextafter(lo, 2.0)
         assert lo + (hi - lo) / 2.0 == hi  # the midpoint rounds onto hi
         d = make_data([lo, hi, hi], [0, 1, 1])
-        s = best_split(np.arange(3), d, [0])
-        assert s.threshold == lo
-        assert (len(s.left_rows), len(s.right_rows)) == (1, 2)
         t = grow_tree(d, TreeParams(mtry=1, bootstrap=False), seed=0)
         assert t.threshold[0] == lo and t.leaf_count == 2
+        assert (t.leaf_n[1], t.leaf_n[2]) == (1, 2)
 
     def test_tie_breaks_to_lowest_feature(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         d = make_data(np.column_stack([x, x]), [0, 0, 1, 1])
-        s = best_split(np.arange(4), d, [0, 1])
-        assert s.feature == 0
+        assert root_split(d)[0] == 0
 
     def test_tie_breaks_to_lowest_threshold(self):
         # boundaries at 0.5 and 2.5 isolate one point each: exact score tie
         d = make_data([0.0, 1.0, 2.0, 3.0], [1, 0, 0, 1])
-        s = best_split(np.arange(4), d, [0])
-        assert s.threshold == pytest.approx(0.5)
+        assert root_split(d) == (0, pytest.approx(0.5))
 
     def test_sides_nonempty_and_partition(self):
         rng = np.random.default_rng(0)
         d = random_data(rng, 25, 3)
-        s = best_split(np.arange(25), d, [0, 1, 2])
-        assert len(s.left_rows) > 0 and len(s.right_rows) > 0
-        assert sorted(np.concatenate([s.left_rows, s.right_rows]).tolist()) == list(range(25))
-        assert (d.features[s.left_rows, s.feature] <= s.threshold).all()
-        assert (d.features[s.right_rows, s.feature] > s.threshold).all()
+        t = grow_tree(d, TreeParams(mtry=3, max_leaves=2, bootstrap=False), seed=0)
+        j, thr = t.feature[0], t.threshold[0]
+        leaves = leaves_of(t, d.features)
+        assert 0 < t.leaf_n[1] < 25 and t.leaf_n[1] + t.leaf_n[2] == 25
+        assert (d.features[leaves == 1, j] <= thr).all()
+        assert (d.features[leaves == 2, j] > thr).all()
 
     def test_gini_equals_mse_argmin_on_random_data(self):
         rng = np.random.default_rng(42)
@@ -127,13 +135,7 @@ class TestBestSplit:
             n = int(rng.integers(2, 31))
             p = int(rng.integers(1, 5))
             d = random_data(rng, n, p)
-            g = best_split(np.arange(n), d, np.arange(p), "gini")
-            m = best_split(np.arange(n), d, np.arange(p), "mse")
-            if g is None:
-                assert m is None
-                continue
-            assert g.feature == m.feature
-            assert g.threshold == m.threshold
+            assert root_split(d, "gini") == root_split(d, "mse")
 
     def test_criteria_agree_on_nodes_of_grown_trees(self):
         # replay every internal node of grown trees with both criteria
@@ -147,9 +149,8 @@ class TestBestSplit:
                 node, rows = stack.pop()
                 if t.feature[node] < 0:
                     continue
-                g = best_split(rows, d, np.arange(3), "gini")
-                m = best_split(rows, d, np.arange(3), "mse")
-                assert (g.feature, g.threshold) == (m.feature, m.threshold)
+                g = root_split(d, "gini", rows)
+                assert g is not None and g == root_split(d, "mse", rows)
                 mask = d.features[rows, t.feature[node]] <= t.threshold[node]
                 stack.append((int(t.left[node]), rows[mask]))
                 stack.append((int(t.right[node]), rows[~mask]))
@@ -165,23 +166,7 @@ class TestBestSplit:
                 rng.integers(0, 2, n),
                 tuple(f"f{j}" for j in range(p)),
             )
-            g = best_split(np.arange(n), d, np.arange(p), "gini")
-            m = best_split(np.arange(n), d, np.arange(p), "mse")
-            if g is None:
-                assert m is None
-                continue
-            assert (g.feature, g.threshold) == (m.feature, m.threshold)
-
-    def test_empty_rows_rejected(self):
-        d = make_data([0.0, 1.0], [0, 1])
-        with pytest.raises(ValueError):
-            best_split(np.array([], dtype=int), d, [0])
-
-    @pytest.mark.parametrize("cand", [[-1], [0, 2]])
-    def test_out_of_range_candidate_rejected(self, cand):
-        d = make_data(np.column_stack([[0.0, 1.0, 2.0, 3.0], [5.0, 6.0, 7.0, 8.0]]), [0, 0, 1, 1])
-        with pytest.raises(ValueError, match="candidate features"):
-            best_split(np.arange(4), d, cand)
+            assert root_split(d, "gini") == root_split(d, "mse")
 
 
 class TestGrowTree:
@@ -511,6 +496,7 @@ def assert_matches_reference(d, params, seed):
     for i, (f, thr, left, right, rows) in enumerate(ref):
         assert (t.feature[i], t.left[i], t.right[i]) == (f, left, right)
         if f < 0:
+            assert np.isnan(t.threshold[i])
             # the training rows routed here, at their in-bag multiplicity
             here = np.flatnonzero(leaf_of == i)
             np.testing.assert_array_equal(np.repeat(here, t.inbag[here]), np.sort(rows))
