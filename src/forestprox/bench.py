@@ -162,6 +162,9 @@ class EstimatorResult:
     metrics: dict[str, MetricSummary]
     chosen: tuple[tuple[int, int], ...]  # (mtry, min_node_size) per repetition
     errors: tuple[tuple[int, str], ...]
+    # per repetition, beside chosen: every tuned (mtry, min_node_size,
+    # validation RMSE) in grid order; empty for an estimator that is not tuned
+    surface: tuple[tuple[tuple[int, int, float], ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,10 @@ class ExperimentReport:
                 {
                     **asdict(r.spec),
                     "chosen": [{"mtry": m, "min_node_size": ns} for m, ns in r.chosen],
+                    "surface": [
+                        [{"mtry": m, "min_node_size": ns, "rmse_empirical": e} for m, ns, e in cells]
+                        for cells in r.surface
+                    ],
                     "errors": [{"repetition": rep, "message": msg} for rep, msg in r.errors],
                     "metrics": {
                         name: {"mean": s.mean, "stderr": s.stderr, "values": list(s.values)}
@@ -220,35 +227,41 @@ def _fit_predict(
     bootstrap: bool,
     forest_seed: int,
     tune_seed: int,
-) -> tuple[np.ndarray, tuple[int, int]]:
+) -> tuple[np.ndarray, tuple[int, int], tuple[tuple[int, int, float], ...]]:
+    """Predictions at test_features, the (mtry, node size) they were made
+    at, and the validation surface behind that choice (empty when fixed)."""
     if spec.mtry == "best":
-        mtry, node_size = _tune_forest(spec, train, n_trees, bootstrap, tune_seed)
+        (mtry, node_size), surface = _tune_forest(spec, train, n_trees, bootstrap, tune_seed)
     else:
-        mtry = resolve_mtry(spec.mtry, train.p)
-        node_size = spec.min_node_size
+        mtry, node_size, surface = resolve_mtry(spec.mtry, train.p), spec.min_node_size, ()
     forest = train_forest(
         train, _forest_params(spec, mtry, node_size, n_trees, bootstrap, forest_seed)
     )
-    return forest.predict_proba_batch(test_features, spec.mode), (mtry, node_size)
+    return forest.predict_proba_batch(test_features, spec.mode), (mtry, node_size), surface
 
 
 def _tune_forest(
     spec: EstimatorSpec, train: Dataset, n_trees: int, bootstrap: bool, tune_seed: int
-) -> tuple[int, int]:
+) -> tuple[tuple[int, int], tuple[tuple[int, int, float], ...]]:
     """Pick (mtry, node size) on a 25% validation carve-out by empirical
     RMSE; the generating probabilities are never consulted. Node size acts
     as the kernel bandwidth for the prox estimator, so it is swept
-    alongside mtry."""
+    alongside mtry. One forest per mtry is grown at the smallest node size,
+    and each larger size is scored on its `Forest.cut`, the forest that
+    size grows. Returns the first cell of lowest RMSE in grid order, and
+    every cell's (mtry, node size, RMSE) in that order."""
     carve = train_test_split(train, 0.75, tune_seed)
-    grid = [(m, ns) for m in tuning_grid(train.p) for ns in NODE_SIZE_GRID]
-    best, best_score = grid[0], np.inf
-    for (m, ns), s in zip(grid, derive_seeds(tune_seed, len(grid))):
-        forest = train_forest(carve.train, _forest_params(spec, m, ns, n_trees, bootstrap, s))
-        preds = forest.predict_proba_batch(carve.test.features, spec.mode)
-        score = rmse_empirical(preds, carve.test.labels)
-        if score < best_score:
-            best, best_score = (m, ns), score
-    return best
+    mtrys = tuning_grid(train.p)
+    surface = []
+    for m, seed in zip(mtrys, derive_seeds(tune_seed, len(mtrys))):
+        grown = train_forest(
+            carve.train, _forest_params(spec, m, NODE_SIZE_GRID[0], n_trees, bootstrap, seed)
+        )
+        for ns in NODE_SIZE_GRID:
+            preds = grown.cut(ns).predict_proba_batch(carve.test.features, spec.mode)
+            surface.append((m, ns, rmse_empirical(preds, carve.test.labels)))
+    m, ns, _ = min(surface, key=lambda cell: cell[2])  # min keeps the first of equals
+    return (m, ns), tuple(surface)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -269,6 +282,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
     raw = {e.name: {m: [] for m in metric_names} for e in cfg.estimators}
     chosen: dict[str, list[tuple[int, int]]] = {e.name: [] for e in cfg.estimators}
+    surfaces: dict[str, list[tuple]] = {e.name: [] for e in cfg.estimators}
     errors: dict[str, list[tuple[int, str]]] = {e.name: [] for e in cfg.estimators}
 
     for rep in range(cfg.repetitions):
@@ -290,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for est_idx, spec in enumerate(cfg.estimators):
             forest_seed, tune_seed = derive_seeds(cfg.seed, 2, (rep, est_idx + 1))
             try:
-                preds, params_used = _fit_predict(
+                preds, params_used, surface = _fit_predict(
                     spec, train, test.features, cfg.n_trees, cfg.bootstrap,
                     forest_seed, tune_seed,
                 )
@@ -298,6 +312,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 errors[spec.name].append((rep, f"{type(exc).__name__}: {exc}"))
                 continue
             chosen[spec.name].append(params_used)
+            surfaces[spec.name].append(surface)
             if cfg.synthetic:
                 raw[spec.name]["rmse_true"].append(rmse_true(preds, test.true_probs))
             raw[spec.name]["rmse_empirical"].append(rmse_empirical(preds, test.labels))
@@ -320,6 +335,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 metrics=metrics,
                 chosen=tuple(chosen[spec.name]),
                 errors=tuple(errors[spec.name]),
+                surface=tuple(surfaces[spec.name]),
             )
         )
     return ExperimentReport(

@@ -20,7 +20,7 @@ import base64
 import binascii
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +219,51 @@ class Forest:
         if total <= 0:
             raise ValueError("no training rows share a leaf with x0")
         return counts / total
+
+    def cut(self, min_node_size: int) -> "Forest":
+        """The forest these seeds grow at a larger min_node_size.
+
+        A node's split depends only on its path (see `grow_trees`), so
+        without a leaf budget the tree grown at node size s' >= s is the
+        size-s tree cut at the first nodes with fewer than 2 * s' in-bag
+        rows, counted with multiplicity: they become leaves and what lies
+        below them goes. The kept nodes keep their breadth-first order.
+        """
+        tp = self.params.tree
+        if tp.max_leaves is not None:
+            raise ValueError("a forest grown with max_leaves cannot be cut: its trees do not nest")
+        if min_node_size < tp.min_node_size:
+            raise ValueError(
+                f"cannot cut a forest grown at min_node_size {tp.min_node_size} to {min_node_size}"
+            )
+        if min_node_size == tp.min_node_size:
+            return self
+        first, inner = self.first_child, self.feature >= 0
+        levels, level = [], self.roots
+        while level.size:
+            levels.append(level)
+            kids = first[level[inner[level]]]
+            level = np.concatenate([kids, kids + 1])
+        rows = self.leaf_n.copy()  # every node's in-bag rows, summed up from its leaves
+        for level in reversed(levels):
+            at = level[inner[level]]
+            rows[at] = rows[first[at]] + rows[first[at] + 1]
+        split = inner & (rows >= 2 * min_node_size)
+        keep = np.zeros(len(self.feature), dtype=bool)
+        keep[self.roots] = True
+        for level in levels:
+            at = first[level[keep[level] & split[level]]]
+            keep[at] = keep[at + 1] = True
+        tree_of = np.repeat(np.arange(self.n_trees), self.n_nodes)
+        return Forest(
+            self.train,
+            replace(self.params, tree=replace(tp, min_node_size=min_node_size)),
+            self.seeds,
+            np.bincount(tree_of[keep], minlength=self.n_trees),
+            np.where(split, self.feature, -1)[keep],
+            np.where(split, self.threshold, np.nan)[keep],
+            self.inbag,
+        )
 
     def stats(self) -> dict[str, float]:
         depth = node_depth(self.feature, self.first_child, self.roots)

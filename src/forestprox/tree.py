@@ -3,6 +3,10 @@
 Growth draws `mtry` candidate features per node and either minimizes a
 split criterion over midpoint thresholds (impurity mode) or draws the
 feature and threshold uniformly at random (completely_random mode).
+Every draw of a node is a mix of the node's 64-bit key, and a key is a
+mix of its parent's key and its side, so a node's split depends only on
+its path from the root: the tree grown at a larger min_node_size is a cut
+of the smaller one's (`Forest.cut`).
 `_best_splits` is the one split search; growth scores each level's nodes
 with it once, a chunk of nodes per call.
 Growth returns only the node arrays and how often each training row was
@@ -31,6 +35,34 @@ _CHUNK_ELEMENTS = 1 << 14
 # Trees grow in groups of about this many rows, so growth's memory does not scale
 # with the forest: 256 trees of 1000 rows peak 3.9 MiB above their result, not 10.8.
 _GROUP_ROWS = 1 << 15
+
+# Counter-based draws (Salmon et al., SC 2011): the draw `tag` of a node is
+# `_mix(key, tag)`. Tags 0 and 1 give the keys of its left and right child,
+# _PICK and _THRESHOLD completely_random's feature and threshold, and
+# _FEATURE + j the priority of feature j as an impurity-mode candidate.
+_PICK, _THRESHOLD, _FEATURE = 2, 3, 4
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(key, tag) -> np.ndarray:
+    """The tag-th output of the splitmix64 stream seeded with key: its
+    output function at key + (tag + 1) * golden, mod 2**64.
+
+    key is a uint64 array and tag an int or int array that broadcasts
+    against it. Only array operations are used: they wrap silently, where
+    numpy scalar operations warn on overflow.
+    """
+    z = key + (np.atleast_1d(np.asarray(tag, dtype=np.uint64)) + np.uint64(1)) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MUL1
+    z = (z ^ (z >> np.uint64(27))) * _MUL2
+    return z ^ (z >> np.uint64(31))
+
+
+def _unit(z) -> np.ndarray:
+    """The top 53 bits of uint64 draws as floats in [0, 1)."""
+    return (z >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -175,28 +207,39 @@ class Tree:
         }
 
 
+def _candidates(keys, p: int, k: int) -> np.ndarray:
+    """Impurity-mode candidates of nodes with these keys, shape (nodes, k):
+    the k features j of smallest `_mix(key, _FEATURE + j)`, sorted. The
+    priorities are independent uniform draws, so this is a uniform draw of
+    k of the p features without replacement."""
+    priority = _mix(keys[:, None], _FEATURE + np.arange(p))
+    return np.sort(np.argpartition(priority, k - 1, axis=1)[:, :k], axis=1)
+
+
 def _gather(rows, starts, sizes):
     """rows[starts[i]:starts[i] + sizes[i]] for every i, and where each begins."""
     offset = np.cumsum(sizes) - sizes
     return rows[np.arange(sizes.sum()) + np.repeat(starts - offset, sizes)], offset
 
 
-def _random_splits(d, rows, starts, sizes, rngs):
+def _random_splits(d, rows, starts, sizes, keys):
     """(feature, threshold) of nodes laid out as in `_best_splits`, drawn
-    from rngs[i] for node i: a uniform feature among those with in-node
-    spread, a uniform threshold inside its range; feature -1 if none."""
+    from keys[i] for node i: the (mix % count)-th of the count features
+    with in-node spread, and lo + u * (hi - lo) in its range for u in
+    [0, 1) from a second mix. Feature -1 where no feature has spread or
+    the threshold is not strictly inside (lo, hi)."""
     rb, offset = _gather(rows, starts, sizes)
     X = d.features[rb]
     lo, hi = np.minimum.reduceat(X, offset), np.maximum.reduceat(X, offset)
-    feature, threshold = np.full(sizes.size, -1), np.full(sizes.size, np.nan)
-    for i, rng in enumerate(rngs):
-        spread = np.flatnonzero(hi[i] > lo[i])
-        if spread.size:
-            j = int(spread[rng.integers(spread.size)])
-            thr = float(rng.uniform(lo[i, j], hi[i, j]))
-            if lo[i, j] < thr < hi[i, j]:
-                feature[i], threshold[i] = j, thr
-    return feature, threshold
+    spread = hi > lo
+    count = spread.sum(axis=1)
+    r = (_mix(keys, _PICK) % np.maximum(count, 1).astype(np.uint64)).astype(np.int64)
+    j = np.argmax(np.cumsum(spread, axis=1) > r[:, None], axis=1)
+    at = np.arange(sizes.size)
+    lo, hi = lo[at, j], hi[at, j]
+    threshold = lo + _unit(_mix(keys, _THRESHOLD)) * (hi - lo)
+    ok = (count > 0) & (lo < threshold) & (threshold < hi)
+    return np.where(ok, j, -1), np.where(ok, threshold, np.nan)
 
 
 def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
@@ -310,12 +353,15 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
         return tuple(np.concatenate(arrays) for arrays in zip(*groups))
     n, p, T, k = d.n, d.p, len(seeds), params.mtry
     random = params.split_mode == "completely_random"
-    rngs = np.array([np.random.default_rng(seed) for seed in seeds], dtype=object)
-    drawn = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
+    drawn = [
+        np.random.default_rng(seed).integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        for seed in seeds
+    ]
     inbag = np.stack([np.bincount(rows, minlength=n) for rows in drawn])
     rows = np.concatenate(drawn)
     sizes = np.full(T, n)
     tree = np.arange(T)  # the tree of every node of the level
+    key = _mix(np.array(seeds, dtype=np.uint64), 0)
     # splits left in each tree's leaf budget; a tree never has more than n leaves
     budget = np.full(T, n if params.max_leaves is None else params.max_leaves - 1)
     levels = []
@@ -324,20 +370,19 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
         starts = np.cumsum(sizes) - sizes
         pos = np.add.reduceat(d.labels[rows], starts)
         feature, threshold = np.full(cnt, -1, dtype=np.int32), np.full(cnt, np.nan)
-        # every splittable node of a tree with budget left draws and is scored, in BFS
-        # order; each tree keeps its first `budget` splits and the rest become leaves
+        # every splittable node of a tree with budget left is scored, in BFS order;
+        # each tree keeps its first `budget` splits and the rest become leaves
         todo = np.flatnonzero(
             (sizes >= 2 * params.min_node_size) & (pos > 0) & (pos < sizes) & (budget[tree] > 0)
         )
         elems = sizes[todo] * (p if random else k)
         window = (np.cumsum(elems) - elems) // _CHUNK_ELEMENTS
         for c in np.split(todo, np.flatnonzero(np.diff(window)) + 1) if todo.size else ():
-            streams, nodes = rngs[tree[c]], (d, rows, starts[c], sizes[c])
+            nodes = (d, rows, starts[c], sizes[c])
             if random:
-                found = _random_splits(*nodes, streams)
+                found = _random_splits(*nodes, key[c])
             else:
-                cand = np.sort([r.choice(p, size=k, replace=False) for r in streams], axis=1)
-                found = _best_splits(*nodes, pos[c], cand, params.criterion)
+                found = _best_splits(*nodes, pos[c], _candidates(key[c], p, k), params.criterion)
             feature[c], threshold[c] = found
         split = np.flatnonzero(feature >= 0)
         t_of = tree[split]
@@ -357,6 +402,7 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
         n_left = np.bincount(node_of[~go_right], minlength=cnt)[split]
         sizes = np.stack([n_left, sizes[split] - n_left], axis=1).ravel()
         tree = np.repeat(tree[split], 2)
+        key = _mix(key[split, None], np.arange(2)).ravel()
 
     # a stable sort by tree gathers each tree's nodes, still in BFS order
     tree, *nodes = (np.concatenate(cols) for cols in zip(*levels))

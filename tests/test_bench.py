@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestprox.bench import (
+    NODE_SIZE_GRID,
     EstimatorSpec,
     ExperimentConfig,
     default_estimators,
@@ -216,6 +217,26 @@ class TestRunExperiment:
         back = json.loads(payload)
         assert back["config"]["source"] == "xor"
         assert len(back["results"]) == 2
+
+    def test_tuned_choice_is_the_first_argmin_of_its_surface(self):
+        # xor plus 8 junk coordinates: p = 10, mtry grid 1, 3, 5, 8, 10
+        cfg = small_config(
+            estimators=(
+                EstimatorSpec("prox_best", "prox", "best", min_node_size=5),
+                EstimatorSpec("class_sqrt", "class_vote", "sqrt", min_node_size=1),
+            ),
+            junk=8,
+            n_trees=8,
+        )
+        tuned, fixed = json.loads(json.dumps(run_experiment(cfg).to_dict()))["results"]
+        assert fixed["surface"] == [[], []]
+        assert len(tuned["surface"]) == len(tuned["chosen"]) == cfg.repetitions
+        grid = [(m, ns) for m in tuning_grid(10) for ns in NODE_SIZE_GRID]
+        for cells, chosen in zip(tuned["surface"], tuned["chosen"]):
+            assert [(c["mtry"], c["min_node_size"]) for c in cells] == grid
+            rmse = [c["rmse_empirical"] for c in cells]
+            assert all(0.0 <= e <= 1.0 for e in rmse)
+            assert grid[int(np.argmin(rmse))] == (chosen["mtry"], chosen["min_node_size"])
 
     def test_table_rows(self):
         report = run_experiment(small_config())

@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -437,11 +438,17 @@ class TestErrorContract:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
     def test_entry_point_subprocess(self, tmp_path):
+        # the child does not inherit pytest's pythonpath, so it is given src
+        # explicitly and runs without an install
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run(
             [sys.executable, "-m", "forestprox.cli", "simulate", "--model", "xor",
              "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.csv")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         proc = subprocess.run(
@@ -449,6 +456,7 @@ class TestErrorContract:
              str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.json")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"]["type"] == "FileNotFoundError"

@@ -150,6 +150,77 @@ def test_forest_trees_are_the_trees_grown_alone(
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=160),
+    p=st.integers(min_value=1, max_value=4),
+    ties=st.booleans(),
+    n_trees=st.integers(min_value=1, max_value=5),
+    mtry=st.integers(min_value=1, max_value=4),
+    sizes=st.sampled_from([(1, 5), (5, 25), (5, 50)]),
+    mode=st.sampled_from(["gini", "mse", "completely_random"]),
+    bootstrap=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cut_is_the_forest_grown_at_the_larger_node_size(
+    n, p, ties, n_trees, mtry, sizes, mode, bootstrap, seed
+):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-1, 2, size=(n, p)).astype(float) if ties else rng.normal(size=(n, p))
+    d = Dataset(X, rng.integers(0, 2, n), tuple(f"f{j}" for j in range(p)))
+    Q = rng.normal(size=(30, p))
+
+    def params(min_node_size):
+        return ForestParams(n_trees, TreeParams(
+            mtry=min(mtry, p),
+            min_node_size=min_node_size,
+            split_mode="completely_random" if mode == "completely_random" else "impurity",
+            bootstrap=bootstrap,
+            criterion="mse" if mode == "mse" else "gini",
+        ), seed=seed)
+
+    small, large = sizes
+    got = train_forest(d, params(small)).cut(large)
+    want = train_forest(d, params(large))
+    assert got.params == want.params
+    for name in ("n_nodes", "feature", "threshold", "inbag"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for m in ("class_vote", "reg_mean", "prox"):
+        assert got.predict_proba_batch(Q, m).tobytes() == want.predict_proba_batch(Q, m).tobytes()
+
+
+class TestCut:
+    def test_refuses_a_smaller_node_size(self):
+        d = random_data(np.random.default_rng(0), 80, 3)
+        f = train_forest(d, ForestParams(3, TreeParams(mtry=2, min_node_size=5), seed=1))
+        with pytest.raises(ValueError, match="min_node_size 5 to 4"):
+            f.cut(4)
+
+    def test_refuses_a_forest_grown_with_max_leaves(self):
+        d = random_data(np.random.default_rng(0), 80, 3)
+        f = train_forest(d, ForestParams(3, TreeParams(mtry=2, max_leaves=9), seed=1))
+        with pytest.raises(ValueError, match="max_leaves"):
+            f.cut(5)
+
+    def test_own_node_size_is_the_forest_itself(self):
+        d = random_data(np.random.default_rng(0), 80, 3)
+        f = train_forest(d, ForestParams(3, TreeParams(mtry=2, min_node_size=5), seed=1))
+        assert f.cut(5) is f
+
+    def test_cut_of_a_loaded_forest_can_be_saved(self, tmp_path):
+        d = random_data(np.random.default_rng(0), 120, 3)
+        f = train_forest(d, ForestParams(4, TreeParams(mtry=2), seed=1))
+        f.save(tmp_path / "m.json")
+        cut = Forest.load(tmp_path / "m.json").cut(10)
+        assert cut.params.tree.min_node_size == 10
+        assert cut.stats()["mean_leaf_count"] < f.stats()["mean_leaf_count"]
+        cut.save(tmp_path / "c.json")
+        again = Forest.load(tmp_path / "c.json")
+        np.testing.assert_array_equal(again.feature, cut.feature)
+        np.testing.assert_array_equal(again.leaf_n, cut.leaf_n)
+
+
 class TestPredictProba:
     def test_all_labels_one(self):
         d = make_data(np.linspace(0, 1, 12), np.ones(12, dtype=int))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestprox import tree as tree_module
 from forestprox.data_model import Dataset
 from forestprox.synthgen import get_model, sample
 from forestprox.forest import Forest, ForestParams, derive_seeds, grow_tree, train_forest
@@ -418,32 +419,51 @@ def reference_split(d, rows, cand, criterion):
     return int(np.unique(cand)[col]), lo if thr >= hi else thr
 
 
+_M64 = 2**64 - 1
+
+
+def scalar_mix(key, tag):
+    """splitmix64's tag-th output from seed key, in Python ints mod 2**64:
+    an independent reference for the vectorized key mix of growth."""
+    z = (key + (tag + 1) * 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
 def reference_grow(d, params, seed):
-    """Node-at-a-time breadth-first growth from one random stream; returns
-    the nodes and the drawn rows."""
+    """Node-at-a-time breadth-first growth with keyed draws: a root's key is
+    mix(seed, 0), a node's children have keys mix(key, 0) and mix(key, 1),
+    impurity mode scores the mtry features j of smallest mix(key, 4 + j),
+    and completely_random takes the (mix(key, 2) % count)-th of the count
+    features with spread and a threshold from mix(key, 3). Returns the
+    nodes and the drawn rows."""
     rng = np.random.default_rng(seed)
     drawn = rng.integers(0, d.n, size=d.n) if params.bootstrap else np.arange(d.n)
     nodes = []  # (feature, threshold, left, right, rows)
-    queue = [(0, drawn)]
+    queue = [(0, drawn, scalar_mix(seed, 0))]
     nodes.append(None)
     n_leaves = 1
     while queue:
-        idx, rows = queue.pop(0)
+        idx, rows, key = queue.pop(0)
         m, pos = rows.size, int(d.labels[rows].sum())
         split = None
         budget_ok = params.max_leaves is None or n_leaves < params.max_leaves
         if budget_ok and m >= 2 * params.min_node_size and 0 < pos < m:
             if params.split_mode == "impurity":
-                cand = rng.choice(d.p, size=min(params.mtry, d.p), replace=False)
-                split = reference_split(d, rows, cand, params.criterion)
+                priority = [scalar_mix(key, 4 + j) for j in range(d.p)]
+                cand = sorted(range(d.p), key=priority.__getitem__)[: params.mtry]
+                split = reference_split(d, rows, np.array(cand), params.criterion)
             else:
                 sub = d.features[rows]
                 lo, hi = sub.min(axis=0), sub.max(axis=0)
                 spread = np.flatnonzero(hi > lo)
                 if spread.size:
-                    j = int(spread[rng.integers(spread.size)])
-                    thr = float(rng.uniform(lo[j], hi[j]))
-                    split = (j, thr) if lo[j] < thr < hi[j] else None
+                    j = int(spread[scalar_mix(key, 2) % spread.size])
+                    u = (scalar_mix(key, 3) >> 11) * 2.0**-53
+                    lo_j, hi_j = float(lo[j]), float(hi[j])
+                    thr = lo_j + u * (hi_j - lo_j)
+                    split = (j, thr) if lo_j < thr < hi_j else None
         if split is None:
             nodes[idx] = (-1, np.nan, -1, -1, rows)
             continue
@@ -452,7 +472,10 @@ def reference_grow(d, params, seed):
         nodes[idx] = (j, thr, len(nodes), len(nodes) + 1, None)
         nodes += [None, None]
         n_leaves += 1
-        queue += [(len(nodes) - 2, rows[mask]), (len(nodes) - 1, rows[~mask])]
+        queue += [
+            (len(nodes) - 2, rows[mask], scalar_mix(key, 0)),
+            (len(nodes) - 1, rows[~mask], scalar_mix(key, 1)),
+        ]
     return nodes, drawn
 
 
@@ -551,3 +574,64 @@ def test_growth_memory_does_not_scale_with_forest_size():
     finally:
         tracemalloc.stop()
     assert peak - sum(a.nbytes for a in grown) < 8 << 20
+
+
+def uniformity_keys():
+    """3 * 10^5 node keys: the roots of seeds 0..10^5 - 1 and their children."""
+    roots = tree_module._mix(np.arange(100_000, dtype=np.uint64), 0)
+    return [roots, tree_module._mix(roots, 0), tree_module._mix(roots, 1)]
+
+
+def assert_within_3se(freq, expected, trials, what):
+    se = np.sqrt(expected * (1 - expected) / trials)
+    z = np.abs(freq - expected) / np.where(se > 0, se, 1.0)
+    assert (np.where(se > 0, z <= 3, freq == expected)).all(), f"{what}: worst {z.max():.2f} SE"
+
+
+def test_scalar_mix_matches_vectorized_and_splitmix64():
+    assert scalar_mix(0, 0) == 0xE220A8397B1DCDAF  # splitmix64's first output from seed 0
+    keys = [0, 1, 2**63, _M64, 0x0123456789ABCDEF]
+    got = tree_module._mix(np.array(keys, dtype=np.uint64)[:, None], np.arange(60))
+    assert got.dtype == np.uint64
+    assert [[int(v) for v in row] for row in got] == [
+        [scalar_mix(k, t) for t in range(60)] for k in keys
+    ]
+
+
+@pytest.mark.parametrize("mtry", [1, 3, 7])
+def test_candidates_are_uniform_without_replacement(mtry):
+    # every feature is a candidate with probability mtry/p, every pair with
+    # mtry(mtry-1)/(p(p-1)), over 3 * 10^5 node keys, each within 3 SE
+    p = 10
+    cand = np.concatenate([tree_module._candidates(k, p, mtry) for k in uniformity_keys()])
+    trials = len(cand)
+    assert (np.diff(cand, axis=1) > 0).all()  # sorted and distinct
+    member = np.zeros((trials, p))
+    member[np.arange(trials)[:, None], cand] = 1.0
+    assert_within_3se(member.mean(axis=0), mtry / p, trials, "feature")
+    pairs = (member.T @ member / trials)[np.triu_indices(p, 1)]
+    assert_within_3se(pairs, mtry * (mtry - 1) / (p * (p - 1)), trials, "pair")
+
+
+def test_completely_random_draws_uniformly_among_spread_features():
+    # every node holds the same two rows, which differ in features 1, 4, 5
+    # and 8 only: each of those is drawn with probability 1/4, the others
+    # never, and the threshold is uniform in (0, 1)
+    p, spread = 10, [1, 4, 5, 8]
+    X = np.zeros((2, p))
+    X[1, spread] = 1.0
+    d = Dataset(X, np.array([0, 1]), tuple(f"f{j}" for j in range(p)))
+    feature, threshold = [], []
+    for keys in uniformity_keys():
+        nodes = keys.size
+        f, thr = tree_module._random_splits(
+            d, np.tile([0, 1], nodes), np.arange(0, 2 * nodes, 2), np.full(nodes, 2), keys
+        )
+        feature.append(f)
+        threshold.append(thr)
+    feature, threshold = np.concatenate(feature), np.concatenate(threshold)
+    trials = feature.size
+    assert np.isin(feature, spread).all()
+    assert_within_3se(np.bincount(feature, minlength=p)[spread] / trials, 0.25, trials, "feature")
+    assert ((threshold > 0) & (threshold < 1)).all()
+    assert abs(threshold.mean() - 0.5) <= 3 * np.sqrt(1 / 12 / trials)
