@@ -164,7 +164,7 @@ class EstimatorResult:
     errors: tuple[tuple[int, str], ...]
     # per repetition, beside chosen: every tuned (mtry, min_node_size,
     # validation RMSE) in grid order; empty for an estimator that is not tuned
-    surface: tuple[tuple[tuple[int, int, float], ...], ...] = ()
+    surface: tuple[tuple[tuple[int, int, float], ...], ...]
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,6 @@ def _mix(key, tag) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _unit(z) -> np.ndarray:
-    """The top 53 bits of uint64 draws as floats in [0, 1)."""
-    return (z >> np.uint64(11)) * 2.0**-53
-
-
 @dataclass(frozen=True)
 class TreeParams:
     mtry: int
@@ -237,7 +232,8 @@ def _random_splits(d, rows, starts, sizes, keys):
     j = np.argmax(np.cumsum(spread, axis=1) > r[:, None], axis=1)
     at = np.arange(sizes.size)
     lo, hi = lo[at, j], hi[at, j]
-    threshold = lo + _unit(_mix(keys, _THRESHOLD)) * (hi - lo)
+    u = (_mix(keys, _THRESHOLD) >> np.uint64(11)) * 2.0**-53  # top 53 bits, in [0, 1)
+    threshold = lo + u * (hi - lo)
     ok = (count > 0) & (lo < threshold) & (threshold < hi)
     return np.where(ok, j, -1), np.where(ok, threshold, np.nan)
 
@@ -336,15 +332,23 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
     min_node_size, its tree's leaf budget is exhausted, or no usable split
     exists among the drawn candidates. Returns n_nodes, then feature and
     threshold of every tree's nodes one after another, then the (T, n)
-    inbag: the arrays a `Forest` is built from. A group of trees
-    grows one BFS level of all of them per pass, its rows in one array, node
-    by node in tree and then BFS order. Every splittable node of a tree with
-    leaf budget left draws from its tree's stream and is scored once; the
+    inbag: the arrays a `Forest` is built from. Seeds lie in [0, 2**64).
+
+    Only the bootstrap is drawn from `np.random.default_rng(seed)`; every
+    other draw is keyed. A root's key is `_mix(seed, 0)`, and the children
+    of a node with key k have keys `_mix(k, 0)` (left) and `_mix(k, 1)`
+    (right). Impurity mode scores the candidates `_candidates` draws from
+    the key; completely_random draws as `_random_splits` says. So a node's
+    split depends only on its path: without a leaf budget, the tree grown
+    at a larger min_node_size is this one cut (`Forest.cut`).
+
+    A group of trees grows one BFS level of all of them per pass, its rows
+    in one array, node by node in tree and then BFS order. Every
+    splittable node of a tree with leaf budget left is scored once; the
     tree keeps its first `budget` splits in BFS order, and its other nodes
-    become leaves. A tree whose budget runs out never draws again, so the
-    draws past its budget are never read. A node's scores do not depend on
-    which nodes share its `_best_splits` call: trees grow as if alone, and
-    as if one node at a time.
+    become leaves. A node's scores do not depend on which nodes share its
+    `_best_splits` call: trees grow as if alone, and as if one node at a
+    time.
     """
     params.check_dimension(d.p)
     step = max(1, _GROUP_ROWS // d.n)

@@ -441,8 +441,8 @@ class TestErrorContract:
         # the child does not inherit pytest's pythonpath, so it is given src
         # explicitly and runs without an install
         src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "forestprox.cli", "simulate", "--model", "xor",
              "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.csv")],
