@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +257,48 @@ class TestRunExperiment:
         sigma = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(mse - target) <= 3 * sigma
         assert rmse_empirical(p, d.labels) == pytest.approx(np.sqrt(mse))
+
+
+# SHA-256 of each report's JSON without wall_clock_s. A change that alters
+# any seed, draw, call order or float expression of the harness shows here;
+# one that means to must re-pin these and say so.
+PINNED_REPORTS = {
+    "xor_junk": "0aa81f1e50b371bf50b54914b1f08ddf474d467031a58b2cddfd000dfe0a6803",
+    "csv_auto": "b3803652af669eeff790d8304cc09e356dff0efc61293e5305dd988a083957b0",
+    "failing": "090aaf34658fdfd36a53a354a0ec4b0176047b2fde8e0c86652b925272552968",
+}
+
+
+def pinned_config(name):
+    small = dict(n_trees=10, repetitions=2, train_size=80, test_size=60, seed=5)
+    if name == "xor_junk":
+        roster = (
+            EstimatorSpec("prox_best", "prox", "best", min_node_size=5),
+            EstimatorSpec("class_sqrt", "class_vote", "sqrt", min_node_size=1),
+        )
+        return ExperimentConfig(source="xor", estimators=roster, junk=2, **small)
+    if name == "csv_auto":
+        return ExperimentConfig(
+            source="csv",
+            csv_path="data/demo_binary_200.csv",
+            true_prob_column="auto",
+            n_trees=10,
+            repetitions=2,
+            junk=2,
+            seed=4,
+        )
+    roster = (
+        EstimatorSpec("broken", "reg_mean", 999, min_node_size=1),
+        EstimatorSpec("fine", "reg_mean", "sqrt", min_node_size=5),
+    )
+    return ExperimentConfig(source="xor", estimators=roster, **small)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_reports_match_pinned_digests(name, monkeypatch):
+    # the report echoes csv_path, so read the CSV by a path relative to the repo
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    report = run_experiment(pinned_config(name)).to_dict()
+    report.pop("wall_clock_s")
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == PINNED_REPORTS[name]
