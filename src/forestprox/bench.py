@@ -18,11 +18,19 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data_model import TRUE_PROB_COLUMN, Dataset, augment_junk, load_csv, train_test_split
-from .forest import PREDICT_MODES, ForestParams, derive_seeds, train_forest
+from .forest import PREDICT_MODES, Forest, ForestParams, derive_seeds, train_forest
 from .synthgen import get_model, sample
 from .tree import TreeParams
 
-MTRY_SYMBOLS = ("sqrt", "third", "half", "threequarters", "all", "best")
+# Each mtry symbol as a function of p; resolve_mtry rounds and clips it to [1, p].
+_MTRY_OF_P = {
+    "sqrt": math.sqrt,
+    "third": lambda p: p / 3,
+    "half": lambda p: p / 2,
+    "threequarters": lambda p: 3 * p / 4,
+    "all": lambda p: p,
+}
+MTRY_SYMBOLS = (*_MTRY_OF_P, "best")
 
 
 def rmse_true(predictions, targets) -> float:
@@ -48,19 +56,9 @@ def misclassification(predictions, labels) -> float:
 
 def resolve_mtry(mtry, p: int) -> int:
     if isinstance(mtry, str):
-        if mtry == "sqrt":
-            value = round(math.sqrt(p))
-        elif mtry == "third":
-            value = round(p / 3)
-        elif mtry == "half":
-            value = round(p / 2)
-        elif mtry == "threequarters":
-            value = round(3 * p / 4)
-        elif mtry == "all":
-            value = p
-        else:
+        if mtry not in _MTRY_OF_P:
             raise ValueError(f"unknown mtry symbol {mtry!r}")
-        return max(1, min(p, int(value)))
+        return max(1, min(p, round(_MTRY_OF_P[mtry](p))))
     value = int(mtry)
     if not 1 <= value <= p:
         raise ValueError(f"mtry={value} out of range [1, {p}]")
@@ -68,10 +66,7 @@ def resolve_mtry(mtry, p: int) -> int:
 
 
 def tuning_grid(p: int) -> list[int]:
-    raw = {1, p}
-    for symbol in ("sqrt", "third", "half", "threequarters"):
-        raw.add(resolve_mtry(symbol, p))
-    return sorted(raw)
+    return sorted({1, *(resolve_mtry(symbol, p) for symbol in _MTRY_OF_P)})
 
 
 @dataclass(frozen=True)
@@ -210,38 +205,35 @@ class ExperimentReport:
 NODE_SIZE_GRID = (5, 25, 50)
 
 
-def _forest_params(
-    spec: EstimatorSpec, mtry: int, node_size: int, n_trees: int, bootstrap: bool, seed: int
-) -> ForestParams:
+def _forest(
+    spec: EstimatorSpec, cfg: ExperimentConfig, data: Dataset, mtry: int, node_size: int, seed: int
+) -> Forest:
     tree = TreeParams(
-        mtry=mtry, min_node_size=node_size, split_mode=spec.split_mode, bootstrap=bootstrap
+        mtry=mtry, min_node_size=node_size, split_mode=spec.split_mode, bootstrap=cfg.bootstrap
     )
-    return ForestParams(n_trees=n_trees, tree=tree, seed=seed)
+    return train_forest(data, ForestParams(n_trees=cfg.n_trees, tree=tree, seed=seed))
 
 
 def _fit_predict(
     spec: EstimatorSpec,
+    cfg: ExperimentConfig,
     train: Dataset,
     test_features: np.ndarray,
-    n_trees: int,
-    bootstrap: bool,
     forest_seed: int,
     tune_seed: int,
 ) -> tuple[np.ndarray, tuple[int, int], tuple[tuple[int, int, float], ...]]:
     """Predictions at test_features, the (mtry, node size) they were made
     at, and the validation surface behind that choice (empty when fixed)."""
     if spec.mtry == "best":
-        (mtry, node_size), surface = _tune_forest(spec, train, n_trees, bootstrap, tune_seed)
+        (mtry, node_size), surface = _tune_forest(spec, cfg, train, tune_seed)
     else:
         mtry, node_size, surface = resolve_mtry(spec.mtry, train.p), spec.min_node_size, ()
-    forest = train_forest(
-        train, _forest_params(spec, mtry, node_size, n_trees, bootstrap, forest_seed)
-    )
+    forest = _forest(spec, cfg, train, mtry, node_size, forest_seed)
     return forest.predict_proba_batch(test_features, spec.mode), (mtry, node_size), surface
 
 
 def _tune_forest(
-    spec: EstimatorSpec, train: Dataset, n_trees: int, bootstrap: bool, tune_seed: int
+    spec: EstimatorSpec, cfg: ExperimentConfig, train: Dataset, tune_seed: int
 ) -> tuple[tuple[int, int], tuple[tuple[int, int, float], ...]]:
     """Pick (mtry, node size) on a 25% validation carve-out by empirical
     RMSE; the generating probabilities are never consulted. Node size acts
@@ -254,14 +246,19 @@ def _tune_forest(
     mtrys = tuning_grid(train.p)
     surface = []
     for m, seed in zip(mtrys, derive_seeds(tune_seed, len(mtrys))):
-        grown = train_forest(
-            carve.train, _forest_params(spec, m, NODE_SIZE_GRID[0], n_trees, bootstrap, seed)
-        )
+        grown = _forest(spec, cfg, carve.train, m, NODE_SIZE_GRID[0], seed)
         for ns in NODE_SIZE_GRID:
             preds = grown.cut(ns).predict_proba_batch(carve.test.features, spec.mode)
             surface.append((m, ns, rmse_empirical(preds, carve.test.labels)))
     m, ns, _ = min(surface, key=lambda cell: cell[2])  # min keeps the first of equals
     return (m, ns), tuple(surface)
+
+
+def _summary(values: list[float]) -> MetricSummary:
+    if not values:
+        return MetricSummary(mean=float("nan"), stderr=float("nan"), values=())
+    stderr = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    return MetricSummary(mean=float(np.mean(values)), stderr=stderr, values=tuple(values))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -275,15 +272,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             resolved = None if csv_data.true_probs is None else TRUE_PROB_COLUMN
             cfg = replace(cfg, true_prob_column=resolved)
 
-    metric_names = (
-        ["rmse_true", "rmse_empirical", "test_error"]
-        if cfg.synthetic
-        else ["rmse_empirical", "test_error"]
-    )
-    raw = {e.name: {m: [] for m in metric_names} for e in cfg.estimators}
-    chosen: dict[str, list[tuple[int, int]]] = {e.name: [] for e in cfg.estimators}
-    surfaces: dict[str, list[tuple]] = {e.name: [] for e in cfg.estimators}
-    errors: dict[str, list[tuple[int, str]]] = {e.name: [] for e in cfg.estimators}
+    metric_names = ("rmse_true",) if cfg.synthetic else ()
+    metric_names += ("rmse_empirical", "test_error")
+    # per estimator: (metric values, (mtry, node size), surface) for each
+    # repetition it completed, and (repetition, message) for each it did not
+    done = [[] for _ in cfg.estimators]
+    errors = [[] for _ in cfg.estimators]
 
     for rep in range(cfg.repetitions):
         seeds = derive_seeds(cfg.seed, 8, (rep,))
@@ -304,42 +298,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for est_idx, spec in enumerate(cfg.estimators):
             forest_seed, tune_seed = derive_seeds(cfg.seed, 2, (rep, est_idx + 1))
             try:
-                preds, params_used, surface = _fit_predict(
-                    spec, train, test.features, cfg.n_trees, cfg.bootstrap,
-                    forest_seed, tune_seed,
+                preds, used, surface = _fit_predict(
+                    spec, cfg, train, test.features, forest_seed, tune_seed
                 )
             except Exception as exc:  # recorded per cell, not fatal to the run
-                errors[spec.name].append((rep, f"{type(exc).__name__}: {exc}"))
+                errors[est_idx].append((rep, f"{type(exc).__name__}: {exc}"))
                 continue
-            chosen[spec.name].append(params_used)
-            surfaces[spec.name].append(surface)
-            if cfg.synthetic:
-                raw[spec.name]["rmse_true"].append(rmse_true(preds, test.true_probs))
-            raw[spec.name]["rmse_empirical"].append(rmse_empirical(preds, test.labels))
-            raw[spec.name]["test_error"].append(misclassification(preds, test.labels))
+            values = [rmse_true(preds, test.true_probs)] if cfg.synthetic else []
+            values += [rmse_empirical(preds, test.labels), misclassification(preds, test.labels)]
+            done[est_idx].append((values, used, surface))
 
     results = []
-    for spec in cfg.estimators:
-        metrics = {}
-        for m in metric_names:
-            vals = raw[spec.name][m]
-            if vals:
-                mean = float(np.mean(vals))
-                stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-            else:
-                mean, stderr = float("nan"), float("nan")
-            metrics[m] = MetricSummary(mean=mean, stderr=stderr, values=tuple(vals))
-        results.append(
-            EstimatorResult(
-                spec=spec,
-                metrics=metrics,
-                chosen=tuple(chosen[spec.name]),
-                errors=tuple(errors[spec.name]),
-                surface=tuple(surfaces[spec.name]),
-            )
-        )
-    return ExperimentReport(
-        config=cfg,
-        results=tuple(results),
-        wall_clock_s=time.perf_counter() - start,
-    )
+    for spec, reps, errs in zip(cfg.estimators, done, errors):
+        values, chosen, surfaces = zip(*reps) if reps else ((), (), ())
+        metrics = {name: _summary([v[k] for v in values]) for k, name in enumerate(metric_names)}
+        results.append(EstimatorResult(spec, metrics, chosen, tuple(errs), surfaces))
+    return ExperimentReport(cfg, tuple(results), time.perf_counter() - start)

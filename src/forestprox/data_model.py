@@ -61,6 +61,9 @@ class Dataset:
             raise DataError(
                 f"expected {p} feature names, got {len(self.feature_names)}"
             )
+        if len(set(self.feature_names)) < p:
+            repeated = sorted({f for f in self.feature_names if self.feature_names.count(f) > 1})
+            raise DataError(f"feature names repeat: {repeated}")
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "labels", _frozen(labs.astype(np.int64)))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -123,21 +126,24 @@ class SplitPair:
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Stripped header and nonblank rows of a CSV file, each row holding
-    one cell per header column."""
+    one cell per header column. Header names must be distinct."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
+        if len(set(header)) < len(header):
+            repeated = sorted({h for h in header if header.count(h) > 1})
+            raise DataError(f"{path}: column names repeat: {repeated}")
         rows = [r for r in reader if r]
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-    return [h.strip() for h in header], rows
+    return header, rows
 
 
 def _parse_columns(path, header: list[str], rows: list[list[str]], cols: list[int]) -> np.ndarray:
@@ -256,12 +262,9 @@ def augment_junk(d: Dataset, count: int, seed: int) -> Dataset:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    sources = []
-    remaining = count
-    while remaining > 0:
-        block = min(remaining, d.p)
-        sources.extend(rng.choice(d.p, size=block, replace=False).tolist())
-        remaining -= block
+    sources = np.concatenate(
+        [rng.choice(d.p, size=min(d.p, count - i), replace=False) for i in range(0, count, d.p)]
+    )
     junk_cols = np.empty((d.n, count))
     names = list(d.feature_names)
     for k, src in enumerate(sources):

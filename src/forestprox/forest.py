@@ -248,12 +248,11 @@ class Forest:
         for level in reversed(levels):
             at = level[inner[level]]
             rows[at] = rows[first[at]] + rows[first[at] + 1]
+        # rows never grow down a path, so every ancestor of a node that
+        # splits splits too: a node is kept when it is a root or its parent splits
         split = inner & (rows >= 2 * min_node_size)
         keep = np.zeros(len(self.feature), dtype=bool)
-        keep[self.roots] = True
-        for level in levels:
-            at = first[level[keep[level] & split[level]]]
-            keep[at] = keep[at + 1] = True
+        keep[self.roots] = keep[first[split]] = keep[first[split] + 1] = True
         tree_of = np.repeat(np.arange(self.n_trees), self.n_nodes)
         return Forest(
             self.train,

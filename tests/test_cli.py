@@ -437,6 +437,19 @@ class TestErrorContract:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
+    def test_repeated_query_columns_machine_readable(self, capsys, workspace, tmp_path):
+        # x1,x1 must not be read as [0.1, 0.1]
+        _, _, model = workspace
+        query = tmp_path / "q.csv"
+        query.write_text("x1,x1\n0.1,100.0\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        rc = main(["predict", "--model", str(model), "--data", str(query), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert "column names repeat: ['x1']" in err["message"]
+        assert not out.exists()
+
     def test_entry_point_subprocess(self, tmp_path):
         # the child does not inherit pytest's pythonpath, so it is given src
         # explicitly and runs without an install

@@ -8,6 +8,7 @@ from forestprox.data_model import (
     Dataset,
     augment_junk,
     load_csv,
+    load_points,
     save_csv,
     train_test_split,
 )
@@ -35,6 +36,10 @@ class TestDatasetValidation:
     def test_rejects_name_mismatch(self):
         with pytest.raises(DataError):
             Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a",))
+
+    def test_rejects_repeated_names(self):
+        with pytest.raises(DataError, match=r"repeat: \['a'\]"):
+            Dataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b", "a"))
 
     def test_arrays_readonly(self):
         d = Dataset(np.zeros((2, 1)), np.array([0, 1]), ("a",))
@@ -97,6 +102,21 @@ class TestLoadCsv:
         d = load_csv(path, "label", true_prob_column="true_prob")
         assert d.p == 1
         np.testing.assert_allclose(d.true_probs, [0.3, 0.7])
+
+    @pytest.mark.parametrize(
+        "header, repeated",
+        [("x1,x1,label", "x1"), ("x1,label,label", "label"), ("x1, x1 ,label", "x1")],
+    )
+    def test_repeated_column_names_rejected(self, tmp_path, header, repeated):
+        # a repeated name would read one column's data under the other's name
+        path = write(tmp_path, f"{header}\n0.1,100.0,0\n0.2,200.0,1\n")
+        with pytest.raises(DataError, match=f"column names repeat: \\['{repeated}'\\]"):
+            load_csv(path, "label")
+
+    def test_load_points_rejects_repeated_column_names(self, tmp_path):
+        path = write(tmp_path, "x1,x1\n0.1,100.0\n")
+        with pytest.raises(DataError, match="column names repeat"):
+            load_points(path, ("x1", "x2"))
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -815,6 +815,14 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="one length"):
             self._load(payload, tmp_path)
 
+    def test_repeated_feature_names_rejected(self, saved, tmp_path):
+        # query columns are read by name, so a repeated name would read one
+        # column twice
+        payload = self._copy(saved)
+        payload["feature_names"] = ["x1", "x1"]
+        with pytest.raises(ValueError, match="feature names repeat"):
+            self._load(payload, tmp_path)
+
     def test_v1_file_rejected(self, saved, tmp_path):
         # v1 stored per-leaf row lists, v2 JSON number arrays and v3 edge
         # and depth arrays; none is read, whatever the rest of the file holds
