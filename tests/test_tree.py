@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -635,3 +636,32 @@ def test_completely_random_draws_uniformly_among_spread_features():
     assert_within_3se(np.bincount(feature, minlength=p)[spread] / trials, 0.25, trials, "feature")
     assert ((threshold > 0) & (threshold < 1)).all()
     assert abs(threshold.mean() - 0.5) <= 3 * np.sqrt(1 / 12 / trials)
+
+
+def realistic_growth_digest(mtry):
+    """SHA-256 of feature, threshold and inbag of 5 bootstrap trees grown to
+    node size 1 on n = 1000, p = 50: in-bag counts reach 7 here, which
+    the 70-row golden sets never stress. Columns 40-49 are rounded to one
+    decimal, so many values tie."""
+    rng = np.random.default_rng([2018, 1000, 50])
+    X = rng.normal(size=(1000, 50))
+    X[:, 40:] = np.round(X[:, 40:], 1)
+    logit = X[:, 0] - X[:, 1] + 0.5 * X[:, 40]
+    y = (rng.random(1000) < 1 / (1 + np.exp(-logit))).astype(int)
+    d = Dataset(X, y, tuple(f"x{j}" for j in range(50)))
+    forest = train_forest(d, ForestParams(5, TreeParams(mtry=mtry), seed=7))
+    h = hashlib.sha256()
+    for a in (forest.feature, forest.threshold, forest.inbag):
+        h.update(str((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return int(forest.inbag.max()), h.hexdigest()
+
+
+@pytest.mark.parametrize("mtry, digest", [
+    (1, "adfa5a4664a90c729e01584ca8e678d38a59dd088359ba508d1d0e3497d21797"),
+    (30, "8c5553c1caca1ed0dbab7f9904bd067a4d8cf94a37d717bcaffd8a64092597d2"),
+])
+def test_growth_at_realistic_scale_is_pinned(mtry, digest):
+    top, got = realistic_growth_digest(mtry)
+    assert top >= 5
+    assert got == digest
