@@ -211,26 +211,27 @@ def _candidates(keys, p: int, k: int) -> np.ndarray:
     return np.sort(np.argpartition(priority, k - 1, axis=1)[:, :k], axis=1)
 
 
-def _gather(rows, starts, sizes):
-    """rows[starts[i]:starts[i] + sizes[i]] for every i, and where each begins."""
-    offset = np.cumsum(sizes) - sizes
-    return rows[np.arange(sizes.sum()) + np.repeat(starts - offset, sizes)], offset
+def _gather(starts, lens):
+    """Positions starts[i]:starts[i] + lens[i] for every i, one after
+    another, and where each node's begin."""
+    offset = np.cumsum(lens) - lens
+    return np.arange(lens.sum()) + np.repeat(starts - offset, lens), offset
 
 
-def _random_splits(d, rows, starts, sizes, keys):
+def _random_splits(d, rows, starts, lens, keys):
     """(feature, threshold) of nodes laid out as in `_best_splits`, drawn
     from keys[i] for node i: the (mix % count)-th of the count features
     with in-node spread, and lo + u * (hi - lo) in its range for u in
     [0, 1) from a second mix. Feature -1 where no feature has spread or
     the threshold is not strictly inside (lo, hi)."""
-    rb, offset = _gather(rows, starts, sizes)
-    X = d.features[rb]
+    at, offset = _gather(starts, lens)
+    X = d.features[rows[at]]
     lo, hi = np.minimum.reduceat(X, offset), np.maximum.reduceat(X, offset)
     spread = hi > lo
     count = spread.sum(axis=1)
     r = (_mix(keys, _PICK) % np.maximum(count, 1).astype(np.uint64)).astype(np.int64)
     j = np.argmax(np.cumsum(spread, axis=1) > r[:, None], axis=1)
-    at = np.arange(sizes.size)
+    at = np.arange(lens.size)
     lo, hi = lo[at, j], hi[at, j]
     u = (_mix(keys, _THRESHOLD) >> np.uint64(11)) * 2.0**-53  # top 53 bits, in [0, 1)
     threshold = lo + u * (hi - lo)
@@ -238,86 +239,90 @@ def _random_splits(d, rows, starts, sizes, keys):
     return np.where(ok, j, -1), np.where(ok, threshold, np.nan)
 
 
-def _best_splits(d, rows, starts, sizes, pos, cand, criterion):
+def _best_splits(d, rows, weight, starts, lens, cand):
     """Best split of every node of a batch over that node's candidates.
 
-    Node i holds rows[starts[i]:starts[i] + sizes[i]] (at least two rows,
-    pos[i] of them positive) and scores the sorted, distinct features
-    cand[i]. All (candidate, node) segments are sorted at once, by a key
-    that packs segment, rank and label into one integer, and every
-    boundary is scored with segmented cumulative sums. Returns (feature,
-    threshold) arrays; feature is -1 for a node where no candidate has two
-    distinct values.
+    Node i holds the distinct rows rows[starts[i]:starts[i] + lens[i]],
+    row r counted weight[r] times (its in-bag count), and scores the
+    sorted, distinct features cand[i]. For 0/1 labels, gini's
+    n_l p_l (1 - p_l) + n_r p_r (1 - p_r) and the squared error of the
+    side means both equal pos - (pos_l^2 / n_l + pos_r^2 / n_r), so every
+    boundary is scored by s = pos_l^2 / n_l + pos_r^2 / n_r, and the best
+    split has the largest s. Each candidate's rows of all nodes are
+    sorted at once, by a key that packs node, rank and 2 * weight + label
+    into one integer, and weighted counts and positives come from
+    cumulative sums that restart at every node. Returns (feature,
+    threshold) arrays; feature is -1 for a node where no candidate has
+    two distinct values.
     """
     n, (n_nodes, k) = d.n, cand.shape
-    # The batch's M rows once; segment c * n_nodes + i is node i's copy for
-    # its c-th candidate, so each candidate's segments form one row of a
-    # (k, M) layout over which per-row quantities broadcast.
-    rb, offset = _gather(rows, starts, sizes)
+    at, offset = _gather(starts, lens)
+    rb, wb = rows[at], weight[at]
     M = rb.size
-    seg_start = (np.arange(0, k * M, M)[:, None] + offset).ravel()
-    # Segments stay in place and sort by value. The order within a run of
-    # equal values is arbitrary: no boundary inside a run is scored, and
-    # the counts at the run's ends do not depend on it.
-    key = d.ranks.ravel()[np.repeat(cand.T * n, sizes, axis=1) + rb] * 2
-    seg = np.arange(k * n_nodes).reshape(k, n_nodes)
-    key += np.repeat(seg * (2 * n), sizes, axis=1) + d.labels[rb]
-    key = key.ravel()
-    key.sort()
-    ys = key & 1
-    key >>= 1
-    cs = np.cumsum(ys)
+    yb = d.labels[rb]
+    sizes, pos = np.add.reduceat(wb, offset), np.add.reduceat(wb * yb, offset)
+    # Row c of the (k, M) layout holds every node's rows under its c-th
+    # candidate, node by node. Sorting a row by (node, rank, low bits)
+    # keeps the nodes in place and orders each by value; the order within
+    # a run of equal values does not matter, as no boundary inside a run
+    # is scored and the sums at its ends do not depend on it.
+    bits = int(2 * wb.max() + 1).bit_length()
+    tail = np.repeat(np.arange(n_nodes) * n << bits, lens) + 2 * wb + yb
+    key = np.repeat(cand.T * n, lens, axis=1)
+    key += rb
+    key = d.ranks.ravel()[key]
+    key <<= bits
+    key += tail
+    key.sort(axis=1)
+    low = key & ((1 << bits) - 1)
+    key >>= bits  # node * n + rank
 
-    # score the boundary after each element; shapes (k, M) or (M,)
-    nl = np.arange(1.0, M + 1.0) - np.repeat(offset.astype(np.float64), sizes)
-    nr = np.repeat(sizes.astype(np.float64), sizes) - nl
-    pos_l = cs.reshape(k, M) - np.repeat((cs - ys)[seg_start].reshape(k, n_nodes), sizes, axis=1)
-    pos_l = pos_l.astype(np.float64)
-    pos_r = np.repeat(pos.astype(np.float64), sizes) - pos_l
-    with np.errstate(divide="ignore", invalid="ignore"):  # nr = 0 at segment ends
-        pl = pos_l / nl
-        pr = pos_r / nr
-        if criterion == "gini":
-            # nl * pl * (1 - pl) + nr * pr * (1 - pr), in place
-            score = nl * pl
-            score *= np.subtract(1.0, pl, out=pl)
-            right = np.multiply(nr, pr, out=pos_r)
-            right *= np.subtract(1.0, pr, out=pr)
-            score += right
-        else:
-            score = (
-                pos_l * (1.0 - pl) ** 2
-                + (nl - pos_l) * pl**2
-                + pos_r * (1.0 - pr) ** 2
-                + (nr - pos_r) * pr**2
-            )
-    # valid only when the next element is in the same segment and has a
-    # larger value
-    score = score.ravel()
-    score[:-1][key[1:] == key[:-1]] = np.inf
-    score[seg_start - 1] = np.inf
+    # weighted count and positives left of the boundary after each element,
+    # packed as count + (positives << shift) so that one cumulative sum
+    # carries both; each node's first element also takes off the totals of
+    # the node before it, so the sums restart at every node
+    shift = int(sizes.max()).bit_length()
+    w = np.arange(1 << bits) >> 1
+    cs = (w + (w * (np.arange(1 << bits) & 1) << shift))[low]
+    cs[:, offset[1:]] -= sizes[:-1] + (pos[:-1] << shift)
+    np.cumsum(cs, axis=1, out=cs)
+    nl = (cs & ((1 << shift) - 1)).astype(np.float64)
+    cs >>= shift
+    pos_l = cs.astype(np.float64)
+    nr = np.repeat(sizes.astype(np.float64), lens) - nl
+    pos_r = np.repeat(pos.astype(np.float64), lens) - pos_l
+    with np.errstate(divide="ignore", invalid="ignore"):  # nr = 0 at node ends
+        score = np.multiply(pos_l, pos_l, out=pos_l)
+        score /= nl
+        pos_r *= pos_r
+        pos_r /= nr
+        score += pos_r
+    # valid only when the next element is in the same node and has a larger
+    # value
+    np.copyto(score[:, :-1], -np.inf, where=key[:, 1:] == key[:, :-1])
+    score[:, offset + lens - 1] = -np.inf
 
     # lowest feature within eps of the node's best, then lowest threshold
-    seg_min = np.minimum.reduceat(score, seg_start)
-    col_min = seg_min.reshape(k, n_nodes).T
-    best = col_min.min(axis=1)
-    ok = np.isfinite(best)
+    score, key = score.ravel(), key.ravel()
+    seg_start = (np.arange(0, k * M, M)[:, None] + offset).ravel()
+    seg_max = np.maximum.reduceat(score, seg_start)
+    col_max = seg_max.reshape(k, n_nodes).T
+    best = col_max.max(axis=1)
+    ok = best > -np.inf
     eps = _TIE_EPS * np.maximum(1.0, sizes.astype(np.float64))
-    col = np.argmax(col_min <= (best + eps)[:, None], axis=1)
+    col = np.argmax(col_max >= (best - eps)[:, None], axis=1)
     chosen = (col * n_nodes + np.arange(n_nodes))[ok]
-    # first boundary of each chosen segment within eps of its minimum
-    m_ch = sizes[ok]
-    g_start = np.cumsum(m_ch) - m_ch
-    at = np.arange(m_ch.sum()) + np.repeat(seg_start[chosen] - g_start, m_ch)
-    hit = np.flatnonzero(score[at] <= np.repeat(seg_min[chosen] + eps[ok], m_ch))
+    # first boundary of each chosen segment within eps of its maximum
+    at, g_start = _gather(seg_start[chosen], lens[ok])
+    hit = np.flatnonzero(score[at] >= np.repeat(seg_max[chosen] - eps[ok], lens[ok]))
     first = at[hit[np.searchsorted(hit, g_start)]]
 
     feature = np.full(n_nodes, -1, dtype=np.int64)
     threshold = np.full(n_nodes, np.nan)
     feature[ok] = jf = cand[ok, col[ok]]
-    # key - segment * n is the value's rank; a run that mixes 0.0 and -0.0
+    # key - node * n is the value's rank; a run that mixes 0.0 and -0.0
     # gives the same threshold whichever of them the rank maps to
-    base = chosen * n
+    base = np.flatnonzero(ok) * n
     lo = d.sorted_features[key[first] - base, jf]
     hi = d.sorted_features[key[first + 1] - base, jf]
     thr = lo + (hi - lo) / 2.0
@@ -357,36 +362,38 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
         return tuple(np.concatenate(arrays) for arrays in zip(*groups))
     n, p, T, k = d.n, d.p, len(seeds), params.mtry
     random = params.split_mode == "completely_random"
-    drawn = [
-        np.random.default_rng(seed).integers(0, n, size=n) if params.bootstrap else np.arange(n)
+    inbag = np.stack([
+        np.bincount(np.random.default_rng(seed).integers(0, n, size=n), minlength=n)
+        if params.bootstrap else np.ones(n, dtype=np.int64)
         for seed in seeds
-    ]
-    inbag = np.stack([np.bincount(rows, minlength=n) for rows in drawn])
-    rows = np.concatenate(drawn)
-    sizes = np.full(T, n)
+    ])
+    # each tree's distinct in-bag rows, weighted by their in-bag counts
+    tree_of, rows = np.nonzero(inbag)
+    weight = inbag[tree_of, rows]
+    lens = np.bincount(tree_of, minlength=T)
     tree = np.arange(T)  # the tree of every node of the level
     key = _mix(np.array(seeds, dtype=np.uint64), 0)
     # splits left in each tree's leaf budget; a tree never has more than n leaves
     budget = np.full(T, n if params.max_leaves is None else params.max_leaves - 1)
     levels = []
-    while sizes.size:
-        cnt = sizes.size
-        starts = np.cumsum(sizes) - sizes
-        pos = np.add.reduceat(d.labels[rows], starts)
+    while lens.size:
+        cnt = lens.size
+        starts = np.cumsum(lens) - lens
+        sizes = np.add.reduceat(weight, starts)
+        pos = np.add.reduceat(weight * d.labels[rows], starts)
         feature, threshold = np.full(cnt, -1, dtype=np.int32), np.full(cnt, np.nan)
         # every splittable node of a tree with budget left is scored, in BFS order;
         # each tree keeps its first `budget` splits and the rest become leaves
         todo = np.flatnonzero(
             (sizes >= 2 * params.min_node_size) & (pos > 0) & (pos < sizes) & (budget[tree] > 0)
         )
-        elems = sizes[todo] * (p if random else k)
+        elems = lens[todo] * (p if random else k)
         window = (np.cumsum(elems) - elems) // _CHUNK_ELEMENTS
         for c in np.split(todo, np.flatnonzero(np.diff(window)) + 1) if todo.size else ():
-            nodes = (d, rows, starts[c], sizes[c])
             if random:
-                found = _random_splits(*nodes, key[c])
+                found = _random_splits(d, rows, starts[c], lens[c], key[c])
             else:
-                found = _best_splits(*nodes, pos[c], _candidates(key[c], p, k), params.criterion)
+                found = _best_splits(d, rows, weight, starts[c], lens[c], _candidates(key[c], p, k))
             feature[c], threshold[c] = found
         split = np.flatnonzero(feature >= 0)
         t_of = tree[split]
@@ -397,14 +404,15 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
         leaf = feature < 0
         levels.append((tree, feature, threshold))
 
-        # stable partition: each split node's left rows, then its right rows
-        node_of = np.repeat(np.arange(cnt), sizes)
-        in_leaf = leaf[node_of]
-        rows, node_of = rows[~in_leaf], node_of[~in_leaf]
-        go_right = d.features[rows, feature[node_of]] > threshold[node_of]
-        rows = rows[np.argsort(2 * node_of + go_right, kind="stable")]
-        n_left = np.bincount(node_of[~go_right], minlength=cnt)[split]
-        sizes = np.stack([n_left, sizes[split] - n_left], axis=1).ravel()
+        # stable partition: each split node's left rows, then its right rows,
+        # rows and weights together
+        node_of = np.repeat(np.arange(cnt), lens)
+        keep = ~leaf[node_of]
+        rows, weight, node_of = rows[keep], weight[keep], node_of[keep]
+        side = 2 * node_of + (d.features[rows, feature[node_of]] > threshold[node_of])
+        order = np.argsort(side, kind="stable")
+        rows, weight = rows[order], weight[order]
+        lens = np.bincount(side, minlength=2 * cnt)[np.stack([2 * split, 2 * split + 1], 1).ravel()]
         tree = np.repeat(tree[split], 2)
         key = _mix(key[split, None], np.arange(2)).ravel()
 
