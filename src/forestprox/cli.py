@@ -143,6 +143,15 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _repr_cells(a: np.ndarray) -> list:
+    """repr of every float of a 2-d array, as nested lists, each distinct
+    value (bit pattern, so 0.0 and -0.0 stay apart) formatted once: a
+    T-tree proximity holds at most T + 1 distinct values."""
+    bits, inverse = np.unique(a.astype(np.float64).view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].reshape(a.shape).tolist()
+
+
 def _int_or_text(value):
     """`value` as an int when it parses as one, else unchanged."""
     try:
@@ -229,7 +238,7 @@ def _cmd_proximity(args) -> int:
     _write_csv(
         args.out,
         [f"p{j}" for j in range(P.shape[1])],
-        [list(map(repr, row)) for row in P.tolist()],
+        _repr_cells(P),
     )
     return 0
 
@@ -315,8 +324,8 @@ def _cmd_grid(args) -> int:
         forest.proximity_many, center, (i, j), args.resolution, ((lo_i, hi_i), (lo_j, hi_j))
     )
     rows = [
-        [repr(vi), repr(vj), repr(v)]
-        for vi, values in zip(grid.axis_i.tolist(), grid.values.tolist())
+        [repr(vi), repr(vj), v]
+        for vi, values in zip(grid.axis_i.tolist(), _repr_cells(grid.values))
         for vj, v in zip(grid.axis_j.tolist(), values)
     ]
     _write_csv(args.out, [f"x{i + 1}", f"x{j + 1}", "kernel"], rows)
