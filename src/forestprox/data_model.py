@@ -257,10 +257,18 @@ def augment_junk(d: Dataset, count: int, seed: int) -> Dataset:
 
     Source columns are drawn without replacement until all p originals are
     used, then with replacement. Permuting keeps each junk column's marginal
-    distribution while destroying any association with the labels.
+    distribution while destroying any association with the labels. Junk
+    column k + 1 is named `{source}_junk_{k + 1}`; data that already has a
+    name of that form, for any source and k < count, is refused whatever
+    the seed.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    for name in d.feature_names:
+        source, sep, k = name.rpartition("_junk_")
+        if (sep and source in d.feature_names
+                and k.isdecimal() and k == str(int(k)) and 0 < int(k) <= count):
+            raise DataError(f"feature name {name!r} clashes with the names of {count} junk columns")
     rng = np.random.default_rng(seed)
     sources = np.concatenate(
         [rng.choice(d.p, size=min(d.p, count - i), replace=False) for i in range(0, count, d.p)]

@@ -352,6 +352,19 @@ class TestBadCounts:
         assert main([command, *source, "--junk", "-3", "--out", str(out)]) == 1
         self._refused(capsys, out, "junk must be >= 0, got -3")
 
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_junk_name_clash(self, tmp_path, capsys, command, seed):
+        data, out = tmp_path / "d.csv", tmp_path / "out"
+        data.write_text("x1,x1_junk_1,label\n" + "".join(
+            f"{i},{-i},{i % 2}\n" for i in range(20)), encoding="utf-8")
+        assert main([command, "--data", str(data), "--junk", "1", "--seed", seed,
+                     "--trees", "2", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert "'x1_junk_1' clashes with the names of 1 junk columns" in err["message"]
+
     @pytest.mark.parametrize("trees, compare", [("0", True), ("-5", False)])
     def test_kernel_trees_below_one(self, tmp_path, capsys, trees, compare):
         weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"

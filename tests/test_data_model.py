@@ -183,6 +183,23 @@ class TestAugmentJunk:
         for k, name in enumerate(out.feature_names[3:]):
             assert name.endswith(f"_junk_{k + 1}")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_junk_name_clash_refused_whatever_the_seed(self, seed):
+        d = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], ("x1", "x1_junk_1"))
+        with pytest.raises(DataError, match="'x1_junk_1' clashes with the names of 1 junk"):
+            augment_junk(d, 1, seed=seed)
+
+    @pytest.mark.parametrize("names", [
+        ("x1", "x1_junk_3"),  # only junk columns 1 and 2 are made
+        ("x1", "x1_junk_01"),
+        ("x1", "x2_junk_1"),  # no feature x2
+        ("x1", "x1_junk_"),
+    ])
+    def test_junk_like_names_that_cannot_clash_pass(self, names):
+        d = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], names)
+        for seed in range(4):
+            assert augment_junk(d, 2, seed=seed).p == 4
+
     def test_count_zero_rejected(self):
         with pytest.raises(ValueError):
             augment_junk(self._data(), 0, seed=0)
