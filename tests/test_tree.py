@@ -531,6 +531,84 @@ def assert_matches_reference(d, params, seed):
     return t
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=120),
+    p=st.integers(min_value=1, max_value=5),
+    n_trees=st.integers(min_value=1, max_value=4),
+    mtry=st.integers(min_value=1, max_value=5),
+    min_node_size=st.sampled_from([1, 3]),
+    max_leaves=st.sampled_from([None, 4]),
+    bootstrap=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gini_and_mse_grow_identical_forests(
+    n, p, n_trees, mtry, min_node_size, max_leaves, bootstrap, seed
+):
+    # for 0/1 labels both criteria are pos - (pos_l^2 / n_l + pos_r^2 / n_r),
+    # so they grow the same forest bit for bit, ties and signed zeros included
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-1, 2, size=(n, p)).astype(float)
+    X[X == 0] = rng.choice([0.0, -0.0], size=int((X == 0).sum()))
+    X[:, 0] += rng.normal(size=n) * rng.integers(0, 2)  # continuous on some draws
+    d = Dataset(X, rng.integers(0, 2, n), tuple(f"f{j}" for j in range(p)))
+    forests = [
+        train_forest(d, ForestParams(n_trees, TreeParams(
+            mtry=min(mtry, p), min_node_size=min_node_size, max_leaves=max_leaves,
+            bootstrap=bootstrap, criterion=criterion,
+        ), seed=seed))
+        for criterion in ("gini", "mse")
+    ]
+    for name in ("feature", "threshold", "inbag", "leaf_n", "leaf_pos"):
+        a, b = (getattr(f, name) for f in forests)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("n, seed, top", [
+    (9, 1, 2), (8, 0, 3), (9, 4, 4), (8, 36, 5), (9, 2740, 6), (10, 368, 7), (8, 20637, 7),
+])
+def test_growth_matches_reference_at_large_in_bag_counts(n, seed, top):
+    # A sort key's low bits hold 2 * count + label, in as many bits as the
+    # largest in-bag count of the batch needs: count 2 needs 3 bits, 4 needs
+    # 4, and 3 and 7 fill all of them. The seed's bootstrap draws one row top
+    # times; that row is the only negative, so the root is scored with it.
+    counts = np.bincount(np.random.default_rng(seed).integers(0, n, n), minlength=n)
+    assert counts.max() == top
+    rng = np.random.default_rng([seed, 1])
+    X = np.column_stack([rng.normal(size=n), rng.integers(0, 3, n).astype(float)])
+    d = Dataset(X, (counts != top).astype(int), ("a", "b"))
+    for mtry in (1, 2):
+        assert_matches_reference(d, TreeParams(mtry=mtry), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    p=st.integers(min_value=1, max_value=3),
+    ties=st.booleans(),
+    wide=st.sampled_from([1, 2**10 - 1, 2**10, 2**12]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_best_split_of_weighted_rows_matches_repeated_rows(n, p, ties, wide, seed):
+    # counts far beyond a bootstrap's, in low-bit fields of up to 14 bits
+    # (2 * 4096 + 1 needs 14): scoring rows once with their counts finds the
+    # split that scoring every copy does
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n, p)).astype(float) if ties else rng.normal(size=(n, p))
+    d = Dataset(X, rng.integers(0, 2, n), tuple(f"f{j}" for j in range(p)))
+    weight = rng.integers(1, 6, n)
+    weight[rng.integers(0, n)] = wide
+    rows = rng.permutation(n)
+    f, thr = tree_module._best_splits(
+        d, rows, weight[rows], np.array([0]), np.array([n]), np.arange(p)[None, :]
+    )
+    ref = reference_split(d, np.repeat(np.arange(n), weight), np.arange(p), "gini")
+    if ref is None:
+        assert f[0] == -1
+    else:
+        assert (int(f[0]), float(thr[0])) == ref
+
+
 def test_budget_left_by_a_node_without_split_goes_to_the_next():
     # both features are constant among the rows with x0 = 0, so once the
     # root splits on x0 its left child cannot split, and the last unit of
