@@ -1,14 +1,17 @@
 """Single binary-label decision tree.
 
-Growth draws `mtry` candidate features per node and either minimizes a
-split criterion over midpoint thresholds (impurity mode) or draws the
-feature and threshold uniformly at random (completely_random mode).
+Growth draws `mtry` candidate features per node and either minimizes
+the node's impurity over midpoint thresholds (impurity mode) or draws
+the feature and threshold uniformly at random (completely_random mode).
+For 0/1 labels gini and mse are the same impurity, so both criteria
+grow the same trees through one scorer.
 Every draw of a node is a mix of the node's 64-bit key, and a key is a
 mix of its parent's key and its side, so a node's split depends only on
 its path from the root: the tree grown at a larger min_node_size is a cut
 of the smaller one's (`Forest.cut`).
-`_best_splits` is the one split search; growth scores each level's nodes
-with it once, a chunk of nodes per call.
+Growth carries each tree's distinct in-bag rows once, weighted by their
+in-bag counts. `_best_splits` is the one split search; growth scores
+each level's nodes with it once, a chunk of nodes per call.
 Growth returns only the node arrays and how often each training row was
 drawn for each tree; the forest built from them derives every leaf's
 in-bag row and positive counts by routing the training rows.
@@ -212,8 +215,8 @@ def _candidates(keys, p: int, k: int) -> np.ndarray:
 
 
 def _gather(starts, lens):
-    """Positions starts[i]:starts[i] + lens[i] for every i, one after
-    another, and where each node's begin."""
+    """Positions starts[i]:starts[i] + lens[i] for every i, one run after
+    another, and where each run begins among them."""
     offset = np.cumsum(lens) - lens
     return np.arange(lens.sum()) + np.repeat(starts - offset, lens), offset
 
@@ -239,40 +242,40 @@ def _random_splits(d, rows, starts, lens, keys):
     return np.where(ok, j, -1), np.where(ok, threshold, np.nan)
 
 
-def _best_splits(d, rows, weight, starts, lens, cand):
+def _best_splits(d, rows, weight, starts, lens, sizes, pos, cand):
     """Best split of every node of a batch over that node's candidates.
 
     Node i holds the distinct rows rows[starts[i]:starts[i] + lens[i]],
-    row r counted weight[r] times (its in-bag count), and scores the
-    sorted, distinct features cand[i]. For 0/1 labels, gini's
-    n_l p_l (1 - p_l) + n_r p_r (1 - p_r) and the squared error of the
-    side means both equal pos - (pos_l^2 / n_l + pos_r^2 / n_r), so every
-    boundary is scored by s = pos_l^2 / n_l + pos_r^2 / n_r, and the best
-    split has the largest s. Each candidate's rows of all nodes are
+    each counted as often as `weight` says at its position: sizes[i] rows
+    and pos[i] positives at that multiplicity. It scores the sorted,
+    distinct features cand[i]. With sizes and positives so counted, gini's
+    n_l p_l (1 - p_l) + n_r p_r (1 - p_r) and the squared error about the
+    side means both equal pos - (pos_l^2 / n_l + pos_r^2 / n_r) for 0/1
+    labels, so every boundary is scored by s = pos_l^2 / n_l +
+    pos_r^2 / n_r and the best split has the largest s. Each candidate's rows of all the nodes are
     sorted at once, by a key that packs node, rank and 2 * weight + label
-    into one integer, and weighted counts and positives come from
-    cumulative sums that restart at every node. Returns (feature,
-    threshold) arrays; feature is -1 for a node where no candidate has
-    two distinct values.
+    into one int64, and one cumulative sum gives the weighted size and
+    positives left of every boundary. Returns (feature, threshold)
+    arrays; feature is -1 for a node where no candidate has two distinct
+    values.
     """
     n, (n_nodes, k) = d.n, cand.shape
     at, offset = _gather(starts, lens)
     rb, wb = rows[at], weight[at]
     M = rb.size
-    yb = d.labels[rb]
-    sizes, pos = np.add.reduceat(wb, offset), np.add.reduceat(wb * yb, offset)
     # Row c of the (k, M) layout holds every node's rows under its c-th
     # candidate, node by node. Sorting a row by (node, rank, low bits)
     # keeps the nodes in place and orders each by value; the order within
     # a run of equal values does not matter, as no boundary inside a run
-    # is scored and the sums at its ends do not depend on it.
+    # is scored and the sums at its ends do not depend on it. The low bits
+    # are as many as the batch's largest count needs. A batch has at most
+    # 2^13 + 1 nodes (each scored node holds two distinct rows or more),
+    # so keys fit in int64 for n below 2^24 whatever the counts.
     bits = int(2 * wb.max() + 1).bit_length()
-    tail = np.repeat(np.arange(n_nodes) * n << bits, lens) + 2 * wb + yb
     key = np.repeat(cand.T * n, lens, axis=1)
     key += rb
-    key = d.ranks.ravel()[key]
-    key <<= bits
-    key += tail
+    key = d.ranks.ravel()[key] << bits
+    key += np.repeat(np.arange(n_nodes) * n << bits, lens) + 2 * wb + d.labels[rb]
     key.sort(axis=1)
     low = key & ((1 << bits) - 1)
     key >>= bits  # node * n + rank
@@ -282,8 +285,8 @@ def _best_splits(d, rows, weight, starts, lens, cand):
     # carries both; each node's first element also takes off the totals of
     # the node before it, so the sums restart at every node
     shift = int(sizes.max()).bit_length()
-    w = np.arange(1 << bits) >> 1
-    cs = (w + (w * (np.arange(1 << bits) & 1) << shift))[low]
+    v = np.arange(1 << bits)  # every low-bits value, 2 * count + label
+    cs = ((v >> 1) + ((v >> 1) * (v & 1) << shift))[low]
     cs[:, offset[1:]] -= sizes[:-1] + (pos[:-1] << shift)
     np.cumsum(cs, axis=1, out=cs)
     nl = (cs & ((1 << shift) - 1)).astype(np.float64)
@@ -347,8 +350,12 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
     split depends only on its path: without a leaf budget, the tree grown
     at a larger min_node_size is this one cut (`Forest.cut`).
 
-    A group of trees grows one BFS level of all of them per pass, its rows
-    in one array, node by node in tree and then BFS order. Every
+    A group of trees grows one BFS level of all of them per pass. Each
+    tree's distinct in-bag rows sit once in one array, node by node in
+    tree and then BFS order, each with its in-bag count as a weight that
+    the partition moves with it. A node's size and positives, which the
+    stopping rules and the scorer's tie tolerance read, count rows at
+    their multiplicity; the chunk windows count distinct rows. Every
     splittable node of a tree with leaf budget left is scored once; the
     tree keeps its first `budget` splits in BFS order, and its other nodes
     become leaves. A node's scores do not depend on which nodes share its
@@ -393,7 +400,8 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
             if random:
                 found = _random_splits(d, rows, starts[c], lens[c], key[c])
             else:
-                found = _best_splits(d, rows, weight, starts[c], lens[c], _candidates(key[c], p, k))
+                found = _best_splits(d, rows, weight, starts[c], lens[c], sizes[c], pos[c],
+                                     _candidates(key[c], p, k))
             feature[c], threshold[c] = found
         split = np.flatnonzero(feature >= 0)
         t_of = tree[split]

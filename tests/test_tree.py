@@ -599,9 +599,8 @@ def test_best_split_of_weighted_rows_matches_repeated_rows(n, p, ties, wide, see
     weight = rng.integers(1, 6, n)
     weight[rng.integers(0, n)] = wide
     rows = rng.permutation(n)
-    f, thr = tree_module._best_splits(
-        d, rows, weight[rows], np.array([0]), np.array([n]), np.arange(p)[None, :]
-    )
+    node = [np.array([v]) for v in (0, n, weight.sum(), d.labels @ weight)]
+    f, thr = tree_module._best_splits(d, rows, weight[rows], *node, np.arange(p)[None, :])
     ref = reference_split(d, np.repeat(np.arange(n), weight), np.arange(p), "gini")
     if ref is None:
         assert f[0] == -1
