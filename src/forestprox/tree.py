@@ -31,9 +31,11 @@ CRITERIA = ("gini", "mse")
 # Resolves float noise when two splits have algebraically equal scores; far
 # below the smallest nonzero score gap for the node sizes handled here.
 _TIE_EPS = 1e-12
-# A chunk of a level's nodes is those whose first (candidate or feature, row)
-# element falls in one window of this many, so temporaries stay in a 2 MiB L2
-# cache: at mtry 30 and n = 1000, 2^16 or no cap grew forests 30-40 % slower.
+# A chunk of a level's nodes is those whose first (candidate or feature,
+# distinct row) element falls in one window of this many, so temporaries stay
+# in a 2 MiB L2 cache. Growing 50 trees at mtry 30 and n = 1000, 2^13, 2^15 and
+# 2^16 took 19, 34 and 51 % longer than 2^14 with bootstrap, and 18, -1 and
+# 57 % longer without (medians of 12 and 8 interleaved runs).
 _CHUNK_ELEMENTS = 1 << 14
 # Trees grow in groups of about this many rows, so growth's memory does not scale
 # with the forest: 256 trees of 1000 rows peak 3.9 MiB above their result, not 10.8.
