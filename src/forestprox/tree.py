@@ -422,7 +422,7 @@ def grow_trees(d: Dataset, params: TreeParams, seeds) -> tuple[np.ndarray, ...]:
         side = 2 * node_of + (d.features[rows, feature[node_of]] > threshold[node_of])
         order = np.argsort(side, kind="stable")
         rows, weight = rows[order], weight[order]
-        lens = np.bincount(side, minlength=2 * cnt)[np.stack([2 * split, 2 * split + 1], 1).ravel()]
+        lens = np.bincount(side, minlength=2 * cnt).reshape(cnt, 2)[split].ravel()
         tree = np.repeat(tree[split], 2)
         key = _mix(key[split, None], np.arange(2)).ravel()
 
