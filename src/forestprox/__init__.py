@@ -6,7 +6,6 @@ from .bench import (
     ExperimentReport,
     default_estimators,
     misclassification,
-    rmse_empirical,
     rmse_true,
     run_experiment,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "default_estimators",
     "run_experiment",
     "rmse_true",
-    "rmse_empirical",
     "misclassification",
 ]
 

@@ -34,17 +34,14 @@ MTRY_SYMBOLS = (*_MTRY_OF_P, "best")
 
 
 def rmse_true(predictions, targets) -> float:
-    """Root mean squared error against known probabilities (`rmse_true`)
-    or 0/1 labels (`rmse_empirical`); the mean sits inside the root, so
-    values are comparable across dataset sizes."""
+    """Root mean squared error against known probabilities (report key
+    `rmse_true`) or 0/1 labels (report key `rmse_empirical`); the mean
+    sits inside the root, so values are comparable across dataset sizes."""
     p_hat = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if p_hat.shape != y.shape or p_hat.size == 0:
         raise ValueError(f"need equal nonempty lengths, got {p_hat.shape} vs {y.shape}")
     return float(np.sqrt(np.mean((p_hat - y) ** 2)))
-
-
-rmse_empirical = rmse_true
 
 
 def misclassification(predictions, labels) -> float:
@@ -249,7 +246,7 @@ def _tune_forest(
         grown = _forest(spec, cfg, carve.train, m, NODE_SIZE_GRID[0], seed)
         for ns in NODE_SIZE_GRID:
             preds = grown.cut(ns).predict_proba_batch(carve.test.features, spec.mode)
-            surface.append((m, ns, rmse_empirical(preds, carve.test.labels)))
+            surface.append((m, ns, rmse_true(preds, carve.test.labels)))
     m, ns, _ = min(surface, key=lambda cell: cell[2])  # min keeps the first of equals
     return (m, ns), tuple(surface)
 
@@ -305,7 +302,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 errors[est_idx].append((rep, f"{type(exc).__name__}: {exc}"))
                 continue
             values = [rmse_true(preds, test.true_probs)] if cfg.synthetic else []
-            values += [rmse_empirical(preds, test.labels), misclassification(preds, test.labels)]
+            values += [rmse_true(preds, test.labels), misclassification(preds, test.labels)]
             done[est_idx].append((values, used, surface))
 
     results = []

@@ -132,14 +132,6 @@ class Forest:
         )
 
     # NaN would route right at every split, since x <= thr is false for it
-    def _check_vector(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.p,):
-            raise ValueError(f"expected {self.p} coordinates, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError(f"non-finite query coordinate {int(np.argmin(np.isfinite(x)))}")
-        return x
-
     def _check_matrix(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.p:
@@ -174,20 +166,20 @@ class Forest:
         return np.cumsum(p_t, axis=0)[-1] / self.n_trees
 
     def predict_proba(self, x, mode: str = "prox") -> float:
-        return float(self.predict_proba_batch(np.asarray(x, dtype=np.float64)[None, :], mode)[0])
+        return float(self.predict_proba_batch(np.asarray(x, dtype=np.float64)[None], mode)[0])
 
     def predict_proba_batch(self, X, mode: str = "prox") -> np.ndarray:
         return self.estimate(self.leaves(X), mode)
 
     def proximity(self, x, z) -> float:
         """Fraction of trees in which x and z share a terminal node."""
-        return float(self.proximity_many(self._check_vector(x)[None, :], z)[0])
+        return float(self.proximity_many(np.asarray(x, dtype=np.float64)[None], z)[0])
 
     def proximity_many(self, X, z) -> np.ndarray:
         """proximity(x, z) for every row x of X, from one routing pass."""
-        z = self._check_vector(z)
+        z = self._check_matrix(np.asarray(z, dtype=np.float64)[None])
         X = self._check_matrix(X)
-        G = self._route(np.concatenate([z[None, :], X]))
+        G = self._route(np.concatenate([z, X]))
         return (G[:, 1:] == G[:, :1]).sum(axis=0) / self.n_trees
 
     def proximity_matrix(self, points, max_bytes: int = PROXIMITY_MATRIX_MAX_BYTES) -> np.ndarray:
@@ -213,12 +205,10 @@ class Forest:
         Rows are counted at their in-bag multiplicity per tree, so the
         weighted label average equals the prox estimate exactly.
         """
-        L = self.leaves(self._check_vector(x0)[None, :])
+        L = self.leaves(np.asarray(x0, dtype=np.float64)[None])
         counts = np.where(self._train_leaves == L, self.inbag, 0).sum(axis=0).astype(np.float64)
-        total = counts.sum()
-        if total <= 0:
-            raise ValueError("no training rows share a leaf with x0")
-        return counts / total
+        # every leaf holds an in-bag row (the constructor checks it), so the sum is >= n_trees
+        return counts / counts.sum()
 
     def cut(self, min_node_size: int) -> "Forest":
         """The forest these seeds grow at a larger min_node_size.

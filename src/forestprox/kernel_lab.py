@@ -50,28 +50,29 @@ def strong_weak_weights(
 ) -> tuple[float, float]:
     """Per-split selection probability of one strong / one weak coordinate.
 
-    The default binomial coefficient counts `mtry - k` weak candidates
-    alongside k strong ones so that the drawn set has exactly `mtry`
-    members; `use_printed_coefficient` switches to the off-by-one variant
-    (mtry - k + 1) for side-by-side comparison. The default is the one the
-    Monte Carlo oracle confirms, and the only one with the correct
-    all-strong limit of 1/S.
+    A strong coordinate is split exactly when the mtry candidates hold at
+    least one, and then each of the S is equally likely, so with
+    m = mtry and p = S + W
+
+      p_S = (1 - C(W, m) / C(p, m)) / S,   p_W = C(W, m) / (W C(p, m)),
+
+    and p_W is exactly 0 once m > W. This is the paper's sum
+    sum_k C(S-1, k-1) C(W, m-k) / (k C(p, m)) in closed form, and the
+    one the Monte Carlo oracle confirms. `use_printed_coefficient` takes
+    the printed off-by-one coefficient C(W, m-k+1) instead, for
+    side-by-side comparison: its sum over k <= min(S, m) counts
+    A = C(p, m+1) - C(W, m+1) - C(S, m+1) in place of C(p, m) - C(W, m).
+    It misses the all-strong limit 1/S, and its p_W = (1 - S p_S) / W
+    can be negative. Each weight is one division of exact integers, so
+    it is correctly rounded.
     """
-    S, W, mtry, p = spec.strong, spec.weak, spec.mtry, spec.p
-    shift = 1 if use_printed_coefficient else 0
-    p_s = 0.0
-    if S >= 1:
-        denom_all = comb(p, mtry)
-        for k in range(1, min(S, mtry) + 1):
-            w_take = mtry - k + shift
-            if w_take > W:
-                continue
-            p_s += comb(S - 1, k - 1) * comb(W, w_take) / (k * denom_all)
-    p_w = (1.0 - S * p_s) / W if W > 0 else 0.0
-    if not use_printed_coefficient:
-        # rounding guard: exact zero when every draw holds a strong
-        # coordinate; the printed variant keeps its (diagnostic) negativity
-        p_w = max(0.0, p_w)
+    S, W, m, p = spec.strong, spec.weak, spec.mtry, spec.p
+    s = 1 if use_printed_coefficient else 0
+    draws = comb(p, m)
+    # S * C(p, m) * p_S: sum_k C(S, k) C(W, m+s-k) over 1 <= k <= m by Vandermonde
+    hits = comb(p, m + s) - comb(W, m + s) - s * comb(S, m + 1)
+    p_s = hits / (S * draws) if S else 0.0
+    p_w = (draws - hits) / (W * draws) if W else 0.0
     return p_s, p_w
 
 

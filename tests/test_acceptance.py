@@ -36,6 +36,7 @@ from forestprox.kernel_lab import (
 )
 from forestprox.synthgen import get_model, sample
 from forestprox.tree import TreeParams
+from test_tree import reference_split
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -189,6 +190,14 @@ def test_c2_gini_mse_split_equivalence():
             grow_tree(d, TreeParams(mtry=p, max_leaves=2, bootstrap=False, criterion=c), i)
             for c in ("gini", "mse")
         )
+        # growth scores both criteria by one formula, so each root is also
+        # checked against the reference's own gini or mse impurity; a pure
+        # root stays a leaf before any split is scored
+        pure = d.labels.sum() in (0, n)
+        for t, c in ((g, "gini"), (m, "mse")):
+            root = None if t.feature[0] < 0 else (int(t.feature[0]), float(t.threshold[0]))
+            ref = None if pure else reference_split(d, np.arange(n), np.arange(p), c)
+            assert root == ref, f"dataset {i}: grown {root} vs {c} reference {ref}"
         if g.feature[0] < 0 or m.feature[0] < 0:
             assert g.feature[0] < 0 and m.feature[0] < 0
             continue

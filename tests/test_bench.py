@@ -14,7 +14,6 @@ from forestprox.bench import (
     default_estimators,
     misclassification,
     resolve_mtry,
-    rmse_empirical,
     rmse_true,
     run_experiment,
     tuning_grid,
@@ -28,7 +27,7 @@ class TestRmse:
         p = np.array([0.2, 0.5, 0.9])
         assert rmse_true(p, p) == 0.0
         y = np.array([0, 1, 1])
-        assert rmse_empirical(y.astype(float), y) == 0.0
+        assert rmse_true(y.astype(float), y) == 0.0
 
     def test_constant_offset(self):
         p = np.array([0.3, 0.5, 0.7])
@@ -40,16 +39,16 @@ class TestRmse:
 
     def test_uninformative_half(self):
         y = np.array([0, 1, 0, 1, 1])
-        assert rmse_empirical(np.full(5, 0.5), y) == pytest.approx(0.5)
+        assert rmse_true(np.full(5, 0.5), y) == pytest.approx(0.5)
 
     def test_maximally_wrong(self):
-        assert rmse_empirical(np.array([1.0, 0.0]), np.array([0, 1])) == 1.0
+        assert rmse_true(np.array([1.0, 0.0]), np.array([0, 1])) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rmse_true(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
-            rmse_empirical(np.array([]), np.array([]))
+            rmse_true(np.array([]), np.array([]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -62,7 +61,7 @@ class TestRmse:
     def test_bounded_by_one_for_probabilities(self, preds):
         preds = np.array(preds)
         labels = (preds >= 0.5).astype(int)
-        assert 0.0 <= rmse_empirical(preds, labels) <= 1.0
+        assert 0.0 <= rmse_true(preds, labels) <= 1.0
 
     def test_misclassification_threshold(self):
         preds = np.array([0.49, 0.5, 0.51])
@@ -256,7 +255,7 @@ class TestRunExperiment:
         target = (p * (1 - p)).mean()
         sigma = sq.std(ddof=1) / np.sqrt(len(sq))
         assert abs(mse - target) <= 3 * sigma
-        assert rmse_empirical(p, d.labels) == pytest.approx(np.sqrt(mse))
+        assert rmse_true(p, d.labels) == pytest.approx(np.sqrt(mse))
 
 
 # SHA-256 of each report's JSON without wall_clock_s. A change that alters

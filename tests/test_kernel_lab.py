@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb, lcm
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +46,63 @@ def exact_single_coord_kernel(leaves: int, x: float) -> float:
     return float(probs @ surv)
 
 
+def loop_strong_weight(spec, use_printed_coefficient=False):
+    """p_S as the paper's sum over k strong candidates, in floats, one
+    term at a time: the reference for `strong_weak_weights`' closed form."""
+    S, W, mtry, p = spec.strong, spec.weak, spec.mtry, spec.p
+    shift = 1 if use_printed_coefficient else 0
+    p_s = 0.0
+    if S >= 1:
+        denom_all = comb(p, mtry)
+        for k in range(1, min(S, mtry) + 1):
+            w_take = mtry - k + shift
+            if w_take > W:
+                continue
+            p_s += comb(S - 1, k - 1) * comb(W, w_take) / (k * denom_all)
+    return p_s
+
+
+def exact_weights(S, W, mtry, shift):
+    """The same sum in exact rationals, over the common denominator
+    lcm(1..min(S, mtry)) * C(p, mtry)."""
+    ks = range(1, min(S, mtry) + 1)
+    L = lcm(*ks)
+    num = sum(comb(S - 1, k - 1) * comb(W, mtry - k + shift) * (L // k) for k in ks)
+    denom = L * comb(S + W, mtry)
+    p_s = Fraction(num, denom)
+    p_w = Fraction(denom - S * num, W * denom) if W else Fraction(0)
+    return p_s, p_w
+
+
+# every (S, W, mtry) with S <= 12, W <= 60 and p >= 1: 28,548 cells
+WEIGHT_GRID = [
+    (S, W, m) for S in range(13) for W in range(61) for m in range(1, S + W + 1)
+]
+
+
 class TestStrongWeakWeights:
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_correctly_rounded_exact_rationals(self, printed):
+        assert len(WEIGHT_GRID) == 28_548
+        for S, W, m in WEIGHT_GRID:
+            got = strong_weak_weights(NaiveKernelSpec(2, S, W, m), use_printed_coefficient=printed)
+            want = tuple(float(v) for v in exact_weights(S, W, m, int(printed)))
+            assert got == want, (S, W, m)
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_strong_weight_matches_loop_reference(self, printed):
+        for S, W, m in WEIGHT_GRID:
+            spec = NaiveKernelSpec(2, S, W, m)
+            got = strong_weak_weights(spec, use_printed_coefficient=printed)[0]
+            want = loop_strong_weight(spec, use_printed_coefficient=printed)
+            assert abs(got - want) <= 1e-15 * abs(want), (S, W, m)
+
+    def test_weak_weight_exactly_zero_once_noise_is_crowded_out(self):
+        # mtry > W: every draw holds a strong coordinate
+        for S, W, m in WEIGHT_GRID:
+            if m > W:
+                assert strong_weak_weights(NaiveKernelSpec(2, S, W, m))[1] == 0.0, (S, W, m)
+
     def test_strong_always_present(self):
         spec = NaiveKernelSpec(leaves=2, strong=1, weak=1, mtry=2)
         assert strong_weak_weights(spec) == (1.0, 0.0)
