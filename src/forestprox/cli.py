@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     queries = argparse.ArgumentParser(add_help=False)
     queries.add_argument("--model", required=True)
     queries.add_argument("--data", required=True)
-    queries.add_argument("--label-column", default=None)
+    # the positional fallback for a CSV without the model's names skips this column
+    queries.add_argument("--label-column", default="label")
     queries.add_argument("--out", required=True)
 
     # flags shared by the commands that grow forests from a training set

@@ -112,33 +112,64 @@ def naive_kernel(spec: NaiveKernelSpec, X, strong_set) -> np.ndarray:
     return np.exp(-log(spec.leaves) * (p_s * strong_sum + p_w * weak_sum))
 
 
+# the simulators' work arrays hold about this many elements: they walk
+# their rows (nodes or trees) in blocks of _BLOCK_ELEMENTS // p
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _blocks(n: int, p: int):
+    """Consecutive slices covering range(n), each of _BLOCK_ELEMENTS // p
+    rows (at least one)."""
+    step = max(1, _BLOCK_ELEMENTS // p)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _split_coords(rng: np.random.Generator, spec: NaiveKernelSpec, k: int) -> np.ndarray:
     """Split coordinate of k stylized nodes (strong = first S coordinates).
 
     Each node draws `mtry` candidates as the smallest of p uniform keys,
     then one uniform per coordinate that picks among the strong
     candidates when there are any and among all candidates otherwise.
-    Both (k, p) draws come from `rng` in that order; only the candidate
-    set is kept between them.
+    Both (k, p) draws come from `rng`, keys first, each in the row blocks
+    of `_blocks`: all key blocks, then all pick blocks. So `rng` yields the
+    doubles of two whole (k, p) draws in the same order and ends in the
+    same state, while only the (k, p) boolean mask of non-candidates is
+    kept between the passes.
     """
     p, S, mtry = spec.p, spec.strong, spec.mtry
-    members = np.argpartition(rng.random((k, p)), mtry - 1, axis=1)[:, :mtry].copy()
+    blocks = _blocks(k, p)
     outside = np.ones((k, p), dtype=bool)
-    outside[np.arange(k)[:, None], members] = False
-    del members
-    pick = rng.random((k, p))
-    outside[~outside[:, :S].all(axis=1), S:] = True
-    pick[outside] = np.inf
-    return pick.argmin(axis=1)
+    for b in blocks:
+        keys = rng.random((b.stop - b.start, p))
+        rows = outside[b]
+        np.put_along_axis(rows, np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], False, axis=1)
+        # a node holding a strong candidate picks among the strong ones only
+        rows[~rows[:, :S].all(axis=1), S:] = True
+    coord = np.empty(k, dtype=np.intp)
+    for b in blocks:
+        pick = rng.random((b.stop - b.start, p))
+        pick[outside[b]] = np.inf
+        coord[b] = pick.argmin(axis=1)
+    return coord
 
 
 def mc_selection_freq(
     spec: NaiveKernelSpec, trials: int, seed: int, chunk: int = 20_000
 ) -> np.ndarray:
-    """Empirical per-coordinate split frequency over simulated candidate
-    draws (strong = first S coordinates). Oracle for strong_weak_weights."""
+    """Empirical per-coordinate split frequency over `trials` simulated
+    candidate draws (strong = first S coordinates). Oracle for
+    strong_weak_weights.
+
+    The trials are drawn `chunk` at a time, each chunk's keys before its
+    picks, so `chunk` sets how the draws interleave: another value reads
+    the same seed's stream differently and gives other counts. It no
+    longer bounds memory beyond a (chunk, p) boolean mask; the draws
+    themselves are made in `_split_coords`' row blocks.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     rng = np.random.default_rng(seed)
     counts = np.zeros(spec.p, dtype=np.int64)
     done = 0
@@ -176,7 +207,8 @@ def mc_proximity(
     origin cell contains x, (m,).
 
     This is the direct simulation the closed form approximates; one call
-    simulates one batch of n_trees trees and scores every row against it.
+    simulates one batch of n_trees trees and scores every row against it,
+    one block of trees (`_blocks`) at a time.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -185,10 +217,16 @@ def mc_proximity(
     weak = np.setdiff1d(np.arange(spec.p), strong)
     X_canonical = X[:, np.concatenate([strong, weak])]
     hi = _zero_cell_extents(spec, n_trees, seed)
-    # one row at a time: a broadcast compare would hold (m, n_trees, p); a
-    # zero coordinate always passes, since the extents are >= 0
+    # each row against one block of trees at a time (`_blocks`), so a
+    # compare holds at most a block's extents, never all n_trees; a zero
+    # coordinate always passes, since the extents are >= 0
     nonzero = [np.flatnonzero(x) for x in X_canonical]
-    return np.array([(x[j] <= hi[:, j]).all(axis=1).mean() for x, j in zip(X_canonical, nonzero)])
+    inside = np.zeros(len(X_canonical), dtype=np.int64)
+    for b in _blocks(n_trees, spec.p):
+        block = hi[b]
+        for i, (x, j) in enumerate(zip(X_canonical, nonzero)):
+            inside[i] += np.count_nonzero((x[j] <= block[:, j]).all(axis=1))
+    return inside / n_trees
 
 
 def breiman_kernel(Z, x0, leaves: int) -> np.ndarray:

@@ -160,6 +160,34 @@ class TestTrainPredict:
                   "--label-column", "label", "--out", str(out)])
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("command", ["predict", "proximity"])
+    def test_label_column_never_read_as_a_feature(self, workspace, tmp_path, capsys, command):
+        # x1,label against a model of x1,x2: the positional fallback skips
+        # `label` by default and finds one feature column, not two
+        _, _, model = workspace
+        query = tmp_path / "q.csv"
+        query.write_text("x1,label\n0.1,1\n0.2,0\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        rc = main([command, "--model", str(model), "--data", str(query), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert "expected columns ['x1', 'x2'] or at least 2 feature columns" in err["message"]
+        assert not out.exists()
+
+    def test_model_names_beside_a_label_column(self, workspace, tmp_path):
+        _, _, model = workspace
+        labelled, bare = tmp_path / "labelled.csv", tmp_path / "bare.csv"
+        labelled.write_text("label,x2,x1\n1,0.5,0.1\n0,-0.3,0.2\n", encoding="utf-8")
+        bare.write_text("x1,x2\n0.1,0.5\n0.2,-0.3\n", encoding="utf-8")
+        outs = []
+        for query in (labelled, bare):
+            out = tmp_path / f"{query.stem}.out.csv"
+            assert main(["predict", "--model", str(model), "--data", str(query),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
 
 class TestProximityCommand:
     def test_matrix_symmetric_unit_diagonal(self, workspace, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from fractions import Fraction
 from math import comb, lcm
 
@@ -72,6 +74,29 @@ def exact_weights(S, W, mtry, shift):
     p_s = Fraction(num, denom)
     p_w = Fraction(denom - S * num, W * denom) if W else Fraction(0)
     return p_s, p_w
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def whole_split_coords(rng, spec, k):
+    """`_split_coords` as one (k, p) key draw and one (k, p) pick draw:
+    the reference its row blocks must reproduce."""
+    p, S, mtry = spec.p, spec.strong, spec.mtry
+    members = np.argpartition(rng.random((k, p)), mtry - 1, axis=1)[:, :mtry]
+    outside = np.ones((k, p), dtype=bool)
+    outside[np.arange(k)[:, None], members] = False
+    pick = rng.random((k, p))
+    outside[~outside[:, :S].all(axis=1), S:] = True
+    pick[outside] = np.inf
+    return pick.argmin(axis=1)
 
 
 # every (S, W, mtry) with S <= 12, W <= 60 and p >= 1: 28,548 cells
@@ -205,6 +230,17 @@ class TestMcSelectionFreq:
                 w_hat = freq[S:].sum()
                 sigma_w = np.sqrt(W * p_w * (1 - W * p_w) / trials)
                 assert abs(w_hat - W * p_w) <= 3 * sigma_w + 1e-12
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_chunk_below_one(self, chunk):
+        # a zero chunk once looped forever without drawing
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            mc_selection_freq(NaiveKernelSpec(2, 1, 1, 1), 10, 0, chunk=chunk)
+
+    def test_memory_at_100000_trials(self):
+        # blocked draws hold about 4 MB; whole (20,000, 50) draws held 16 MB
+        spec = NaiveKernelSpec(32, 5, 45, 15)
+        assert traced_peak(mc_selection_freq, spec, 100_000, 0) <= 8e6
 
     def test_frequencies_sum_to_one(self):
         spec = NaiveKernelSpec(leaves=2, strong=3, weak=7, mtry=4)
@@ -362,20 +398,23 @@ class TestMcProximity:
             one = mc_proximity(spec, x[None], [4, 1], 3000, seed=6)
             np.testing.assert_array_equal(got[i : i + 1], one)
 
-    def test_batch_memory_at_20000_trees(self):
-        # 30 rows against (20,000, 50) extents: compared row by row this
-        # peaks near 25 MB; one broadcast compare would hold 30 MB of bools
-        import tracemalloc
+    def test_blocks_count_every_tree(self):
+        # three blocks of trees + 5 against one broadcast compare of all of them
+        spec = NaiveKernelSpec(32, 5, 45, 15)
+        trees = 3 * (kernel_lab._BLOCK_ELEMENTS // spec.p) + 5
+        X = 0.03 * np.random.default_rng(2).random((4, spec.p))
+        X[0] = 0.0
+        hi = kernel_lab._zero_cell_extents(spec, trees, 6)
+        want = (X[:, None, :] <= hi[None]).all(axis=2).mean(axis=1)
+        np.testing.assert_array_equal(mc_proximity(spec, X, range(5), trees, 6), want)
 
+    def test_batch_memory_at_20000_trees(self):
+        # 30 rows against (20,000, 50) extents, each compared a block of
+        # trees at a time: about 13 MB with the 8 MB extents; gathering a
+        # row's columns of all trees peaked near 25 MB
         spec = NaiveKernelSpec(32, 5, 45, 15)
         X = np.tile(np.linspace(0.0, 0.02, 50), (30, 1))
-        tracemalloc.start()
-        try:
-            mc_proximity(spec, X, range(5), 20_000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30e6
+        assert traced_peak(mc_proximity, spec, X, range(5), 20_000, 3) <= 16e6
 
 
 class TestCandidateDraws:
@@ -403,28 +442,62 @@ class TestCandidateDraws:
         "03ee68d83147872b2f3ed97b3c27d1205d2f4fa4cfe2700bebbd7ed83d6381a0",
     )
 
+    # the same at sizes of several row blocks (20,000 draws in one chunk;
+    # 5,000 trees), recorded before the draws were made in blocks
+    MULTI_BLOCK_COUNTS = (
+        [3401, 3339, 3296, 3425, 3480, 64, 77, 65, 72, 63, 63, 56, 60, 78, 65, 67, 83, 62,
+         58, 66, 68, 68, 73, 71, 77, 60, 88, 69, 60, 54, 78, 64, 64, 59, 79, 79, 63, 72, 81,
+         65, 79, 72, 54, 70, 76, 53, 63, 66, 71, 64],
+        [4967, 5044, 4990, 4999],
+        [4983, 5066, 4964, 4987],
+        [6720, 6672, 6608],
+    )
+    MULTI_BLOCK_DIGESTS = (
+        "2ca5acaa8c0661073dbd8ec0ceea75228550e6c2f57a1a658334ee9206d31860",
+        "8a6f7c022a113d2f404aa4bb8e1ea488d53b35d715f52628ec55c7790c0ae8d8",
+        "f2849c94e15a104958e854a72806100243adb7ca36a7154d3581c20c53a4daf3",
+        "d92f13e8a46e543b4056fbb531b92bae9c25ec79d437bf4153d49d534ce21344",
+    )
+
     @pytest.mark.parametrize("k", range(4))
     def test_outputs_pinned(self, k):
-        import hashlib
-
         spec = self.SPECS[k]
         freq = mc_selection_freq(spec, 3000, 5, chunk=1000)
         np.testing.assert_array_equal(freq, np.array(self.SELECTION_COUNTS[k]) / 3000)
         hi = kernel_lab._zero_cell_extents(spec, 500, 7)
         assert hashlib.sha256(hi.tobytes()).hexdigest() == self.EXTENT_DIGESTS[k]
 
-    def test_transient_memory_at_20000_trees(self):
-        # the output is 8 MB; the draws once held about 36 MB more
-        import tracemalloc
+    @pytest.mark.parametrize("k", range(4))
+    def test_multi_block_outputs_pinned(self, k):
+        spec = self.SPECS[k]
+        freq = mc_selection_freq(spec, 20_000, 5)
+        np.testing.assert_array_equal(freq, np.array(self.MULTI_BLOCK_COUNTS[k]) / 20_000)
+        hi = kernel_lab._zero_cell_extents(spec, 5_000, 7)
+        assert hashlib.sha256(hi.tobytes()).hexdigest() == self.MULTI_BLOCK_DIGESTS[k]
 
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1), (3, 5)])
+    def test_blocks_keep_whole_draws(self, k, blocks, extra):
+        # one node, one block, one block + 1 and three blocks + 5: the same
+        # coordinates as two whole (n, p) draws, and the generator left in
+        # the same state
+        spec = self.SPECS[k]
+        n = blocks * max(1, kernel_lab._BLOCK_ELEMENTS // spec.p) + extra
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        np.testing.assert_array_equal(
+            kernel_lab._split_coords(rng, spec, n), whole_split_coords(ref, spec, n)
+        )
+        assert rng.bit_generator.state == ref.bit_generator.state
+        fresh = np.random.default_rng(11)
+        fresh.random((n, spec.p))
+        fresh.random((n, spec.p))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_transient_memory_at_20000_trees(self):
+        # the output is 8 MB and the blocked draws about 4 MB more; whole
+        # (20,000, 50) draws peaked near 25 MB
         spec = NaiveKernelSpec(32, 5, 45, 15)
-        tracemalloc.start()
-        try:
-            kernel_lab._zero_cell_extents(spec, 20_000, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30e6
+        assert traced_peak(kernel_lab._zero_cell_extents, spec, 20_000, 3) <= 16e6
 
 
 class TestBreimanKernel:
