@@ -162,9 +162,9 @@ def mc_selection_freq(
 
     The trials are drawn `chunk` at a time, each chunk's keys before its
     picks, so `chunk` sets how the draws interleave: another value reads
-    the same seed's stream differently and gives other counts. It no
-    longer bounds memory beyond a (chunk, p) boolean mask; the draws
-    themselves are made in `_split_coords`' row blocks.
+    the same seed's stream differently and gives other counts. It does
+    not bound memory beyond a (chunk, p) boolean mask: `_split_coords`
+    makes the draws in row blocks whatever the chunk.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -233,12 +233,12 @@ class TestMcSelectionFreq:
 
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_rejects_chunk_below_one(self, chunk):
-        # a zero chunk once looped forever without drawing
+        # a chunk below 1 would never advance the trial count
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             mc_selection_freq(NaiveKernelSpec(2, 1, 1, 1), 10, 0, chunk=chunk)
 
     def test_memory_at_100000_trials(self):
-        # blocked draws hold about 4 MB; whole (20,000, 50) draws held 16 MB
+        # (20,000, 50) chunks, drawn in row blocks: about 4 MB
         spec = NaiveKernelSpec(32, 5, 45, 15)
         assert traced_peak(mc_selection_freq, spec, 100_000, 0) <= 8e6
 
@@ -409,9 +409,8 @@ class TestMcProximity:
         np.testing.assert_array_equal(mc_proximity(spec, X, range(5), trees, 6), want)
 
     def test_batch_memory_at_20000_trees(self):
-        # 30 rows against (20,000, 50) extents, each compared a block of
-        # trees at a time: about 13 MB with the 8 MB extents; gathering a
-        # row's columns of all trees peaked near 25 MB
+        # 30 rows against (20,000, 50) extents, compared a block of trees
+        # at a time: the 8 MB extents and about 5 MB more
         spec = NaiveKernelSpec(32, 5, 45, 15)
         X = np.tile(np.linspace(0.0, 0.02, 50), (30, 1))
         assert traced_peak(mc_proximity, spec, X, range(5), 20_000, 3) <= 16e6
@@ -494,8 +493,7 @@ class TestCandidateDraws:
         assert rng.bit_generator.state == fresh.bit_generator.state
 
     def test_transient_memory_at_20000_trees(self):
-        # the output is 8 MB and the blocked draws about 4 MB more; whole
-        # (20,000, 50) draws peaked near 25 MB
+        # the output is 8 MB and the blocked draws about 4 MB more
         spec = NaiveKernelSpec(32, 5, 45, 15)
         assert traced_peak(kernel_lab._zero_cell_extents, spec, 20_000, 3) <= 16e6
 
