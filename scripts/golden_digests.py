@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Golden-output gate: SHA-256 digests of fixed-seed trees and predictions.
 
-Grows small forests over a matrix of seeds x {gini, mse, completely_random}
-x bootstrap on/off x {min_node_size 1, min_node_size 5, max_leaves 3,
-max_leaves 17} and digests every tree's arrays, its in-bag count vector
-and the class_vote, reg_mean and prox vectors on a fixed query batch. A refactor that must keep outputs bit-identical
-leaves every digest unchanged.
+Grows small forests over a matrix of seeds x split modes {impurity,
+completely_random} x bootstrap on/off x {min_node_size 1, min_node_size
+5, max_leaves 3, max_leaves 17} and digests every tree's arrays, its
+in-bag count vector and the class_vote, reg_mean and prox vectors on a
+fixed query batch. A refactor that must keep outputs bit-identical leaves
+every digest unchanged.
 
     python scripts/golden_digests.py            # check against the stored file
     python scripts/golden_digests.py --write    # regenerate the stored file
@@ -21,17 +22,12 @@ import numpy as np
 
 from forestprox.data_model import Dataset
 from forestprox.forest import PREDICT_MODES, ForestParams, train_forest
-from forestprox.tree import TreeParams
+from forestprox.tree import SPLIT_MODES, TreeParams
 
 DIGEST_PATH = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_digests.json"
 
 # (seed, mtry) pairs; p = 5, so mtry 5 scores every feature at every node
 SEEDS = ((0, 1), (1, 2), (2, 5))
-MODES = {
-    "gini": dict(criterion="gini"),
-    "mse": dict(criterion="mse"),
-    "completely_random": dict(split_mode="completely_random"),
-}
 STOPS = {
     "min_node_size=1": dict(min_node_size=1),
     "min_node_size=5": dict(min_node_size=5),
@@ -92,12 +88,12 @@ def compute_digests() -> dict:
     out = {}
     for seed, mtry in SEEDS:
         d, Q = golden_data(seed)
-        for mode, mode_kw in MODES.items():
+        for mode in SPLIT_MODES:
             for bootstrap in (True, False):
                 for stop, stop_kw in STOPS.items():
                     params = ForestParams(
                         n_trees=N_TREES,
-                        tree=TreeParams(mtry=mtry, bootstrap=bootstrap, **mode_kw, **stop_kw),
+                        tree=TreeParams(mtry=mtry, split_mode=mode, bootstrap=bootstrap, **stop_kw),
                         seed=seed,
                     )
                     f = train_forest(d, params)

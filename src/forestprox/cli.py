@@ -221,7 +221,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     forest = Forest.load(args.model)
-    X = load_points(args.data, forest.train.feature_names, args.label_column)
+    X = load_points(args.data, forest.train.feature_names, _int_or_text(args.label_column))
     leaves = forest.leaves(X)
     P = np.column_stack([forest.estimate(leaves, mode) for mode in PREDICT_MODES])
     _write_csv(
@@ -234,7 +234,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_proximity(args) -> int:
     forest = Forest.load(args.model)
-    X = load_points(args.data, forest.train.feature_names, args.label_column)
+    X = load_points(args.data, forest.train.feature_names, _int_or_text(args.label_column))
     P = forest.proximity_matrix(X)
     _write_csv(
         args.out,

@@ -159,6 +159,14 @@ def _parse_columns(path, header: list[str], rows: list[list[str]], cols: list[in
     return out
 
 
+def _column(header: list[str], column: str | int | None) -> int | None:
+    """Index of `column` in header: an int is an index and text a name;
+    None when the header has no such column."""
+    if isinstance(column, int):
+        return column if 0 <= column < len(header) else None
+    return header.index(column) if column in header else None
+
+
 def load_csv(
     path: str | Path,
     label_column: str | int,
@@ -176,21 +184,16 @@ def load_csv(
     header, rows = _read_rows(path)
     if true_prob_column == "auto":
         true_prob_column = TRUE_PROB_COLUMN if TRUE_PROB_COLUMN in header else None
-    if isinstance(label_column, int):
-        if not 0 <= label_column < len(header):
-            raise DataError(f"label column index {label_column} out of range")
-        label_idx = label_column
-    else:
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
+    label_idx = _column(header, label_column)
+    if label_idx is None:
+        raise DataError(f"label column {label_column!r} not in header {header}")
 
     skip = {label_idx}
     tps = None
     if true_prob_column is not None:
-        if true_prob_column not in header:
+        tp_idx = _column(header, true_prob_column)
+        if tp_idx is None:
             raise DataError(f"true-prob column {true_prob_column!r} not in header")
-        tp_idx = header.index(true_prob_column)
         skip.add(tp_idx)
         tps = _parse_columns(path, header, rows, [tp_idx])[:, 0]
 
@@ -203,13 +206,14 @@ def load_csv(
     return Dataset(features=feats, labels=labels, feature_names=names, true_probs=tps)
 
 
-def load_points(path: str | Path, names, label_column=None) -> np.ndarray:
+def load_points(path: str | Path, names, label_column: str | int | None = None) -> np.ndarray:
     """Feature matrix from a CSV of query points: the columns named
     `names` when all are present, else the first len(names) columns
-    other than `label_column`."""
+    other than `label_column` (an index or a name, as in `load_csv`)."""
     header, rows = _read_rows(path)
     p = len(names)
-    keep = [j for j, h in enumerate(header) if label_column is None or h != str(label_column)]
+    label_idx = _column(header, label_column)
+    keep = [j for j in range(len(header)) if j != label_idx]
     if set(names) <= set(header):
         cols = [header.index(n) for n in names]
     elif len(keep) >= p:

@@ -30,7 +30,7 @@ from .tree import Tree, TreeParams, first_child, grow_trees, node_depth, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
-FOREST_FORMAT = "forestprox-forest-v4"
+FOREST_FORMAT = "forestprox-forest-v5"
 
 # Integer dtypes from narrowest to widest. `save` writes an integer array
 # in the first that holds its min and max; there is no '<u8', so every
@@ -64,7 +64,7 @@ def derive_seeds(entropy: int, count: int, spawn_key=()) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """Every tree's nodes in one table: what a v4 file holds, and what
+    """Every tree's nodes in one table: what a v5 file holds, and what
     the constructor derives from it.
 
     Tree t owns the n_nodes[t] nodes from roots[t] on, numbered
@@ -262,7 +262,7 @@ class Forest:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the forest's fields as a `forestprox-forest-v4` file
+        """Write the forest's fields as a `forestprox-forest-v5` file
         (README "File formats"); the constructor derives the rest."""
         tr = self.train
         arrays = {
@@ -311,7 +311,7 @@ class Forest:
         return cls(train, params, tuple(seeds), **a)
 
 
-# Every array a v4 file must hold but true_probs, with the kind it must
+# Every array a v5 file must hold but true_probs, with the kind it must
 # hold ('f' float64, 'i' integers); inbag's kind is checked with its counts.
 _ARRAY_KINDS = {
     "features": "f",

@@ -153,30 +153,24 @@ def _split_coords(rng: np.random.Generator, spec: NaiveKernelSpec, k: int) -> np
     return coord
 
 
-def mc_selection_freq(
-    spec: NaiveKernelSpec, trials: int, seed: int, chunk: int = 20_000
-) -> np.ndarray:
-    """Empirical per-coordinate split frequency over `trials` simulated
-    candidate draws (strong = first S coordinates). Oracle for
-    strong_weak_weights.
+# trials per `_split_coords` pass of mc_selection_freq: the passes set how a
+# seed's draws interleave, so another value would give other counts
+_TRIALS_PER_PASS = 20_000
 
-    The trials are drawn `chunk` at a time, each chunk's keys before its
-    picks, so `chunk` sets how the draws interleave: another value reads
-    the same seed's stream differently and gives other counts. It does
-    not bound memory beyond a (chunk, p) boolean mask: `_split_coords`
-    makes the draws in row blocks whatever the chunk.
+
+def mc_selection_freq(spec: NaiveKernelSpec, trials: int, seed: int) -> np.ndarray:
+    """Empirical per-coordinate split frequency over `trials` simulated
+    candidate draws (strong = first S coordinates), made `_split_coords`
+    passes of `_TRIALS_PER_PASS` nodes at a time. Oracle for
+    strong_weak_weights.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     rng = np.random.default_rng(seed)
     counts = np.zeros(spec.p, dtype=np.int64)
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
+    for done in range(0, trials, _TRIALS_PER_PASS):
+        b = min(_TRIALS_PER_PASS, trials - done)
         counts += np.bincount(_split_coords(rng, spec, b), minlength=spec.p)
-        done += b
     return counts / trials
 
 

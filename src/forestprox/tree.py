@@ -3,8 +3,8 @@
 Growth draws `mtry` candidate features per node and either minimizes
 the node's impurity over midpoint thresholds (impurity mode) or draws
 the feature and threshold uniformly at random (completely_random mode).
-For 0/1 labels gini and mse are the same impurity, so both criteria
-grow the same trees through one scorer.
+The one impurity is gini's, which for 0/1 labels is also the squared
+error about the side means.
 Every draw of a node is a mix of the node's 64-bit key, and a key is a
 mix of its parent's key and its side, so a node's split depends only on
 its path from the root: the tree grown at a larger min_node_size is a cut
@@ -26,7 +26,6 @@ import numpy as np
 from .data_model import Dataset
 
 SPLIT_MODES = ("impurity", "completely_random")
-CRITERIA = ("gini", "mse")
 
 # Resolves float noise when two splits have algebraically equal scores; far
 # below the smallest nonzero score gap for the node sizes handled here.
@@ -72,7 +71,6 @@ class TreeParams:
     max_leaves: int | None = None
     split_mode: str = "impurity"
     bootstrap: bool = True
-    criterion: str = "gini"
 
     def __post_init__(self):
         if self.mtry < 1:
@@ -83,8 +81,6 @@ class TreeParams:
             raise ValueError(f"max_leaves must be >= 1, got {self.max_leaves}")
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}")
 
     def check_dimension(self, p: int) -> None:
         if self.mtry > p:

@@ -64,7 +64,7 @@ class TestTrainPredict:
         _, _, model = workspace
         payload = json.loads(model.read_text())
         assert set(payload) == {"format", "params", "feature_names", "seeds", "arrays"}
-        assert payload["format"] == "forestprox-forest-v4"
+        assert payload["format"] == "forestprox-forest-v5"
         assert payload["params"]["n_trees"] == 25
         assert len(payload["seeds"]) == 25
         arrays = payload["arrays"]
@@ -185,6 +185,22 @@ class TestTrainPredict:
             out = tmp_path / f"{query.stem}.out.csv"
             assert main(["predict", "--model", str(model), "--data", str(query),
                          "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["predict", "proximity"])
+    def test_label_column_by_index(self, workspace, tmp_path, command):
+        # --label-column 0 is an index, as in train: the positional
+        # fallback skips y and reads a, b as x1, x2
+        _, _, model = workspace
+        labelled, bare = tmp_path / "labelled.csv", tmp_path / "bare.csv"
+        labelled.write_text("y,a,b\n1,0.1,0.1\n0,0.11,0.12\n", encoding="utf-8")
+        bare.write_text("x1,x2\n0.1,0.1\n0.11,0.12\n", encoding="utf-8")
+        outs = []
+        for query in (labelled, bare):
+            out = tmp_path / f"{query.stem}.out.csv"
+            assert main([command, "--model", str(model), "--data", str(query),
+                         "--label-column", "0", "--out", str(out)]) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
@@ -466,7 +482,9 @@ class TestErrorContract:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err["error"]
 
-    @pytest.mark.parametrize("text", ["[]", '{"format": "forestprox-forest-v4"}'])
+    @pytest.mark.parametrize("text", [
+        "[]", '{"format": "forestprox-forest-v4"}', '{"format": "forestprox-forest-v5"}',
+    ])
     def test_malformed_model_machine_readable(self, capsys, tmp_path, text):
         model = tmp_path / "model.json"
         model.write_text(text, encoding="utf-8")

@@ -113,6 +113,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"column names repeat: \\['{repeated}'\\]"):
             load_csv(path, "label")
 
+    def test_load_points_label_column_by_index(self, tmp_path):
+        # an int is an index, as in load_csv, never compared with the names
+        path = write(tmp_path, "y,a,b\n1,0.1,0.2\n")
+        np.testing.assert_array_equal(load_points(path, ("x1", "x2"), 0), [[0.1, 0.2]])
+
     def test_load_points_rejects_repeated_column_names(self, tmp_path):
         path = write(tmp_path, "x1,x1\n0.1,100.0\n")
         with pytest.raises(DataError, match="column names repeat"):

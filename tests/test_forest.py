@@ -112,7 +112,7 @@ class TestTrainForest:
     mtry=st.integers(min_value=1, max_value=4),
     min_node_size=st.sampled_from([1, 5]),
     max_leaves=st.sampled_from([None, 3, 17]),
-    mode=st.sampled_from(["gini", "mse", "completely_random"]),
+    mode=st.sampled_from(["impurity", "completely_random"]),
     bootstrap=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -134,9 +134,8 @@ def test_forest_trees_are_the_trees_grown_alone(
         mtry=min(mtry, p),
         min_node_size=min_node_size,
         max_leaves=max_leaves,
-        split_mode="completely_random" if mode == "completely_random" else "impurity",
+        split_mode=mode,
         bootstrap=bootstrap,
-        criterion="mse" if mode == "mse" else "gini",
     ), seed=seed)
     alone = [grow_tree(d, params.tree, s) for s in derive_seeds(seed, n_trees)]
     with pytest.MonkeyPatch.context() as mp:
@@ -158,7 +157,7 @@ def test_forest_trees_are_the_trees_grown_alone(
     n_trees=st.integers(min_value=1, max_value=5),
     mtry=st.integers(min_value=1, max_value=4),
     sizes=st.sampled_from([(1, 5), (5, 25), (5, 50)]),
-    mode=st.sampled_from(["gini", "mse", "completely_random"]),
+    mode=st.sampled_from(["impurity", "completely_random"]),
     bootstrap=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -174,9 +173,8 @@ def test_cut_is_the_forest_grown_at_the_larger_node_size(
         return ForestParams(n_trees, TreeParams(
             mtry=min(mtry, p),
             min_node_size=min_node_size,
-            split_mode="completely_random" if mode == "completely_random" else "impurity",
+            split_mode=mode,
             bootstrap=bootstrap,
-            criterion="mse" if mode == "mse" else "gini",
         ), seed=seed)
 
     small, large = sizes
@@ -580,7 +578,7 @@ class TestSaveLoad:
     @given(
         n=st.integers(min_value=2, max_value=50),
         p=st.integers(min_value=1, max_value=3),
-        mode=st.sampled_from(["gini", "mse", "completely_random"]),
+        mode=st.sampled_from(["impurity", "completely_random"]),
         bootstrap=st.booleans(),
         max_leaves=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
         seed=st.integers(min_value=0, max_value=10_000),
@@ -593,8 +591,7 @@ class TestSaveLoad:
                     tuple(f"f{j}" for j in range(p)))
         tree = TreeParams(
             mtry=p, max_leaves=max_leaves, bootstrap=bootstrap,
-            split_mode="completely_random" if mode == "completely_random" else "impurity",
-            criterion="mse" if mode == "mse" else "gini",
+            split_mode=mode,
         )
         f = train_forest(d, ForestParams(n_trees=3, tree=tree, seed=seed))
         with tempfile.TemporaryDirectory() as tmp:
@@ -824,13 +821,21 @@ class TestLoadValidation:
             self._load(payload, tmp_path)
 
     def test_v1_file_rejected(self, saved, tmp_path):
-        # v1 stored per-leaf row lists, v2 JSON number arrays and v3 edge
-        # and depth arrays; none is read, whatever the rest of the file holds
-        for old in ("forestprox-forest-v1", "forestprox-forest-v2", "forestprox-forest-v3"):
+        # v1 stored per-leaf row lists, v2 JSON number arrays, v3 edge and
+        # depth arrays and v4 a criterion that selected nothing; none is
+        # read, whatever the rest of the file holds
+        for k in (1, 2, 3, 4):
             payload = self._copy(saved)
-            payload["format"] = old
-            with pytest.raises(ValueError, match="not a forestprox-forest-v4 file"):
+            payload["format"] = f"forestprox-forest-v{k}"
+            with pytest.raises(ValueError, match="not a forestprox-forest-v5 file"):
                 self._load(payload, tmp_path)
+
+    def test_criterion_key_rejected(self, saved, tmp_path):
+        # a v4 file's params relabelled v5 are not read as v5 params
+        payload = self._copy(saved)
+        payload["params"]["tree"]["criterion"] = "gini"
+        with pytest.raises(ValueError, match="bad params"):
+            self._load(payload, tmp_path)
 
 
 class TestArrayHeaders:
@@ -902,7 +907,7 @@ class TestArrayHeaders:
 
     @pytest.mark.parametrize("text", ["[]", "null", "3", '"forestprox-forest-v3"'])
     def test_top_level_not_an_object(self, tmp_path, text):
-        with pytest.raises(ValueError, match="not a forestprox-forest-v4 file"):
+        with pytest.raises(ValueError, match="not a forestprox-forest-v5 file"):
             self._load(text, tmp_path)
 
     @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ def test_golden_digests_unchanged():
     golden = _load_script()
     stored = json.loads(golden.DIGEST_PATH.read_text())
     current = golden.compute_digests()
-    assert len(stored) == 72
+    assert len(stored) == 48
     assert current.keys() == stored.keys()
     bad = [k for k in stored if stored[k] != current[k]]
     assert not bad, f"{len(bad)} configurations changed, first: {bad[:5]}"

@@ -231,14 +231,8 @@ class TestMcSelectionFreq:
                 sigma_w = np.sqrt(W * p_w * (1 - W * p_w) / trials)
                 assert abs(w_hat - W * p_w) <= 3 * sigma_w + 1e-12
 
-    @pytest.mark.parametrize("chunk", [0, -1])
-    def test_rejects_chunk_below_one(self, chunk):
-        # a chunk below 1 would never advance the trial count
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            mc_selection_freq(NaiveKernelSpec(2, 1, 1, 1), 10, 0, chunk=chunk)
-
     def test_memory_at_100000_trials(self):
-        # (20,000, 50) chunks, drawn in row blocks: about 4 MB
+        # passes of 20,000 nodes at p = 50, drawn in row blocks: about 4 MB
         spec = NaiveKernelSpec(32, 5, 45, 15)
         assert traced_peak(mc_selection_freq, spec, 100_000, 0) <= 8e6
 
@@ -441,7 +435,7 @@ class TestCandidateDraws:
         "03ee68d83147872b2f3ed97b3c27d1205d2f4fa4cfe2700bebbd7ed83d6381a0",
     )
 
-    # the same at sizes of several row blocks (20,000 draws in one chunk;
+    # the same at sizes of several row blocks (20,000 draws in one pass;
     # 5,000 trees), recorded before the draws were made in blocks
     MULTI_BLOCK_COUNTS = (
         [3401, 3339, 3296, 3425, 3480, 64, 77, 65, 72, 63, 63, 56, 60, 78, 65, 67, 83, 62,
@@ -461,8 +455,11 @@ class TestCandidateDraws:
     @pytest.mark.parametrize("k", range(4))
     def test_outputs_pinned(self, k):
         spec = self.SPECS[k]
-        freq = mc_selection_freq(spec, 3000, 5, chunk=1000)
-        np.testing.assert_array_equal(freq, np.array(self.SELECTION_COUNTS[k]) / 3000)
+        # three passes of 1,000 nodes from one generator
+        rng = np.random.default_rng(5)
+        coords = np.concatenate([kernel_lab._split_coords(rng, spec, 1000) for _ in range(3)])
+        counts = np.bincount(coords, minlength=spec.p)
+        np.testing.assert_array_equal(counts, self.SELECTION_COUNTS[k])
         hi = kernel_lab._zero_cell_extents(spec, 500, 7)
         assert hashlib.sha256(hi.tobytes()).hexdigest() == self.EXTENT_DIGESTS[k]
 

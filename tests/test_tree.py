@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -63,20 +64,55 @@ class TestTreeParams:
             TreeParams(mtry=1, min_node_size=0)
         with pytest.raises(ValueError):
             TreeParams(mtry=1, split_mode="surprise")
-        with pytest.raises(ValueError):
-            TreeParams(mtry=1, criterion="entropy")
+        with pytest.raises(TypeError):  # one impurity, so no criterion to choose
+            TreeParams(mtry=1, criterion="gini")
         with pytest.raises(ValueError):
             TreeParams(mtry=5).check_dimension(3)
 
+    # A value of every field, other than its default, that grows another
+    # forest on the fixture below: an option that selects nothing has no
+    # entry that passes.
+    OTHER_VALUES = {
+        "mtry": 3,
+        "min_node_size": 5,
+        "max_leaves": 3,
+        "split_mode": "completely_random",
+        "bootstrap": False,
+    }
 
-def root_split(d, criterion="gini", rows=None):
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TreeParams)])
+    def test_every_field_changes_the_forest(self, name):
+        assert name in self.OTHER_VALUES, f"no value of {name} shown to change growth"
+        d = random_data(np.random.default_rng(3), 60, 3)
+        base = TreeParams(mtry=1)
+        other = dataclasses.replace(base, **{name: self.OTHER_VALUES[name]})
+        a, b = (train_forest(d, ForestParams(5, tree, seed=1)) for tree in (base, other))
+        assert any(
+            getattr(a, k).tobytes() != getattr(b, k).tobytes()
+            for k in ("n_nodes", "feature", "threshold", "inbag")
+        ), name
+
+
+def root_split(d, rows=None):
     """(feature, threshold) at the root of the one-split tree grown on rows
     (all by default) over every feature, or None when it stays a leaf."""
     if rows is not None:
         d = Dataset(d.features[rows], d.labels[rows], d.feature_names)
-    params = TreeParams(mtry=d.p, max_leaves=2, bootstrap=False, criterion=criterion)
+    params = TreeParams(mtry=d.p, max_leaves=2, bootstrap=False)
     t = grow_tree(d, params, seed=0)
     return None if t.feature[0] < 0 else (int(t.feature[0]), float(t.threshold[0]))
+
+
+def assert_root_is_gini_and_mse_best(d, rows=None):
+    """The grown root split on rows is the reference's best split under
+    gini and under mse; a pure node stays a leaf before any scoring."""
+    rows = np.arange(d.n) if rows is None else rows
+    got = root_split(d, rows)
+    pure = d.labels[rows].sum() in (0, rows.size)
+    for criterion in ("gini", "mse"):
+        want = None if pure else reference_split(d, rows, np.arange(d.p), criterion)
+        assert got == want, criterion
+    return got
 
 
 class TestBestSplit:
@@ -84,11 +120,9 @@ class TestBestSplit:
 
     def test_two_point_perfect_split(self):
         d = make_data([0.0, 1.0], [0, 1])
-        for criterion in ("gini", "mse"):
-            t = grow_tree(d, TreeParams(mtry=1, max_leaves=2, bootstrap=False,
-                                        criterion=criterion), seed=0)
-            assert (t.feature[0], t.threshold[0]) == (0, pytest.approx(0.5))
-            np.testing.assert_array_equal(t.leaf_pos[1:], [0, 1])  # both sides pure
+        t = grow_tree(d, TreeParams(mtry=1, max_leaves=2, bootstrap=False), seed=0)
+        assert (t.feature[0], t.threshold[0]) == (0, pytest.approx(0.5))
+        np.testing.assert_array_equal(t.leaf_pos[1:], [0, 1])  # both sides pure
 
     def test_pure_node_returns_none(self):
         d = make_data([0.0, 1.0, 2.0], [1, 1, 1])
@@ -137,11 +171,11 @@ class TestBestSplit:
             n = int(rng.integers(2, 31))
             p = int(rng.integers(1, 5))
             d = random_data(rng, n, p)
-            assert root_split(d, "gini") == root_split(d, "mse")
+            assert_root_is_gini_and_mse_best(d)
 
     def test_criteria_agree_on_nodes_of_grown_trees(self):
-        # replay every internal node of grown trees with both criteria
-        # over the full feature set
+        # replay every internal node of grown trees against both reference
+        # impurities over the full feature set
         rng = np.random.default_rng(23)
         for trial in range(12):
             d = random_data(rng, int(rng.integers(20, 80)), 3)
@@ -151,8 +185,7 @@ class TestBestSplit:
                 node, rows = stack.pop()
                 if t.feature[node] < 0:
                     continue
-                g = root_split(d, "gini", rows)
-                assert g is not None and g == root_split(d, "mse", rows)
+                assert assert_root_is_gini_and_mse_best(d, rows) is not None
                 mask = d.features[rows, t.feature[node]] <= t.threshold[node]
                 stack.append((int(t.left[node]), rows[mask]))
                 stack.append((int(t.right[node]), rows[~mask]))
@@ -168,7 +201,7 @@ class TestBestSplit:
                 rng.integers(0, 2, n),
                 tuple(f"f{j}" for j in range(p)),
             )
-            assert root_split(d, "gini") == root_split(d, "mse")
+            assert_root_is_gini_and_mse_best(d)
 
 
 class TestGrowTree:
@@ -454,7 +487,8 @@ def reference_grow(d, params, seed):
             if params.split_mode == "impurity":
                 priority = [scalar_mix(key, 4 + j) for j in range(d.p)]
                 cand = sorted(range(d.p), key=priority.__getitem__)[: params.mtry]
-                split = reference_split(d, rows, np.array(cand), params.criterion)
+                split = reference_split(d, rows, np.array(cand), "gini")
+                assert split == reference_split(d, rows, np.array(cand), "mse")
             else:
                 sub = d.features[rows]
                 lo, hi = sub.min(axis=0), sub.max(axis=0)
@@ -488,7 +522,7 @@ def reference_grow(d, params, seed):
     mtry=st.integers(min_value=1, max_value=5),
     min_node_size=st.sampled_from([1, 2, 5]),
     max_leaves=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
-    mode=st.sampled_from(["gini", "mse", "completely_random"]),
+    mode=st.sampled_from(["impurity", "completely_random"]),
     bootstrap=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -504,9 +538,8 @@ def test_level_growth_matches_node_at_a_time_reference(
         mtry=min(mtry, p),
         min_node_size=min_node_size,
         max_leaves=max_leaves,
-        split_mode="completely_random" if mode == "completely_random" else "impurity",
+        split_mode=mode,
         bootstrap=bootstrap,
-        criterion="mse" if mode == "mse" else "gini",
     )
     assert_matches_reference(d, params, seed)
 
@@ -529,39 +562,6 @@ def assert_matches_reference(d, params, seed):
         else:
             assert t.threshold[i] == thr
     return t
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=120),
-    p=st.integers(min_value=1, max_value=5),
-    n_trees=st.integers(min_value=1, max_value=4),
-    mtry=st.integers(min_value=1, max_value=5),
-    min_node_size=st.sampled_from([1, 3]),
-    max_leaves=st.sampled_from([None, 4]),
-    bootstrap=st.booleans(),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_gini_and_mse_grow_identical_forests(
-    n, p, n_trees, mtry, min_node_size, max_leaves, bootstrap, seed
-):
-    # for 0/1 labels both criteria are pos - (pos_l^2 / n_l + pos_r^2 / n_r),
-    # so they grow the same forest bit for bit, ties and signed zeros included
-    rng = np.random.default_rng(seed)
-    X = rng.integers(-1, 2, size=(n, p)).astype(float)
-    X[X == 0] = rng.choice([0.0, -0.0], size=int((X == 0).sum()))
-    X[:, 0] += rng.normal(size=n) * rng.integers(0, 2)  # continuous on some draws
-    d = Dataset(X, rng.integers(0, 2, n), tuple(f"f{j}" for j in range(p)))
-    forests = [
-        train_forest(d, ForestParams(n_trees, TreeParams(
-            mtry=min(mtry, p), min_node_size=min_node_size, max_leaves=max_leaves,
-            bootstrap=bootstrap, criterion=criterion,
-        ), seed=seed))
-        for criterion in ("gini", "mse")
-    ]
-    for name in ("feature", "threshold", "inbag", "leaf_n", "leaf_pos"):
-        a, b = (getattr(f, name) for f in forests)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 @pytest.mark.parametrize("n, seed, top", [
