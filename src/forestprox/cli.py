@@ -194,9 +194,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    data = load_csv(
-        args.data, _int_or_text(args.label_column), true_prob_column=_true_prob_column(args)
-    )
+    data = load_csv(args.data, args.label_column, true_prob_column=_true_prob_column(args))
     data = _with_junk(data, args)
     split_mode, default_mns = MODE_GROWTH[args.mode]
     mns = default_mns if args.min_node_size is None else args.min_node_size
@@ -221,7 +219,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     forest = Forest.load(args.model)
-    X = load_points(args.data, forest.train.feature_names, _int_or_text(args.label_column))
+    X = load_points(args.data, forest.train.feature_names, args.label_column)
     leaves = forest.leaves(X)
     P = np.column_stack([forest.estimate(leaves, mode) for mode in PREDICT_MODES])
     _write_csv(
@@ -234,7 +232,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_proximity(args) -> int:
     forest = Forest.load(args.model)
-    X = load_points(args.data, forest.train.feature_names, _int_or_text(args.label_column))
+    X = load_points(args.data, forest.train.feature_names, args.label_column)
     P = forest.proximity_matrix(X)
     _write_csv(
         args.out,
@@ -346,7 +344,7 @@ def _cmd_bench(args) -> int:
         source=args.synthetic if args.synthetic else "csv",
         estimators=tuple(roster),
         csv_path=args.data,
-        label_column=_int_or_text(args.label_column),
+        label_column=args.label_column,
         true_prob_column=_true_prob_column(args),
         n_trees=args.trees,
         repetitions=args.reps,

@@ -160,11 +160,16 @@ def _parse_columns(path, header: list[str], rows: list[list[str]], cols: list[in
 
 
 def _column(header: list[str], column: str | int | None) -> int | None:
-    """Index of `column` in header: an int is an index and text a name;
-    None when the header has no such column."""
+    """Index of `column` in header: an int is an index, text that names a
+    column is that column, and other decimal text is an index; None when
+    the header has no such column."""
+    if column in header:
+        return header.index(column)
+    if isinstance(column, str) and column.isdecimal():
+        column = int(column)
     if isinstance(column, int):
         return column if 0 <= column < len(header) else None
-    return header.index(column) if column in header else None
+    return None
 
 
 def load_csv(
@@ -211,6 +216,8 @@ def load_points(path: str | Path, names, label_column: str | int | None = None) 
     `names` when all are present, else the first len(names) columns
     other than `label_column` (an index or a name, as in `load_csv`)."""
     header, rows = _read_rows(path)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     p = len(names)
     label_idx = _column(header, label_column)
     keep = [j for j in range(len(header)) if j != label_idx]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import Dataset
-from .tree import Tree, TreeParams, first_child, grow_trees, node_depth, route
+from .tree import Tree, TreeParams, check_integer, first_child, grow_trees, node_depth, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
@@ -46,8 +46,8 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        check_integer("n_trees", self.n_trees, 1)
+        check_integer("seed", self.seed)
 
 
 # Largest proximity matrix, in bytes, that `proximity_matrix` builds:
@@ -87,13 +87,14 @@ class Forest:
     first_child: np.ndarray = field(init=False)
     leaf_n: np.ndarray = field(init=False)
     leaf_pos: np.ndarray = field(init=False)
-    # (T, n) tree-local leaf of every training row, for voting_weights
+    # (T, n) leaf of every training row, for voting_weights
     _train_leaves: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         T, n = len(self.seeds), self.train.n
         if T != self.params.n_trees:
             raise ValueError(f"forest holds {T} trees, params say {self.params.n_trees}")
+        self.params.tree.check_dimension(self.p)
         roots, first = _check_nodes(self.feature, self.threshold, self.n_nodes, T, self.p)
         inbag = self.inbag
         if (inbag.dtype.kind != "i" or inbag.shape != (T, n)
@@ -109,7 +110,7 @@ class Forest:
         if (leaf_n[self.feature < 0] == 0).any():
             raise ValueError("every leaf needs leaf_n > 0: a leaf holds no in-bag training row")
         derived = dict(roots=roots, first_child=first, leaf_n=leaf_n, leaf_pos=leaf_pos,
-                       _train_leaves=G - roots[:, None])
+                       _train_leaves=G)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -141,58 +142,51 @@ class Forest:
             raise ValueError(f"non-finite query value at row {bad[0]}, column {bad[1]}")
         return X
 
-    def _route(self, X: np.ndarray) -> np.ndarray:
-        return route(self.feature, self.threshold, self.first_child, self.roots, X)
-
     def leaves(self, X) -> np.ndarray:
         """Leaf reached by every row of X in every tree, shape (T, q).
 
-        Ids are tree-local: the training rows whose leaf in tree t is
-        L[t, i], counted inbag[t] times, share row i's leaf there.
+        Ids index the node table (`feature`, `leaf_n`, `leaf_pos`), so
+        tree t's lie in [roots[t], roots[t] + n_nodes[t]).
         """
-        return self._route(self._check_matrix(X)) - self.roots[:, None]
+        return route(self.feature, self.threshold, self.first_child, self.roots,
+                     self._check_matrix(X))
 
     def estimate(self, L: np.ndarray, mode: str = "prox") -> np.ndarray:
         """One estimator at q points from their leaves, as `leaves` gives them."""
         if mode not in PREDICT_MODES:
             raise ValueError(f"mode must be one of {PREDICT_MODES}, got {mode!r}")
-        G = L + self.roots[:, None]
         if mode == "prox":
-            return self.leaf_pos[G].sum(axis=0) / self.leaf_n[G].sum(axis=0)
-        p_t = self.leaf_pos[G] / self.leaf_n[G]
+            return self.leaf_pos[L].sum(axis=0) / self.leaf_n[L].sum(axis=0)
+        p_t = self.leaf_pos[L] / self.leaf_n[L]
         if mode == "class_vote":
             return (p_t >= 0.5).sum(axis=0) / self.n_trees
         # cumsum adds trees in tree order; sum(axis=0) adds pairwise at q = 1
         return np.cumsum(p_t, axis=0)[-1] / self.n_trees
 
-    def predict_proba(self, x, mode: str = "prox") -> float:
-        return float(self.predict_proba_batch(np.asarray(x, dtype=np.float64)[None], mode)[0])
-
     def predict_proba_batch(self, X, mode: str = "prox") -> np.ndarray:
         return self.estimate(self.leaves(X), mode)
 
-    def proximity(self, x, z) -> float:
-        """Fraction of trees in which x and z share a terminal node."""
-        return float(self.proximity_many(np.asarray(x, dtype=np.float64)[None], z)[0])
-
     def proximity_many(self, X, z) -> np.ndarray:
-        """proximity(x, z) for every row x of X, from one routing pass."""
+        """Fraction of trees in which each row of X shares z's leaf. X
+        and z are checked once each and routed in one pass."""
         z = self._check_matrix(np.asarray(z, dtype=np.float64)[None])
-        X = self._check_matrix(X)
-        G = self._route(np.concatenate([z, X]))
+        X = np.concatenate([z, self._check_matrix(X)])
+        G = route(self.feature, self.threshold, self.first_child, self.roots, X)
         return (G[:, 1:] == G[:, :1]).sum(axis=0) / self.n_trees
 
-    def proximity_matrix(self, points, max_bytes: int = PROXIMITY_MATRIX_MAX_BYTES) -> np.ndarray:
-        """Dense (n, n) proximity of every pair of points.
+    def proximity_matrix(self, X) -> np.ndarray:
+        """Dense (n, n) proximity of every pair of rows of X.
 
         Refused before anything is allocated when the float64 result plus
-        one tree's (n, n) boolean co-occupancy exceeds `max_bytes`.
+        one tree's (n, n) boolean co-occupancy exceeds
+        PROXIMITY_MATRIX_MAX_BYTES, read at each call.
         """
-        X = np.asarray(points.features if isinstance(points, Dataset) else points)
+        X = np.asarray(X)
         n = X.shape[0] if X.ndim else 0
-        if 9 * n * n > max_bytes:
-            raise ValueError(f"{n} points need {9 * n * n} bytes, over the cap of {max_bytes}")
-        L = self._route(self._check_matrix(X))
+        cap = PROXIMITY_MATRIX_MAX_BYTES
+        if 9 * n * n > cap:
+            raise ValueError(f"{n} points need {9 * n * n} bytes, over the cap of {cap}")
+        L = self.leaves(X)
         P = np.zeros((n, n))
         for leaves in L:
             P += leaves[:, None] == leaves[None, :]
@@ -229,15 +223,12 @@ class Forest:
         if min_node_size == tp.min_node_size:
             return self
         first, inner = self.first_child, self.feature >= 0
-        levels, level = [], self.roots
-        while level.size:
-            levels.append(level)
-            kids = first[level[inner[level]]]
-            level = np.concatenate([kids, kids + 1])
+        at = np.flatnonzero(inner)
+        depth = node_depth(self.feature, first, self.roots)[at]
         rows = self.leaf_n.copy()  # every node's in-bag rows, summed up from its leaves
-        for level in reversed(levels):
-            at = level[inner[level]]
-            rows[at] = rows[first[at]] + rows[first[at] + 1]
+        for d in range(depth.max(initial=0), -1, -1):
+            level = at[depth == d]
+            rows[level] = rows[first[level]] + rows[first[level] + 1]
         # rows never grow down a path, so every ancestor of a node that
         # splits splits too: a node is kept when it is a root or its parent splits
         split = inner & (rows >= 2 * min_node_size)

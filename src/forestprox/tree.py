@@ -19,6 +19,7 @@ in-bag row and positive counts by routing the training rows.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,15 @@ def _mix(key, tag) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Refuse with TypeError a value that is not an integer (a bool is
+    not one), and with ValueError one below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class TreeParams:
     mtry: int
@@ -73,14 +83,14 @@ class TreeParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.mtry < 1:
-            raise ValueError(f"mtry must be >= 1, got {self.mtry}")
-        if self.min_node_size < 1:
-            raise ValueError(f"min_node_size must be >= 1, got {self.min_node_size}")
-        if self.max_leaves is not None and self.max_leaves < 1:
-            raise ValueError(f"max_leaves must be >= 1, got {self.max_leaves}")
+        check_integer("mtry", self.mtry, 1)
+        check_integer("min_node_size", self.min_node_size, 1)
+        if self.max_leaves is not None:
+            check_integer("max_leaves", self.max_leaves, 1)
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
+        if not isinstance(self.bootstrap, bool):
+            raise TypeError(f"bootstrap must be a bool, got {self.bootstrap!r}")
 
     def check_dimension(self, p: int) -> None:
         if self.mtry > p:

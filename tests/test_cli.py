@@ -204,6 +204,47 @@ class TestTrainPredict:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_train_label_column_named_by_a_number(self, tmp_path):
+        # a header column named 0 is that column, not column index 0
+        rows = "".join(f"{i / 10},{(7 * i % 5) / 5},{i % 2}\n" for i in range(12))
+        models = []
+        for header, label in (("a,b,0", "0"), ("a,b,label", "label")):
+            data, model = tmp_path / f"{label}.csv", tmp_path / f"{label}.json"
+            data.write_text(f"{header}\n{rows}", encoding="utf-8")
+            assert main(["train", "--data", str(data), "--label-column", label, "--trees", "3",
+                         "--mtry", "1", "--seed", "2", "--out", str(model)]) == 0
+            models.append(model.read_text())
+        assert json.loads(models[0])["feature_names"] == ["a", "b"]
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize("command", ["predict", "proximity"])
+    def test_label_column_named_by_a_number(self, workspace, tmp_path, command):
+        # the positional fallback skips the column named 0 and reads a, b
+        # as x1, x2; column index 0 would read b and the labels instead
+        _, _, model = workspace
+        labelled, bare = tmp_path / "labelled.csv", tmp_path / "bare.csv"
+        labelled.write_text("a,b,0\n0.1,0.5,1\n0.1,0.5,0\n-0.4,-0.3,0\n", encoding="utf-8")
+        bare.write_text("x1,x2\n0.1,0.5\n0.1,0.5\n-0.4,-0.3\n", encoding="utf-8")
+        outs = []
+        for query in (labelled, bare):
+            out = tmp_path / f"{query.stem}.out.csv"
+            assert main([command, "--model", str(model), "--data", str(query),
+                         "--label-column", "0", "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["predict", "proximity"])
+    def test_header_only_query_refused(self, workspace, tmp_path, capsys, command):
+        _, _, model = workspace
+        query, out = tmp_path / "q.csv", tmp_path / "o.csv"
+        query.write_text("x1,x2,label\n", encoding="utf-8")
+        rc = main([command, "--model", str(model), "--data", str(query), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert err["message"] == f"{query}: no data rows"
+        assert not out.exists()
+
 
 class TestProximityCommand:
     def test_matrix_symmetric_unit_diagonal(self, workspace, tmp_path):

@@ -118,6 +118,33 @@ class TestLoadCsv:
         path = write(tmp_path, "y,a,b\n1,0.1,0.2\n")
         np.testing.assert_array_equal(load_points(path, ("x1", "x2"), 0), [[0.1, 0.2]])
 
+    @pytest.mark.parametrize(
+        "header, column, labels_at",
+        [("a,b,0", "0", 2), ("y,a,b", "0", 0), ("a,b,0", 0, 0), ("1,a,y", "1", 0)],
+    )
+    def test_column_by_name_before_index(self, tmp_path, header, column, labels_at):
+        # text naming a header column is that column; other decimal text,
+        # and an int, is an index
+        cells = [["0.5", "1.5", "2.5"], ["3.5", "4.5", "5.5"]]
+        for row, label in zip(cells, ("0", "1")):
+            row[labels_at] = label
+        path = write(tmp_path, header + "\n" + "\n".join(",".join(r) for r in cells) + "\n")
+        d = load_csv(path, column)
+        names = header.split(",")
+        assert d.feature_names == tuple(n for j, n in enumerate(names) if j != labels_at)
+        assert d.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("column", ["3", "-1", "x"])
+    def test_column_outside_the_header(self, tmp_path, column):
+        path = write(tmp_path, "a,b,0\n1,2,0\n3,4,1\n")
+        with pytest.raises(DataError, match="not in header"):
+            load_csv(path, column)
+
+    def test_load_points_refuses_a_header_only_file(self, tmp_path):
+        path = write(tmp_path, "x1,x2\n")
+        with pytest.raises(DataError, match="no data rows"):
+            load_points(path, ("x1", "x2"))
+
     def test_load_points_rejects_repeated_column_names(self, tmp_path):
         path = write(tmp_path, "x1,x1\n0.1,100.0\n")
         with pytest.raises(DataError, match="column names repeat"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestprox import forest as forest_module
 from forestprox import tree as tree_module
 from forestprox.data_model import Dataset
 from forestprox.forest import Forest, ForestParams, derive_seeds, grow_tree, train_forest
@@ -43,8 +44,7 @@ def stump(inbag):
 def leaf_fraction(f, t, x):
     """Positive fraction of the leaf x reaches in tree t of forest f."""
     leaf = f.leaves(np.asarray(x, dtype=np.float64)[None, :])[t, 0]
-    tree = f.tree(t)
-    return tree.leaf_pos[leaf] / tree.leaf_n[leaf]
+    return f.leaf_pos[leaf] / f.leaf_n[leaf]
 
 
 def forest_from_trees(trees, train, n_trees=None):
@@ -77,9 +77,9 @@ class TestTrainForest:
         f = train_forest(d, ForestParams(n_trees=1, tree=TreeParams(mtry=2), seed=4))
         x = d.features[5]
         single = leaf_fraction(f, 0, x)
-        assert f.predict_proba(x, "reg_mean") == pytest.approx(single)
-        assert f.predict_proba(x, "prox") == pytest.approx(single)
-        assert f.predict_proba(x, "class_vote") == float(single >= 0.5)
+        assert f.predict_proba_batch(x[None], "reg_mean")[0] == pytest.approx(single)
+        assert f.predict_proba_batch(x[None], "prox")[0] == pytest.approx(single)
+        assert f.predict_proba_batch(x[None], "class_vote")[0] == float(single >= 0.5)
 
     def test_deterministic(self):
         d = random_data(np.random.default_rng(1), 80, 3)
@@ -223,30 +223,30 @@ class TestPredictProba:
     def test_all_labels_one(self):
         d = make_data(np.linspace(0, 1, 12), np.ones(12, dtype=int))
         f = train_forest(d, ForestParams(n_trees=5, tree=TreeParams(mtry=1), seed=0))
-        x = np.array([0.5])
+        X = np.array([[0.5]])
         for mode in ("class_vote", "reg_mean", "prox"):
-            assert f.predict_proba(x, mode) == 1.0
+            assert f.predict_proba_batch(X, mode)[0] == 1.0
 
     def test_hand_built_two_tree_weighting(self):
         # x0 = 0 reaches each stump's left leaf, which holds N_t of the 8
         # in-bag draws: 2 in the first stump, 6 in the second
         train = make_data([0, 0, 0, 0, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 1, 1])
-        x = np.array([0.0])
+        X = np.array([[0.0]])
 
         f = forest_from_trees([stump([1, 0, 1, 0, 2, 2, 1, 1]),
                                stump([3, 0, 3, 0, 1, 0, 1, 0])], train)
-        assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)  # (1/2 + 3/6) / 2
-        assert f.predict_proba(x, "prox") == pytest.approx(0.5)  # (1 + 3) / (2 + 6)
+        assert f.predict_proba_batch(X, "reg_mean")[0] == pytest.approx(0.5)  # (1/2 + 3/6) / 2
+        assert f.predict_proba_batch(X, "prox")[0] == pytest.approx(0.5)  # (1 + 3) / (2 + 6)
 
         f = forest_from_trees([stump([1, 1, 0, 0, 2, 2, 1, 1]),
                                stump([0, 0, 3, 3, 1, 0, 1, 0])], train)
-        assert f.predict_proba(x, "reg_mean") == pytest.approx(0.5)  # (2/2 + 0/6) / 2
-        assert f.predict_proba(x, "prox") == pytest.approx(2 / 8)  # (2 + 0) / (2 + 6)
+        assert f.predict_proba_batch(X, "reg_mean")[0] == pytest.approx(0.5)  # (2/2 + 0/6) / 2
+        assert f.predict_proba_batch(X, "prox")[0] == pytest.approx(2 / 8)  # (2 + 0) / (2 + 6)
 
     def test_round_half_votes_one(self):
         train = make_data(np.zeros(2), [0, 1])
         f = forest_from_trees([single_leaf_tree([1, 1])], train)
-        assert f.predict_proba(np.array([0.0]), "class_vote") == 1.0
+        assert f.predict_proba_batch(np.array([[0.0]]), "class_vote")[0] == 1.0
 
     def test_modes_bounded(self):
         rng = np.random.default_rng(3)
@@ -291,10 +291,12 @@ class TestPredictProba:
     def test_dimension_mismatch(self):
         d = random_data(np.random.default_rng(4), 30, 2)
         f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=0))
-        with pytest.raises(ValueError):
-            f.predict_proba(np.zeros(3), "reg_mean")
-        with pytest.raises(ValueError):
-            f.predict_proba(np.zeros(2), "median")
+        with pytest.raises(ValueError, match="expected"):
+            f.predict_proba_batch(np.zeros((1, 3)), "reg_mean")
+        with pytest.raises(ValueError, match="expected"):
+            f.predict_proba_batch(np.zeros(2), "reg_mean")  # a point, not a matrix
+        with pytest.raises(ValueError, match="mode"):
+            f.predict_proba_batch(np.zeros((1, 2)), "median")
 
     @pytest.mark.parametrize("x", [[np.nan, np.nan], [np.inf, -np.inf], [0.0, np.nan]])
     def test_non_finite_query_rejected(self, x):
@@ -302,9 +304,11 @@ class TestPredictProba:
         d = sample(get_model("xor"), 60, seed=1)
         f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=0))
         with pytest.raises(ValueError, match="non-finite"):
-            f.predict_proba(x, "prox")
+            f.predict_proba_batch(np.array([x]), "prox")
         with pytest.raises(ValueError, match="non-finite"):
-            f.proximity(np.zeros(2), x)
+            f.proximity_many(np.zeros((1, 2)), x)
+        with pytest.raises(ValueError, match="non-finite"):
+            f.proximity_many(np.array([x]), np.zeros(2))
         with pytest.raises(ValueError, match="non-finite"):
             f.predict_proba_batch(np.array([[0.1, 0.2], x]), "reg_mean")
 
@@ -324,10 +328,9 @@ class TestFromTrees:
         np.testing.assert_array_equal(f.leaf_n, [8, 0, 2, 6, 0, 6, 2])
         np.testing.assert_array_equal(f.leaf_pos, [4, 0, 2, 2, 0, 0, 1])
         X = np.array([[0.0], [1.0], [0.5], [-3.0], [3.0]])
-        for x in X:
-            assert f.voting_weights(x) @ train.labels == pytest.approx(
-                f.predict_proba(x, "prox"), abs=1e-12
-            )
+        prox = f.predict_proba_batch(X, "prox")
+        for x, p in zip(X, prox):
+            assert f.voting_weights(x) @ train.labels == pytest.approx(p, abs=1e-12)
         path = tmp_path / "forest.json"
         f.save(path)
         g = Forest.load(path)
@@ -350,13 +353,20 @@ class TestFromTrees:
         with pytest.raises(ValueError, match=message):
             forest_from_trees([stump(inbag)], train, n_trees)
 
+    def test_mtry_above_the_feature_count_refused(self):
+        train = make_data([0, 0, 1, 1], [0, 1, 0, 1])
+        params = ForestParams(1, TreeParams(mtry=2, bootstrap=False))
+        feature, threshold, inbag = stump([1, 1, 1, 1])
+        with pytest.raises(ValueError, match="mtry=2 exceeds feature count p=1"):
+            Forest(train, params, (0,), np.array([3]), feature, threshold, np.array([inbag]))
+
 
 class TestProximity:
     def test_self_proximity_is_one(self):
         d = random_data(np.random.default_rng(5), 60, 2)
         f = train_forest(d, ForestParams(n_trees=10, tree=TreeParams(mtry=1), seed=2))
         x = np.array([0.3, -0.8])
-        assert f.proximity(x, x) == 1.0
+        assert f.proximity_many(x[None], x).tolist() == [1.0]
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)
@@ -364,12 +374,12 @@ class TestProximity:
         f = train_forest(d, ForestParams(n_trees=15, tree=TreeParams(mtry=1), seed=2))
         for _ in range(10):
             x, z = rng.normal(size=2), rng.normal(size=2)
-            assert f.proximity(x, z) == f.proximity(z, x)
+            assert f.proximity_many(x[None], z)[0] == f.proximity_many(z[None], x)[0]
 
     def test_hand_built_half_co_occupancy(self):
         train = make_data([0.2, 0.8], [0, 1])
         f = forest_from_trees([stump([1, 1]), single_leaf_tree([1, 1])], train)
-        assert f.proximity(np.array([0.2]), np.array([0.8])) == pytest.approx(0.5)
+        assert f.proximity_many(np.array([[0.2]]), np.array([0.8]))[0] == pytest.approx(0.5)
 
     def test_proximity_many_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -378,8 +388,10 @@ class TestProximity:
         z = rng.normal(size=2)
         X = rng.normal(size=(9, 2))
         many = f.proximity_many(X, z)
-        single = [f.proximity(x, z) for x in X]
-        np.testing.assert_allclose(many, single)
+        single = [f.proximity_many(x[None], z)[0] for x in X]
+        np.testing.assert_array_equal(many, single)
+        # the fraction of trees in which x shares z's leaf
+        np.testing.assert_array_equal(many, (f.leaves(X) == f.leaves(z[None])).mean(axis=0))
 
 
 class TestProximityMatrix:
@@ -394,7 +406,7 @@ class TestProximityMatrix:
         f = train_forest(
             d, ForestParams(n_trees=10, tree=TreeParams(mtry=1, bootstrap=False), seed=1)
         )
-        P = f.proximity_matrix(d)
+        P = f.proximity_matrix(d.features)
         np.testing.assert_array_equal(P, P.T)
         np.testing.assert_allclose(np.diag(P), 1.0)
         assert P.min() >= 0.0 and P.max() <= 1.0
@@ -404,7 +416,7 @@ class TestProximityMatrix:
         f = train_forest(
             d, ForestParams(n_trees=25, tree=TreeParams(mtry=2, bootstrap=False), seed=4)
         )
-        P = f.proximity_matrix(d)
+        P = f.proximity_matrix(d.features)
         eigs = np.linalg.eigvalsh(P)
         assert eigs.min() >= -1e-9
 
@@ -414,19 +426,20 @@ class TestProximityMatrix:
         f = train_forest(
             d, ForestParams(n_trees=30, tree=TreeParams(mtry=2, bootstrap=False), seed=5)
         )
-        P = f.proximity_matrix(d)
+        P = f.proximity_matrix(d.features)
         n = P.shape[0]
         J = np.eye(n) - np.ones((n, n)) / n
         G = -0.5 * J @ (1.0 - P) @ J
         assert np.linalg.eigvalsh(G).min() >= -1e-9
 
-    def test_cap_guard(self):
+    def test_cap_guard(self, monkeypatch):
         d = random_data(np.random.default_rng(12), 30, 2)
         f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=0))
-        with pytest.raises(ValueError, match="cap"):
-            f.proximity_matrix(d.features, max_bytes=9 * 10 * 10)
+        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 9 * 10 * 10)
+        with pytest.raises(ValueError, match="cap of 900"):
+            f.proximity_matrix(d.features)
 
-    def test_byte_bound_checked_before_allocating(self):
+    def test_byte_bound_checked_before_allocating(self, monkeypatch):
         # a broadcast query holds no n x p matrix, so a guard that ran after
         # any allocation of the result or the leaves would show in the peak
         import tracemalloc
@@ -446,9 +459,11 @@ class TestProximityMatrix:
             tracemalloc.stop()
         assert peak < 1e5
         # the bound counts 9 bytes a pair: 8 for the result, 1 for the mask
-        assert f.proximity_matrix(d.features[:10], max_bytes=900).shape == (10, 10)
+        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 900)
+        assert f.proximity_matrix(d.features[:10]).shape == (10, 10)
+        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 899)
         with pytest.raises(ValueError, match="cap"):
-            f.proximity_matrix(d.features[:10], max_bytes=899)
+            f.proximity_matrix(d.features[:10])
 
 
 class TestVotingWeights:
@@ -471,10 +486,9 @@ class TestVotingWeights:
                 seed=7,
             ),
         )
-        for _ in range(8):
-            x = rng.normal(size=3)
-            w = f.voting_weights(x)
-            assert w @ d.labels == pytest.approx(f.predict_proba(x, "prox"), abs=1e-12)
+        X = rng.normal(size=(8, 3))
+        for x, p in zip(X, f.predict_proba_batch(X, "prox")):
+            assert f.voting_weights(x) @ d.labels == pytest.approx(p, abs=1e-12)
 
     def test_single_tree_uniform_over_leaf(self):
         rng = np.random.default_rng(15)
@@ -835,6 +849,27 @@ class TestLoadValidation:
         payload = self._copy(saved)
         payload["params"]["tree"]["criterion"] = "gini"
         with pytest.raises(ValueError, match="bad params"):
+            self._load(payload, tmp_path)
+
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ("tree", "min_node_size", 2.5, "bad params: min_node_size must be an integer"),
+            ("tree", "mtry", 2.0, "bad params: mtry must be an integer"),
+            ("tree", "bootstrap", "no", "bad params: bootstrap must be a bool"),
+            ("tree", "bootstrap", 1, "bad params: bootstrap must be a bool"),
+            (None, "seed", "abc", "bad params: seed must be an integer"),
+            (None, "n_trees", 2.0, "bad params: n_trees must be an integer"),
+            ("tree", "mtry", 7, "mtry=7 exceeds feature count p=2"),
+        ],
+    )
+    def test_params_of_the_wrong_type_or_width_rejected(
+        self, saved, tmp_path, where, key, value, message,
+    ):
+        payload = self._copy(saved)
+        params = payload["params"] if where is None else payload["params"][where]
+        params[key] = value
+        with pytest.raises(ValueError, match=message):
             self._load(payload, tmp_path)
 
 

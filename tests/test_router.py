@@ -138,9 +138,28 @@ class TestLeaves:
         f, X = case
         L = f.leaves(X)
         assert L.shape == (f.n_trees, X.shape[0])
-        for t, row in zip(trees_of(f), L):
-            np.testing.assert_array_equal(row, reference_apply(t, X))
-            assert (t.feature[row] < 0).all()
+        for t, (tree, row) in enumerate(zip(trees_of(f), L)):
+            np.testing.assert_array_equal(row, f.roots[t] + reference_apply(tree, X))
+        assert (f.feature[L] < 0).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=forests_and_queries())
+    def test_ids_index_the_node_table(self, case):
+        # tree t's ids lie in its own range of the table and land on
+        # leaves, whose leaf_n and leaf_pos count the training rows, at
+        # their in-bag multiplicity, that reach the same leaf
+        f, X = case
+        L, train = f.leaves(X), f.leaves(f.train.features)
+        lo = f.roots[:, None]
+        assert ((lo <= L) & (L < lo + f.n_nodes[:, None])).all()
+        assert (f.feature[L] < 0).all()
+        shared = L[:, :, None] == train[:, None, :]  # (T, q, n)
+        np.testing.assert_array_equal(
+            f.leaf_n[L], (shared * f.inbag[:, None, :]).sum(axis=2)
+        )
+        np.testing.assert_array_equal(
+            f.leaf_pos[L], (shared * (f.inbag * f.train.labels)[:, None, :]).sum(axis=2)
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(case=forests_and_queries())
@@ -157,7 +176,9 @@ class TestLeaves:
             np.testing.assert_array_equal(
                 f.proximity_many(X, z), reference_proximity_many(f, X, z)
             )
-            assert f.proximity(X[-1], z) == reference_proximity_many(f, X[-1:], z)[0]
+            np.testing.assert_array_equal(
+                f.proximity_many(X[-1:], z), reference_proximity_many(f, X[-1:], z)
+            )
             np.testing.assert_array_equal(f.voting_weights(z), reference_voting_weights(f, z))
 
     def test_leaf_rows_indexing(self):
@@ -166,16 +187,17 @@ class TestLeaves:
         f = train_forest(
             d, ForestParams(n_trees=5, tree=TreeParams(mtry=2, bootstrap=False), seed=1)
         )
-        # ids are tree-local: the training rows routed to a leaf, counted
-        # in-bag times, are the rows its tree counts there
+        # ids index the table: the training rows routed to a leaf of tree
+        # t, counted inbag[t] times, are the rows tree t counts there
         L = f.leaves(d.features)
-        for t, row in zip(trees_of(f), L):
-            np.testing.assert_array_equal(
-                np.bincount(row, weights=t.inbag, minlength=t.n_nodes), t.leaf_n
-            )
-            np.testing.assert_array_equal(
-                np.bincount(row, weights=t.inbag * d.labels, minlength=t.n_nodes), t.leaf_pos
-            )
+        m = len(f.feature)
+        for t, (tree, row) in enumerate(zip(trees_of(f), L)):
+            nodes = slice(f.roots[t], f.roots[t] + f.n_nodes[t])
+            n = np.bincount(row, weights=tree.inbag, minlength=m)
+            pos = np.bincount(row, weights=tree.inbag * d.labels, minlength=m)
+            assert n[nodes].sum() == n.sum()  # no row leaves its tree's range
+            np.testing.assert_array_equal(n[nodes], tree.leaf_n)
+            np.testing.assert_array_equal(pos[nodes], tree.leaf_pos)
 
     def test_route_sends_nan_right(self):
         # Forest.leaves refuses NaN; under it, route sends NaN to the second
@@ -217,4 +239,3 @@ class TestLeaves:
                     f.predict_proba_batch(X[i:i + q], "reg_mean"),
                     reference_predict(f, X[i:i + q], "reg_mean"),
                 )
-        assert f.predict_proba(X[0], "reg_mean") == reference_predict(f, X[:1], "reg_mean")[0]

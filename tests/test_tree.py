@@ -69,6 +69,40 @@ class TestTreeParams:
         with pytest.raises(ValueError):
             TreeParams(mtry=5).check_dimension(3)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(mtry=1.5), "mtry must be an integer"),
+            (dict(mtry=True), "mtry must be an integer"),
+            (dict(mtry="2"), "mtry must be an integer"),
+            (dict(mtry=1, min_node_size=2.5), "min_node_size must be an integer"),
+            (dict(mtry=1, max_leaves=4.0), "max_leaves must be an integer"),
+            (dict(mtry=1, bootstrap="no"), "bootstrap must be a bool"),
+            (dict(mtry=1, bootstrap=0), "bootstrap must be a bool"),
+        ],
+    )
+    def test_types_checked(self, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            TreeParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_trees=2.0), "n_trees must be an integer"),
+            (dict(n_trees=True), "n_trees must be an integer"),
+            (dict(n_trees=2, seed="abc"), "seed must be an integer"),
+            (dict(n_trees=2, seed=1.0), "seed must be an integer"),
+        ],
+    )
+    def test_forest_params_types_checked(self, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            ForestParams(tree=TreeParams(mtry=1), **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        tp = TreeParams(mtry=np.int64(2), min_node_size=np.int32(3), max_leaves=np.uint8(4))
+        fp = ForestParams(np.int64(2), tp, seed=np.uint64(7))
+        assert (fp.n_trees, tp.mtry, tp.min_node_size, tp.max_leaves) == (2, 2, 3, 4)
+
     # A value of every field, other than its default, that grows another
     # forest on the fixture below: an option that selects nothing has no
     # entry that passes.
