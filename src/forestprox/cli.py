@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grid = sub.add_parser("grid", help="2-d level-set grid of a forest's kernel")
     p_grid.add_argument("--model", required=True)
-    p_grid.add_argument("--center", required=True, help="comma-separated coordinates")
+    p_grid.add_argument("--center", required=True, help="'means' or comma-separated values")
     p_grid.add_argument("--dims", default="0,1")
     p_grid.add_argument("--resolution", type=int, default=41)
     p_grid.add_argument("--bounds", default=None, help="lo_i,hi_i,lo_j,hi_j (default: data range)")
@@ -174,14 +174,25 @@ def _with_junk(data, args):
     return augment_junk(data, args.junk, args.seed + 1) if args.junk else data
 
 
-def _center(text: str, p: int) -> np.ndarray:
-    """--center's comma-separated values, one per coordinate of the forest."""
+def _center(text: str, forest: Forest) -> np.ndarray:
+    """--center: "means" for the forest's training-feature means, else
+    comma-separated values, one per coordinate of the forest."""
+    if text == "means":
+        return forest.train.features.mean(axis=0)
+    p = forest.p
     return np.array(_values(text, "--center", p, f"the forest's {p} coordinates", float))
 
 
 def _values(text: str, flag: str, count: int, what: str, kind) -> list:
-    """A flag's `count` comma-separated values as `kind`; `what` names them."""
-    values = [kind(v) for v in text.split(",")]
+    """A flag's `count` comma-separated values as `kind` (int or float);
+    `what` names them."""
+    values = []
+    for v in text.split(","):
+        try:
+            values.append(kind(v))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag}: {v!r} is not {noun}") from None
     if len(values) != count:
         raise ValueError(f"{flag} needs {what}, got {len(values)} values")
     return values
@@ -289,12 +300,11 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_deriv(args) -> int:
     forest = Forest.load(args.model)
-    X = forest.train.features
-    center = X.mean(axis=0) if args.center == "means" else _center(args.center, forest.p)
+    center = _center(args.center, forest)
     if args.h is not None:
         steps = np.full(forest.p, args.h)
     else:
-        sd = X.std(axis=0)
+        sd = forest.train.features.std(axis=0)
         steps = np.where(sd > 0, args.h_sd * sd, 1e-6)
     report = derivative_report(forest.proximity_many, center, steps)
     cols = np.column_stack([report.left, report.right, report.steps]).tolist()
@@ -308,7 +318,7 @@ def _cmd_deriv(args) -> int:
 
 def _cmd_grid(args) -> int:
     forest = Forest.load(args.model)
-    center = _center(args.center, forest.p)
+    center = _center(args.center, forest)
     i, j = _values(args.dims, "--dims", 2, "2 coordinate indices", int)
     if not (0 <= i < forest.p and 0 <= j < forest.p):
         raise ValueError(f"--dims needs indices in [0, {forest.p}), got {i},{j}")

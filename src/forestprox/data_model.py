@@ -126,7 +126,8 @@ class SplitPair:
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Stripped header and nonblank rows of a CSV file, each row holding
-    one cell per header column. Header names must be distinct."""
+    one cell per header column. Header names must be distinct, and at
+    least one row must follow the header."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
@@ -140,6 +141,8 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
             repeated = sorted({h for h in header if header.count(h) > 1})
             raise DataError(f"{path}: column names repeat: {repeated}")
         rows = [r for r in reader if r]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
@@ -216,8 +219,6 @@ def load_points(path: str | Path, names, label_column: str | int | None = None) 
     `names` when all are present, else the first len(names) columns
     other than `label_column` (an index or a name, as in `load_csv`)."""
     header, rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
     p = len(names)
     label_idx = _column(header, label_column)
     keep = [j for j in range(len(header)) if j != label_idx]

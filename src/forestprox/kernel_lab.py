@@ -134,21 +134,35 @@ def _split_coords(rng: np.random.Generator, spec: NaiveKernelSpec, k: int) -> np
     of `_blocks`: all key blocks, then all pick blocks. So `rng` yields the
     doubles of two whole (k, p) draws in the same order and ends in the
     same state, while only the (k, p) boolean mask of non-candidates is
-    kept between the passes.
+    kept between the passes; the draws reuse one block-sized buffer.
     """
     p, S, mtry = spec.p, spec.strong, spec.mtry
     blocks = _blocks(k, p)
-    outside = np.ones((k, p), dtype=bool)
+    buf = np.empty((blocks[0].stop if blocks else 0, p))
+    partitioned = np.empty_like(buf)
+    outside = np.empty((k, p), dtype=bool)
     for b in blocks:
-        keys = rng.random((b.stop - b.start, p))
+        m = b.stop - b.start
+        keys = rng.random(out=buf[:m])
+        part = partitioned[:m]
+        np.copyto(part, keys)
+        part.partition(mtry - 1, axis=1)
         rows = outside[b]
-        np.put_along_axis(rows, np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], False, axis=1)
+        # the non-candidates are the keys above each row's mtry-th smallest,
+        # p - mtry of them in every row unless a key ties that value
+        np.greater(keys, part[:, mtry - 1 : mtry], out=rows)
+        if np.count_nonzero(rows) != m * (p - mtry):
+            rows.fill(True)
+            np.put_along_axis(
+                rows, np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], False, axis=1
+            )
         # a node holding a strong candidate picks among the strong ones only
         rows[~rows[:, :S].all(axis=1), S:] = True
     coord = np.empty(k, dtype=np.intp)
     for b in blocks:
-        pick = rng.random((b.stop - b.start, p))
-        pick[outside[b]] = np.inf
+        pick = rng.random(out=buf[: b.stop - b.start])
+        # picks lie in [0, 1): adding one lifts every non-candidate above them all
+        pick += outside[b]
         coord[b] = pick.argmin(axis=1)
     return coord
 

@@ -1,5 +1,6 @@
 import base64
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -245,6 +246,16 @@ class TestTrainPredict:
         assert err["message"] == f"{query}: no data rows"
         assert not out.exists()
 
+    def test_header_only_training_file_refused(self, tmp_path, capsys):
+        # load_csv refuses it as load_points does, before looking at labels
+        data, model = tmp_path / "train.csv", tmp_path / "model.json"
+        data.write_text("a,b,label\n", encoding="utf-8")
+        assert main(["train", "--data", str(data), "--trees", "3", "--out", str(model)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert err["message"] == f"{data}: no data rows"
+        assert not model.exists()
+
 
 class TestProximityCommand:
     def test_matrix_symmetric_unit_diagonal(self, workspace, tmp_path):
@@ -283,6 +294,17 @@ class TestKernelCommand:
             assert 0.0 <= float(row[2]) <= 1.0
             assert 0.0 <= float(row[3]) <= 1.0
 
+    def test_comparison_pinned(self, tmp_path):
+        # SHA-256 of the CSV as written before the candidate draws were sped up
+        w, c = tmp_path / "w.csv", tmp_path / "c.csv"
+        assert main([
+            "kernel", "--strong", "5", "--weak", "45", "--leaves", "32", "--mtry", "15",
+            "--trees", "2000", "--seed", "3", "--out-weights", str(w), "--out-compare", str(c),
+        ]) == 0
+        assert hashlib.sha256(c.read_bytes()).hexdigest() == (
+            "6a17fa286d450bae05bbe01dafd8cf6649db38064683b711f641ad507bbf3b61"
+        )
+
 
 class TestDerivCommand:
     def test_report_columns(self, workspace, tmp_path):
@@ -310,6 +332,44 @@ class TestDerivCommand:
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["message"] == "--center needs the forest's 2 coordinates, got 3 values"
+
+
+class TestCenterAndValues:
+    """deriv and grid read --center one way, and a value that does not
+    parse is named with its flag."""
+
+    @pytest.mark.parametrize("command", ["deriv", "grid"])
+    def test_means_center_equals_the_values_written_out(self, workspace, tmp_path, command):
+        _, data, model = workspace
+        header, rows = read_csv(data)
+        means = np.array([[float(r[0]), float(r[1])] for r in rows]).mean(axis=0)
+        outs = []
+        for center in ("means", ",".join(map(repr, means.tolist()))):
+            out = tmp_path / f"{len(outs)}.csv"
+            extra = ["--resolution", "5"] if command == "grid" else []
+            assert main([command, "--model", str(model), "--center", center, *extra,
+                         "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("deriv", "--center", "1,abc", "--center: 'abc' is not a number"),
+        ("grid", "--center", "0,", "--center: '' is not a number"),
+        ("grid", "--dims", "0,x", "--dims: 'x' is not an integer"),
+        ("grid", "--dims", "0,1.5", "--dims: '1.5' is not an integer"),
+        ("grid", "--bounds", "-1,1,a,1", "--bounds: 'a' is not a number"),
+    ])
+    def test_bad_value_names_its_flag(
+        self, workspace, tmp_path, capsys, command, flag, value, message
+    ):
+        _, _, model = workspace
+        out = tmp_path / "o.csv"
+        center = [] if flag == "--center" else ["--center", "0,0"]
+        assert main([command, "--model", str(model), *center, f"{flag}={value}",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": message}
 
 
 class TestGridCommand:

@@ -145,6 +145,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_points(path, ("x1", "x2"))
 
+    @pytest.mark.parametrize("label_column", ["label", "missing"])
+    def test_load_csv_refuses_a_header_only_file(self, tmp_path, label_column):
+        # refused before the label column is looked up or its values counted
+        path = write(tmp_path, "x1,x2,label\n\n")
+        with pytest.raises(DataError, match=r"no data rows$"):
+            load_csv(path, label_column)
+
     def test_load_points_rejects_repeated_column_names(self, tmp_path):
         path = write(tmp_path, "x1,x1\n0.1,100.0\n")
         with pytest.raises(DataError, match="column names repeat"):

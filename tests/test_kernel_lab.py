@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from fractions import Fraction
@@ -97,6 +98,22 @@ def whole_split_coords(rng, spec, k):
     outside[~outside[:, :S].all(axis=1), S:] = True
     pick[outside] = np.inf
     return pick.argmin(axis=1)
+
+
+class EighthsGenerator:
+    """A generator whose doubles are cut down to eighths, floor(8 u) / 8:
+    exact, still in [0, 1), and so coarse that most rows of keys tie at
+    their mtry-th smallest value. Its state is the wrapped generator's."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        np.floor(u * 8, out=u)
+        u /= 8
+        return u
 
 
 # every (S, W, mtry) with S <= 12, W <= 60 and p >= 1: 28,548 cells
@@ -488,6 +505,34 @@ class TestCandidateDraws:
         fresh.random((n, spec.p))
         fresh.random((n, spec.p))
         assert rng.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("mtry", ["spec", "1", "p"])
+    @pytest.mark.parametrize("blocks, extra", [(0, 7), (3, 5)])
+    @pytest.mark.parametrize(
+        "generator", [np.random.default_rng, EighthsGenerator], ids=["uniform", "eighths"]
+    )
+    def test_ties_and_extreme_mtry_keep_whole_draws(self, k, mtry, blocks, extra, generator):
+        # keys in eighths tie at the mtry-th value in most rows, so the
+        # candidate mask must fall back to argpartition's choice among them
+        spec = self.SPECS[k]
+        spec = dataclasses.replace(spec, mtry={"spec": spec.mtry, "1": 1, "p": spec.p}[mtry])
+        n = blocks * max(1, kernel_lab._BLOCK_ELEMENTS // spec.p) + extra
+        rng, ref = generator(11), generator(11)
+        np.testing.assert_array_equal(
+            kernel_lab._split_coords(rng, spec, n), whole_split_coords(ref, spec, n)
+        )
+        assert rng.bit_generator.state == ref.bit_generator.state
+        fresh = np.random.default_rng(11)
+        fresh.random((2, n, spec.p))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_eighths_tie_at_the_mtry_th_key(self):
+        # the case above exercises the tie fallback: most rows tie
+        spec = self.SPECS[0]
+        keys = np.sort(EighthsGenerator(11).random((1000, spec.p)), axis=1)
+        tied = (keys[:, spec.mtry - 1] == keys[:, spec.mtry]).mean()
+        assert tied > 0.5
 
     def test_transient_memory_at_20000_trees(self):
         # the output is 8 MB and the blocked draws about 4 MB more
