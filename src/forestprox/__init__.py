@@ -14,14 +14,12 @@ from .diagnostics import (
     DerivativeReport,
     KernelGrid,
     derivative_report,
-    directional_derivative,
     half_max_extent,
     kernel_grid,
     prob_histogram,
 )
 from .forest import Forest, ForestParams, grow_tree, train_forest
 from .kernel_lab import (
-    LaplaceKernel,
     NaiveKernelSpec,
     bandwidth_sweep,
     breiman_kernel,
@@ -29,7 +27,6 @@ from .kernel_lab import (
     mc_proximity,
     mc_selection_freq,
     naive_kernel,
-    nw_estimate,
     strong_weak_weights,
 )
 from .synthgen import MODELS, SyntheticModel, ccpf, get_model, sample
@@ -49,18 +46,15 @@ __all__ = [
     "ForestParams",
     "train_forest",
     "NaiveKernelSpec",
-    "LaplaceKernel",
     "strong_weak_weights",
     "naive_kernel",
     "mc_selection_freq",
     "mc_proximity",
     "breiman_kernel",
-    "nw_estimate",
     "bandwidth_sweep",
     "default_bandwidth_grid",
     "DerivativeReport",
     "KernelGrid",
-    "directional_derivative",
     "derivative_report",
     "kernel_grid",
     "half_max_extent",

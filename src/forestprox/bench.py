@@ -20,7 +20,7 @@ import numpy as np
 from .data_model import TRUE_PROB_COLUMN, Dataset, augment_junk, load_csv, train_test_split
 from .forest import PREDICT_MODES, Forest, ForestParams, derive_seeds, train_forest
 from .synthgen import get_model, sample
-from .tree import TreeParams
+from .tree import TreeParams, check_integer
 
 # Each mtry symbol as a function of p; resolve_mtry rounds and clips it to [1, p].
 _MTRY_OF_P = {
@@ -56,10 +56,10 @@ def resolve_mtry(mtry, p: int) -> int:
         if mtry not in _MTRY_OF_P:
             raise ValueError(f"unknown mtry symbol {mtry!r}")
         return max(1, min(p, round(_MTRY_OF_P[mtry](p))))
-    value = int(mtry)
-    if not 1 <= value <= p:
-        raise ValueError(f"mtry={value} out of range [1, {p}]")
-    return value
+    check_integer("mtry", mtry)
+    if not 1 <= mtry <= p:
+        raise ValueError(f"mtry={mtry} out of range [1, {p}]")
+    return int(mtry)
 
 
 def tuning_grid(p: int) -> list[int]:
@@ -84,8 +84,12 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.mode not in PREDICT_MODES:
             raise ValueError(f"bad mode {self.mode!r}")
-        if isinstance(self.mtry, str) and self.mtry not in MTRY_SYMBOLS:
-            raise ValueError(f"bad mtry symbol {self.mtry!r}")
+        if isinstance(self.mtry, str):
+            if self.mtry not in MTRY_SYMBOLS:
+                raise ValueError(f"bad mtry symbol {self.mtry!r}")
+        else:
+            # the range is checked per dataset, where p is known
+            check_integer("mtry", self.mtry)
 
 
 def default_estimators() -> tuple[EstimatorSpec, ...]:

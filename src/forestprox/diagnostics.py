@@ -3,8 +3,8 @@ grids, and probability histograms.
 
 A kernel evaluator here is any batched callable k(Z, x0) -> (m,) that
 returns k(z, x0) for every row z of the (m, p) matrix Z, bounded by 1
-with k(x0, x0) = 1: a forest's `proximity_many`, or an analytic or
-Laplace kernel evaluated row by row. Each probe hands the kernel all
+with k(x0, x0) = 1: a forest's `proximity_many`, or an analytic kernel
+such as `kernel_lab.breiman_kernel`. Each probe hands the kernel all
 its points in one call (the grid, one call per row). Forest proximity
 is piecewise constant, so derivative magnitudes depend on the step size
 relative to typical cell widths; steps are therefore always explicit.
@@ -39,32 +39,19 @@ class KernelGrid:
     values: np.ndarray
 
 
-def directional_derivative(kernel, x0, coord: int, sign: int, h: float) -> float:
-    """One-sided finite difference (k(x0 + sign*h*e_coord, x0) - k(x0, x0)) / h."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    if h <= 0:
-        raise ValueError(f"step h must be > 0, got {h}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not 0 <= coord < x0.size:
-        raise ValueError(f"coordinate {coord} out of range for p={x0.size}")
-    Z = np.stack([x0, x0])
-    Z[1, coord] += sign * h
-    k0, k1 = kernel(Z, x0)
-    return float((k1 - k0) / h)
-
-
 def derivative_report(kernel, x0, steps) -> DerivativeReport:
     """Both one-sided derivatives for every coordinate.
 
-    `steps` is a scalar or a per-coordinate vector of positive step sizes.
+    `steps` is a scalar or a per-coordinate vector of finite steps > 0.
     The kernel is called once, on 2p + 1 probe rows: x0, then x0 + h_j e_j
     for every j, then x0 - h_j e_j.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     h = np.broadcast_to(np.asarray(steps, dtype=np.float64), x0.shape).copy()
-    if (h <= 0).any():
-        raise ValueError("all steps must be > 0")
+    bad = ~(np.isfinite(h) & (h > 0))
+    if bad.any():
+        j = int(bad.argmax())
+        raise ValueError(f"steps must be finite and > 0, got {h[j]} at coordinate {j}")
     p = x0.size
     k = np.asarray(kernel(np.vstack([x0, x0 + np.diag(h), x0 - np.diag(h)]), x0))
     right = (k[1:p + 1] - k[0]) / h
@@ -90,6 +77,8 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     (lo_i, hi_i), (lo_j, hi_j) = bounds
+    if not np.isfinite([lo_i, hi_i, lo_j, hi_j]).all():
+        raise ValueError(f"bounds must be finite, got {[lo_i, hi_i, lo_j, hi_j]}")
     axis_i = np.linspace(lo_i, hi_i, resolution)
     axis_j = np.linspace(lo_j, hi_j, resolution)
     values = np.empty((resolution, resolution))
@@ -122,7 +111,7 @@ def prob_histogram(predictions, n_bins: int) -> np.ndarray:
         raise ValueError("predictions must be nonempty")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    if preds.min() < 0.0 or preds.max() > 1.0:
+    if not ((preds >= 0.0) & (preds <= 1.0)).all():
         raise ValueError("predictions must lie in [0, 1]")
     idx = np.minimum((preds * n_bins).astype(np.int64), n_bins - 1)
     return np.bincount(idx, minlength=n_bins)

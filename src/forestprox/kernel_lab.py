@@ -1,4 +1,4 @@
-"""Analytic model of the forest kernel and weighted-Laplace regression.
+"""Analytic model of the forest kernel, and a Laplace-kernel bandwidth sweep.
 
 The stylized tree here grows a fixed number of leaves on [0,1]^p with no
 data: each step picks a leaf uniformly, draws `mtry` candidate
@@ -21,6 +21,7 @@ from math import comb, log
 import numpy as np
 
 from .data_model import Dataset
+from .tree import check_integer
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,10 @@ class NaiveKernelSpec:
     mtry: int
 
     def __post_init__(self):
-        if self.leaves < 1:
-            raise ValueError(f"leaves must be >= 1, got {self.leaves}")
-        if self.strong < 0 or self.weak < 0:
-            raise ValueError("strong and weak counts must be >= 0")
+        check_integer("leaves", self.leaves, 1)
+        check_integer("strong", self.strong, 0)
+        check_integer("weak", self.weak, 0)
+        check_integer("mtry", self.mtry)
         if self.p < 1:
             raise ValueError("need at least one coordinate (strong + weak >= 1)")
         if not 1 <= self.mtry <= self.p:
@@ -250,73 +251,16 @@ def breiman_kernel(Z, x0, leaves: int) -> np.ndarray:
     return np.exp(-(log(leaves) / x0.size) * np.ascontiguousarray(np.abs(Z - x0)).sum(axis=1))
 
 
-@dataclass(frozen=True)
-class LaplaceKernel:
-    """exp(-bandwidth * sum_j weights_j * |x_j - z_j|).
-
-    The plain constructor takes the weights as given (needed for skewed
-    shapes like (10, 1)); `normalized` rescales them to sum to one.
-    """
-
-    bandwidth: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.bandwidth < 0:
-            raise ValueError(f"bandwidth must be >= 0, got {self.bandwidth}")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty vector")
-        if w.min() < 0:
-            raise ValueError("weights must be nonnegative")
-        w = np.array(w, copy=True)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def normalized(cls, bandwidth: float, weights) -> "LaplaceKernel":
-        w = np.asarray(weights, dtype=np.float64)
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive sum to normalize")
-        return cls(bandwidth=bandwidth, weights=w / total)
-
-    def __call__(self, Z, x0) -> np.ndarray:
-        """k(z, x0) for every row z of Z, shape (m,)."""
-        Z = np.asarray(Z, dtype=np.float64)
-        x0 = np.asarray(x0, dtype=np.float64)
-        if Z.ndim != 2 or Z.shape[1:] != x0.shape or x0.shape != self.weights.shape:
-            raise ValueError(
-                f"dimension mismatch: Z {Z.shape}, x0 {x0.shape}, weights {self.weights.shape}"
-            )
-        return np.exp(-self.bandwidth * (self.weights * np.abs(Z - x0)).sum(axis=1))
-
-
-def nw_estimate(kernel, train: Dataset, x0) -> float:
-    """Kernel-weighted label average over the training set at x0, from one
-    batched call kernel(train.features, x0) -> (n,)."""
-    vals = np.asarray(kernel(train.features, np.asarray(x0, dtype=np.float64)), dtype=np.float64)
-    total = vals.sum()
-    if not total > 0:
-        raise ValueError("kernel mass at x0 is zero; bandwidth too extreme")
-    return float(vals @ train.labels / total)
-
-
-def weighted_l1_distances(A, B, weights) -> np.ndarray:
-    """Matrix of sum_j w_j |a_j - b_j| for all row pairs of A and B."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    return np.abs(A[:, None, :] - B[None, :, :]).dot(w)
-
-
 def bandwidth_sweep(
     train: Dataset, X_eval, targets, weights, bandwidths
 ) -> np.ndarray:
-    """Holdout RMSE against `targets` for each bandwidth; NaN where the
-    kernel degenerates. One distance matrix is shared across the sweep."""
+    """Holdout RMSE against `targets` of the kernel-weighted label average
+    under exp(-bandwidth * sum_j weights_j |x_j - z_j|), for each bandwidth;
+    NaN where the kernel degenerates. One distance matrix is shared."""
     targets = np.asarray(targets, dtype=np.float64)
-    D = weighted_l1_distances(X_eval, train.features, weights)
+    X_eval = np.asarray(X_eval, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    D = np.abs(X_eval[:, None, :] - train.features[None, :, :]).dot(w)
     out = np.empty(len(bandwidths))
     for i, lam in enumerate(np.asarray(bandwidths, dtype=np.float64)):
         K = np.exp(-lam * D)

@@ -88,6 +88,11 @@ class TestMtryResolution:
         with pytest.raises(ValueError):
             resolve_mtry("bogus", 10)
 
+    @pytest.mark.parametrize("mtry", [2.7, 2.0, True, None])
+    def test_non_integer_refused(self, mtry):
+        with pytest.raises(TypeError, match="mtry must be an integer"):
+            resolve_mtry(mtry, 10)
+
     def test_tuning_grid(self):
         assert tuning_grid(50) == [1, 7, 17, 25, 38, 50]
         assert tuning_grid(2) == [1, 2]
@@ -114,6 +119,18 @@ class TestConfigValidation:
         for roster in ((spec, spec), (spec, other)):
             with pytest.raises(ValueError, match="unique"):
                 ExperimentConfig(source="xor", estimators=roster)
+
+    @pytest.mark.parametrize("mtry", [2.5, 3.0, True, None])
+    def test_estimator_mtry_must_be_an_integer_or_symbol(self, mtry):
+        with pytest.raises(TypeError, match="mtry must be an integer"):
+            EstimatorSpec("x", "prox", mtry)
+
+    def test_estimator_mtry_range_is_left_to_the_dataset(self):
+        # p is not known here: 999 is refused per repetition, at resolve_mtry
+        assert EstimatorSpec("x", "prox", 999).mtry == 999
+        assert EstimatorSpec("x", "prox", np.int64(3)).mtry == 3
+        with pytest.raises(ValueError, match="bad mtry symbol"):
+            EstimatorSpec("x", "prox", "quarter")
 
     def test_default_roster_names(self):
         names = [e.name for e in default_estimators()]

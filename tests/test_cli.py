@@ -371,6 +371,23 @@ class TestCenterAndValues:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"type": "ValueError", "message": message}
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("deriv", ["--h", "nan"], "steps must be finite and > 0, got nan at coordinate 0"),
+        ("deriv", ["--h", "inf"], "steps must be finite and > 0, got inf at coordinate 0"),
+        ("deriv", ["--h-sd", "nan"], "steps must be finite and > 0, got nan at coordinate 0"),
+        ("grid", ["--center", "0,0", "--bounds=nan,1,0,1"],
+         "bounds must be finite, got [nan, 1.0, 0.0, 1.0]"),
+    ])
+    def test_non_finite_step_or_bound_refused(
+        self, workspace, tmp_path, capsys, command, args, message
+    ):
+        _, _, model = workspace
+        out = tmp_path / "o.csv"
+        assert main([command, "--model", str(model), *args, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": message}
+
 
 class TestGridCommand:
     def test_long_form_csv(self, workspace, tmp_path):

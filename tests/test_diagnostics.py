@@ -8,50 +8,79 @@ from hypothesis import strategies as st
 from forestprox.diagnostics import (
     KernelGrid,
     derivative_report,
-    directional_derivative,
     half_max_extent,
     kernel_grid,
     prob_histogram,
 )
-from forestprox.kernel_lab import LaplaceKernel, breiman_kernel
+from forestprox.forest import ForestParams, train_forest
+from forestprox.kernel_lab import NaiveKernelSpec, breiman_kernel, naive_kernel
+from forestprox.synthgen import get_model, sample
+from forestprox.tree import TreeParams
 
 
 def laplace(bandwidth, weights):
-    return LaplaceKernel(bandwidth, np.asarray(weights, dtype=np.float64))
+    """Batched weighted Laplace kernel exp(-bandwidth * sum_j w_j |z_j - x0_j|)."""
+    w = np.asarray(weights, dtype=np.float64)
+    return lambda Z, x0: np.exp(-bandwidth * (w * np.abs(Z - x0)).sum(axis=1))
 
 
 def const(Z, z):
     return np.ones(len(Z))
 
 
-class TestDirectionalDerivative:
+def one_sided(kernel, x0, j, sign, h):
+    """(k(x0 + sign h e_j, x0) - k(x0, x0)) / h from a 2-row kernel call."""
+    Z = np.stack([x0, x0])
+    Z[1, j] += sign * h
+    k0, k1 = kernel(Z, x0)
+    return (k1 - k0) / h
+
+
+@pytest.fixture(scope="module")
+def small_forest():
+    d = sample(get_model("kinked"), 300, seed=41)
+    params = ForestParams(n_trees=30, tree=TreeParams(mtry=2, min_node_size=1), seed=42)
+    return train_forest(d, params)
+
+
+# kernel name -> (center, steps) for the pinned outputs below
+PIN_INPUTS = {
+    "laplace": (np.array([0.3, -0.2, 0.1]), np.array([0.25, 0.1, 0.4])),
+    "breiman": (np.array([0.5, 0.4, 0.6]), 0.2),
+    "forest": (np.array([-0.25, -0.25]), np.array([0.1, 0.3])),
+}
+
+
+def pinned_kernel(name, forest):
+    return {
+        "laplace": laplace(0.9, [2.0, 1.0, 0.5]),
+        "breiman": partial(breiman_kernel, leaves=16),
+        "forest": forest.proximity_many,
+    }[name]
+
+
+class TestDerivativeReport:
     def test_constant_kernel_is_flat(self):
-        for sign in (1, -1):
-            assert directional_derivative(const, np.zeros(3), 0, sign, 0.25) == 0.0
+        rep = derivative_report(const, np.zeros(3), 0.25)
+        np.testing.assert_array_equal(rep.left, 0.0)
+        np.testing.assert_array_equal(rep.right, 0.0)
 
     def test_laplace_closed_form(self):
         # one-sided difference of exp(-lam * w_j * |t|) at the center:
         # (exp(-lam * w_j * h) - 1) / h for both signs
         lam, w, h = 1.0, 1.0, 0.25
-        k = laplace(lam, [w, w])
         expected = (np.exp(-lam * w * h) - 1.0) / h
-        x0 = np.array([0.4, -0.2])
-        right = directional_derivative(k, x0, 0, +1, h)
-        left = directional_derivative(k, x0, 0, -1, h)
-        assert right == pytest.approx(expected)
-        assert left == pytest.approx(expected)
-        assert right == pytest.approx(-0.88479, abs=1e-4)
+        rep = derivative_report(laplace(lam, [w, w]), np.array([0.4, -0.2]), h)
+        np.testing.assert_allclose(rep.right, expected)
+        np.testing.assert_allclose(rep.left, expected)
+        assert rep.right[0] == pytest.approx(-0.88479, abs=1e-4)
 
     def test_weighted_coordinates_scale_decay(self):
-        k = laplace(2.0, [5.0, 1.0])
-        x0 = np.zeros(2)
-        steep = directional_derivative(k, x0, 0, +1, 0.1)
-        shallow = directional_derivative(k, x0, 1, +1, 0.1)
+        rep = derivative_report(laplace(2.0, [5.0, 1.0]), np.zeros(2), 0.1)
+        steep, shallow = rep.right
         assert steep < shallow < 0
 
     def test_one_sided_decay_is_nonpositive_for_closed_forms(self):
-        from forestprox.kernel_lab import NaiveKernelSpec, naive_kernel
-
         spec = NaiveKernelSpec(leaves=16, strong=1, weak=1, mtry=1)
         x0 = np.array([0.5, 0.5])
         kernels = [
@@ -60,20 +89,9 @@ class TestDirectionalDerivative:
             lambda Z, z: naive_kernel(spec, np.abs(Z - z), [0]),
         ]
         for k in kernels:
-            for j in (0, 1):
-                for sign in (1, -1):
-                    assert directional_derivative(k, x0, j, sign, 0.2) <= 0.0
+            rep = derivative_report(k, x0, 0.2)
+            assert (rep.left <= 0.0).all() and (rep.right <= 0.0).all()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            directional_derivative(const, np.zeros(2), 0, +1, 0.0)
-        with pytest.raises(ValueError):
-            directional_derivative(const, np.zeros(2), 0, 2, 0.1)
-        with pytest.raises(ValueError):
-            directional_derivative(const, np.zeros(2), 5, 1, 0.1)
-
-
-class TestDerivativeReport:
     def test_shapes_and_scalar_step(self):
         k = laplace(1.0, [0.5, 0.5])
         rep = derivative_report(k, np.zeros(2), 0.25)
@@ -91,13 +109,13 @@ class TestDerivativeReport:
         x0 = np.array([0.2, -0.1])
         rep = derivative_report(k, x0, 0.25)
         for j in (0, 1):
-            assert rep.right[j] == directional_derivative(k, x0, j, +1, 0.25)
-            assert rep.left[j] == directional_derivative(k, x0, j, -1, 0.25)
+            assert rep.right[j] == one_sided(k, x0, j, +1, 0.25)
+            assert rep.left[j] == one_sided(k, x0, j, -1, 0.25)
 
-    def test_rejects_nonpositive_steps(self):
-        k = laplace(1.0, [1.0])
-        with pytest.raises(ValueError):
-            derivative_report(k, np.zeros(1), 0.0)
+    @pytest.mark.parametrize("steps", [0.0, -0.1, np.nan, np.inf, -np.inf, [0.1, np.nan]])
+    def test_rejects_steps_not_finite_and_positive(self, steps):
+        with pytest.raises(ValueError, match="steps must be finite and > 0"):
+            derivative_report(const, np.zeros(2), steps)
 
     def test_center_evaluated_once(self):
         # one kernel call on 2p + 1 rows: x0, then x0 + h_j e_j, then x0 - h_j e_j
@@ -119,8 +137,29 @@ class TestDerivativeReport:
         np.testing.assert_array_equal(Z[5:], x0 - np.diag(h))
         assert sum(np.array_equal(x, x0) for x in Z) == 1
         for j in range(x0.size):
-            assert rep.right[j] == directional_derivative(k, x0, j, +1, h[j])
-            assert rep.left[j] == directional_derivative(k, x0, j, -1, h[j])
+            assert rep.right[j] == one_sided(k, x0, j, +1, h[j])
+            assert rep.left[j] == one_sided(k, x0, j, -1, h[j])
+
+    # (left, right) for each PIN_INPUTS entry
+    PINNED = {
+        "laplace": (
+            [-1.4494873935129067, -0.8606881472877181, -0.41182447147182],
+            [-1.4494873935129071, -0.8606881472877181, -0.41182447147182],
+        ),
+        "breiman": ([-0.8438105192860612] * 3, [-0.8438105192860612] * 3),
+        "forest": (
+            [-1.6666666666666663, -1.8888888888888888],
+            [-1.333333333333333, -2.8888888888888893],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_outputs(self, name, small_forest):
+        x0, h = PIN_INPUTS[name]
+        rep = derivative_report(pinned_kernel(name, small_forest), x0, h)
+        left, right = self.PINNED[name]
+        np.testing.assert_array_equal(rep.left, left)
+        np.testing.assert_array_equal(rep.right, right)
 
 
 class TestKernelGrid:
@@ -183,15 +222,54 @@ class TestKernelGrid:
         with pytest.raises(ValueError):
             kernel_grid(k, np.zeros(2), (0, 3), 5, ((-1, 1), (-1, 1)))
 
+    @pytest.mark.parametrize("at, bad", [(0, np.nan), (1, np.inf), (2, -np.inf), (3, np.nan)])
+    def test_rejects_non_finite_bounds(self, at, bad):
+        bounds = [-1.0, 1.0, -1.0, 1.0]
+        bounds[at] = bad
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            kernel_grid(const, np.zeros(2), (0, 1), 5, (bounds[:2], bounds[2:]))
+
+    PINNED = {
+        "laplace": [
+            0.11532512103806246, 0.20240189074236176, 0.3552263809249515, 0.3800319313209641,
+            0.216535667316007, 0.18086579261712205, 0.3174293516174957, 0.5571058618121739,
+            0.596008708766031, 0.3395955256449391, 0.19789869908361465, 0.3473230334330827,
+            0.6095709072963093, 0.6521374019961392, 0.37157669102204566, 0.12618578170503877,
+            0.22146294382360393, 0.3886795709017531, 0.4158211662382236, 0.2369277586821217,
+            0.08045960674953243, 0.1412110075229612, 0.2478330363672288, 0.2651392816336886,
+            0.15107180883637084,
+        ],
+        "breiman": [
+            0.10881882041201553, 0.14525569836972999, 0.19389309522921686, 0.25881623096034445,
+            0.2176376408240311, 0.17273910999597206, 0.23057904839648485, 0.3077861033362291,
+            0.41084515729289517, 0.34547821999194406, 0.27420624492365653, 0.3660214239864064,
+            0.48857998421712295, 0.6521760348827822, 0.5484124898473131, 0.36181730936009454,
+            0.4829681644624228, 0.6446851542197897, 0.86055143724433, 0.7236346187201891,
+            0.22793062213955423, 0.30425087841764775, 0.4061261981781178, 0.5421134351507092,
+            0.45586124427910846,
+        ],
+        # multiples of 1/30 for the 30-tree forest
+        "forest": np.array([
+            [1, 1, 1, 0, 0],
+            [8, 9, 1, 0, 0],
+            [5, 6, 2, 1, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+        ]) / 30,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_outputs(self, name, small_forest):
+        x0, _ = PIN_INPUTS[name]
+        k = pinned_kernel(name, small_forest)
+        grid = kernel_grid(k, x0, (1, 0), 5, ((-1, 1), (-0.5, 0.75)))
+        np.testing.assert_array_equal(grid.values.ravel(), np.ravel(self.PINNED[name]))
+
 
 class TestForestKernelShape:
     def test_kinked_model_level_set_narrower_along_dominant_coordinate(self):
         # left of the structural break the class probability leans on x1,
         # so the forest kernel's half-max region is narrower along x1
-        from forestprox.forest import ForestParams, train_forest
-        from forestprox.synthgen import get_model, sample
-        from forestprox.tree import TreeParams
-
         d = sample(get_model("kinked"), 2000, seed=41)
         f = train_forest(
             d,
@@ -256,6 +334,7 @@ class TestProbHistogram:
         with pytest.raises(ValueError):
             prob_histogram(np.array([]), 10)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            prob_histogram(np.array([0.5, 1.2]), 10)
+    @pytest.mark.parametrize("preds", [[0.5, 1.2], [0.2, np.nan]])
+    def test_out_of_range_rejected(self, preds):
+        with pytest.raises(ValueError, match=r"predictions must lie in \[0, 1\]"):
+            prob_histogram(np.array(preds), 10)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from forestprox import kernel_lab
 from forestprox.data_model import Dataset
 from forestprox.kernel_lab import (
-    LaplaceKernel,
     NaiveKernelSpec,
     bandwidth_sweep,
     breiman_kernel,
@@ -20,9 +19,9 @@ from forestprox.kernel_lab import (
     mc_proximity,
     mc_selection_freq,
     naive_kernel,
-    nw_estimate,
     strong_weak_weights,
 )
+from forestprox.synthgen import get_model, sample
 
 
 def exact_single_coord_kernel(leaves: int, x: float) -> float:
@@ -306,6 +305,30 @@ class TestNaiveKernel:
         b = naive_kernel(spec, np.array([[0.1, 0.3, 0.2]]), [1])
         assert a[0] == pytest.approx(b[0])
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(leaves=32.5), "leaves must be an integer"),
+            (dict(strong=True), "strong must be an integer"),
+            (dict(weak=2.0), "weak must be an integer"),
+            (dict(mtry=2.0), "mtry must be an integer"),
+        ],
+    )
+    def test_spec_fields_must_be_integers(self, fields, message):
+        with pytest.raises(TypeError, match=message):
+            NaiveKernelSpec(**{**dict(leaves=32, strong=1, weak=2, mtry=2), **fields})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(leaves=0), dict(strong=-1), dict(weak=-1), dict(strong=0, weak=0),
+            dict(mtry=0), dict(mtry=4),
+        ],
+    )
+    def test_spec_ranges(self, fields):
+        with pytest.raises(ValueError):
+            NaiveKernelSpec(**{**dict(leaves=32, strong=1, weak=2, mtry=2), **fields})
+
     def test_rejects_bad_inputs(self):
         spec = NaiveKernelSpec(leaves=4, strong=1, weak=1, mtry=1)
         with pytest.raises(ValueError):
@@ -566,84 +589,6 @@ class TestBreimanKernel:
         np.testing.assert_array_equal(breiman_kernel(np.asfortranarray(Z), x0, 32), got)
 
 
-class TestLaplaceKernel:
-    def test_identity(self):
-        k = LaplaceKernel(1.0, np.array([0.5, 0.5]))
-        x = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(k(x[None], x), [1.0])
-
-    def test_zero_bandwidth_flat(self):
-        k = LaplaceKernel(0.0, np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(k(np.zeros((1, 2)), np.array([9.0, -3.0])), [1.0])
-
-    def test_skewed_hand_value(self):
-        k = LaplaceKernel(1.0, np.array([10.0, 1.0]))
-        assert k(np.array([[0.1, 0.2]]), np.zeros(2))[0] == pytest.approx(np.exp(-1.2))
-
-    def test_normalized_constructor(self):
-        k = LaplaceKernel.normalized(2.0, np.array([10.0, 1.0, 9.0]))
-        assert k.weights.sum() == pytest.approx(1.0)
-        assert k.weights[0] == pytest.approx(0.5)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            LaplaceKernel(1.0, np.array([-0.1, 1.1]))
-
-    def test_callable_protocol(self):
-        k = LaplaceKernel(1.0, np.array([1.0]))
-        np.testing.assert_allclose(k(np.array([[0.0], [1.0]]), np.array([1.0])), [np.exp(-1.0), 1.0])
-
-    def test_batched_call_equals_scalar_form(self):
-        rng = np.random.default_rng(3)
-        k = LaplaceKernel(0.9, np.array([0.2, 1.5, 0.7]))
-        Z, x0 = rng.normal(size=(12, 3)), rng.normal(size=3)
-        rows = [np.exp(-0.9 * (k.weights * np.abs(z - x0)).sum()) for z in Z]
-        np.testing.assert_array_equal(k(Z, x0), rows)
-
-    @pytest.mark.parametrize("Z, x0", [(np.zeros(2), np.zeros(2)), (np.zeros((3, 2)), np.zeros(3))])
-    def test_batched_call_rejects_mismatched_shapes(self, Z, x0):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            LaplaceKernel(1.0, np.array([0.5, 0.5]))(Z, x0)
-
-
-class TestNwEstimate:
-    def _train(self, labels):
-        labels = np.asarray(labels)
-        rng = np.random.default_rng(0)
-        return Dataset(
-            rng.normal(size=(len(labels), 2)),
-            labels,
-            ("a", "b"),
-        )
-
-    def test_all_labels_one(self):
-        train = self._train(np.ones(10, dtype=int))
-        k = LaplaceKernel(1.0, np.array([0.5, 0.5]))
-        assert nw_estimate(k, train, np.zeros(2)) == 1.0
-
-    def test_flat_kernel_gives_global_mean(self):
-        labels = np.array([1, 0, 0, 1, 1, 0, 1, 1])
-        train = self._train(labels)
-        k = LaplaceKernel(0.0, np.array([0.5, 0.5]))
-        assert nw_estimate(k, train, np.zeros(2)) == pytest.approx(labels.mean())
-
-    def test_invariant_to_positive_rescaling(self):
-        labels = np.array([1, 0, 1, 0, 1, 1, 0, 0])
-        train = self._train(labels)
-        base = LaplaceKernel(0.7, np.array([1.0, 2.0]))
-        x0 = np.array([0.1, -0.2])
-        scaled = lambda Z, z: 17.3 * base(Z, z)
-        assert nw_estimate(base, train, x0) == pytest.approx(
-            nw_estimate(scaled, train, x0)
-        )
-
-    def test_zero_mass_rejected(self):
-        train = self._train(np.array([0, 1]))
-        dead = lambda Z, z: np.zeros(len(Z))
-        with pytest.raises(ValueError, match="mass"):
-            nw_estimate(dead, train, np.zeros(2))
-
-
 class TestBandwidthSweep:
     def test_grid_shape_and_monotone_bounds(self):
         grid = default_bandwidth_grid(1e-2, 1.0, 10)
@@ -663,9 +608,45 @@ class TestBandwidthSweep:
         weights = np.array([0.5, 0.5])
         lam = 0.8
         rmse = bandwidth_sweep(train, X_eval, targets, weights, [lam])[0]
-        kernel = LaplaceKernel(lam, weights)
-        preds = np.array([nw_estimate(kernel, train, x) for x in X_eval])
-        assert rmse == pytest.approx(float(np.sqrt(np.mean((preds - targets) ** 2))))
+        preds = []
+        for x in X_eval:
+            k = np.exp(-lam * (weights * np.abs(train.features - x)).sum(axis=1))
+            preds.append(k @ train.labels / k.sum())
+        assert rmse == pytest.approx(float(np.sqrt(np.mean((np.array(preds) - targets) ** 2))))
+
+    # holdout RMSE over default_bandwidth_grid() on a c4-sized circle sample
+    # (500 training rows, seed 9000; 1,000 holdout rows, seed 9100)
+    PINNED = {
+        (1.0, 1.0): [
+            0.3124085650258463, 0.31218418366627193, 0.3118730602002388, 0.3114401567118071,
+            0.3108349150321803, 0.30998316064756176, 0.3087737707458826, 0.3070360602336585,
+            0.3045006446375001, 0.30073182952846766, 0.29501619621874714, 0.2862047201482237,
+            0.27258027410373736, 0.2520356483702615, 0.22312782845064938, 0.18722411059258678,
+            0.15020652911748572, 0.12141475801227436, 0.1100758385427838, 0.11968452025041044,
+            0.1456300783090341, 0.18103048346612988, 0.21989846448468597, 0.2575928662831799,
+            0.2911061485435938, 0.3186712357733672, 0.33988556876156883, 0.35568073758086577,
+            0.3672864004014012, 0.3756416836902143,
+        ],
+        (10.0, 1.0): [
+            0.30940300291806194, 0.3078746078271421, 0.3056181867365802, 0.3022442404217462,
+            0.2971717991705665, 0.2896396075229036, 0.2789552040710252, 0.2651925925558252,
+            0.2500168535476738, 0.23623359356470489, 0.22549505365938458, 0.2168131114221239,
+            0.20780882256812452, 0.1968500264320207, 0.18469515058249644, 0.1756397000707242,
+            0.17654605439967322, 0.192284580401856, 0.2214607776110902, 0.25729793388017824,
+            0.29253496282321717, 0.32261726933706425, 0.346002575834469, 0.3634007655732323,
+            0.376284031222249, 0.3858887521700405, 0.3929752323609338, 0.3980003279871561,
+            0.40142858268696036, 0.40379007941219064,
+        ],
+    }
+
+    @pytest.mark.parametrize("weights", sorted(PINNED))
+    def test_pinned_circle_sweep(self, weights):
+        train = sample(get_model("circle"), 500, seed=9000)
+        hold = sample(get_model("circle"), 1000, seed=9100)
+        got = bandwidth_sweep(
+            train, hold.features, hold.true_probs, np.array(weights), default_bandwidth_grid()
+        )
+        np.testing.assert_array_equal(got, self.PINNED[weights])
 
     def test_degenerate_bandwidth_reports_nan(self):
         train = Dataset(
