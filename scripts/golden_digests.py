@@ -22,7 +22,7 @@ import numpy as np
 
 from forestprox.data_model import Dataset
 from forestprox.forest import PREDICT_MODES, ForestParams, train_forest
-from forestprox.tree import SPLIT_MODES, TreeParams
+from forestprox.tree import SPLIT_MODES, TreeParams, node_depth
 
 DIGEST_PATH = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_digests.json"
 
@@ -74,13 +74,27 @@ def _sha(chunks) -> str:
     return h.hexdigest()
 
 
-def tree_digest(t) -> str:
-    chunks = [str(t.seed).encode(), str(t.n_features).encode()]
+def tree_digest(f, t: int) -> str:
+    """Digest of tree t of forest f: its slice of the node table, with
+    child ids local to the tree (-1 at leaves) and node depths."""
+    nodes = slice(f.roots[t], f.roots[t] + f.n_nodes[t])
+    inner = f.feature[nodes] >= 0
+    left = np.where(inner, f.first_child[nodes] - f.roots[t], -1)
+    arrays = {
+        "feature": f.feature[nodes],
+        "threshold": f.threshold[nodes],
+        "left": left,
+        "right": np.where(inner, left + 1, -1),
+        "node_depth": node_depth(f.feature, f.first_child, f.roots)[nodes],
+        "leaf_n": f.leaf_n[nodes],
+        "leaf_pos": f.leaf_pos[nodes],
+    }
+    chunks = [str(f.seeds[t]).encode(), str(f.p).encode()]
     for name in TREE_ARRAYS:
-        arr = np.asarray(getattr(t, name))
+        arr = arrays[name]
         dtype = "<f8" if arr.dtype.kind == "f" else "<i8"
         chunks += [name.encode(), arr.astype(dtype).tobytes()]
-    chunks += [b"inbag", t.inbag.astype("<i8").tobytes()]
+    chunks += [b"inbag", f.inbag[t].astype("<i8").tobytes()]
     return _sha(chunks)
 
 
@@ -97,7 +111,7 @@ def compute_digests() -> dict:
                         seed=seed,
                     )
                     f = train_forest(d, params)
-                    entry = {"trees": [tree_digest(f.tree(t)) for t in range(f.n_trees)]}
+                    entry = {"trees": [tree_digest(f, t) for t in range(f.n_trees)]}
                     for pm in PREDICT_MODES:
                         entry[pm] = _sha([f.predict_proba_batch(Q, pm).astype("<f8").tobytes()])
                     key = f"seed={seed},mtry={mtry},{mode},bootstrap={int(bootstrap)},{stop}"

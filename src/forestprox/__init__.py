@@ -18,7 +18,7 @@ from .diagnostics import (
     kernel_grid,
     prob_histogram,
 )
-from .forest import Forest, ForestParams, grow_tree, train_forest
+from .forest import Forest, ForestParams, train_forest
 from .kernel_lab import (
     NaiveKernelSpec,
     bandwidth_sweep,
@@ -30,7 +30,7 @@ from .kernel_lab import (
     strong_weak_weights,
 )
 from .synthgen import MODELS, SyntheticModel, ccpf, get_model, sample
-from .tree import Tree, TreeParams
+from .tree import TreeParams
 
 __all__ = [
     "Dataset",
@@ -39,9 +39,7 @@ __all__ = [
     "save_csv",
     "augment_junk",
     "train_test_split",
-    "Tree",
     "TreeParams",
-    "grow_tree",
     "Forest",
     "ForestParams",
     "train_forest",

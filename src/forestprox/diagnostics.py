@@ -39,23 +39,30 @@ class KernelGrid:
     values: np.ndarray
 
 
+def _refuse(bad, what: str, values) -> None:
+    """ValueError naming the first coordinate j where bad[j], and values[j]."""
+    if bad.any():
+        j = int(bad.argmax())
+        raise ValueError(f"{what}, got {values[j]} at coordinate {j}")
+
+
 def derivative_report(kernel, x0, steps) -> DerivativeReport:
     """Both one-sided derivatives for every coordinate.
 
-    `steps` is a scalar or a per-coordinate vector of finite steps > 0.
-    The kernel is called once, on 2p + 1 probe rows: x0, then x0 + h_j e_j
-    for every j, then x0 - h_j e_j.
+    x0 must be finite, and `steps` a scalar or a per-coordinate vector of
+    finite steps > 0 that keep every probe finite. The kernel is called
+    once, on 2p + 1 probe rows: x0, then x0 + h_j e_j for every j, then
+    x0 - h_j e_j.
     """
     x0 = np.asarray(x0, dtype=np.float64)
+    _refuse(~np.isfinite(x0), "center must be finite", x0)
     h = np.broadcast_to(np.asarray(steps, dtype=np.float64), x0.shape).copy()
-    bad = ~(np.isfinite(h) & (h > 0))
-    if bad.any():
-        j = int(bad.argmax())
-        raise ValueError(f"steps must be finite and > 0, got {h[j]} at coordinate {j}")
-    p = x0.size
-    k = np.asarray(kernel(np.vstack([x0, x0 + np.diag(h), x0 - np.diag(h)]), x0))
-    right = (k[1:p + 1] - k[0]) / h
-    left = (k[p + 1:] - k[0]) / h
+    _refuse(~(np.isfinite(h) & (h > 0)), "steps must be finite and > 0", h)
+    with np.errstate(over="ignore"):  # only x0_j +- h_j can overflow
+        Z = np.vstack([x0, x0 + np.diag(h), x0 - np.diag(h)])
+    _refuse(~np.isfinite(Z).all(axis=0), "steps must keep center +- step finite", h)
+    k = np.asarray(kernel(Z, x0))
+    right, left = (k[1:] - k[0]).reshape(2, -1) / h
     return DerivativeReport(center=x0, steps=h, left=left, right=right)
 
 
@@ -64,10 +71,12 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
 
     `dims` picks the two plotted coordinates; the remaining coordinates of
     z stay pinned to x0. `bounds` gives ((lo_i, hi_i), (lo_j, hi_j)).
-    values[a, b] corresponds to (axis_i[a], axis_j[b]). The kernel is
-    called once per axis_i value, on `resolution` rows.
+    values[a, b] corresponds to (axis_i[a], axis_j[b]). x0, the bounds
+    and every axis value must be finite. The kernel is called once per
+    axis_i value, on `resolution` rows.
     """
     x0 = np.asarray(x0, dtype=np.float64)
+    _refuse(~np.isfinite(x0), "center must be finite", x0)
     i, j = int(dims[0]), int(dims[1])
     if i == j:
         raise ValueError("plotted dimensions must differ")
@@ -79,8 +88,11 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
     (lo_i, hi_i), (lo_j, hi_j) = bounds
     if not np.isfinite([lo_i, hi_i, lo_j, hi_j]).all():
         raise ValueError(f"bounds must be finite, got {[lo_i, hi_i, lo_j, hi_j]}")
-    axis_i = np.linspace(lo_i, hi_i, resolution)
-    axis_j = np.linspace(lo_j, hi_j, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis_i = np.linspace(lo_i, hi_i, resolution)
+        axis_j = np.linspace(lo_j, hi_j, resolution)
+    if not np.isfinite([axis_i, axis_j]).all():
+        raise ValueError(f"bounds {[lo_i, hi_i, lo_j, hi_j]} span more than the finite range")
     values = np.empty((resolution, resolution))
     for a, vi in enumerate(axis_i):
         Z = np.tile(x0, (resolution, 1))

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import Dataset
-from .tree import Tree, TreeParams, check_integer, first_child, grow_trees, node_depth, route
+from .tree import TreeParams, check_integer, first_child, grow_trees, node_depth, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
@@ -68,12 +68,12 @@ class Forest:
     the constructor derives from it.
 
     Tree t owns the n_nodes[t] nodes from roots[t] on, numbered
-    breadth-first as in `Tree`; internal node k's children are
-    first_child[k] and first_child[k] + 1, indices into the whole table
-    (-1 at leaves). inbag[t] is tree t's in-bag count vector. However a
-    forest is made, the constructor checks the trees and their inbag and
-    routes the training rows once: leaf_n and leaf_pos count the rows
-    that reach each leaf, and the positive ones, at that multiplicity.
+    breadth-first; internal node k's children are first_child[k] and
+    first_child[k] + 1, indices into the whole table (-1 at leaves).
+    inbag[t] is tree t's in-bag count vector. However a forest is made,
+    the constructor checks the trees and their inbag and routes the
+    training rows once: leaf_n and leaf_pos count the rows that reach
+    each leaf, and the positive ones, at that multiplicity.
     """
 
     train: Dataset
@@ -121,16 +121,6 @@ class Forest:
     @property
     def p(self) -> int:
         return self.train.p
-
-    def tree(self, t: int) -> Tree:
-        """Tree t, its node arrays views into the table."""
-        nodes = slice(self.roots[t], self.roots[t] + self.n_nodes[t])
-        return Tree(
-            **{k: getattr(self, k)[nodes] for k in ("feature", "threshold", "leaf_n", "leaf_pos")},
-            inbag=self.inbag[t],
-            seed=self.seeds[t],
-            n_features=self.p,
-        )
 
     # NaN would route right at every split, since x <= thr is false for it
     def _check_matrix(self, X) -> np.ndarray:
@@ -392,7 +382,3 @@ def train_forest(d: Dataset, params: ForestParams) -> Forest:
     seeds = derive_seeds(params.seed, params.n_trees)
     return Forest(d, params, tuple(seeds), *grow_trees(d, params.tree, seeds))
 
-
-def grow_tree(d: Dataset, params: TreeParams, seed: int) -> Tree:
-    """The tree `seed` grows: tree t of `train_forest` for seeds[t]."""
-    return Forest(d, ForestParams(1, params), (int(seed),), *grow_trees(d, params, [seed])).tree(0)

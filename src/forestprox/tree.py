@@ -1,20 +1,18 @@
-"""Single binary-label decision tree.
+"""Growth, routing and node depths over a node table: binary-label trees
+stored one after another, each numbered breadth-first.
 
-Growth draws `mtry` candidate features per node and either minimizes
-the node's impurity over midpoint thresholds (impurity mode) or draws
-the feature and threshold uniformly at random (completely_random mode).
-The one impurity is gini's, which for 0/1 labels is also the squared
-error about the side means.
-Every draw of a node is a mix of the node's 64-bit key, and a key is a
-mix of its parent's key and its side, so a node's split depends only on
-its path from the root: the tree grown at a larger min_node_size is a cut
-of the smaller one's (`Forest.cut`).
-Growth carries each tree's distinct in-bag rows once, weighted by their
-in-bag counts. `_best_splits` is the one split search; growth scores
-each level's nodes with it once, a chunk of nodes per call.
-Growth returns only the node arrays and how often each training row was
-drawn for each tree; the forest built from them derives every leaf's
-in-bag row and positive counts by routing the training rows.
+`grow_trees` grows a table. Each node draws `mtry` candidate features and
+minimizes gini impurity over midpoint thresholds (for 0/1 labels the
+squared error about the side means has the same minimizer), or, in
+completely_random mode, draws the feature and threshold uniformly.
+Every draw of a node is a mix of its 64-bit key, and a key is a mix of
+its parent's key and its side, so a node's split depends only on its
+path from the root: the tree grown at a larger min_node_size is a cut of
+the smaller one's (`Forest.cut`). Growth carries each tree's distinct
+in-bag rows once, weighted by their in-bag counts, and scores each
+level's nodes once with `_best_splits`, the one split search, a chunk of
+nodes per call. It returns only the node arrays and the in-bag counts;
+the forest routes its training rows (`route`) to count each leaf's rows.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ class TreeParams:
             raise ValueError(f"mtry={self.mtry} exceeds feature count p={p}")
 
 
-def first_child(feature, tree=0) -> np.ndarray:
+def first_child(feature, tree) -> np.ndarray:
     """First child of every internal node, -1 at leaves.
 
     A breadth-first tree's r-th internal node has children 2r + 1 and
@@ -142,75 +140,6 @@ def node_depth(feature, first, roots) -> np.ndarray:
         kids = first[level[feature[level] >= 0]]
         level, d = np.concatenate([kids, kids + 1]), d + 1
     return depth
-
-
-@dataclass
-class Tree:
-    """Flat-array binary tree, numbered breadth-first from the root, node 0.
-
-    Internal nodes have `feature >= 0`; leaves have feature -1, and the
-    r-th internal node's children are nodes 2r + 1 and 2r + 2. inbag[i]
-    is how often training row i was drawn for the tree (all ones without
-    bootstrap). A leaf's leaf_n and leaf_pos, which the forest derives,
-    count the training rows that reach it, and the positive ones, at that
-    multiplicity; both are 0 at internal nodes.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    leaf_n: np.ndarray
-    leaf_pos: np.ndarray
-    inbag: np.ndarray
-    seed: int
-    n_features: int
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-    @property
-    def leaf_count(self) -> int:
-        return int((self.feature < 0).sum())
-
-    @property
-    def left(self) -> np.ndarray:
-        """Child of every internal node that rows with x <= threshold go to;
-        -1 at leaves."""
-        return first_child(self.feature)
-
-    @property
-    def right(self) -> np.ndarray:
-        return np.where(self.feature < 0, -1, self.left + 1)
-
-    @property
-    def node_depth(self) -> np.ndarray:
-        return node_depth(self.feature, self.left, [0])
-
-    @property
-    def depth(self) -> int:
-        return int(self.node_depth.max())
-
-    def to_dict(self) -> dict:
-        """Nested inspection structure; see README for the field contract."""
-        left = self.left
-        children: dict[int, dict] = {}
-        # build bottom-up so no recursion is needed on deep trees
-        for i in range(self.n_nodes - 1, -1, -1):
-            if self.feature[i] < 0:
-                children[i] = {"n": int(self.leaf_n[i]), "positives": int(self.leaf_pos[i])}
-            else:
-                children[i] = {
-                    "feature": int(self.feature[i]),
-                    "threshold": float(self.threshold[i]),
-                    "left": children[int(left[i])],
-                    "right": children[int(left[i]) + 1],
-                }
-        return {
-            "seed": self.seed,
-            "n_features": self.n_features,
-            "inbag": self.inbag.tolist(),
-            "root": children[0],
-        }
 
 
 def _candidates(keys, p: int, k: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from forestprox.bench import (
 from forestprox.cli import main as cli_main
 from forestprox.data_model import Dataset, augment_junk
 from forestprox.diagnostics import derivative_report, prob_histogram
-from forestprox.forest import ForestParams, grow_tree, train_forest
+from forestprox.forest import ForestParams, train_forest
 from forestprox.kernel_lab import (
     NaiveKernelSpec,
     bandwidth_sweep,
@@ -36,7 +36,7 @@ from forestprox.kernel_lab import (
 )
 from forestprox.synthgen import get_model, sample
 from forestprox.tree import TreeParams
-from test_tree import reference_split
+from test_tree import grow_one, reference_split
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -188,8 +188,8 @@ def test_c2_gini_mse_split_equivalence():
         # best split under gini and under mse alike: the one grown split is
         # checked against the reference's own gini and its own mse impurity;
         # a pure root stays a leaf before any split is scored
-        t = grow_tree(d, TreeParams(mtry=p, max_leaves=2, bootstrap=False), i)
-        root = None if t.feature[0] < 0 else (int(t.feature[0]), float(t.threshold[0]))
+        f = grow_one(d, TreeParams(mtry=p, max_leaves=2, bootstrap=False), i)
+        root = None if f.feature[0] < 0 else (int(f.feature[0]), float(f.threshold[0]))
         pure = d.labels.sum() in (0, n)
         for c in ("gini", "mse"):
             ref = None if pure else reference_split(d, np.arange(n), np.arange(p), c)

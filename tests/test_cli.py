@@ -19,6 +19,18 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def run_cli(*args):
+    """The CLI run as its own process, stdout and stderr captured. The child
+    does not inherit pytest's pythonpath, so it is given src explicitly and
+    runs without an install."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "forestprox.cli", *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A simulated dataset plus a trained forest, shared across CLI tests."""
@@ -389,6 +401,29 @@ class TestCenterAndValues:
         assert err == {"type": "ValueError", "message": message}
 
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("deriv", ["--center", "nan,0"], "center must be finite, got nan at coordinate 0"),
+        ("grid", ["--center", "0,inf"], "center must be finite, got inf at coordinate 1"),
+        ("deriv", ["--center", "1.7e308,0", "--h", "1e308"],
+         "steps must keep center +- step finite, got 1e+308 at coordinate 0"),
+        ("grid", ["--center", "0,0", "--bounds=-1e308,1.7e308,-1,1"],
+         "bounds [-1e+308, 1.7e+308, -1.0, 1.0] span more than the finite range"),
+    ])
+    def test_non_finite_center_or_probe_refused(
+        self, workspace, tmp_path, command, args, message
+    ):
+        # run as its own process, so that a numpy warning would reach
+        # stderr beside the error: stderr holds exactly one JSON line
+        _, _, model = workspace
+        out = tmp_path / "o.csv"
+        proc = run_cli(command, "--model", model, *args, "--out", out)
+        assert proc.returncode == 1
+        assert not out.exists()
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == {"type": "ValueError", "message": message}
+
+
 class TestGridCommand:
     def test_long_form_csv(self, workspace, tmp_path):
         _, _, model = workspace
@@ -628,25 +663,9 @@ class TestErrorContract:
         assert not out.exists()
 
     def test_entry_point_subprocess(self, tmp_path):
-        # the child does not inherit pytest's pythonpath, so it is given src
-        # explicitly and runs without an install
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "forestprox.cli", "simulate", "--model", "xor",
-             "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.csv")],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_cli("simulate", "--model", "xor", "--n", "5", "--seed", "1",
+                       "--out", tmp_path / "x.csv")
         assert proc.returncode == 0
-        proc = subprocess.run(
-            [sys.executable, "-m", "forestprox.cli", "train", "--data",
-             str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.json")],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_cli("train", "--data", tmp_path / "missing.csv", "--out", tmp_path / "m.json")
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"]["type"] == "FileNotFoundError"

@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -26,6 +27,18 @@ def laplace(bandwidth, weights):
 
 def const(Z, z):
     return np.ones(len(Z))
+
+
+def never_called(Z, z):
+    raise AssertionError("the kernel was called")
+
+
+def refused_quietly(call, message):
+    """call() raises ValueError matching message, and warns nothing on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def one_sided(kernel, x0, j, sign, h):
@@ -116,6 +129,23 @@ class TestDerivativeReport:
     def test_rejects_steps_not_finite_and_positive(self, steps):
         with pytest.raises(ValueError, match="steps must be finite and > 0"):
             derivative_report(const, np.zeros(2), steps)
+
+    @pytest.mark.parametrize("j, bad", [(0, np.nan), (1, np.inf), (1, -np.inf)])
+    def test_rejects_non_finite_center(self, j, bad):
+        x0 = np.zeros(2)
+        x0[j] = bad
+        refused_quietly(lambda: derivative_report(never_called, x0, 0.1),
+                        rf"center must be finite, got {bad} at coordinate {j}")
+
+    @pytest.mark.parametrize("x0, steps, j", [
+        ([1.7e308, 0.0], 1e308, 0),
+        ([0.0, -1.7e308], 1e308, 1),
+        ([0.0, -1e308], [0.1, 0.8e308], 1),
+    ])
+    def test_rejects_a_step_whose_probe_overflows(self, x0, steps, j):
+        x0 = np.array(x0)
+        refused_quietly(lambda: derivative_report(never_called, x0, steps),
+                        rf"steps must keep center \+- step finite, got .* at coordinate {j}")
 
     def test_center_evaluated_once(self):
         # one kernel call on 2p + 1 rows: x0, then x0 + h_j e_j, then x0 - h_j e_j
@@ -228,6 +258,21 @@ class TestKernelGrid:
         bounds[at] = bad
         with pytest.raises(ValueError, match="bounds must be finite"):
             kernel_grid(const, np.zeros(2), (0, 1), 5, (bounds[:2], bounds[2:]))
+
+    @pytest.mark.parametrize("j, bad", [(0, np.nan), (1, np.inf)])
+    def test_rejects_non_finite_center(self, j, bad):
+        x0 = np.zeros(2)
+        x0[j] = bad
+        refused_quietly(lambda: kernel_grid(never_called, x0, (0, 1), 5, ((-1, 1), (-1, 1))),
+                        rf"center must be finite, got {bad} at coordinate {j}")
+
+    @pytest.mark.parametrize("bounds", [
+        ((-1e308, 1.7e308), (-1, 1)),
+        ((-1, 1), (1.7e308, -1.7e308)),
+    ])
+    def test_rejects_an_axis_that_overflows(self, bounds):
+        refused_quietly(lambda: kernel_grid(never_called, np.zeros(2), (0, 1), 5, bounds),
+                        "span more than the finite range")
 
     PINNED = {
         "laplace": [

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from forestprox import forest as forest_module
 from forestprox import tree as tree_module
 from forestprox.data_model import Dataset
-from forestprox.forest import Forest, ForestParams, derive_seeds, grow_tree, train_forest
+from forestprox.forest import Forest, ForestParams, derive_seeds, train_forest
 from forestprox.synthgen import get_model, sample
 from forestprox.tree import TreeParams, node_depth
+from test_tree import grow_one, same_tree, tree_view
 
 
 def make_data(features, labels, names=None):
@@ -60,7 +61,7 @@ def forest_from_trees(trees, train, n_trees=None):
 
 
 def trees_of(f):
-    return [f.tree(t) for t in range(f.n_trees)]
+    return [tree_view(f, t) for t in range(f.n_trees)]
 
 
 def random_data(rng, n, p):
@@ -96,8 +97,9 @@ class TestTrainForest:
         d = random_data(np.random.default_rng(1), 50, 2)
         small = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=5))
         large = train_forest(d, ForestParams(n_trees=6, tree=TreeParams(mtry=1), seed=5))
+        assert small.seeds == large.seeds[:3]
         for t_small, t_large in zip(trees_of(small), trees_of(large)):
-            assert t_small.to_dict() == t_large.to_dict()
+            assert same_tree(t_small, t_large)
 
 
 @pytest.mark.parametrize(
@@ -137,13 +139,13 @@ def test_forest_trees_are_the_trees_grown_alone(
         split_mode=mode,
         bootstrap=bootstrap,
     ), seed=seed)
-    alone = [grow_tree(d, params.tree, s) for s in derive_seeds(seed, n_trees)]
+    alone = [tree_view(grow_one(d, params.tree, s)) for s in derive_seeds(seed, n_trees)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_module, "_CHUNK_ELEMENTS", chunk_elements)
         mp.setattr(tree_module, "_GROUP_ROWS", group_rows)
         forest = train_forest(d, params)
     for t, ref in enumerate(alone):
-        got = forest.tree(t)
+        got = tree_view(forest, t)
         for name in ("feature", "threshold", "leaf_n", "leaf_pos", "inbag"):
             a, b = getattr(got, name), getattr(ref, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
@@ -534,9 +536,10 @@ class TestStats:
         f = train_forest(d, ForestParams(n_trees=6, tree=TreeParams(mtry=1), seed=2))
         trees = trees_of(f)
         depth = node_depth(f.feature, f.first_child, f.roots)
-        np.testing.assert_array_equal(depth, np.concatenate([t.node_depth for t in trees]))
+        alone = [node_depth(t.feature, t.left, [0]) for t in trees]
+        np.testing.assert_array_equal(depth, np.concatenate(alone))
         np.testing.assert_array_equal(depth, np.concatenate([reference_depth(t) for t in trees]))
-        assert f.stats()["mean_depth"] == np.mean([t.depth for t in trees]) > 1
+        assert f.stats()["mean_depth"] == np.mean([reference_depth(t).max() for t in trees]) > 1
 
     def test_uniform_leaf_sizes_collapse_reg_and_prox(self):
         rng = np.random.default_rng(16)
@@ -615,10 +618,8 @@ class TestSaveLoad:
             g.save(again)
             assert again.read_bytes() == path.read_bytes()
         for a, b in zip(trees_of(f), trees_of(g)):
-            np.testing.assert_array_equal(b.leaf_n, a.leaf_n)
-            np.testing.assert_array_equal(b.leaf_pos, a.leaf_pos)
-            np.testing.assert_array_equal(b.inbag, a.inbag)
-            assert b.to_dict() == a.to_dict()
+            assert same_tree(b, a)
+        assert g.seeds == f.seeds
         X = np.vstack([d.features, rng.uniform(-0.5, 2.0, size=(5, p))])
         for pm in ("class_vote", "reg_mean", "prox"):
             assert f.predict_proba_batch(X, pm).tobytes() == g.predict_proba_batch(X, pm).tobytes()

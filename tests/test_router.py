@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from forestprox.data_model import Dataset
 from forestprox.forest import Forest, ForestParams, train_forest
 from forestprox.tree import TreeParams, route
+from test_tree import tree_view
 
 
 def trees_of(f):
-    return [f.tree(t) for t in range(f.n_trees)]
+    return [tree_view(f, t) for t in range(f.n_trees)]
 
 
 def reference_apply(t, X):
@@ -205,7 +206,7 @@ class TestLeaves:
         rng = np.random.default_rng(3)
         d = Dataset(rng.normal(size=(60, 2)), rng.integers(0, 2, 60), ("a", "b"))
         f = train_forest(d, ForestParams(n_trees=1, tree=TreeParams(mtry=1), seed=4))
-        t = f.tree(0)
+        t = tree_view(f)
         X = rng.normal(size=(30, 2))
         X[::2, 0] = X[::3, 1] = np.nan
         leaves = route(t.feature, t.threshold, t.left, [0], X)[0]

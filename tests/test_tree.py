@@ -1,7 +1,7 @@
 import dataclasses
 import hashlib
-import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from forestprox import tree as tree_module
 from forestprox.data_model import Dataset
 from forestprox.synthgen import get_model, sample
-from forestprox.forest import Forest, ForestParams, derive_seeds, grow_tree, train_forest
+from forestprox.forest import Forest, ForestParams, derive_seeds, train_forest
 from forestprox.tree import TreeParams, grow_trees, route
 
 
@@ -31,8 +31,39 @@ def random_data(rng, n, p):
     )
 
 
+def grow_one(d, params, seed):
+    """The one-tree forest `seed` grows: tree t of `train_forest` for
+    seeds[t]. Its root is node 0, so its table ids are the tree's own."""
+    return Forest(d, ForestParams(1, params), (seed,), *grow_trees(d, params, [seed]))
+
+
+def tree_view(f, t=0):
+    """Tree t of forest f on its own: its slice of the node table, with ids
+    local to the tree and children from the breadth-first numbering (the
+    r-th internal node's are 2r + 1 and 2r + 2), not from `first_child`."""
+    nodes = slice(f.roots[t], f.roots[t] + f.n_nodes[t])
+    feature = f.feature[nodes]
+    inner = feature >= 0
+    left = np.full(feature.size, -1)
+    left[inner] = 2 * np.arange(inner.sum()) + 1
+    return SimpleNamespace(
+        feature=feature, threshold=f.threshold[nodes], leaf_n=f.leaf_n[nodes],
+        leaf_pos=f.leaf_pos[nodes], inbag=f.inbag[t], n_nodes=int(f.n_nodes[t]),
+        n_features=f.p, left=left, right=np.where(inner, left + 1, -1),
+    )
+
+
+def same_tree(a, b):
+    """Tree views a and b hold equal node arrays (NaN thresholds at the
+    same leaves) and equal in-bag counts."""
+    return all(
+        np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
+        for k in ("feature", "threshold", "leaf_n", "leaf_pos", "inbag")
+    )
+
+
 def leaves_of(t, X):
-    """Leaf every row of X reaches in tree t."""
+    """Leaf every row of X reaches in tree view t."""
     return route(t.feature, t.threshold, t.left, [0], np.asarray(X, dtype=np.float64))[0]
 
 
@@ -132,9 +163,8 @@ def root_split(d, rows=None):
     (all by default) over every feature, or None when it stays a leaf."""
     if rows is not None:
         d = Dataset(d.features[rows], d.labels[rows], d.feature_names)
-    params = TreeParams(mtry=d.p, max_leaves=2, bootstrap=False)
-    t = grow_tree(d, params, seed=0)
-    return None if t.feature[0] < 0 else (int(t.feature[0]), float(t.threshold[0]))
+    f = grow_one(d, TreeParams(mtry=d.p, max_leaves=2, bootstrap=False), 0)
+    return None if f.feature[0] < 0 else (int(f.feature[0]), float(f.threshold[0]))
 
 
 def assert_root_is_gini_and_mse_best(d, rows=None):
@@ -154,9 +184,9 @@ class TestBestSplit:
 
     def test_two_point_perfect_split(self):
         d = make_data([0.0, 1.0], [0, 1])
-        t = grow_tree(d, TreeParams(mtry=1, max_leaves=2, bootstrap=False), seed=0)
-        assert (t.feature[0], t.threshold[0]) == (0, pytest.approx(0.5))
-        np.testing.assert_array_equal(t.leaf_pos[1:], [0, 1])  # both sides pure
+        f = grow_one(d, TreeParams(mtry=1, max_leaves=2, bootstrap=False), 0)
+        assert (f.feature[0], f.threshold[0]) == (0, pytest.approx(0.5))
+        np.testing.assert_array_equal(f.leaf_pos[1:], [0, 1])  # both sides pure
 
     def test_pure_node_returns_none(self):
         d = make_data([0.0, 1.0, 2.0], [1, 1, 1])
@@ -175,9 +205,9 @@ class TestBestSplit:
         hi = np.nextafter(lo, 2.0)
         assert lo + (hi - lo) / 2.0 == hi  # the midpoint rounds onto hi
         d = make_data([lo, hi, hi], [0, 1, 1])
-        t = grow_tree(d, TreeParams(mtry=1, bootstrap=False), seed=0)
-        assert t.threshold[0] == lo and t.leaf_count == 2
-        assert (t.leaf_n[1], t.leaf_n[2]) == (1, 2)
+        f = grow_one(d, TreeParams(mtry=1, bootstrap=False), 0)
+        assert f.threshold[0] == lo and (f.feature < 0).sum() == 2
+        assert (f.leaf_n[1], f.leaf_n[2]) == (1, 2)
 
     def test_tie_breaks_to_lowest_feature(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
@@ -192,7 +222,7 @@ class TestBestSplit:
     def test_sides_nonempty_and_partition(self):
         rng = np.random.default_rng(0)
         d = random_data(rng, 25, 3)
-        t = grow_tree(d, TreeParams(mtry=3, max_leaves=2, bootstrap=False), seed=0)
+        t = tree_view(grow_one(d, TreeParams(mtry=3, max_leaves=2, bootstrap=False), 0))
         j, thr = t.feature[0], t.threshold[0]
         leaves = leaves_of(t, d.features)
         assert 0 < t.leaf_n[1] < 25 and t.leaf_n[1] + t.leaf_n[2] == 25
@@ -213,7 +243,7 @@ class TestBestSplit:
         rng = np.random.default_rng(23)
         for trial in range(12):
             d = random_data(rng, int(rng.integers(20, 80)), 3)
-            t = grow_tree(d, TreeParams(mtry=2, bootstrap=False), seed=trial)
+            t = tree_view(grow_one(d, TreeParams(mtry=2, bootstrap=False), trial))
             stack = [(0, np.arange(d.n))]
             while stack:
                 node, rows = stack.pop()
@@ -241,52 +271,48 @@ class TestBestSplit:
 class TestGrowTree:
     def test_single_row_gives_single_leaf(self):
         d = make_data([[3.0, 1.0]], [1])
-        t = grow_tree(d, TreeParams(mtry=2, bootstrap=False), seed=0)
-        assert t.leaf_count == 1
-        assert t.leaf_n[0] == 1
-        assert t.depth == 0
+        f = grow_one(d, TreeParams(mtry=2, bootstrap=False), 0)
+        assert (f.feature < 0).sum() == 1
+        assert f.leaf_n[0] == 1
+        assert f.stats()["mean_depth"] == 0
 
     def test_deterministic(self):
         d = random_data(np.random.default_rng(1), 60, 4)
-        a = grow_tree(d, TreeParams(mtry=2), seed=11)
-        b = grow_tree(d, TreeParams(mtry=2), seed=11)
-        assert a.to_dict() == b.to_dict()
+        a = grow_one(d, TreeParams(mtry=2), 11)
+        b = grow_one(d, TreeParams(mtry=2), 11)
+        assert same_tree(tree_view(a), tree_view(b))
 
     def test_different_seeds_differ(self):
         d = random_data(np.random.default_rng(1), 60, 4)
-        a = grow_tree(d, TreeParams(mtry=2), seed=11)
-        b = grow_tree(d, TreeParams(mtry=2), seed=12)
-        assert a.to_dict() != b.to_dict()
+        a = grow_one(d, TreeParams(mtry=2), 11)
+        b = grow_one(d, TreeParams(mtry=2), 12)
+        assert not same_tree(tree_view(a), tree_view(b))
 
     def test_stump_on_halfspace_model(self):
         d = sample(get_model("motivating50"), 1000, seed=3)
-        t = grow_tree(
-            d, TreeParams(mtry=50, min_node_size=400, bootstrap=False), seed=0
-        )
-        assert t.feature[0] == 0
-        assert abs(t.threshold[0]) < 0.15
-        fracs = sorted(
-            t.leaf_pos[i] / t.leaf_n[i] for i in range(t.n_nodes) if t.feature[i] < 0
-        )
+        f = grow_one(d, TreeParams(mtry=50, min_node_size=400, bootstrap=False), 0)
+        assert f.feature[0] == 0
+        assert abs(f.threshold[0]) < 0.15
+        fracs = sorted(f.leaf_pos[i] / f.leaf_n[i] for i in np.flatnonzero(f.feature < 0))
         assert fracs[0] == pytest.approx(0.3, abs=0.06)
         assert fracs[1] == pytest.approx(0.7, abs=0.06)
 
     def test_max_leaves_budget(self):
         d = random_data(np.random.default_rng(2), 200, 3)
         for budget in (1, 2, 5, 16):
-            t = grow_tree(d, TreeParams(mtry=3, max_leaves=budget), seed=5)
-            assert t.leaf_count <= budget
+            f = grow_one(d, TreeParams(mtry=3, max_leaves=budget), 5)
+            assert (f.feature < 0).sum() <= budget
 
     def test_max_leaves_two_gives_stump(self):
         d = random_data(np.random.default_rng(2), 100, 3)
-        t = grow_tree(d, TreeParams(mtry=3, max_leaves=2, bootstrap=False), seed=5)
-        assert t.leaf_count == 2
-        assert t.depth == 1
+        f = grow_one(d, TreeParams(mtry=3, max_leaves=2, bootstrap=False), 5)
+        assert (f.feature < 0).sum() == 2
+        assert f.stats()["mean_depth"] == 1
 
     def test_every_training_row_reaches_exactly_one_leaf(self):
         rng = np.random.default_rng(3)
         d = random_data(rng, 120, 3)
-        t = grow_tree(d, TreeParams(mtry=2, bootstrap=False), seed=9)
+        t = tree_view(grow_one(d, TreeParams(mtry=2, bootstrap=False), 9))
         np.testing.assert_array_equal(t.inbag, np.ones(120))
         leaves = leaves_of(t, d.features)
         assert (t.feature[leaves] < 0).all()
@@ -295,7 +321,7 @@ class TestGrowTree:
     def test_bootstrap_rows_multiset(self):
         rng = np.random.default_rng(4)
         d = random_data(rng, 50, 2)
-        t = grow_tree(d, TreeParams(mtry=2, bootstrap=True), seed=9)
+        t = tree_view(grow_one(d, TreeParams(mtry=2, bootstrap=True), 9))
         assert t.inbag.sum() == 50  # bootstrap keeps the sample size
         assert (t.inbag == 0).any()
         assert t.leaf_n.sum() - t.leaf_n[t.feature >= 0].sum() == 50
@@ -308,7 +334,7 @@ class TestGrowTree:
         rng = np.random.default_rng(5)
         d = random_data(rng, 200, 3)
         for mode in ("impurity", "completely_random"):
-            t = grow_tree(d, TreeParams(mtry=2, split_mode=mode, bootstrap=False), seed=1)
+            t = tree_view(grow_one(d, TreeParams(mtry=2, split_mode=mode, bootstrap=False), 1))
             queries = rng.uniform(-4, 4, size=(10_000, 3))
             located = leaves_of(t, queries)
             boxes = leaf_boxes(t)
@@ -325,7 +351,7 @@ class TestGrowTree:
         rng = np.random.default_rng(6)
         d = random_data(rng, 150, 3)
         for mode in ("impurity", "completely_random"):
-            t = grow_tree(d, TreeParams(mtry=3, split_mode=mode, bootstrap=False), seed=2)
+            t = tree_view(grow_one(d, TreeParams(mtry=3, split_mode=mode, bootstrap=False), 2))
             # every internal threshold separates values on both sides
             stack = [(0, np.arange(150))]
             while stack:
@@ -343,20 +369,18 @@ class TestGrowTree:
     def test_min_node_size_stops_splitting(self):
         rng = np.random.default_rng(7)
         d = random_data(rng, 64, 2)
-        t = grow_tree(d, TreeParams(mtry=2, min_node_size=16, bootstrap=False), seed=0)
+        f = grow_one(d, TreeParams(mtry=2, min_node_size=16, bootstrap=False), 0)
         # an impure node with >= 2 * min_node_size rows would have split
-        for i in np.flatnonzero(t.feature < 0):
-            if 0 < t.leaf_pos[i] < t.leaf_n[i]:
-                assert t.leaf_n[i] < 32
+        for i in np.flatnonzero(f.feature < 0):
+            if 0 < f.leaf_pos[i] < f.leaf_n[i]:
+                assert f.leaf_n[i] < 32
 
     def test_completely_random_ignores_mtry_and_uses_range(self):
         rng = np.random.default_rng(8)
         d = random_data(rng, 100, 4)
-        t = grow_tree(
-            d, TreeParams(mtry=1, split_mode="completely_random", bootstrap=False), seed=3
-        )
-        assert t.leaf_count > 2
-        used = set(int(f) for f in t.feature if f >= 0)
+        f = grow_one(d, TreeParams(mtry=1, split_mode="completely_random", bootstrap=False), 3)
+        assert (f.feature < 0).sum() > 2
+        used = set(int(j) for j in f.feature if j >= 0)
         assert len(used) > 1  # uniform choice touches several features
 
     def test_leaf_count_decreases_with_mtry_on_average(self):
@@ -364,7 +388,7 @@ class TestGrowTree:
         means = {}
         for mtry in (1, 50):
             counts = [
-                grow_tree(d, TreeParams(mtry=mtry, min_node_size=1), seed=s).leaf_count
+                (grow_one(d, TreeParams(mtry=mtry, min_node_size=1), s).feature < 0).sum()
                 for s in range(8)
             ]
             means[mtry] = np.mean(counts)
@@ -372,30 +396,30 @@ class TestGrowTree:
 
 
 def leaf_fraction(t, x):
-    """Positive fraction of the leaf x reaches in tree t."""
+    """Positive fraction of the leaf x reaches in tree view t."""
     leaf = leaves_of(t, [x])[0]
     return t.leaf_pos[leaf] / t.leaf_n[leaf]
 
 
-def hand_built_stump(inbag, seed=0):
+def hand_built_stump(inbag):
     """Tree 0 of a forest of one stump, x <= 0.5, on five rows: rows 0 and 1
     on the left, rows 2 to 4 on the right, labels 1, 0, 1, 0, 1."""
     d = make_data([0.2, 0.4, 0.6, 0.7, 0.9], [1, 0, 1, 0, 1])
-    f = Forest(d, ForestParams(1, TreeParams(mtry=1)), (seed,), np.array([3]),
+    f = Forest(d, ForestParams(1, TreeParams(mtry=1)), (0,), np.array([3]),
                np.array([0, -1, -1]), np.array([0.5, np.nan, np.nan]), np.array([inbag]))
-    return f.tree(0)
+    return tree_view(f)
 
 
 class TestTreeProb:
     def test_single_leaf_fraction(self):
         d = make_data([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])
-        t = grow_tree(d, TreeParams(mtry=1, max_leaves=1, bootstrap=False), seed=0)
+        t = tree_view(grow_one(d, TreeParams(mtry=1, max_leaves=1, bootstrap=False), 0))
         assert leaf_fraction(t, np.array([2.5])) == pytest.approx(0.75)
 
     def test_training_rows_in_purity_tree_recover_labels(self):
         rng = np.random.default_rng(9)
         d = random_data(rng, 80, 3)
-        t = grow_tree(d, TreeParams(mtry=3, min_node_size=1, bootstrap=False), seed=4)
+        t = tree_view(grow_one(d, TreeParams(mtry=3, min_node_size=1, bootstrap=False), 4))
         for i in range(d.n):
             assert leaf_fraction(t, d.features[i]) == float(d.labels[i])
 
@@ -403,7 +427,7 @@ class TestTreeProb:
         t = hand_built_stump([1, 1, 2, 0, 1])
         assert leaf_fraction(t, np.array([0.2])) == pytest.approx(0.5)
         assert leaf_fraction(t, np.array([0.9])) == pytest.approx(1.0)
-        assert t.leaf_count == 2
+        assert (t.feature < 0).sum() == 2
 
     def test_dimension_mismatch(self):
         # a tree is read through its forest's router, which checks the width
@@ -411,26 +435,6 @@ class TestTreeProb:
         f = train_forest(d, ForestParams(1, TreeParams(mtry=1, bootstrap=False)))
         with pytest.raises(ValueError, match="expected"):
             f.leaves(np.array([[1.0, 2.0]]))
-
-
-class TestSerialization:
-    def test_to_dict_field_contract(self):
-        # README's nested view: {seed, n_features, inbag, root}, internal
-        # nodes {feature, threshold, left, right}, leaves {n, positives},
-        # all plain JSON values
-        view = hand_built_stump([2, 0, 1, 1, 1], seed=7).to_dict()
-        assert view == {
-            "seed": 7,
-            "n_features": 1,
-            "inbag": [2, 0, 1, 1, 1],
-            "root": {
-                "feature": 0,
-                "threshold": 0.5,
-                "left": {"n": 2, "positives": 2},
-                "right": {"n": 3, "positives": 2},
-            },
-        }
-        assert json.loads(json.dumps(view)) == view
 
 
 @settings(max_examples=25, deadline=None)
@@ -446,12 +450,12 @@ def test_grown_tree_invariants(n, p, seed):
         rng.integers(0, 2, n),
         tuple(f"f{j}" for j in range(p)),
     )
-    t = grow_tree(d, TreeParams(mtry=min(2, p), bootstrap=False), seed=seed)
-    leaves = np.flatnonzero(t.feature < 0)
-    assert (t.leaf_n[leaves] >= 1).all()
-    assert (t.leaf_pos[leaves] <= t.leaf_n[leaves]).all()
-    assert t.leaf_n[leaves].sum() == n
-    assert t.leaf_count == len(leaves)
+    f = grow_one(d, TreeParams(mtry=min(2, p), bootstrap=False), seed)
+    leaves = np.flatnonzero(f.feature < 0)
+    assert (f.leaf_n[leaves] >= 1).all()
+    assert (f.leaf_pos[leaves] <= f.leaf_n[leaves]).all()
+    assert f.leaf_n[leaves].sum() == n
+    assert f.stats()["mean_leaf_count"] == len(leaves)
 
 
 def reference_split(d, rows, cand, criterion):
@@ -579,7 +583,7 @@ def test_level_growth_matches_node_at_a_time_reference(
 
 
 def assert_matches_reference(d, params, seed):
-    t = grow_tree(d, params, seed)
+    t = tree_view(grow_one(d, params, seed))
     ref, drawn = reference_grow(d, params, seed)
     assert t.n_nodes == len(ref)
     np.testing.assert_array_equal(t.inbag, np.bincount(drawn, minlength=d.n))
