@@ -304,8 +304,21 @@ def _cmd_deriv(args) -> int:
     if args.h is not None:
         steps = np.full(forest.p, args.h)
     else:
-        sd = forest.train.features.std(axis=0)
-        steps = np.where(sd > 0, args.h_sd * sd, 1e-6)
+        X = forest.train.features
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = X.std(axis=0)
+            # values beyond about 1e154 overflow the squares: take those
+            # columns' SD in units of their largest magnitude
+            big = ~np.isfinite(sd)
+            scale = np.abs(X[:, big]).max(axis=0)
+            sd[big] = scale * (X[:, big] / scale).std(axis=0)
+            steps = np.where(sd > 0, args.h_sd * sd, 1e-6)
+        if np.isfinite(args.h_sd) and not np.isfinite(steps).all():
+            j = int(np.argmin(np.isfinite(steps)))
+            raise ValueError(
+                f"--h-sd {args.h_sd} times the training SD {float(sd[j])!r} of column "
+                f"{forest.train.feature_names[j]!r} overflows; give a smaller --h-sd or --h"
+            )
     report = derivative_report(forest.proximity_many, center, steps)
     cols = np.column_stack([report.left, report.right, report.steps]).tolist()
     _write_csv(

@@ -83,7 +83,8 @@ class Dataset:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """Per-column ranks of the training rows, shape (p, n), computed once.
+        """Per-column ranks of the training rows, int32 of shape (p, n),
+        computed once.
 
         ranks[j, i] is the position of row i's value in column j sorted
         ascending, taken at that value's first occurrence. Equal values
@@ -91,7 +92,7 @@ class Dataset:
         `sorted_features[ranks[j, i], j]` is the value.
         """
         order = np.argsort(self.features, axis=0, kind="stable")
-        first = np.zeros(order.shape, dtype=np.int64)
+        first = np.zeros(order.shape, dtype=np.int32)
         first[1:] = self.sorted_features[1:] != self.sorted_features[:-1]
         first *= np.arange(self.n)[:, None]
         ranks = np.empty_like(first)
@@ -150,16 +151,21 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_columns(path, header: list[str], rows: list[list[str]], cols: list[int]) -> np.ndarray:
-    """The given columns of every row, parsed by float()."""
-    out = np.empty((len(rows), len(cols)))
-    for i, row in enumerate(rows):
-        for k, j in enumerate(cols):
-            try:
-                out[i, k] = float(row[j])
-            except ValueError:
-                cell = f"row {i}, column {header[j]!r}"
-                raise DataError(f"{path}: non-numeric cell at {cell}") from None
-    return out
+    """The given columns of every row, parsed by float(); only a failed
+    parse scans the cells again, to name the first bad one."""
+    cells = (row[j] for row in rows for j in cols)
+    try:
+        out = np.fromiter(map(float, cells), np.float64, count=len(rows) * len(cols))
+    except ValueError:
+        for i, row in enumerate(rows):
+            for j in cols:
+                try:
+                    float(row[j])
+                except ValueError:
+                    cell = f"row {i}, column {header[j]!r}"
+                    raise DataError(f"{path}: non-numeric cell at {cell}") from None
+        raise
+    return out.reshape(len(rows), len(cols))
 
 
 def _column(header: list[str], column: str | int | None) -> int | None:

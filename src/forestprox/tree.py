@@ -31,12 +31,12 @@ SPLIT_MODES = ("impurity", "completely_random")
 _TIE_EPS = 1e-12
 # A chunk of a level's nodes is those whose first (candidate or feature,
 # distinct row) element falls in one window of this many, so temporaries stay
-# in a 2 MiB L2 cache. Growing 50 trees at mtry 30 and n = 1000, 2^13, 2^15 and
-# 2^16 took 19, 34 and 51 % longer than 2^14 with bootstrap, and 18, -1 and
-# 57 % longer without (medians of 12 and 8 interleaved runs).
+# in a 2 MiB L2 cache. Growing 50 trees at mtry 30 and n = 1000 with int32 keys,
+# 2^13, 2^15 and 2^16 took 28, 17 and 47 % longer than 2^14 with bootstrap, and
+# 15, -4 and 39 % longer without (medians of 12 interleaved runs).
 _CHUNK_ELEMENTS = 1 << 14
 # Trees grow in groups of about this many rows, so growth's memory does not scale
-# with the forest: 256 trees of 1000 rows peak 3.9 MiB above their result, not 10.8.
+# with the forest: 256 trees of 1000 rows peak 2.8 MiB above their result, not 11.9.
 _GROUP_ROWS = 1 << 15
 
 # Counter-based draws (Salmon et al., SC 2011): the draw `tag` of a node is
@@ -191,7 +191,8 @@ def _best_splits(d, rows, weight, starts, lens, sizes, pos, cand):
     labels, so every boundary is scored by s = pos_l^2 / n_l +
     pos_r^2 / n_r and the best split has the largest s. Each candidate's rows of all the nodes are
     sorted at once, by a key that packs node, rank and 2 * weight + label
-    into one int64, and one cumulative sum gives the weighted size and
+    into one integer, int32 when the call's keys and sums fit in it and
+    int64 otherwise, and one cumulative sum gives the weighted size and
     positives left of every boundary. Returns (feature, threshold)
     arrays; feature is -1 for a node where no candidate has two distinct
     values.
@@ -205,30 +206,36 @@ def _best_splits(d, rows, weight, starts, lens, sizes, pos, cand):
     # keeps the nodes in place and orders each by value; the order within
     # a run of equal values does not matter, as no boundary inside a run
     # is scored and the sums at its ends do not depend on it. The low bits
-    # are as many as the batch's largest count needs. A batch has at most
-    # 2^13 + 1 nodes (each scored node holds two distinct rows or more),
-    # so keys fit in int64 for n below 2^24 whatever the counts.
+    # are as many as the batch's largest count needs.
     bits = int(2 * wb.max() + 1).bit_length()
-    key = np.repeat(cand.T * n, lens, axis=1)
-    key += rb
-    key = d.ranks.ravel()[key] << bits
-    key += np.repeat(np.arange(n_nodes) * n << bits, lens) + 2 * wb + d.labels[rb]
-    key.sort(axis=1)
-    low = key & ((1 << bits) - 1)
-    key >>= bits  # node * n + rank
-
     # weighted count and positives left of the boundary after each element,
     # packed as count + (positives << shift) so that one cumulative sum
     # carries both; each node's first element also takes off the totals of
-    # the node before it, so the sums restart at every node
+    # the node before it, so the sums restart at every node. Packed sums
+    # and those negative entries lie strictly within +-2^(2 * shift).
     shift = int(sizes.max()).bit_length()
+    # Keys lie below (n_nodes * n) << bits. When they and the packed sums
+    # fit in int32, as at n = 1000 with bootstrap counts, all the integer
+    # work below is int32, which halves the bytes that every pass and the
+    # sort move; otherwise it is int64. Both give the same numbers.
+    small = (n_nodes * n) << bits <= 2**31 and 2 * shift <= 31
+    dt = np.int32 if small else np.int64
+    key = np.repeat(cand.T * n, lens, axis=1)
+    key += rb
+    key = d.ranks.ravel()[key].astype(dt, copy=False)
+    key <<= bits
+    key += (np.repeat(np.arange(n_nodes) * n << bits, lens) + 2 * wb + d.labels[rb]).astype(dt)
+    key.sort(axis=1)
+    low = np.bitwise_and(key, (1 << bits) - 1, dtype=np.intp)
+    key >>= bits  # node * n + rank
+
     v = np.arange(1 << bits)  # every low-bits value, 2 * count + label
-    cs = ((v >> 1) + ((v >> 1) * (v & 1) << shift))[low]
+    cs = ((v >> 1) + ((v >> 1) * (v & 1) << shift)).astype(dt)[low]
     cs[:, offset[1:]] -= sizes[:-1] + (pos[:-1] << shift)
-    np.cumsum(cs, axis=1, out=cs)
-    nl = (cs & ((1 << shift) - 1)).astype(np.float64)
-    cs >>= shift
-    pos_l = cs.astype(np.float64)
+    np.cumsum(cs, axis=1, dtype=dt, out=cs)
+    pos_l = (cs >> shift).astype(np.float64)
+    cs &= (1 << shift) - 1
+    nl = cs.astype(np.float64)
     nr = np.repeat(sizes.astype(np.float64), lens) - nl
     pos_r = np.repeat(pos.astype(np.float64), lens) - pos_l
     with np.errstate(divide="ignore", invalid="ignore"):  # nr = 0 at node ends

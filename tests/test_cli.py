@@ -337,6 +337,45 @@ class TestDerivCommand:
         _, rows = read_csv(out)
         assert all(float(r[4]) == 0.25 for r in rows)
 
+    def test_default_steps_are_h_sd_times_training_sd(self, workspace, tmp_path):
+        _, data, model = workspace
+        out = tmp_path / "deriv.csv"
+        assert main(["deriv", "--model", str(model), "--h-sd", "0.3", "--out", str(out)]) == 0
+        _, rows = read_csv(data)
+        sd = np.array([[float(r[0]), float(r[1])] for r in rows]).std(axis=0)
+        assert [r[4] for r in read_csv(out)[1]] == [repr(float(0.3 * s)) for s in sd]
+
+    @pytest.mark.parametrize("big", ["1e200", "1e300"])
+    def test_default_steps_of_a_huge_column(self, tmp_path, big):
+        # the squares of such values overflow: the step is still 0.2 SD,
+        # and stderr stays empty
+        data, model, out = tmp_path / "big.csv", tmp_path / "big.json", tmp_path / "d.csv"
+        signs = [1, -1, 1, -1, 1]
+        data.write_text("a,b,y\n" + "".join(
+            f"{'' if s > 0 else '-'}{big},{i + 0.5},{i % 2}\n" for i, s in enumerate(signs)
+        ), encoding="utf-8")
+        assert main(["train", "--data", str(data), "--label-column", "y", "--trees", "3",
+                     "--out", str(model)]) == 0
+        proc = run_cli("deriv", "--model", model, "--out", out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        steps = [float(r[4]) for r in read_csv(out)[1]]
+        assert steps[0] == pytest.approx(0.2 * float(big) * np.std(signs), rel=1e-15)
+        assert steps[1] == 0.2 * np.std(np.arange(5) + 0.5)
+
+    def test_h_sd_overflowing_the_step_is_named(self, tmp_path):
+        data, model, out = tmp_path / "big.csv", tmp_path / "big.json", tmp_path / "d.csv"
+        data.write_text("a,b,y\n1e200,0.5,0\n-1e200,1.5,1\n1e200,2.5,0\n", encoding="utf-8")
+        assert main(["train", "--data", str(data), "--label-column", "y", "--trees", "3",
+                     "--out", str(model)]) == 0
+        proc = run_cli("deriv", "--model", model, "--h-sd", "1e200", "--out", out)
+        assert proc.returncode == 1
+        assert not out.exists()
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        message = json.loads(lines[0])["error"]["message"]
+        assert message.startswith("--h-sd 1e+200 times the training SD ")
+        assert "of column 'a' overflows" in message
+
     def test_center_of_wrong_length(self, workspace, tmp_path, capsys):
         _, _, model = workspace
         out = tmp_path / "deriv.csv"

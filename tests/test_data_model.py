@@ -72,6 +72,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 1, column 'b'"):
             load_csv(path, "y")
 
+    def test_first_non_numeric_cell_mid_file_is_named(self, tmp_path):
+        # the whole table parses at once; the message still names the first
+        # bad cell in row order, not a later one or the row count
+        lines = [f"{i}.5,{-i},{i % 2}" for i in range(40)]
+        lines[23] = "23.5,1e5x,1"
+        lines[30] = "oops,-30,0"
+        path = write(tmp_path, "a,b,y\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"non-numeric cell at row 23, column 'b'$"):
+            load_csv(path, "y")
+        with pytest.raises(DataError, match=r"non-numeric cell at row 23, column 'b'$"):
+            load_points(path, ("a", "b"))
+        lines[23] = "23.5,-23,1"
+        with pytest.raises(DataError, match=r"non-numeric cell at row 30, column 'a'$"):
+            load_csv(write(tmp_path, "a,b,y\n" + "\n".join(lines) + "\n"), "y")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", "y")

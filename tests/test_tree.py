@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forestprox import tree as tree_module
@@ -624,13 +624,16 @@ def test_growth_matches_reference_at_large_in_bag_counts(n, seed, top):
     n=st.integers(min_value=2, max_value=12),
     p=st.integers(min_value=1, max_value=3),
     ties=st.booleans(),
-    wide=st.sampled_from([1, 2**10 - 1, 2**10, 2**12]),
+    wide=st.sampled_from([1, 2**10 - 1, 2**10, 2**12, 2**16]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(n=5, p=2, ties=True, wide=2**16, seed=0)
 def test_best_split_of_weighted_rows_matches_repeated_rows(n, p, ties, wide, seed):
-    # counts far beyond a bootstrap's, in low-bit fields of up to 14 bits
-    # (2 * 4096 + 1 needs 14): scoring rows once with their counts finds the
-    # split that scoring every copy does
+    # counts far beyond a bootstrap's, in low-bit fields of up to 18 bits
+    # (2 * 2^16 + 1 needs 18): scoring rows once with their counts finds the
+    # split that scoring every copy does. A node of weighted size 2^16 or
+    # more needs shift >= 17, so its packed sums take more than 31 bits and
+    # the scorer works in int64; smaller counts keep it in int32
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 3, size=(n, p)).astype(float) if ties else rng.normal(size=(n, p))
     d = Dataset(X, rng.integers(0, 2, n), tuple(f"f{j}" for j in range(p)))
@@ -644,6 +647,38 @@ def test_best_split_of_weighted_rows_matches_repeated_rows(n, p, ties, wide, see
         assert f[0] == -1
     else:
         assert (int(f[0]), float(thr[0])) == ref
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_best_splits_with_int64_keys_match_each_node_alone(ties):
+    # 200 nodes of 4 rows out of 800, one row of weight 4096 among them:
+    # the 14 low bits put the batch's keys past 2^31, so the batch sorts
+    # int64 keys, while each node alone sorts int32 keys; the packed sums
+    # fit in int32 either way
+    rng = np.random.default_rng(11)
+    n, p, n_nodes = 800, 3, 200
+    X = rng.integers(0, 4, size=(n, p)).astype(float) if ties else rng.normal(size=(n, p))
+    d = Dataset(X, rng.integers(0, 2, n), ("f0", "f1", "f2"))
+    rows = rng.permutation(n)
+    weight = rng.integers(1, 6, n)
+    weight[rng.integers(0, n)] = 4096
+    bits = int(2 * weight.max() + 1).bit_length()
+    assert (n_nodes * n) << bits > 2**31 > n << bits
+    starts, lens = np.arange(0, n, 4), np.full(n_nodes, 4)
+    sizes = np.add.reduceat(weight, starts)
+    pos = np.add.reduceat(weight * d.labels[rows], starts)
+    cand = np.tile(np.arange(p), (n_nodes, 1))
+    f, thr = tree_module._best_splits(d, rows, weight, starts, lens, sizes, pos, cand)
+    for i in range(n_nodes):
+        one = slice(i, i + 1)
+        alone = tree_module._best_splits(d, rows, weight, starts[one], lens[one], sizes[one],
+                                         pos[one], cand[one])
+        at = slice(starts[i], starts[i] + 4)
+        ref = reference_split(d, np.repeat(rows[at], weight[at]), np.arange(p), "gini")
+        if ref is None:
+            assert f[i] == alone[0][0] == -1
+        else:
+            assert (int(f[i]), float(thr[i])) == (int(alone[0][0]), float(alone[1][0])) == ref
 
 
 def test_budget_left_by_a_node_without_split_goes_to_the_next():
@@ -677,7 +712,7 @@ def test_growth_memory_does_not_scale_with_forest_size():
     # 256 trees of 1000 rows hold 256,000 rows a level if grown all at once.
     # Grown in groups of about 2^15 rows, growth's peak beyond what it
     # returns stays near one copy of the result (the groups' parts, before
-    # they are joined), 3.9 MiB here; without the groups it is 10.8 MiB.
+    # they are joined), 2.8 MiB here; without the groups it is 11.9 MiB.
     rng = np.random.default_rng(0)
     X = rng.normal(size=(1000, 5))
     d = Dataset(X, (rng.random(1000) < 1 / (1 + np.exp(-X[:, 0]))).astype(int),
