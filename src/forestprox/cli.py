@@ -178,9 +178,21 @@ def _center(text: str, forest: Forest) -> np.ndarray:
     """--center: "means" for the forest's training-feature means, else
     comma-separated values, one per coordinate of the forest."""
     if text == "means":
-        return forest.train.features.mean(axis=0)
+        return _column_stat(forest.train.features, np.mean)
     p = forest.p
     return np.array(_values(text, "--center", p, f"the forest's {p} coordinates", float))
+
+
+def _column_stat(X, stat) -> np.ndarray:
+    """stat(X, axis=0), np.mean or np.std, taken in units of a column's
+    largest magnitude where it overflows: a sum past the float range, or
+    squares of values beyond about 1e154."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = stat(X, axis=0)
+    big = ~np.isfinite(out)
+    scale = np.abs(X[:, big]).max(axis=0)
+    out[big] = scale * stat(X[:, big] / scale, axis=0)
+    return out
 
 
 def _values(text: str, flag: str, count: int, what: str, kind) -> list:
@@ -304,14 +316,8 @@ def _cmd_deriv(args) -> int:
     if args.h is not None:
         steps = np.full(forest.p, args.h)
     else:
-        X = forest.train.features
+        sd = _column_stat(forest.train.features, np.std)
         with np.errstate(over="ignore", invalid="ignore"):
-            sd = X.std(axis=0)
-            # values beyond about 1e154 overflow the squares: take those
-            # columns' SD in units of their largest magnitude
-            big = ~np.isfinite(sd)
-            scale = np.abs(X[:, big]).max(axis=0)
-            sd[big] = scale * (X[:, big] / scale).std(axis=0)
             steps = np.where(sd > 0, args.h_sd * sd, 1e-6)
         if np.isfinite(args.h_sd) and not np.isfinite(steps).all():
             j = int(np.argmin(np.isfinite(steps)))

@@ -69,11 +69,12 @@ class Forest:
 
     Tree t owns the n_nodes[t] nodes from roots[t] on, numbered
     breadth-first; internal node k's children are first_child[k] and
-    first_child[k] + 1, indices into the whole table (-1 at leaves).
-    inbag[t] is tree t's in-bag count vector. However a forest is made,
-    the constructor checks the trees and their inbag and routes the
-    training rows once: leaf_n and leaf_pos count the rows that reach
-    each leaf, and the positive ones, at that multiplicity.
+    first_child[k] + 1, indices into the whole table, and a leaf is its
+    own first child. inbag[t] is tree t's in-bag count vector. However a
+    forest is made, the constructor checks the trees and their inbag and
+    routes each tree's in-bag training rows once: leaf_n and leaf_pos
+    count the rows that reach each leaf, and the positive ones, at their
+    in-bag multiplicity.
     """
 
     train: Dataset
@@ -87,7 +88,7 @@ class Forest:
     first_child: np.ndarray = field(init=False)
     leaf_n: np.ndarray = field(init=False)
     leaf_pos: np.ndarray = field(init=False)
-    # (T, n) leaf of every training row, for voting_weights
+    # (T, n) leaf of every in-bag training row, -1 where out of bag, for voting_weights
     _train_leaves: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -102,10 +103,14 @@ class Forest:
             raise ValueError(
                 f"inbag must hold {n} non-negative integer counts summing to {n} per tree"
             )
-        G = route(self.feature, self.threshold, first, roots, self.train.features)
+        t, i = np.nonzero(inbag)
+        leaf = route(self.feature, self.threshold, first, roots[t], i, self.train.features)
+        G = np.full((T, n), -1, dtype=np.intp)
+        G[t, i] = leaf
+        w = inbag[t, i]
         leaf_n, leaf_pos = (
-            np.bincount(G.ravel(), weights=w.ravel(), minlength=len(self.feature)).astype(np.int64)
-            for w in (inbag, inbag * self.train.labels)
+            np.bincount(leaf, weights=v, minlength=len(self.feature)).astype(np.int64)
+            for v in (w, w * self.train.labels[i])
         )
         if (leaf_n[self.feature < 0] == 0).any():
             raise ValueError("every leaf needs leaf_n > 0: a leaf holds no in-bag training row")
@@ -138,8 +143,11 @@ class Forest:
         Ids index the node table (`feature`, `leaf_n`, `leaf_pos`), so
         tree t's lie in [roots[t], roots[t] + n_nodes[t]).
         """
-        return route(self.feature, self.threshold, self.first_child, self.roots,
-                     self._check_matrix(X))
+        return self._route(self._check_matrix(X))
+
+    def _route(self, X) -> np.ndarray:
+        return route(self.feature, self.threshold, self.first_child, self.roots[:, None],
+                     np.arange(len(X)), X)
 
     def estimate(self, L: np.ndarray, mode: str = "prox") -> np.ndarray:
         """One estimator at q points from their leaves, as `leaves` gives them."""
@@ -161,7 +169,7 @@ class Forest:
         and z are checked once each and routed in one pass."""
         z = self._check_matrix(np.asarray(z, dtype=np.float64)[None])
         X = np.concatenate([z, self._check_matrix(X)])
-        G = route(self.feature, self.threshold, self.first_child, self.roots, X)
+        G = self._route(X)
         return (G[:, 1:] == G[:, :1]).sum(axis=0) / self.n_trees
 
     def proximity_matrix(self, X) -> np.ndarray:
@@ -356,7 +364,8 @@ def _check_nodes(feature, threshold, sizes, n_trees: int, p: int) -> tuple[np.nd
     with r internal nodes has 2r + 1 nodes, and its r-th internal node
     comes before node 2r + 1, so every child index exceeds its parent's
     and lies inside the tree, and routing always ends at a leaf. Splits
-    use a feature in [0, p) and a finite threshold.
+    use a feature in [0, p) and a finite threshold, and leaves feature -1
+    and a NaN threshold, so that `route` leaves a pair at its leaf.
     """
     m = feature.size
     # sizes are bounded before they are summed, so the sum cannot wrap
@@ -375,6 +384,9 @@ def _check_nodes(feature, threshold, sizes, n_trees: int, p: int) -> tuple[np.nd
         raise ValueError(f"split feature outside [0, {p})")
     if not np.isfinite(threshold[inner]).all():
         raise ValueError("split thresholds must be finite")
+    leaf = feature < 0
+    if (feature[leaf] != -1).any() or not np.isnan(threshold[leaf]).all():
+        raise ValueError("a leaf needs feature -1 and a NaN threshold")
     return roots, first
 
 

@@ -12,7 +12,7 @@ the smaller one's (`Forest.cut`). Growth carries each tree's distinct
 in-bag rows once, weighted by their in-bag counts, and scores each
 level's nodes once with `_best_splits`, the one split search, a chunk of
 nodes per call. It returns only the node arrays and the in-bag counts;
-the forest routes its training rows (`route`) to count each leaf's rows.
+the forest routes its in-bag training rows (`route`) to count each leaf's rows.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class TreeParams:
 
 
 def first_child(feature, tree) -> np.ndarray:
-    """First child of every internal node, -1 at leaves.
+    """First child of every internal node; a leaf is its own.
 
     A breadth-first tree's r-th internal node has children 2r + 1 and
     2r + 2. Over trees stored one after another, tree[k] the tree of node
@@ -104,30 +104,49 @@ def first_child(feature, tree) -> np.ndarray:
     """
     inner = feature >= 0
     rank = np.cumsum(inner) - inner
-    return np.where(inner, 2 * rank + tree + 1, -1)
+    return np.where(inner, 2 * rank + tree + 1, np.arange(len(feature)))
 
 
-def route(feature, threshold, first, roots, X) -> np.ndarray:
-    """Node reached by every (tree, row) pair, shape (len(roots), q).
+def route(feature, threshold, first, node, row, X) -> np.ndarray:
+    """Leaf reached from start node `node` by row `row` of X, for every
+    pair of the two, which broadcast against each other to the result's
+    shape.
 
-    The node arrays hold one or more trees, and tree t starts at node
-    roots[t]. A node is a leaf when its feature is negative; otherwise
-    its children are first[k] and first[k] + 1 (see `first_child`). All
-    pairs descend together, one level per pass, and only those still at
-    an internal node are carried on. Rows with x[feature] <= threshold go
-    to the first child, all others (NaN too) to the second.
+    A node is a leaf when its feature is negative; otherwise its children
+    are first[k] and first[k] + 1 (see `first_child`). Rows with
+    x[feature] > threshold go to the second child, all others to the
+    first; NaN reads as +inf, so it goes right at every split. A leaf is
+    its own first child, with a NaN threshold, which no value exceeds,
+    and feature -1, which reads the cell before the row's (any value will
+    do), so the step leaves a pair that has reached it where it is. All
+    pairs step together, two levels a pass, and the pairs still at an
+    internal node are gathered into shorter arrays only once at most half
+    are left.
     """
-    q, p = X.shape
-    flat = np.ascontiguousarray(X).ravel()
-    node = np.repeat(np.asarray(roots, dtype=np.intp), q)
-    base = np.tile(np.arange(0, q * p, p, dtype=np.intp), len(roots))
-    live = np.flatnonzero(feature[node] >= 0)
-    while live.size:
-        at = node[live]
-        at = first[at] + ~(flat[base[live] + feature[at]] <= threshold[at])
-        node[live] = at
-        live = live[feature[at] >= 0]
-    return node.reshape(len(roots), q)
+    p = X.shape[1]
+    flat = np.fmin(X, np.inf).ravel()  # a C-ordered copy, NaN as +inf
+    shape = np.broadcast(node, row).shape
+    at, off = np.empty((2, *shape), dtype=np.intp)
+    at[...], off[...] = node, row
+    at, off = at.ravel(), off.ravel() * p
+    out, idx = np.empty_like(at), np.arange(at.size)  # idx: where each carried pair goes
+    f = feature[at]
+    while True:
+        inner = f >= 0
+        live = np.count_nonzero(inner)
+        if not live:
+            break
+        if 2 * live <= at.size:
+            out[idx] = at
+            keep = np.flatnonzero(inner)
+            at, off, f, idx = at[keep], off[keep], f[keep], idx[keep]
+        for _ in range(2):
+            right = flat[off + f] > threshold[at]
+            at = first[at]
+            at += right
+            f = feature[at]
+    out[idx] = at
+    return out.reshape(shape)
 
 
 def node_depth(feature, first, roots) -> np.ndarray:
@@ -162,8 +181,9 @@ def _random_splits(d, rows, starts, lens, keys):
     """(feature, threshold) of nodes laid out as in `_best_splits`, drawn
     from keys[i] for node i: the (mix % count)-th of the count features
     with in-node spread, and lo + u * (hi - lo) in its range for u in
-    [0, 1) from a second mix. Feature -1 where no feature has spread or
-    the threshold is not strictly inside (lo, hi)."""
+    [0, 1) from a second mix, or (1 - u) * lo + u * hi where hi - lo
+    overflows. Feature -1 where no feature has spread or the threshold is
+    not strictly inside (lo, hi)."""
     at, offset = _gather(starts, lens)
     X = d.features[rows[at]]
     lo, hi = np.minimum.reduceat(X, offset), np.maximum.reduceat(X, offset)
@@ -174,7 +194,9 @@ def _random_splits(d, rows, starts, lens, keys):
     at = np.arange(lens.size)
     lo, hi = lo[at, j], hi[at, j]
     u = (_mix(keys, _THRESHOLD) >> np.uint64(11)) * 2.0**-53  # top 53 bits, in [0, 1)
-    threshold = lo + u * (hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        threshold = np.where(np.isfinite(span), lo + u * span, (1 - u) * lo + u * hi)
     ok = (count > 0) & (lo < threshold) & (threshold < hi)
     return np.where(ok, j, -1), np.where(ok, threshold, np.nan)
 
@@ -272,7 +294,10 @@ def _best_splits(d, rows, weight, starts, lens, sizes, pos, cand):
     base = np.flatnonzero(ok) * n
     lo = d.sorted_features[key[first] - base, jf]
     hi = d.sorted_features[key[first + 1] - base, jf]
-    thr = lo + (hi - lo) / 2.0
+    with np.errstate(over="ignore"):
+        half = (hi - lo) / 2.0
+    # a span past the float range: halve each end first
+    thr = np.where(np.isfinite(half), lo + half, lo / 2.0 + hi / 2.0)
     threshold[ok] = np.where(thr >= hi, lo, thr)  # adjacent floats; keep both sides nonempty
     return feature, threshold
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forestprox import cli
 from forestprox.cli import main
+from forestprox.forest import Forest
 
 
 def read_csv(path):
@@ -402,6 +404,22 @@ class TestCenterAndValues:
                          "--out", str(out)]) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["deriv", "grid"])
+    def test_means_of_a_column_summing_past_the_float_range(self, tmp_path, command):
+        # the column's sum overflows; its mean is taken in units of its
+        # largest magnitude, so the center is finite and stderr stays empty
+        data, model, out = tmp_path / "big.csv", tmp_path / "big.json", tmp_path / "o.csv"
+        data.write_text("a,b,y\n1.4e308,0.5,0\n1.7e308,1.5,1\n1.5e308,2.5,0\n1.6e308,3.5,1\n",
+                        encoding="utf-8")
+        assert main(["train", "--data", str(data), "--label-column", "y", "--trees", "3",
+                     "--out", str(model)]) == 0
+        extra = ["--resolution", "3"] if command == "grid" else []
+        proc = run_cli(command, "--model", model, "--center", "means", *extra, "--out", out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        center = cli._center("means", Forest.load(model))
+        assert center[0] == pytest.approx(1.55e308, rel=1e-15)
+        assert center[1] == 2.0
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("deriv", "--center", "1,abc", "--center: 'abc' is not a number"),

@@ -793,6 +793,19 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match=message):
             self._load(payload, tmp_path)
 
+    @pytest.mark.parametrize("feature, threshold", [(-1, 0.5), (-1, np.inf), (-2, np.nan)])
+    def test_leaf_that_could_step_off_rejected(self, saved, tmp_path, feature, threshold):
+        # a pair stays at its leaf because x > NaN is false and feature -1
+        # reads a cell of the flattened query; a finite threshold could send
+        # it on, and another negative feature read outside the query
+        payload = self._copy(saved)
+        a = decode_arrays(payload)
+        leaf = np.flatnonzero(a["feature"] < 0)[0]
+        a["feature"][leaf], a["threshold"][leaf] = feature, threshold
+        payload["arrays"] = encode_arrays(a)
+        with pytest.raises(ValueError, match="a leaf needs feature -1 and a NaN threshold"):
+            self._load(payload, tmp_path)
+
     def test_intact_file_loads(self, saved, tmp_path):
         payload = self._copy(saved)
         assert self._load(payload, tmp_path).n_trees == 2

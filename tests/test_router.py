@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from forestprox.data_model import Dataset
 from forestprox.forest import Forest, ForestParams, train_forest
 from forestprox.tree import TreeParams, route
-from test_tree import tree_view
+from test_tree import leaves_of, tree_view
 
 
 def trees_of(f):
@@ -125,11 +125,88 @@ def forests_and_queries(draw):
         np.array(VALUES), [-0.0, 0.0, -3.0, 3.0],
     ]))
     pool = np.concatenate([pool, [-0.0]])  # np.unique keeps only one zero
-    q = draw(st.integers(min_value=0, max_value=12))
+    q = draw(st.one_of(st.sampled_from([0, 1]), st.integers(min_value=2, max_value=12)))
     picks = draw(st.lists(
         st.integers(min_value=0, max_value=len(pool) - 1), min_size=q * p, max_size=q * p,
     ))
     return f, pool[np.array(picks, dtype=np.int64)].reshape(q, p)
+
+
+@st.composite
+def forests_and_non_finite_queries(draw):
+    """A forest and queries as above, with some cells NaN or +-inf."""
+    f, X = draw(forests_and_queries())
+    kind = np.array(draw(st.lists(
+        st.integers(min_value=0, max_value=3), min_size=X.size, max_size=X.size,
+    )), dtype=np.int64).reshape(X.shape)
+    return f, np.where(kind == 0, X, np.array([0.0, np.nan, np.inf, -np.inf])[kind])
+
+
+class TestRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(case=forests_and_non_finite_queries())
+    def test_equals_reference_walkers(self, case):
+        # route itself takes NaN and +-inf (NaN as +inf, so right at every
+        # split); Forest.leaves refuses them before it is reached
+        f, X = case
+        L = route(f.feature, f.threshold, f.first_child, f.roots[:, None], np.arange(len(X)), X)
+        assert L.shape == (f.n_trees, len(X))
+        for t, (tree, row) in enumerate(zip(trees_of(f), L)):
+            np.testing.assert_array_equal(row, f.roots[t] + reference_apply(tree, X))
+        if len(X):  # a pair started at a leaf stays there
+            leaf = np.flatnonzero(f.feature < 0)
+            np.testing.assert_array_equal(
+                route(f.feature, f.threshold, f.first_child, leaf, 0, X), leaf
+            )
+
+    def test_pairs_broadcast_to_the_result(self):
+        rng = np.random.default_rng(5)
+        d = Dataset(rng.normal(size=(50, 3)), rng.integers(0, 2, 50), ("a", "b", "c"))
+        f = train_forest(d, ForestParams(n_trees=4, tree=TreeParams(mtry=2), seed=6))
+        X = rng.normal(size=(7, 3))
+        L = f.leaves(X)
+        t, i = np.nonzero(rng.integers(0, 2, size=L.shape))
+        np.testing.assert_array_equal(
+            route(f.feature, f.threshold, f.first_child, f.roots[t], i, X), L[t, i]
+        )
+        assert route(f.feature, f.threshold, f.first_child, f.roots[:0], 0, X).shape == (0,)
+
+
+class TestInBagRouting:
+    """The constructor routes only each tree's in-bag training rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=forests_and_queries())
+    def test_leaf_counts_and_weights_equal_every_pair_routed(self, case):
+        f, X = case
+        G = f.leaves(f.train.features)  # every pair, in bag or not
+        m = len(f.feature)
+        np.testing.assert_array_equal(
+            f.leaf_n, np.bincount(G.ravel(), weights=f.inbag.ravel(), minlength=m)
+        )
+        np.testing.assert_array_equal(
+            f.leaf_pos,
+            np.bincount(G.ravel(), weights=(f.inbag * f.train.labels).ravel(), minlength=m),
+        )
+        for x in X[:3]:
+            counts = np.where(G == f.leaves(x[None]), f.inbag, 0).sum(axis=0)
+            np.testing.assert_array_equal(f.voting_weights(x), counts / counts.sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=forests_and_queries())
+    def test_out_of_bag_training_leaves_hold_minus_one(self, case):
+        f, _ = case
+        G = f.leaves(f.train.features)  # every pair, in bag or not
+        np.testing.assert_array_equal(f._train_leaves, np.where(f.inbag > 0, G, -1))
+
+    def test_bootstrap_leaves_some_rows_out_of_bag(self):
+        rng = np.random.default_rng(7)
+        d = Dataset(rng.normal(size=(100, 2)), rng.integers(0, 2, 100), ("a", "b"))
+        f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=8))
+        out = f.inbag == 0
+        assert out.any(axis=1).all()
+        assert (f._train_leaves[out] == -1).all()
+        assert (f.feature[f._train_leaves[~out]] < 0).all()
 
 
 class TestLeaves:
@@ -209,10 +286,10 @@ class TestLeaves:
         t = tree_view(f)
         X = rng.normal(size=(30, 2))
         X[::2, 0] = X[::3, 1] = np.nan
-        leaves = route(t.feature, t.threshold, t.left, [0], X)[0]
+        leaves = leaves_of(t, X)
         np.testing.assert_array_equal(leaves, reference_apply(t, X))
         inf = np.full((1, 2), np.inf)
-        assert leaves[0] == route(t.feature, t.threshold, t.left, [0], inf)[0, 0]
+        assert leaves[0] == leaves_of(t, inf)[0]
         with pytest.raises(ValueError, match="non-finite"):
             f.leaves(X)
 

@@ -63,8 +63,11 @@ def same_tree(a, b):
 
 
 def leaves_of(t, X):
-    """Leaf every row of X reaches in tree view t."""
-    return route(t.feature, t.threshold, t.left, [0], np.asarray(X, dtype=np.float64))[0]
+    """Leaf every row of X reaches in tree view t, through `route`, which
+    takes a leaf as its own first child."""
+    X = np.asarray(X, dtype=np.float64)
+    first = np.where(t.feature >= 0, t.left, np.arange(t.n_nodes))
+    return route(t.feature, t.threshold, first, 0, np.arange(len(X)), X)
 
 
 def leaf_boxes(tree):
@@ -208,6 +211,24 @@ class TestBestSplit:
         f = grow_one(d, TreeParams(mtry=1, bootstrap=False), 0)
         assert f.threshold[0] == lo and (f.feature < 0).sum() == 2
         assert (f.leaf_n[1], f.leaf_n[2]) == (1, 2)
+
+    def test_midpoint_of_a_span_past_the_float_range(self):
+        # hi - lo overflows: each end is halved first, with no warning
+        d = make_data([-1.7e308, 1.6e308, -1.7e308, 1.7e308], [0, 1, 0, 1])
+        with np.errstate(all="raise"):
+            f = grow_one(d, TreeParams(mtry=1, bootstrap=False), 0)
+        assert (f.feature[0], f.threshold[0]) == (0, -1.7e308 / 2 + 1.6e308 / 2)
+        assert (f.leaf_n[1], f.leaf_n[2]) == (2, 2)
+
+    def test_random_threshold_inside_a_span_past_the_float_range(self):
+        # lo + u * (hi - lo) would be inf; (1 - u) * lo + u * hi stays inside
+        d = make_data([-1.7e308, 1.7e308, -1.5e308, 1.6e308], [0, 1, 1, 0])
+        params = TreeParams(mtry=1, max_leaves=2, split_mode="completely_random",
+                            bootstrap=False)
+        for seed in range(20):
+            with np.errstate(all="raise"):
+                f = grow_one(d, params, seed)
+            assert f.feature[0] == 0 and -1.7e308 < f.threshold[0] < 1.7e308
 
     def test_tie_breaks_to_lowest_feature(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
