@@ -124,12 +124,9 @@ class ExperimentConfig:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.junk < 0:
-            raise ValueError(f"junk must be >= 0, got {self.junk}")
+        check_integer("repetitions", self.repetitions, 1)
+        check_integer("n_trees", self.n_trees, 1)
+        check_integer("junk", self.junk, 0)
         if not self.estimators:
             raise ValueError("need at least one estimator")
         names = [e.name for e in self.estimators]

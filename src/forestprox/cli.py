@@ -276,32 +276,24 @@ def _cmd_kernel(args) -> int:
     # made first, so counts that give no kernel are refused before any file is written
     compare = spec(args.mtry if args.mtry is not None else max(1, p // 2))
     mtry_values = [args.mtry] if args.mtry is not None else list(range(1, p + 1))
-    rows = []
-    for m in mtry_values:
-        p_s, p_w = strong_weak_weights(spec(m))
-        rows.append([m, repr(p_s), repr(p_w)])
+    rows = [[m, *map(repr, strong_weak_weights(spec(m)))] for m in mtry_values]
     _write_csv(args.out_weights, ["mtry", "p_strong", "p_weak"], rows)
 
     if args.out_compare is not None:
-        strong_set = list(range(args.strong))
-        probes, X = [], []
-        for axis in ("strong", "weak", "spread"):
-            if axis == "strong" and args.strong == 0:
-                continue
-            if axis == "weak" and args.weak == 0:
-                continue
-            for t in np.linspace(0.05, 0.5, 10).tolist():
-                x = np.zeros(p)
-                if axis == "strong":
-                    x[0] = t
-                elif axis == "weak":
-                    x[args.strong] = t
-                else:
-                    x[:] = t / p
-                probes.append([axis, repr(t)])
-                X.append(x)
-        ana = naive_kernel(compare, X, strong_set).tolist()
-        mc = mc_proximity(compare, X, strong_set, args.trees, args.seed).tolist()
+        # ten probes along each axis that has coordinates: the first strong
+        # coordinate, the first weak one, and all p coordinates evenly
+        scales = np.linspace(0.05, 0.5, 10)
+        axes = [a for a, n in (("strong", args.strong), ("weak", args.weak), ("spread", p)) if n]
+        X = np.zeros((len(axes), scales.size, p))
+        for block, axis in zip(X, axes):
+            if axis == "spread":
+                block[:] = scales[:, None] / p
+            else:
+                block[:, 0 if axis == "strong" else args.strong] = scales
+        X = X.reshape(-1, p)
+        probes = [[axis, repr(t)] for axis in axes for t in scales.tolist()]
+        ana = naive_kernel(compare, X).tolist()
+        mc = mc_proximity(compare, X, n_trees=args.trees, seed=args.seed).tolist()
         _write_csv(
             args.out_compare,
             ["axis", "scale", "analytic", "monte_carlo"],

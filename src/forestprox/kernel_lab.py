@@ -8,9 +8,10 @@ inside the leaf's extent. The closed-form kernel approximation assigns
 per-coordinate decay weights p_S / p_W from the per-split selection
 probabilities; both are validated against direct simulation.
 
-Convention throughout: strong coordinates come first (indices 0..S-1)
-unless an explicit `strong_set` says otherwise. Every kernel here is
-batched: it takes an (m, p) matrix of points and returns (m,) values.
+Convention throughout: strong coordinates come first (indices 0..S-1);
+another strong set is reached by permuting the columns at the caller,
+`X[:, np.r_[sorted(strong), weak]]`. Every kernel here is batched: it
+takes an (m, p) matrix of points and returns (m,) values.
 """
 
 from __future__ import annotations
@@ -86,30 +87,19 @@ def _check_unit_points(X, p: int) -> np.ndarray:
     return X
 
 
-def _check_strong_set(strong_set, spec: NaiveKernelSpec) -> np.ndarray:
-    idx = np.asarray(sorted({int(i) for i in strong_set}), dtype=np.int64)
-    if idx.size != spec.strong:
-        raise ValueError(f"strong_set must name {spec.strong} distinct coordinates")
-    if idx.size and (idx.min() < 0 or idx.max() >= spec.p):
-        raise ValueError(f"strong_set indices must lie in [0, {spec.p})")
-    return idx
-
-
-def naive_kernel(spec: NaiveKernelSpec, X, strong_set) -> np.ndarray:
+def naive_kernel(spec: NaiveKernelSpec, X) -> np.ndarray:
     """Closed-form kernel value against the origin for every row of X, (m,).
 
-    exp(-log(leaves) * (p_S * sum of strong coords + p_W * sum of weak)).
-    Translation-variant by construction; callers wanting K(x, z) evaluate
-    at |x - z|.
+    exp(-log(leaves) * (p_S * sum of strong coords + p_W * sum of weak)),
+    the strong coordinates being the first S columns. Translation-variant
+    by construction; callers wanting K(x, z) evaluate at |x - z|.
     """
     X = _check_unit_points(X, spec.p)
-    strong = _check_strong_set(strong_set, spec)
-    mask = np.zeros(spec.p, dtype=bool)
-    mask[strong] = True
+    S = spec.strong
     p_s, p_w = strong_weak_weights(spec)
     # C-contiguous copies sum each row in the order a lone vector's sum does
-    strong_sum = np.ascontiguousarray(X[:, mask]).sum(axis=1)
-    weak_sum = np.ascontiguousarray(X[:, ~mask]).sum(axis=1)
+    strong_sum = np.ascontiguousarray(X[:, :S]).sum(axis=1)
+    weak_sum = np.ascontiguousarray(X[:, S:]).sum(axis=1)
     return np.exp(-log(spec.leaves) * (p_s * strong_sum + p_w * weak_sum))
 
 
@@ -179,8 +169,7 @@ def mc_selection_freq(spec: NaiveKernelSpec, trials: int, seed: int) -> np.ndarr
     passes of `_TRIALS_PER_PASS` nodes at a time. Oracle for
     strong_weak_weights.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_integer("trials", trials, 1)
     rng = np.random.default_rng(seed)
     counts = np.zeros(spec.p, dtype=np.int64)
     for done in range(0, trials, _TRIALS_PER_PASS):
@@ -209,31 +198,25 @@ def _zero_cell_extents(spec: NaiveKernelSpec, n_trees: int, seed: int) -> np.nda
     return hi
 
 
-def mc_proximity(
-    spec: NaiveKernelSpec, X, strong_set, n_trees: int, seed: int
-) -> np.ndarray:
+def mc_proximity(spec: NaiveKernelSpec, X, *, n_trees: int, seed: int) -> np.ndarray:
     """For every row x of X, the fraction of simulated stylized trees whose
-    origin cell contains x, (m,).
+    origin cell contains x (strong = first S coordinates), (m,).
 
     This is the direct simulation the closed form approximates; one call
     simulates one batch of n_trees trees and scores every row against it,
     one block of trees (`_blocks`) at a time.
     """
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    check_integer("n_trees", n_trees, 1)
     X = _check_unit_points(X, spec.p)
-    strong = _check_strong_set(strong_set, spec)
-    weak = np.setdiff1d(np.arange(spec.p), strong)
-    X_canonical = X[:, np.concatenate([strong, weak])]
     hi = _zero_cell_extents(spec, n_trees, seed)
     # each row against one block of trees at a time (`_blocks`), so a
     # compare holds at most a block's extents, never all n_trees; a zero
     # coordinate always passes, since the extents are >= 0
-    nonzero = [np.flatnonzero(x) for x in X_canonical]
-    inside = np.zeros(len(X_canonical), dtype=np.int64)
+    nonzero = [np.flatnonzero(x) for x in X]
+    inside = np.zeros(len(X), dtype=np.int64)
     for b in _blocks(n_trees, spec.p):
         block = hi[b]
-        for i, (x, j) in enumerate(zip(X_canonical, nonzero)):
+        for i, (x, j) in enumerate(zip(X, nonzero)):
             inside[i] += np.count_nonzero((x[j] <= block[:, j]).all(axis=1))
     return inside / n_trees
 
@@ -246,8 +229,7 @@ def breiman_kernel(Z, x0, leaves: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=np.float64)
     if Z.ndim != 2 or x0.ndim != 1 or Z.shape[1] != x0.size:
         raise ValueError(f"need an (m, p) matrix and a p-vector, got {Z.shape} and {x0.shape}")
-    if leaves < 1:
-        raise ValueError(f"leaves must be >= 1, got {leaves}")
+    check_integer("leaves", leaves, 1)
     return np.exp(-(log(leaves) / x0.size) * np.ascontiguousarray(np.abs(Z - x0)).sum(axis=1))
 
 

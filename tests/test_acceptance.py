@@ -245,8 +245,8 @@ def test_c3b_kernel_approximation_accuracy():
         for leaves in (8, 32, 64):
             spec = NaiveKernelSpec(leaves, S, W, mtry)
             X = np.array([0.5 * rng.random() * rng.dirichlet(np.ones(p)) for _ in range(8)])
-            ana = naive_kernel(spec, X, range(S))
-            mc = mc_proximity(spec, X, range(S), n_trees=20_000, seed=9)
+            ana = naive_kernel(spec, X)
+            mc = mc_proximity(spec, X, n_trees=20_000, seed=9)
             mad = float(np.mean(np.abs(ana - mc)))
             worst_mad = max(worst_mad, mad)
             assert mad <= 0.05, f"S={S} W={W} mtry={mtry} M={leaves}: MAD {mad:.4f}"

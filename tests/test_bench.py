@@ -120,6 +120,20 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="unique"):
                 ExperimentConfig(source="xor", estimators=roster)
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("n_trees", True, TypeError, "n_trees must be an integer, got True"),
+        ("n_trees", 2.0, TypeError, "n_trees must be an integer, got 2.0"),
+        ("n_trees", 0, ValueError, "n_trees must be >= 1, got 0"),
+        ("repetitions", 2.5, TypeError, "repetitions must be an integer, got 2.5"),
+        ("repetitions", 0, ValueError, "repetitions must be >= 1, got 0"),
+        ("junk", 0.5, TypeError, "junk must be an integer, got 0.5"),
+        ("junk", -1, ValueError, "junk must be >= 0, got -1"),
+    ])
+    def test_counts_must_be_integers_at_their_minimum(self, field, value, error, message):
+        # refused when the config is built, not cell by cell in run_experiment
+        with pytest.raises(error, match=message):
+            ExperimentConfig(source="xor", **{field: value})
+
     @pytest.mark.parametrize("mtry", [2.5, 3.0, True, None])
     def test_estimator_mtry_must_be_an_integer_or_symbol(self, mtry):
         with pytest.raises(TypeError, match="mtry must be an integer"):

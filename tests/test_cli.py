@@ -319,6 +319,19 @@ class TestKernelCommand:
             "6a17fa286d450bae05bbe01dafd8cf6649db38064683b711f641ad507bbf3b61"
         )
 
+    # one-axis models: the probes skip the axis that has no coordinates
+    @pytest.mark.parametrize("strong, weak, digest", [
+        ("0", "7", "305820509b57f289a48cb456eb6be603d4611a85970a4eb51f1db82e7f4aa172"),
+        ("3", "0", "63e56ab4651b729ff6315dbdc9db277d1c1c1f3438b811fd8b851f7342ea063e"),
+    ])
+    def test_one_axis_comparison_pinned(self, tmp_path, strong, weak, digest):
+        w, c = tmp_path / "w.csv", tmp_path / "c.csv"
+        assert main([
+            "kernel", "--strong", strong, "--weak", weak, "--leaves", "16", "--trees", "2000",
+            "--seed", "3", "--out-weights", str(w), "--out-compare", str(c),
+        ]) == 0
+        assert hashlib.sha256(c.read_bytes()).hexdigest() == digest
+
 
 class TestDerivCommand:
     def test_report_columns(self, workspace, tmp_path):

@@ -99,7 +99,7 @@ class TestDerivativeReport:
         kernels = [
             laplace(0.7, [0.3, 0.7]),
             partial(breiman_kernel, leaves=16),
-            lambda Z, z: naive_kernel(spec, np.abs(Z - z), [0]),
+            lambda Z, z: naive_kernel(spec, np.abs(Z - z)),
         ]
         for k in kernels:
             rep = derivative_report(k, x0, 0.2)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import comb, lcm
 
 import numpy as np
@@ -247,6 +248,16 @@ class TestMcSelectionFreq:
                 sigma_w = np.sqrt(W * p_w * (1 - W * p_w) / trials)
                 assert abs(w_hat - W * p_w) <= 3 * sigma_w + 1e-12
 
+    @pytest.mark.parametrize("trials, error, message", [
+        (True, TypeError, "trials must be an integer, got True"),
+        (2.0, TypeError, "trials must be an integer, got 2.0"),
+        (0, ValueError, "trials must be >= 1, got 0"),
+    ])
+    def test_trials_must_be_a_positive_integer(self, trials, error, message):
+        spec = NaiveKernelSpec(leaves=2, strong=1, weak=1, mtry=1)
+        with pytest.raises(error, match=message):
+            mc_selection_freq(spec, trials, 0)
+
     def test_memory_at_100000_trials(self):
         # passes of 20,000 nodes at p = 50, drawn in row blocks: about 4 MB
         spec = NaiveKernelSpec(32, 5, 45, 15)
@@ -286,24 +297,18 @@ def breiman_row(x, z, leaves):
 class TestNaiveKernel:
     def test_at_origin(self):
         spec = NaiveKernelSpec(leaves=32, strong=2, weak=3, mtry=2)
-        np.testing.assert_array_equal(naive_kernel(spec, np.zeros((1, 5)), [0, 1]), [1.0])
+        np.testing.assert_array_equal(naive_kernel(spec, np.zeros((1, 5))), [1.0])
 
     def test_single_leaf_tree_is_flat(self):
         spec = NaiveKernelSpec(leaves=1, strong=2, weak=3, mtry=2)
         x = np.array([[0.4, 0.2, 0.9, 0.1, 0.5]])
-        np.testing.assert_array_equal(naive_kernel(spec, x, [0, 1]), [1.0])
+        np.testing.assert_array_equal(naive_kernel(spec, x), [1.0])
 
     def test_weak_coordinate_ignored_when_strong_always_chosen(self):
         spec = NaiveKernelSpec(leaves=32, strong=1, weak=1, mtry=2)
         X = np.array([[0.25, x2] for x2 in (0.0, 0.4, 0.9)])
-        for val in naive_kernel(spec, X, [0]):
+        for val in naive_kernel(spec, X):
             assert val == pytest.approx(np.exp(-np.log(32) * 0.25))
-
-    def test_strong_set_relabeling(self):
-        spec = NaiveKernelSpec(leaves=16, strong=1, weak=2, mtry=2)
-        a = naive_kernel(spec, np.array([[0.3, 0.1, 0.2]]), [0])
-        b = naive_kernel(spec, np.array([[0.1, 0.3, 0.2]]), [1])
-        assert a[0] == pytest.approx(b[0])
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -332,15 +337,13 @@ class TestNaiveKernel:
     def test_rejects_bad_inputs(self):
         spec = NaiveKernelSpec(leaves=4, strong=1, weak=1, mtry=1)
         with pytest.raises(ValueError):
-            naive_kernel(spec, np.array([[0.5, 1.5]]), [0])
+            naive_kernel(spec, np.array([[0.5, 1.5]]))
         with pytest.raises(ValueError):
-            naive_kernel(spec, np.array([[0.5]]), [0])
+            naive_kernel(spec, np.array([[0.5]]))
         with pytest.raises(ValueError):
-            naive_kernel(spec, np.array([[0.5, 0.5]]), [0, 1])
+            naive_kernel(spec, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            naive_kernel(spec, np.array([0.5, 0.5]), [0])
-        with pytest.raises(ValueError):
-            naive_kernel(spec, np.array([[0.5, np.nan]]), [0])
+            naive_kernel(spec, np.array([[0.5, np.nan]]))
 
     # sums over 8 or more coordinates show a change of summation order
     @pytest.mark.parametrize(
@@ -354,27 +357,30 @@ class TestNaiveKernel:
         ],
     )
     def test_rows_bit_identical_to_per_row_formula(self, S, W, mtry, strong_set):
+        # another strong set is the first S columns of a column permutation
         rng = np.random.default_rng(S * 100 + W)
         spec = NaiveKernelSpec(32, S, W, mtry)
         X = rng.random((40, S + W))
-        got = naive_kernel(spec, X, strong_set)
+        strong = sorted(strong_set)
+        order = np.r_[strong, np.setdiff1d(np.arange(S + W), strong)].astype(np.intp)
+        got = naive_kernel(spec, X[:, order])
         assert got.shape == (40,)
         np.testing.assert_array_equal(got, [naive_row(spec, x, strong_set) for x in X])
         # a column-major input gives the same bits
-        np.testing.assert_array_equal(naive_kernel(spec, np.asfortranarray(X), strong_set), got)
+        np.testing.assert_array_equal(naive_kernel(spec, np.asfortranarray(X[:, order])), got)
 
 
 class TestMcProximity:
     def test_same_point_certain(self):
         spec = NaiveKernelSpec(leaves=16, strong=1, weak=1, mtry=1)
         np.testing.assert_array_equal(
-            mc_proximity(spec, np.zeros((1, 2)), [0], n_trees=500, seed=0), [1.0]
+            mc_proximity(spec, np.zeros((1, 2)), n_trees=500, seed=0), [1.0]
         )
 
     def test_single_leaf_certain(self):
         spec = NaiveKernelSpec(leaves=1, strong=1, weak=1, mtry=1)
         np.testing.assert_array_equal(
-            mc_proximity(spec, np.array([[0.9, 0.9]]), [0], n_trees=500, seed=0), [1.0]
+            mc_proximity(spec, np.array([[0.9, 0.9]]), n_trees=500, seed=0), [1.0]
         )
 
     def test_matches_exact_law_single_coordinate_family(self):
@@ -384,7 +390,7 @@ class TestMcProximity:
         xs = (0.1, 0.3, 0.5)
         for leaves in (8, 32):
             spec = NaiveKernelSpec(leaves, 1, 1, 2)
-            mcs = mc_proximity(spec, np.array([[x, 0.7] for x in xs]), [0], trees, seed=21)
+            mcs = mc_proximity(spec, np.array([[x, 0.7] for x in xs]), n_trees=trees, seed=21)
             for x, mc in zip(xs, mcs):
                 exact = exact_single_coord_kernel(leaves, x)
                 sigma = np.sqrt(exact * (1 - exact) / trees)
@@ -398,9 +404,9 @@ class TestMcProximity:
         x = np.array([[0.1, 0.9]])
         exact = exact_single_coord_kernel(32, 0.1)
         assert exact == pytest.approx(0.27904, abs=1e-5)
-        mc = mc_proximity(spec, x, [0], n_trees=20_000, seed=11)[0]
+        mc = mc_proximity(spec, x, n_trees=20_000, seed=11)[0]
         assert mc == pytest.approx(exact, abs=0.02)
-        ana = naive_kernel(spec, x, [0])[0]
+        ana = naive_kernel(spec, x)[0]
         assert ana == pytest.approx(0.70711, abs=1e-5)
         assert ana - mc > 0.3
 
@@ -412,24 +418,32 @@ class TestMcProximity:
             spec = NaiveKernelSpec(32, S, W, mtry)
             p = S + W
             X = np.array([0.5 * rng.random() * rng.dirichlet(np.ones(p)) for _ in range(6)])
-            ana = naive_kernel(spec, X, list(range(S)))
-            mc = mc_proximity(spec, X, list(range(S)), 20_000, seed=9)
+            ana = naive_kernel(spec, X)
+            mc = mc_proximity(spec, X, n_trees=20_000, seed=9)
             assert np.mean(np.abs(ana - mc)) <= 0.05
 
-    def test_strong_set_relabeling(self):
-        spec = NaiveKernelSpec(16, 1, 2, 2)
-        a = mc_proximity(spec, np.array([[0.3, 0.1, 0.2]]), [0], 5000, seed=4)
-        b = mc_proximity(spec, np.array([[0.1, 0.3, 0.2]]), [1], 5000, seed=4)
-        np.testing.assert_array_equal(a, b)
+    def test_permuted_columns_reach_another_strong_set(self):
+        # values recorded when mc_proximity took strong_set=[4, 1] as an
+        # argument: the same trees with columns 1 and 4 moved to the front
+        rng = np.random.default_rng(8)
+        spec = NaiveKernelSpec(16, 2, 4, 3)
+        X = 0.4 * rng.random((12, 6))
+        got = mc_proximity(spec, X[:, [1, 4, 0, 2, 3, 5]], n_trees=3000, seed=6)
+        np.testing.assert_array_equal(got, [
+            0.23666666666666666, 0.5273333333333333, 0.5493333333333333,
+            0.39266666666666666, 0.47833333333333333, 0.6353333333333333,
+            0.26966666666666667, 0.43533333333333335, 0.42833333333333334,
+            0.39366666666666666, 0.5696666666666667, 0.399,
+        ])
 
     def test_batch_rows_equal_one_row_calls(self):
         rng = np.random.default_rng(8)
         spec = NaiveKernelSpec(16, 2, 4, 3)
         X = 0.4 * rng.random((12, 6))
-        got = mc_proximity(spec, X, [4, 1], 3000, seed=6)
+        got = mc_proximity(spec, X, n_trees=3000, seed=6)
         assert got.shape == (12,)
         for i, x in enumerate(X):
-            one = mc_proximity(spec, x[None], [4, 1], 3000, seed=6)
+            one = mc_proximity(spec, x[None], n_trees=3000, seed=6)
             np.testing.assert_array_equal(got[i : i + 1], one)
 
     def test_blocks_count_every_tree(self):
@@ -440,14 +454,24 @@ class TestMcProximity:
         X[0] = 0.0
         hi = kernel_lab._zero_cell_extents(spec, trees, 6)
         want = (X[:, None, :] <= hi[None]).all(axis=2).mean(axis=1)
-        np.testing.assert_array_equal(mc_proximity(spec, X, range(5), trees, 6), want)
+        np.testing.assert_array_equal(mc_proximity(spec, X, n_trees=trees, seed=6), want)
+
+    @pytest.mark.parametrize("n_trees, error, message", [
+        (True, TypeError, "n_trees must be an integer, got True"),
+        (2.5, TypeError, "n_trees must be an integer, got 2.5"),
+        (0, ValueError, "n_trees must be >= 1, got 0"),
+    ])
+    def test_n_trees_must_be_a_positive_integer(self, n_trees, error, message):
+        spec = NaiveKernelSpec(leaves=2, strong=1, weak=1, mtry=1)
+        with pytest.raises(error, match=message):
+            mc_proximity(spec, np.zeros((1, 2)), n_trees=n_trees, seed=0)
 
     def test_batch_memory_at_20000_trees(self):
         # 30 rows against (20,000, 50) extents, compared a block of trees
         # at a time: the 8 MB extents and about 5 MB more
         spec = NaiveKernelSpec(32, 5, 45, 15)
         X = np.tile(np.linspace(0.0, 0.02, 50), (30, 1))
-        assert traced_peak(mc_proximity, spec, X, range(5), 20_000, 3) <= 16e6
+        assert traced_peak(partial(mc_proximity, n_trees=20_000, seed=3), spec, X) <= 16e6
 
 
 class TestCandidateDraws:
@@ -572,8 +596,18 @@ class TestBreimanKernel:
     def test_hand_value(self):
         x = np.array([[0.5, 0.25]])
         z = np.zeros(2)
-        got = breiman_kernel(x, z, np.e**2)
-        assert got[0] == pytest.approx(np.exp(-0.75))
+        # exp(-(ln 16 / 2) * 0.75) = 16 ** -0.375 = 2 ** -1.5
+        got = breiman_kernel(x, z, 16)
+        assert got[0] == pytest.approx(2**-1.5)
+
+    @pytest.mark.parametrize("leaves, error, message", [
+        (2.5, TypeError, "leaves must be an integer, got 2.5"),
+        (True, TypeError, "leaves must be an integer, got True"),
+        (0, ValueError, "leaves must be >= 1, got 0"),
+    ])
+    def test_leaves_must_be_a_positive_integer(self, leaves, error, message):
+        with pytest.raises(error, match=message):
+            breiman_kernel(np.zeros((1, 2)), np.zeros(2), leaves)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
