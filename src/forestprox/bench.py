@@ -12,6 +12,7 @@ execution order.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -127,6 +128,14 @@ class ExperimentConfig:
         check_integer("repetitions", self.repetitions, 1)
         check_integer("n_trees", self.n_trees, 1)
         check_integer("junk", self.junk, 0)
+        check_integer("train_size", self.train_size, 1)
+        check_integer("test_size", self.test_size, 1)
+        check_integer("seed", self.seed, 0)
+        # checked for every source, though only a csv source is split by it
+        if not isinstance(self.train_fraction, numbers.Real):
+            raise TypeError(f"train_fraction must be a number, got {self.train_fraction!r}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
         names = [e.name for e in self.estimators]

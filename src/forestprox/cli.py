@@ -268,6 +268,8 @@ def _cmd_proximity(args) -> int:
 def _cmd_kernel(args) -> int:
     if args.trees < 1:
         raise ValueError(f"--trees must be >= 1, got {args.trees}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     p = args.strong + args.weak
 
     def spec(m):

@@ -47,7 +47,7 @@ class ForestParams:
 
     def __post_init__(self):
         check_integer("n_trees", self.n_trees, 1)
-        check_integer("seed", self.seed)
+        check_integer("seed", self.seed, 0)
 
 
 # Largest proximity matrix, in bytes, that `proximity_matrix` builds:

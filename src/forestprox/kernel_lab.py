@@ -170,6 +170,7 @@ def mc_selection_freq(spec: NaiveKernelSpec, trials: int, seed: int) -> np.ndarr
     strong_weak_weights.
     """
     check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     counts = np.zeros(spec.p, dtype=np.int64)
     for done in range(0, trials, _TRIALS_PER_PASS):
@@ -207,6 +208,7 @@ def mc_proximity(spec: NaiveKernelSpec, X, *, n_trees: int, seed: int) -> np.nda
     one block of trees (`_blocks`) at a time.
     """
     check_integer("n_trees", n_trees, 1)
+    check_integer("seed", seed, 0)
     X = _check_unit_points(X, spec.p)
     hi = _zero_cell_extents(spec, n_trees, seed)
     # each row against one block of trees at a time (`_blocks`), so a

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .data_model import Dataset
+from .tree import check_integer
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,7 @@ def sample(m: SyntheticModel, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = rng.uniform(m.low, m.high, size=(n, m.p))
     probs = m._ccpf(X)

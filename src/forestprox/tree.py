@@ -30,11 +30,13 @@ SPLIT_MODES = ("impurity", "completely_random")
 # below the smallest nonzero score gap for the node sizes handled here.
 _TIE_EPS = 1e-12
 # A chunk of a level's nodes is those whose first (candidate or feature,
-# distinct row) element falls in one window of this many, so temporaries stay
-# in a 2 MiB L2 cache. Growing 50 trees at mtry 30 and n = 1000 with int32 keys,
-# 2^13, 2^15 and 2^16 took 28, 17 and 47 % longer than 2^14 with bootstrap, and
-# 15, -4 and 39 % longer without (medians of 12 interleaved runs).
-_CHUNK_ELEMENTS = 1 << 14
+# distinct row) element falls in one window of this many, so the scorer's
+# temporaries, about 33 bytes an element at their peak, stay in a 2 MiB L2
+# cache. Growing 50 trees at n = 1000 and p = 50 with bootstrap, 2^15 took 4, 4,
+# 7 and 13 % less time than 2^14 at mtry 1, 8 and 30 and completely_random, and
+# 2^16 took 4 % less, 5 % more, 1 % less and 19 % less; without bootstrap at
+# mtry 30, 2^15 and 2^16 took 9 and 4 % less (medians of 12 interleaved runs).
+_CHUNK_ELEMENTS = 1 << 15
 # Trees grow in groups of about this many rows, so growth's memory does not scale
 # with the forest: 256 trees of 1000 rows peak 2.8 MiB above their result, not 11.9.
 _GROUP_ROWS = 1 << 15
@@ -248,56 +250,64 @@ def _best_splits(d, rows, weight, starts, lens, sizes, pos, cand):
     key <<= bits
     key += (np.repeat(np.arange(n_nodes) * n << bits, lens) + 2 * wb + d.labels[rb]).astype(dt)
     key.sort(axis=1)
-    low = np.bitwise_and(key, (1 << bits) - 1, dtype=np.intp)
+    # the low bits, 2 * count + label, become the element's packed count and
+    # positives, count + (count * label << shift), with shifts and a multiply
+    # in the key's own dtype; each integer buffer goes once it has been read
+    cs = key & (1 << bits) - 1
     key >>= bits  # node * n + rank
-
-    v = np.arange(1 << bits)  # every low-bits value, 2 * count + label
-    cs = ((v >> 1) + ((v >> 1) * (v & 1) << shift)).astype(dt)[low]
+    label = cs & 1
+    cs >>= 1
+    label *= cs
+    label <<= shift
+    cs += label
+    del label
     cs[:, offset[1:]] -= sizes[:-1] + (pos[:-1] << shift)
     np.cumsum(cs, axis=1, dtype=dt, out=cs)
+    # three float buffers: pos_l becomes the score, and nl becomes nr once
+    # the score has read it; the float operations and their order are those
+    # of pos_l^2 / nl + pos_r^2 / nr
     pos_l = (cs >> shift).astype(np.float64)
     cs &= (1 << shift) - 1
     nl = cs.astype(np.float64)
-    nr = np.repeat(sizes.astype(np.float64), lens) - nl
+    del cs
     pos_r = np.repeat(pos.astype(np.float64), lens) - pos_l
-    with np.errstate(divide="ignore", invalid="ignore"):  # nr = 0 at node ends
+    # one errstate for the call: nr = 0 at node ends, and a span hi - lo
+    # past the float range overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         score = np.multiply(pos_l, pos_l, out=pos_l)
         score /= nl
+        nr = np.subtract(np.repeat(sizes.astype(np.float64), lens), nl, out=nl)
         pos_r *= pos_r
         pos_r /= nr
         score += pos_r
-    # valid only when the next element is in the same node and has a larger
-    # value
-    np.copyto(score[:, :-1], -np.inf, where=key[:, 1:] == key[:, :-1])
-    score[:, offset + lens - 1] = -np.inf
+        del nl, nr, pos_r
+        # valid only when the next element is in the same node and has a
+        # larger value
+        np.copyto(score[:, :-1], -np.inf, where=key[:, 1:] == key[:, :-1])
+        score[:, offset + lens - 1] = -np.inf
 
-    # lowest feature within eps of the node's best, then lowest threshold
-    score, key = score.ravel(), key.ravel()
-    seg_start = (np.arange(0, k * M, M)[:, None] + offset).ravel()
-    seg_max = np.maximum.reduceat(score, seg_start)
-    col_max = seg_max.reshape(k, n_nodes).T
-    best = col_max.max(axis=1)
-    ok = best > -np.inf
-    eps = _TIE_EPS * np.maximum(1.0, sizes.astype(np.float64))
-    col = np.argmax(col_max >= (best - eps)[:, None], axis=1)
-    chosen = (col * n_nodes + np.arange(n_nodes))[ok]
-    # first boundary of each chosen segment within eps of its maximum
-    at, g_start = _gather(seg_start[chosen], lens[ok])
-    hit = np.flatnonzero(score[at] >= np.repeat(seg_max[chosen] - eps[ok], lens[ok]))
-    first = at[hit[np.searchsorted(hit, g_start)]]
+        # lowest feature within eps of the node's best, then lowest threshold
+        seg_max = np.maximum.reduceat(score, offset, axis=1)  # (k, n_nodes)
+        best = seg_max.max(axis=0)
+        ok = best > -np.inf
+        eps = _TIE_EPS * sizes  # sizes >= 1
+        col = np.argmax(seg_max >= best - eps, axis=0)
+        # first boundary of each node's chosen segment within eps of its maximum
+        top = seg_max[col, np.arange(n_nodes)] - eps
+        hit = np.flatnonzero(score[np.repeat(col, lens), np.arange(M)] >= np.repeat(top, lens))
+        first = hit[np.searchsorted(hit, offset[ok])]
 
+        # key - node * n is the value's rank; a run that mixes 0.0 and -0.0
+        # gives the same threshold whichever of them the rank maps to
+        row, jf, base = col[ok], cand[ok, col[ok]], np.flatnonzero(ok) * n
+        lo = d.sorted_features[key[row, first] - base, jf]
+        hi = d.sorted_features[key[row, first + 1] - base, jf]
+        half = (hi - lo) / 2.0
+        # a span past the float range: halve each end first
+        thr = np.where(np.isfinite(half), lo + half, lo / 2.0 + hi / 2.0)
     feature = np.full(n_nodes, -1, dtype=np.int64)
     threshold = np.full(n_nodes, np.nan)
-    feature[ok] = jf = cand[ok, col[ok]]
-    # key - node * n is the value's rank; a run that mixes 0.0 and -0.0
-    # gives the same threshold whichever of them the rank maps to
-    base = np.flatnonzero(ok) * n
-    lo = d.sorted_features[key[first] - base, jf]
-    hi = d.sorted_features[key[first + 1] - base, jf]
-    with np.errstate(over="ignore"):
-        half = (hi - lo) / 2.0
-    # a span past the float range: halve each end first
-    thr = np.where(np.isfinite(half), lo + half, lo / 2.0 + hi / 2.0)
+    feature[ok] = jf
     threshold[ok] = np.where(thr >= hi, lo, thr)  # adjacent floats; keep both sides nonempty
     return feature, threshold
 

@@ -134,6 +134,26 @@ class TestConfigValidation:
         with pytest.raises(error, match=message):
             ExperimentConfig(source="xor", **{field: value})
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("train_size", 40.5, TypeError, "train_size must be an integer, got 40.5"),
+        ("train_size", 0, ValueError, "train_size must be >= 1, got 0"),
+        ("test_size", True, TypeError, "test_size must be an integer, got True"),
+        ("test_size", 0, ValueError, "test_size must be >= 1, got 0"),
+        ("seed", -1, ValueError, "seed must be >= 0, got -1"),
+        ("seed", 1.0, TypeError, "seed must be an integer, got 1.0"),
+        ("train_fraction", "0.5", TypeError, "train_fraction must be a number, got '0.5'"),
+        ("train_fraction", 1.5, ValueError, r"train_fraction must be in \(0, 1\), got 1.5"),
+        ("train_fraction", 0.0, ValueError, r"train_fraction must be in \(0, 1\), got 0.0"),
+        ("train_fraction", float("nan"), ValueError, r"train_fraction must be in \(0, 1\), got nan"),
+    ])
+    def test_sizes_seed_and_fraction_checked_for_every_source(self, field, value, error, message):
+        # a synthetic source does not split by train_fraction, and a csv
+        # source does not sample train_size or test_size rows; each is
+        # refused when the config is built either way
+        for source in ({"source": "xor"}, {"source": "csv", "csv_path": "d.csv"}):
+            with pytest.raises(error, match=message):
+                ExperimentConfig(**source, **{field: value})
+
     @pytest.mark.parametrize("mtry", [2.5, 3.0, True, None])
     def test_estimator_mtry_must_be_an_integer_or_symbol(self, mtry):
         with pytest.raises(TypeError, match="mtry must be an integer"):

@@ -619,6 +619,28 @@ class TestBadCounts:
         assert main([command, *source, "--junk", "-3", "--out", str(out)]) == 1
         self._refused(capsys, out, "junk must be >= 0, got -3")
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "bench", "kernel"])
+    def test_negative_seed(self, workspace, tmp_path, capsys, command):
+        out, comparison = tmp_path / "out", tmp_path / "c.csv"
+        argv = {
+            "simulate": ["--model", "xor", "--n", "30", "--out", str(out)],
+            "train": ["--data", str(workspace[1]), "--out", str(out)],
+            "bench": ["--synthetic", "xor", "--out", str(out)],
+            "kernel": ["--strong", "1", "--weak", "1", "--out-weights", str(out),
+                       "--out-compare", str(comparison)],
+        }[command]
+        assert main([command, *argv, "--seed", "-1"]) == 1
+        assert not comparison.exists()
+        self._refused(capsys, out, "seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])
+    def test_bench_train_fraction_outside_the_unit_interval(self, tmp_path, capsys, fraction):
+        # refused for a synthetic source too, which is not split by it
+        out = tmp_path / "r.json"
+        assert main(["bench", "--synthetic", "xor", "--train-fraction", fraction,
+                     "--out", str(out)]) == 1
+        self._refused(capsys, out, "train_fraction must be in (0, 1)")
+
     @pytest.mark.parametrize("seed", ["0", "1"])
     @pytest.mark.parametrize("command", ["train", "bench"])
     def test_junk_name_clash(self, tmp_path, capsys, command, seed):

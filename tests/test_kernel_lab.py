@@ -466,6 +466,13 @@ class TestMcProximity:
         with pytest.raises(error, match=message):
             mc_proximity(spec, np.zeros((1, 2)), n_trees=n_trees, seed=0)
 
+    def test_negative_seed_named(self):
+        spec = NaiveKernelSpec(leaves=2, strong=1, weak=1, mtry=1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            mc_proximity(spec, np.zeros((1, 2)), n_trees=1, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            mc_selection_freq(spec, 1, -1)
+
     def test_batch_memory_at_20000_trees(self):
         # 30 rows against (20,000, 50) extents, compared a block of trees
         # at a time: the 8 MB extents and about 5 MB more

@@ -140,3 +140,7 @@ class TestSample:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             sample(get_model("xor"), 0, seed=0)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample(get_model("xor"), 5, seed=-1)

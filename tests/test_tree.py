@@ -132,6 +132,10 @@ class TestTreeParams:
         with pytest.raises(TypeError, match=message):
             ForestParams(tree=TreeParams(mtry=1), **kwargs)
 
+    def test_forest_params_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ForestParams(n_trees=2, tree=TreeParams(mtry=1), seed=-1)
+
     def test_numpy_integers_accepted(self):
         tp = TreeParams(mtry=np.int64(2), min_node_size=np.int32(3), max_leaves=np.uint8(4))
         fp = ForestParams(np.int64(2), tp, seed=np.uint64(7))
@@ -746,6 +750,32 @@ def test_growth_memory_does_not_scale_with_forest_size():
     finally:
         tracemalloc.stop()
     assert peak - sum(a.nbytes for a in grown) < 8 << 20
+
+
+def test_best_splits_temporaries_stay_lean():
+    # One wide node: the ~630 distinct rows of a bootstrap of 1000, scored
+    # over 30 candidates. The scorer's temporaries peak at about 33 bytes
+    # per (candidate, distinct row) element: the sort key in its own dtype
+    # and three float buffers. Another (k, M) intp or float temporary alive
+    # at the peak would pass 40, and the chunk window, set so that a call's
+    # temporaries stay in cache, would no longer fit them.
+    rng = np.random.default_rng(3)
+    n, p, k = 1000, 50, 30
+    d = make_data(rng.uniform(-1, 1, size=(n, p)), rng.integers(0, 2, n))
+    d.ranks, d.sorted_features  # computed once per dataset, before growth
+    inbag = np.bincount(rng.integers(0, n, n), minlength=n)
+    rows = np.flatnonzero(inbag)
+    weight = inbag[rows]
+    node = [np.array([v]) for v in (0, rows.size, weight.sum(), weight @ d.labels[rows])]
+    cand = np.sort(rng.choice(p, k, replace=False))[None, :]
+    tracemalloc.start()
+    try:
+        feature, _ = tree_module._best_splits(d, rows, weight, *node, cand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feature[0] >= 0 and 550 < rows.size < 700
+    assert peak / (k * rows.size) < 40
 
 
 def uniformity_keys():
