@@ -299,7 +299,8 @@ def _best_splits(d, rows, weight, starts, lens, sizes, pos, cand):
 
         # key - node * n is the value's rank; a run that mixes 0.0 and -0.0
         # gives the same threshold whichever of them the rank maps to
-        row, jf, base = col[ok], cand[ok, col[ok]], np.flatnonzero(ok) * n
+        row = col[ok]
+        jf, base = cand[ok, row], np.flatnonzero(ok) * n
         lo = d.sorted_features[key[row, first] - base, jf]
         hi = d.sorted_features[key[row, first + 1] - base, jf]
         half = (hi - lo) / 2.0
