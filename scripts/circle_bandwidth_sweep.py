@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from forestprox.kernel_lab import bandwidth_sweep, default_bandwidth_grid
+from forestprox.kernel_lab import bandwidth_sweep
 from forestprox.synthgen import get_model, sample
 
 
@@ -26,7 +26,7 @@ def main():
     model = get_model("circle")
     train = sample(model, args.train_n, args.seed)
     hold = sample(model, args.holdout_n, args.seed + 100)
-    grid = default_bandwidth_grid(args.grid_low, args.grid_high, args.grid_count)
+    grid = np.geomspace(args.grid_low, args.grid_high, args.grid_count)
     shapes = {"symmetric": np.array([1.0, 1.0]), "skewed_10_1": np.array([10.0, 1.0])}
     curves = {
         name: bandwidth_sweep(train, hold.features, hold.true_probs, w, grid)

@@ -9,12 +9,11 @@ from .bench import (
     rmse_true,
     run_experiment,
 )
-from .data_model import Dataset, SplitPair, augment_junk, load_csv, save_csv, train_test_split
+from .data_model import Dataset, augment_junk, load_csv, save_csv, train_test_split
 from .diagnostics import (
     DerivativeReport,
     KernelGrid,
     derivative_report,
-    half_max_extent,
     kernel_grid,
     prob_histogram,
 )
@@ -23,18 +22,16 @@ from .kernel_lab import (
     NaiveKernelSpec,
     bandwidth_sweep,
     breiman_kernel,
-    default_bandwidth_grid,
     mc_proximity,
     mc_selection_freq,
     naive_kernel,
     strong_weak_weights,
 )
-from .synthgen import MODELS, SyntheticModel, ccpf, get_model, sample
+from .synthgen import MODELS, SyntheticModel, get_model, sample
 from .tree import TreeParams
 
 __all__ = [
     "Dataset",
-    "SplitPair",
     "load_csv",
     "save_csv",
     "augment_junk",
@@ -50,17 +47,14 @@ __all__ = [
     "mc_proximity",
     "breiman_kernel",
     "bandwidth_sweep",
-    "default_bandwidth_grid",
     "DerivativeReport",
     "KernelGrid",
     "derivative_report",
     "kernel_grid",
-    "half_max_extent",
     "prob_histogram",
     "SyntheticModel",
     "MODELS",
     "get_model",
-    "ccpf",
     "sample",
     "EstimatorSpec",
     "ExperimentConfig",

@@ -18,10 +18,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data_model import TRUE_PROB_COLUMN, Dataset, augment_junk, load_csv, train_test_split
+from .data_model import (
+    TRUE_PROB_COLUMN, Dataset, augment_junk, check_integer, load_csv, train_test_split
+)
 from .forest import PREDICT_MODES, Forest, ForestParams, derive_seeds, train_forest
 from .synthgen import get_model, sample
-from .tree import TreeParams, check_integer
+from .tree import TreeParams
 
 # Each mtry symbol as a function of p; resolve_mtry rounds and clips it to [1, p].
 _MTRY_OF_P = {
@@ -249,14 +251,14 @@ def _tune_forest(
     and each larger size is scored on its `Forest.cut`, the forest that
     size grows. Returns the first cell of lowest RMSE in grid order, and
     every cell's (mtry, node size, RMSE) in that order."""
-    carve = train_test_split(train, 0.75, tune_seed)
+    carve_train, carve_test = train_test_split(train, 0.75, tune_seed)
     mtrys = tuning_grid(train.p)
     surface = []
     for m, seed in zip(mtrys, derive_seeds(tune_seed, len(mtrys))):
-        grown = _forest(spec, cfg, carve.train, m, NODE_SIZE_GRID[0], seed)
+        grown = _forest(spec, cfg, carve_train, m, NODE_SIZE_GRID[0], seed)
         for ns in NODE_SIZE_GRID:
-            preds = grown.cut(ns).predict_proba_batch(carve.test.features, spec.mode)
-            surface.append((m, ns, rmse_true(preds, carve.test.labels)))
+            preds = grown.cut(ns).predict_proba_batch(carve_test.features, spec.mode)
+            surface.append((m, ns, rmse_true(preds, carve_test.labels)))
     m, ns, _ = min(surface, key=lambda cell: cell[2])  # min keeps the first of equals
     return (m, ns), tuple(surface)
 
@@ -299,8 +301,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             full = csv_data
             if cfg.junk > 0:
                 full = augment_junk(full, cfg.junk, seeds[2])
-            pair = train_test_split(full, cfg.train_fraction, seeds[4])
-            train, test = pair.train, pair.test
+            train, test = train_test_split(full, cfg.train_fraction, seeds[4])
 
         for est_idx, spec in enumerate(cfg.estimators):
             forest_seed, tune_seed = derive_seeds(cfg.seed, 2, (rep, est_idx + 1))

@@ -8,6 +8,7 @@ need a header row, UTF-8 encoding, '.' decimals and comma separators.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -21,6 +22,15 @@ TRUE_PROB_COLUMN = "true_prob"
 
 class DataError(ValueError):
     """Raised for malformed input data (files, labels, shapes)."""
+
+
+def check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Refuse with TypeError a value that is not an integer (a bool is
+    not one), and with ValueError one below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -117,12 +127,6 @@ class Dataset:
             feature_names=self.feature_names,
             true_probs=None if self.true_probs is None else self.true_probs[rows],
         )
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    train: Dataset
-    test: Dataset
 
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -280,8 +284,7 @@ def augment_junk(d: Dataset, count: int, seed: int) -> Dataset:
     name of that form, for any source and k < count, is refused whatever
     the seed.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_integer("count", count, 1)
     for name in d.feature_names:
         source, sep, k = name.rpartition("_junk_")
         if (sep and source in d.feature_names
@@ -304,8 +307,9 @@ def augment_junk(d: Dataset, count: int, seed: int) -> Dataset:
     )
 
 
-def train_test_split(d: Dataset, train_fraction: float, seed: int) -> SplitPair:
-    """Uniform random row partition, deterministic for a given seed."""
+def train_test_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Uniform random row partition into (train, test), deterministic for
+    a given seed."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n_train = int(round(d.n * train_fraction))
@@ -314,7 +318,4 @@ def train_test_split(d: Dataset, train_fraction: float, seed: int) -> SplitPair:
             f"fraction {train_fraction} leaves an empty side for n={d.n}"
         )
     perm = np.random.default_rng(seed).permutation(d.n)
-    return SplitPair(
-        train=d.subset(np.sort(perm[:n_train])),
-        test=d.subset(np.sort(perm[n_train:])),
-    )
+    return d.subset(np.sort(perm[:n_train])), d.subset(np.sort(perm[n_train:]))

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import forest
+from .data_model import check_integer
+
 
 @dataclass(frozen=True)
 class DerivativeReport:
-    center: np.ndarray
     steps: np.ndarray
     left: np.ndarray
     right: np.ndarray
@@ -32,8 +34,6 @@ class DerivativeReport:
 
 @dataclass(frozen=True)
 class KernelGrid:
-    center: np.ndarray
-    dims: tuple[int, int]
     axis_i: np.ndarray
     axis_j: np.ndarray
     values: np.ndarray
@@ -63,7 +63,7 @@ def derivative_report(kernel, x0, steps) -> DerivativeReport:
     _refuse(~np.isfinite(Z).all(axis=0), "steps must keep center +- step finite", h)
     k = np.asarray(kernel(Z, x0))
     right, left = (k[1:] - k[0]).reshape(2, -1) / h
-    return DerivativeReport(center=x0, steps=h, left=left, right=right)
+    return DerivativeReport(steps=h, left=left, right=right)
 
 
 def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
@@ -71,20 +71,26 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
 
     `dims` picks the two plotted coordinates; the remaining coordinates of
     z stay pinned to x0. `bounds` gives ((lo_i, hi_i), (lo_j, hi_j)).
-    values[a, b] corresponds to (axis_i[a], axis_j[b]). x0, the bounds
-    and every axis value must be finite. The kernel is called once per
-    axis_i value, on `resolution` rows.
+    values[a, b] corresponds to (axis_i[a], axis_j[b]). `dims` and
+    `resolution` must be integers; x0, the bounds and every axis value
+    must be finite. A resolution r whose (r, r) float64 values exceed
+    forest.PROXIMITY_MATRIX_MAX_BYTES, read at each call, is refused
+    before anything is allocated. The kernel is called once per axis_i
+    value, on `resolution` rows.
     """
+    check_integer("resolution", resolution, 2)
+    cap, size = forest.PROXIMITY_MATRIX_MAX_BYTES, 8 * resolution * resolution
+    if size > cap:
+        raise ValueError(f"resolution {resolution} needs {size} bytes, over the cap of {cap}")
     x0 = np.asarray(x0, dtype=np.float64)
     _refuse(~np.isfinite(x0), "center must be finite", x0)
-    i, j = int(dims[0]), int(dims[1])
-    if i == j:
-        raise ValueError("plotted dimensions must differ")
+    i, j = dims
     for d in (i, j):
+        check_integer("dims", d)
         if not 0 <= d < x0.size:
             raise ValueError(f"dimension {d} out of range for p={x0.size}")
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if i == j:
+        raise ValueError("plotted dimensions must differ")
     (lo_i, hi_i), (lo_j, hi_j) = bounds
     if not np.isfinite([lo_i, hi_i, lo_j, hi_j]).all():
         raise ValueError(f"bounds must be finite, got {[lo_i, hi_i, lo_j, hi_j]}")
@@ -99,21 +105,7 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
         Z[:, i] = vi
         Z[:, j] = axis_j
         values[a] = kernel(Z, x0)
-    return KernelGrid(center=x0, dims=(i, j), axis_i=axis_i, axis_j=axis_j, values=values)
-
-
-def half_max_extent(grid: KernelGrid, axis: int) -> float:
-    """Span of the region where the grid reaches half its maximum, along
-    one of the two plotted axes (0 = axis_i, 1 = axis_j).
-
-    Scalar stand-in for eyeballing level-set width in a plot.
-    """
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    mask = grid.values >= 0.5 * grid.values.max()
-    idx = np.flatnonzero(mask.any(axis=1 - axis))
-    coords = grid.axis_i if axis == 0 else grid.axis_j
-    return float(coords[idx[-1]] - coords[idx[0]])
+    return KernelGrid(axis_i=axis_i, axis_j=axis_j, values=values)
 
 
 def prob_histogram(predictions, n_bins: int) -> np.ndarray:
@@ -121,8 +113,7 @@ def prob_histogram(predictions, n_bins: int) -> np.ndarray:
     preds = np.asarray(predictions, dtype=np.float64)
     if preds.size == 0:
         raise ValueError("predictions must be nonempty")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    check_integer("n_bins", n_bins, 1)
     if not ((preds >= 0.0) & (preds <= 1.0)).all():
         raise ValueError("predictions must lie in [0, 1]")
     idx = np.minimum((preds * n_bins).astype(np.int64), n_bins - 1)

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import Dataset
-from .tree import TreeParams, check_integer, first_child, grow_trees, node_depth, route
+from .data_model import Dataset, check_integer
+from .tree import TreeParams, first_child, grow_trees, node_depth, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
@@ -52,7 +52,8 @@ class ForestParams:
 
 # Largest proximity matrix, in bytes, that `proximity_matrix` builds:
 # the float64 result plus one tree's boolean co-occupancy, 9 bytes a pair
-# (about 5,460 points).
+# (about 5,460 points). `diagnostics.kernel_grid` holds its (r, r) float64
+# values to the same cap (r <= 5,792).
 PROXIMITY_MATRIX_MAX_BYTES = 1 << 28
 
 

@@ -21,8 +21,7 @@ from math import comb, log
 
 import numpy as np
 
-from .data_model import Dataset
-from .tree import check_integer
+from .data_model import Dataset, check_integer
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,7 @@ class NaiveKernelSpec:
         return self.strong + self.weak
 
 
-def strong_weak_weights(
-    spec: NaiveKernelSpec, use_printed_coefficient: bool = False
-) -> tuple[float, float]:
+def strong_weak_weights(spec: NaiveKernelSpec) -> tuple[float, float]:
     """Per-split selection probability of one strong / one weak coordinate.
 
     A strong coordinate is split exactly when the mtry candidates hold at
@@ -60,21 +57,14 @@ def strong_weak_weights(
 
     and p_W is exactly 0 once m > W. This is the paper's sum
     sum_k C(S-1, k-1) C(W, m-k) / (k C(p, m)) in closed form, and the
-    one the Monte Carlo oracle confirms. `use_printed_coefficient` takes
-    the printed off-by-one coefficient C(W, m-k+1) instead, for
-    side-by-side comparison: its sum over k <= min(S, m) counts
-    A = C(p, m+1) - C(W, m+1) - C(S, m+1) in place of C(p, m) - C(W, m).
-    It misses the all-strong limit 1/S, and its p_W = (1 - S p_S) / W
-    can be negative. Each weight is one division of exact integers, so
-    it is correctly rounded.
+    one the Monte Carlo oracle confirms. Each weight is one division of
+    exact integers, so it is correctly rounded.
     """
     S, W, m, p = spec.strong, spec.weak, spec.mtry, spec.p
-    s = 1 if use_printed_coefficient else 0
-    draws = comb(p, m)
-    # S * C(p, m) * p_S: sum_k C(S, k) C(W, m+s-k) over 1 <= k <= m by Vandermonde
-    hits = comb(p, m + s) - comb(W, m + s) - s * comb(S, m + 1)
-    p_s = hits / (S * draws) if S else 0.0
-    p_w = (draws - hits) / (W * draws) if W else 0.0
+    # misses: the draws of m candidates that hold no strong coordinate
+    draws, misses = comb(p, m), comb(W, m)
+    p_s = (draws - misses) / (S * draws) if S else 0.0
+    p_w = misses / (W * draws) if W else 0.0
     return p_s, p_w
 
 
@@ -255,9 +245,3 @@ def bandwidth_sweep(
         preds = (K @ train.labels) / mass
         out[i] = float(np.sqrt(np.mean((preds - targets) ** 2)))
     return out
-
-
-def default_bandwidth_grid(low: float = 1e-3, high: float = 10.0, count: int = 30) -> np.ndarray:
-    if not 0 < low < high:
-        raise ValueError("need 0 < low < high")
-    return np.geomspace(low, high, count)

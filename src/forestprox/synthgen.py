@@ -1,9 +1,10 @@
 """Synthetic binary-classification models with known conditional class
 probabilities.
 
-Each model exposes the exact P(y=1|x) on its domain, which is the ground
-truth every RMSE-against-truth experiment scores against. Sampling draws
-x uniformly on the domain and y ~ Bernoulli(ccpf(x)).
+Each model's `ccpf` maps an (m, p) matrix of points on its domain to
+their exact P(y=1|x), (m,): the ground truth every RMSE-against-truth
+experiment scores against. Sampling draws x uniformly on the domain and
+y ~ Bernoulli(ccpf(x)).
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data_model import Dataset
-from .tree import check_integer
+from .data_model import Dataset, check_integer
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class SyntheticModel:
     p: int
     low: float
     high: float
-    _ccpf: Callable[[np.ndarray], np.ndarray]
+    ccpf: Callable[[np.ndarray], np.ndarray]
 
 
 def _p_motivating(X: np.ndarray) -> np.ndarray:
@@ -88,30 +88,16 @@ def get_model(name: str) -> SyntheticModel:
         ) from None
 
 
-def ccpf(m: SyntheticModel, x: np.ndarray) -> np.ndarray | float:
-    """Exact conditional class probability at x (single vector or matrix)."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if X.shape[1] != m.p:
-        raise ValueError(f"{m.name} expects {m.p} coordinates, got {X.shape[1]}")
-    if X.min() < m.low - 1e-12 or X.max() > m.high + 1e-12:
-        raise ValueError(
-            f"point outside {m.name} domain [{m.low}, {m.high}]^{m.p}"
-        )
-    out = m._ccpf(X)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
 def sample(m: SyntheticModel, n: int, seed: int) -> Dataset:
-    """Draw n rows: x uniform on the domain, y ~ Bernoulli(ccpf(x)).
+    """Draw n rows: x uniform on the domain, y ~ Bernoulli(m.ccpf(x)).
 
     The generating probabilities ride along as `Dataset.true_probs`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_integer("n", n, 1)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = rng.uniform(m.low, m.high, size=(n, m.p))
-    probs = m._ccpf(X)
+    probs = m.ccpf(X)
     y = (rng.random(n) < probs).astype(np.int64)
     names = tuple(f"x{j + 1}" for j in range(m.p))
     return Dataset(features=X, labels=y, feature_names=names, true_probs=probs)

@@ -17,12 +17,11 @@ the forest routes its in-bag training rows (`route`) to count each leaf's rows.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import Dataset, check_integer
 
 SPLIT_MODES = ("impurity", "completely_random")
 
@@ -63,15 +62,6 @@ def _mix(key, tag) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _MUL1
     z = (z ^ (z >> np.uint64(27))) * _MUL2
     return z ^ (z >> np.uint64(31))
-
-
-def check_integer(name: str, value, minimum: int | None = None) -> None:
-    """Refuse with TypeError a value that is not an integer (a bool is
-    not one), and with ValueError one below `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)

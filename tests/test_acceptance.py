@@ -28,7 +28,6 @@ from forestprox.forest import ForestParams, train_forest
 from forestprox.kernel_lab import (
     NaiveKernelSpec,
     bandwidth_sweep,
-    default_bandwidth_grid,
     mc_proximity,
     mc_selection_freq,
     naive_kernel,
@@ -284,7 +283,7 @@ def test_c3c_weight_curve_shape():
 def test_c4_circle_bandwidth_sweep():
     t0 = time.perf_counter()
     model = get_model("circle")
-    grid = default_bandwidth_grid()
+    grid = np.geomspace(1e-3, 10.0, 30)
     sym_best, skew_best, wins = [], [], 0
     for s in range(10):
         train = sample(model, 500, seed=9000 + s)

@@ -548,6 +548,21 @@ class TestGridCommand:
         assert err["type"] == "ValueError"
         assert err["message"] == f"--dims needs indices in [0, 2), got {dims}"
 
+    def test_resolution_over_the_matrix_cap_refused(self, workspace, tmp_path, capsys):
+        # 8 * 6000^2 bytes of grid values exceed PROXIMITY_MATRIX_MAX_BYTES
+        _, _, model = workspace
+        out = tmp_path / "grid.csv"
+        assert main([
+            "grid", "--model", str(model), "--center", "0,0", "--resolution", "6000",
+            "--out", str(out),
+        ]) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {
+            "type": "ValueError",
+            "message": "resolution 6000 needs 288000000 bytes, over the cap of 268435456",
+        }
+
 
 class TestBenchCommand:
     def test_synthetic_run_emits_report_and_table(self, tmp_path):

@@ -258,6 +258,11 @@ class TestAugmentJunk:
         with pytest.raises(ValueError):
             augment_junk(self._data(), 0, seed=0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+    def test_non_integer_count_named(self, count):
+        with pytest.raises(TypeError, match=f"count must be an integer, got {count!r}"):
+            augment_junk(self._data(), count, seed=0)
+
     def test_junk_uncorrelated_with_labels_on_average(self):
         # one junk column per seed; the mean correlation over seeds is ~0
         rng = np.random.default_rng(11)
@@ -285,24 +290,24 @@ class TestTrainTestSplit:
         )
 
     def test_sizes(self):
-        pair = train_test_split(self._data(10), 0.8, seed=0)
-        assert pair.train.n == 8 and pair.test.n == 2
+        train, test = train_test_split(self._data(10), 0.8, seed=0)
+        assert train.n == 8 and test.n == 2
 
     def test_deterministic(self):
         d = self._data(30)
-        a = train_test_split(d, 0.6, seed=4)
-        b = train_test_split(d, 0.6, seed=4)
-        np.testing.assert_array_equal(a.train.features, b.train.features)
-        np.testing.assert_array_equal(a.test.features, b.test.features)
+        a_train, a_test = train_test_split(d, 0.6, seed=4)
+        b_train, b_test = train_test_split(d, 0.6, seed=4)
+        np.testing.assert_array_equal(a_train.features, b_train.features)
+        np.testing.assert_array_equal(a_test.features, b_test.features)
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             train_test_split(self._data(5), 0.999, seed=0)
 
     def test_true_probs_carried_through(self):
-        pair = train_test_split(self._data(10), 0.8, seed=1)
-        assert pair.train.true_probs is not None
-        assert pair.train.true_probs.shape == (8,)
+        train, _ = train_test_split(self._data(10), 0.8, seed=1)
+        assert train.true_probs is not None
+        assert train.true_probs.shape == (8,)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -315,7 +320,7 @@ class TestTrainTestSplit:
         d = Dataset(
             np.arange(n, dtype=float)[:, None], rng.integers(0, 2, n), ("a",)
         )
-        pair = train_test_split(d, frac, seed=seed)
-        got = np.concatenate([pair.train.features[:, 0], pair.test.features[:, 0]])
+        train, test = train_test_split(d, frac, seed=seed)
+        got = np.concatenate([train.features[:, 0], test.features[:, 0]])
         assert sorted(got.tolist()) == list(range(n))
-        assert abs(pair.train.n - n * frac) <= 1.0
+        assert abs(train.n - n * frac) <= 1.0

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestprox.diagnostics import (
-    KernelGrid,
-    derivative_report,
-    half_max_extent,
-    kernel_grid,
-    prob_histogram,
-)
+from forestprox import forest
+from forestprox.diagnostics import derivative_report, kernel_grid, prob_histogram
 from forestprox.forest import ForestParams, train_forest
 from forestprox.kernel_lab import NaiveKernelSpec, breiman_kernel, naive_kernel
 from forestprox.synthgen import get_model, sample
@@ -39,6 +34,14 @@ def refused_quietly(call, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def half_max_spans(grid):
+    """Spans along axis_i and along axis_j of the grid cells where the
+    kernel reaches half its maximum."""
+    mask = grid.values >= 0.5 * grid.values.max()
+    a, b = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    return grid.axis_i[a[-1]] - grid.axis_i[a[0]], grid.axis_j[b[-1]] - grid.axis_j[b[0]]
 
 
 def one_sided(kernel, x0, j, sign, h):
@@ -241,7 +244,8 @@ class TestKernelGrid:
         # weight 5 on coordinate 0 shrinks the half-max span along axis_i
         k = laplace(2.0, [5.0, 1.0])
         grid = kernel_grid(k, np.zeros(2), (0, 1), 41, ((-1, 1), (-1, 1)))
-        assert half_max_extent(grid, 0) < half_max_extent(grid, 1)
+        span_i, span_j = half_max_spans(grid)
+        assert span_i < span_j
 
     def test_validation(self):
         k = laplace(1.0, [0.5, 0.5])
@@ -251,6 +255,29 @@ class TestKernelGrid:
             kernel_grid(k, np.zeros(2), (0, 1), 1, ((-1, 1), (-1, 1)))
         with pytest.raises(ValueError):
             kernel_grid(k, np.zeros(2), (0, 3), 5, ((-1, 1), (-1, 1)))
+
+    @pytest.mark.parametrize("dims, resolution, message", [
+        ((0, 1), 2.5, "resolution must be an integer, got 2.5"),
+        ((0, 1), True, "resolution must be an integer, got True"),
+        ((0.5, 1), 5, "dims must be an integer, got 0.5"),
+        ((0, 1.0), 5, "dims must be an integer, got 1.0"),
+    ])
+    def test_rejects_non_integer_counts(self, dims, resolution, message):
+        with pytest.raises(TypeError, match=message):
+            kernel_grid(never_called, np.zeros(2), dims, resolution, ((-1, 1), (-1, 1)))
+
+    def test_resolution_over_the_matrix_cap_refused_before_any_call(self, monkeypatch):
+        # 8 r^2 bytes of values against PROXIMITY_MATRIX_MAX_BYTES, read at each call
+        refused_quietly(
+            lambda: kernel_grid(never_called, np.zeros(2), (0, 1), 5793, ((-1, 1), (-1, 1))),
+            "resolution 5793 needs 268470792 bytes, over the cap of 268435456",
+        )
+        monkeypatch.setattr(forest, "PROXIMITY_MATRIX_MAX_BYTES", 8 * 5 * 5)
+        assert kernel_grid(const, np.zeros(2), (0, 1), 5, ((-1, 1), (-1, 1))).values.shape == (5, 5)
+        refused_quietly(
+            lambda: kernel_grid(never_called, np.zeros(2), (0, 1), 6, ((-1, 1), (-1, 1))),
+            "resolution 6 needs 288 bytes, over the cap of 200",
+        )
 
     @pytest.mark.parametrize("at, bad", [(0, np.nan), (1, np.inf), (2, -np.inf), (3, np.nan)])
     def test_rejects_non_finite_bounds(self, at, bad):
@@ -325,27 +352,8 @@ class TestForestKernelShape:
         grid = kernel_grid(
             f.proximity_many, np.array([-0.25, -0.25]), (0, 1), 41, ((-1, 1), (-1, 1))
         )
-        assert half_max_extent(grid, 0) < half_max_extent(grid, 1)
-
-
-class TestHalfMaxExtent:
-    def test_hand_grid(self):
-        values = np.zeros((5, 5))
-        values[1:4, 2] = 1.0  # ridge three cells tall, one cell wide
-        grid = KernelGrid(
-            center=np.zeros(2),
-            dims=(0, 1),
-            axis_i=np.linspace(0, 4, 5),
-            axis_j=np.linspace(0, 4, 5),
-            values=values,
-        )
-        assert half_max_extent(grid, 0) == pytest.approx(2.0)
-        assert half_max_extent(grid, 1) == pytest.approx(0.0)
-
-    def test_axis_validation(self):
-        grid = KernelGrid(np.zeros(2), (0, 1), np.arange(3.0), np.arange(3.0), np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            half_max_extent(grid, 2)
+        span_i, span_j = half_max_spans(grid)
+        assert span_i < span_j
 
 
 class TestProbHistogram:
@@ -378,6 +386,11 @@ class TestProbHistogram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             prob_histogram(np.array([]), 10)
+
+    @pytest.mark.parametrize("n_bins", [2.5, 10.0, True, "10"])
+    def test_non_integer_bin_count_named(self, n_bins):
+        with pytest.raises(TypeError, match=f"n_bins must be an integer, got {n_bins!r}"):
+            prob_histogram(np.array([0.5]), n_bins)
 
     @pytest.mark.parametrize("preds", [[0.5, 1.2], [0.2, np.nan]])
     def test_out_of_range_rejected(self, preds):

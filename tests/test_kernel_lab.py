@@ -16,7 +16,6 @@ from forestprox.kernel_lab import (
     NaiveKernelSpec,
     bandwidth_sweep,
     breiman_kernel,
-    default_bandwidth_grid,
     mc_proximity,
     mc_selection_freq,
     naive_kernel,
@@ -123,21 +122,35 @@ WEIGHT_GRID = [
 
 
 class TestStrongWeakWeights:
-    @pytest.mark.parametrize("printed", [False, True])
-    def test_correctly_rounded_exact_rationals(self, printed):
+    def test_correctly_rounded_exact_rationals(self):
         assert len(WEIGHT_GRID) == 28_548
         for S, W, m in WEIGHT_GRID:
-            got = strong_weak_weights(NaiveKernelSpec(2, S, W, m), use_printed_coefficient=printed)
-            want = tuple(float(v) for v in exact_weights(S, W, m, int(printed)))
+            got = strong_weak_weights(NaiveKernelSpec(2, S, W, m))
+            want = tuple(float(v) for v in exact_weights(S, W, m, 0))
             assert got == want, (S, W, m)
 
-    @pytest.mark.parametrize("printed", [False, True])
-    def test_strong_weight_matches_loop_reference(self, printed):
+    def test_strong_weight_matches_loop_reference(self):
         for S, W, m in WEIGHT_GRID:
             spec = NaiveKernelSpec(2, S, W, m)
-            got = strong_weak_weights(spec, use_printed_coefficient=printed)[0]
-            want = loop_strong_weight(spec, use_printed_coefficient=printed)
+            got = strong_weak_weights(spec)[0]
+            want = loop_strong_weight(spec)
             assert abs(got - want) <= 1e-15 * abs(want), (S, W, m)
+
+    def test_printed_coefficient_counts_a_in_closed_form(self):
+        # the paper's printed C(W, m-k+1) sums, over k <= min(S, m), to
+        # A / (S C(p, m)) with A = C(p, m+1) - C(W, m+1) - C(S, m+1)
+        for S, W, m in WEIGHT_GRID:
+            if S == 0:
+                continue
+            p = S + W
+            A = comb(p, m + 1) - comb(W, m + 1) - comb(S, m + 1)
+            p_s, p_w = exact_weights(S, W, m, 1)
+            assert p_s == Fraction(A, S * comb(p, m)), (S, W, m)
+            if W:
+                assert p_w == Fraction(comb(p, m) - A, W * comb(p, m)), (S, W, m)
+            spec = NaiveKernelSpec(2, S, W, m)
+            want = loop_strong_weight(spec, use_printed_coefficient=True)
+            assert abs(float(p_s) - want) <= 1e-15 * abs(want), (S, W, m)
 
     def test_weak_weight_exactly_zero_once_noise_is_crowded_out(self):
         # mtry > W: every draw holds a strong coordinate
@@ -165,12 +178,12 @@ class TestStrongWeakWeights:
     def test_printed_coefficient_breaks_all_strong_limit(self):
         # the off-by-one variant selects mtry+1 items and zeroes out at W=0
         spec = NaiveKernelSpec(leaves=2, strong=4, weak=0, mtry=2)
-        p_s, _ = strong_weak_weights(spec, use_printed_coefficient=True)
-        assert p_s == 0.0
+        assert loop_strong_weight(spec, use_printed_coefficient=True) == 0.0
+        assert strong_weak_weights(spec)[0] == 0.25
 
     def test_printed_coefficient_yields_negative_weak_weight(self):
         spec = NaiveKernelSpec(leaves=2, strong=5, weak=45, mtry=10)
-        p_s, p_w = strong_weak_weights(spec, use_printed_coefficient=True)
+        _, p_w = exact_weights(5, 45, 10, 1)
         assert p_w < 0  # not a probability; the corrected form stays valid
         assert strong_weak_weights(spec)[1] > 0
 
@@ -631,14 +644,6 @@ class TestBreimanKernel:
 
 
 class TestBandwidthSweep:
-    def test_grid_shape_and_monotone_bounds(self):
-        grid = default_bandwidth_grid(1e-2, 1.0, 10)
-        assert len(grid) == 10
-        assert grid[0] == pytest.approx(1e-2)
-        assert grid[-1] == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            default_bandwidth_grid(1.0, 0.5)
-
     def test_sweep_matches_pointwise_estimates(self):
         rng = np.random.default_rng(1)
         train = Dataset(
@@ -655,7 +660,7 @@ class TestBandwidthSweep:
             preds.append(k @ train.labels / k.sum())
         assert rmse == pytest.approx(float(np.sqrt(np.mean((np.array(preds) - targets) ** 2))))
 
-    # holdout RMSE over default_bandwidth_grid() on a c4-sized circle sample
+    # holdout RMSE over np.geomspace(1e-3, 10.0, 30) on a c4-sized circle sample
     # (500 training rows, seed 9000; 1,000 holdout rows, seed 9100)
     PINNED = {
         (1.0, 1.0): [
@@ -685,7 +690,7 @@ class TestBandwidthSweep:
         train = sample(get_model("circle"), 500, seed=9000)
         hold = sample(get_model("circle"), 1000, seed=9100)
         got = bandwidth_sweep(
-            train, hold.features, hold.true_probs, np.array(weights), default_bandwidth_grid()
+            train, hold.features, hold.true_probs, np.array(weights), np.geomspace(1e-3, 10.0, 30)
         )
         np.testing.assert_array_equal(got, self.PINNED[weights])
 

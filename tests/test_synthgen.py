@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forestprox.synthgen import MODELS, ccpf, get_model, sample
+from forestprox.synthgen import MODELS, get_model, sample
 
 
 def vec(model, **coords):
@@ -11,68 +11,57 @@ def vec(model, **coords):
     return x
 
 
+def ccpf(model, *points):
+    """model.ccpf on the (m, p) matrix whose rows are the given points."""
+    return model.ccpf(np.array(points, dtype=np.float64))
+
+
 class TestCcpf:
     def test_circle_radii(self):
         m = get_model("circle")
-        assert ccpf(m, np.array([0.0, 0.0])) == 1.0
-        assert ccpf(m, np.array([18.0, 0.0])) == pytest.approx(0.5)
-        assert ccpf(m, np.array([0.0, 18.0])) == pytest.approx(0.5)
+        got = ccpf(m, [0.0, 0.0], [18.0, 0.0], [0.0, 18.0], [8.0, 0.0])
+        assert got[0] == 1.0
         # boundary r = 8: (28 - 8) / 20 = 1, continuous with the inner disc
-        assert ccpf(m, np.array([8.0, 0.0])) == pytest.approx(1.0)
+        np.testing.assert_allclose(got[1:], [0.5, 0.5, 1.0])
 
     def test_circle_outside_band(self):
         m = get_model("circle")
-        x = np.array([20.0, 21.0])  # r = 29
-        assert ccpf(m, x) == 0.0
+        assert ccpf(m, [20.0, 21.0])[0] == 0.0  # r = 29
 
     def test_motivating_halfspaces(self):
         m = get_model("motivating50")
-        assert ccpf(m, vec(m, x1=-0.1)) == pytest.approx(0.3)
-        assert ccpf(m, vec(m, x1=0.0)) == pytest.approx(0.7)
-        assert ccpf(m, vec(m, x1=0.4)) == pytest.approx(0.7)
+        got = ccpf(m, vec(m, x1=-0.1), vec(m, x1=0.0), vec(m, x1=0.4))
+        np.testing.assert_allclose(got, [0.3, 0.7, 0.7])
 
     def test_xor_quadrants(self):
         m = get_model("xor")
-        assert ccpf(m, np.array([0.5, -0.5])) == pytest.approx(0.7)
-        assert ccpf(m, np.array([-0.5, -0.5])) == pytest.approx(0.3)
-        assert ccpf(m, np.array([0.0, 0.9])) == pytest.approx(0.3)
+        got = ccpf(m, [0.5, -0.5], [-0.5, -0.5], [0.0, 0.9])
+        np.testing.assert_allclose(got, [0.7, 0.3, 0.3])
 
     def test_tend_at_origin(self):
         m = get_model("tend")
-        assert ccpf(m, np.zeros(10)) == pytest.approx(0.5)
+        assert ccpf(m, np.zeros(10))[0] == pytest.approx(0.5)
 
     def test_tend_hand_value(self):
         m = get_model("tend")
-        x = vec(m, x1=0.5, x2=0.5)
         # log-odds: 0.5 * (1 - 0.5 + 0.5) * (0.5 + 0.5) = 0.5
-        assert ccpf(m, x) == pytest.approx(1.0 / (1.0 + np.exp(-0.5)))
+        got = ccpf(m, vec(m, x1=0.5, x2=0.5))[0]
+        assert got == pytest.approx(1.0 / (1.0 + np.exp(-0.5)))
 
     def test_kinked_branches(self):
         m = get_model("kinked")
-        left = ccpf(m, np.array([-0.5, 0.2]))
+        left, right = ccpf(m, [-0.5, 0.2], [0.5, 0.2])
         assert left == pytest.approx(1.0 / (1.0 + np.exp(-3 * -0.5 - 0.2)))
-        right = ccpf(m, np.array([0.5, 0.2]))
         assert right == pytest.approx(1.0 / (1.0 + np.exp(-0.5 - 3 * 0.2)))
 
     def test_logistic_models(self):
         m2 = get_model("logistic1_2d")
-        assert ccpf(m2, np.array([0.3, -0.9])) == pytest.approx(1 / (1 + np.exp(-0.9)))
+        assert ccpf(m2, [0.3, -0.9])[0] == pytest.approx(1 / (1 + np.exp(-0.9)))
         m22 = get_model("logistic2_22d")
-        x = vec(m22, x1=0.3, x2=-0.1)
-        assert ccpf(m22, x) == pytest.approx(1 / (1 + np.exp(-2 * 0.3 + 2 * 0.1)))
+        got = ccpf(m22, vec(m22, x1=0.3, x2=-0.1))[0]
+        assert got == pytest.approx(1 / (1 + np.exp(-2 * 0.3 + 2 * 0.1)))
         m3 = get_model("logistic3d")
-        assert ccpf(m3, np.array([0.1, 0.2, 0.3])) == pytest.approx(
-            1 / (1 + np.exp(-2 * 0.6))
-        )
-
-    def test_out_of_domain_rejected(self):
-        m = get_model("xor")
-        with pytest.raises(ValueError):
-            ccpf(m, np.array([1.5, 0.0]))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ccpf(get_model("circle"), np.zeros(3))
+        assert ccpf(m3, [0.1, 0.2, 0.3])[0] == pytest.approx(1 / (1 + np.exp(-2 * 0.6)))
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -135,11 +124,16 @@ class TestSample:
     def test_true_probs_match_ccpf(self):
         m = get_model("xor")
         d = sample(m, 200, seed=3)
-        np.testing.assert_allclose(d.true_probs, ccpf(m, d.features))
+        np.testing.assert_array_equal(d.true_probs, m.ccpf(d.features))
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             sample(get_model("xor"), 0, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, 5.0, True, "5"])
+    def test_non_integer_n_named(self, n):
+        with pytest.raises(TypeError, match=f"n must be an integer, got {n!r}"):
+            sample(get_model("xor"), n, seed=0)
 
     def test_negative_seed_named(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
