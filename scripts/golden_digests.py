@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from forestprox.data_model import Dataset
-from forestprox.forest import PREDICT_MODES, ForestParams, train_forest
+from forestprox.forest import PREDICT_MODES, ForestParams, derive_seeds, train_forest
 from forestprox.tree import SPLIT_MODES, TreeParams, node_depth
 
 DIGEST_PATH = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_digests.json"
@@ -89,7 +89,7 @@ def tree_digest(f, t: int) -> str:
         "leaf_n": f.leaf_n[nodes],
         "leaf_pos": f.leaf_pos[nodes],
     }
-    chunks = [str(f.seeds[t]).encode(), str(f.p).encode()]
+    chunks = [str(derive_seeds(f.params.seed, f.n_trees)[t]).encode(), str(f.p).encode()]
     for name in TREE_ARRAYS:
         arr = arrays[name]
         dtype = "<f8" if arr.dtype.kind == "f" else "<i8"

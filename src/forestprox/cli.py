@@ -275,11 +275,10 @@ def _cmd_kernel(args) -> int:
     def spec(m):
         return NaiveKernelSpec(leaves=args.leaves, strong=args.strong, weak=args.weak, mtry=m)
 
-    # made first, so counts that give no kernel are refused before any file is written
     compare = spec(args.mtry if args.mtry is not None else max(1, p // 2))
     mtry_values = [args.mtry] if args.mtry is not None else list(range(1, p + 1))
     rows = [[m, *map(repr, strong_weak_weights(spec(m)))] for m in mtry_values]
-    _write_csv(args.out_weights, ["mtry", "p_strong", "p_weak"], rows)
+    outputs = [(args.out_weights, ["mtry", "p_strong", "p_weak"], rows)]
 
     if args.out_compare is not None:
         # ten probes along each axis that has coordinates: the first strong
@@ -296,11 +295,14 @@ def _cmd_kernel(args) -> int:
         probes = [[axis, repr(t)] for axis in axes for t in scales.tolist()]
         ana = naive_kernel(compare, X).tolist()
         mc = mc_proximity(compare, X, n_trees=args.trees, seed=args.seed).tolist()
-        _write_csv(
+        outputs.append((
             args.out_compare,
             ["axis", "scale", "analytic", "monte_carlo"],
             [[*probe, repr(a), repr(b)] for probe, a, b in zip(probes, ana, mc)],
-        )
+        ))
+    # both kernels are computed first, so a refusal leaves no file written
+    for path, header, body in outputs:
+        _write_csv(path, header, body)
     return 0
 
 

@@ -242,18 +242,25 @@ def load_points(path: str | Path, names, label_column: str | int | None = None) 
 
 
 def _map_labels(raw: list[str]) -> np.ndarray:
-    distinct = sorted(set(raw))
+    """0 for the lower of a label column's two distinct values, 1 for the
+    higher. Cells that are all finite numbers are compared as numbers, so
+    1 and 1.0 are one class; other cells as text, in numeric order when
+    every one parses as a number."""
+    try:
+        nums = [float(v) for v in raw]
+    except ValueError:
+        nums = None
+    keys = nums if nums is not None and np.isfinite(nums).all() else raw
+    distinct = sorted(set(keys))
     if len(distinct) != 2:
         raise DataError(
             f"label column must hold exactly 2 distinct values, found {len(distinct)}: "
             f"{distinct[:5]}"
         )
-    try:
-        ordered = sorted(distinct, key=float)
-    except ValueError:
-        ordered = distinct
-    mapping = {ordered[0]: 0, ordered[1]: 1}
-    return np.array([mapping[v] for v in raw], dtype=np.int64)
+    if nums is not None:
+        distinct.sort(key=float)
+    mapping = {distinct[0]: 0, distinct[1]: 1}
+    return np.array([mapping[v] for v in keys], dtype=np.int64)
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:

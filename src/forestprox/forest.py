@@ -30,7 +30,7 @@ from .tree import TreeParams, first_child, grow_trees, node_depth, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
 
-FOREST_FORMAT = "forestprox-forest-v5"
+FOREST_FORMAT = "forestprox-forest-v6"
 
 # Integer dtypes from narrowest to widest. `save` writes an integer array
 # in the first that holds its min and max; there is no '<u8', so every
@@ -65,7 +65,7 @@ def derive_seeds(entropy: int, count: int, spawn_key=()) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """Every tree's nodes in one table: what a v5 file holds, and what
+    """Every tree's nodes in one table: what a v6 file holds, and what
     the constructor derives from it.
 
     Tree t owns the n_nodes[t] nodes from roots[t] on, numbered
@@ -80,7 +80,6 @@ class Forest:
 
     train: Dataset
     params: ForestParams
-    seeds: tuple[int, ...]
     n_nodes: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
@@ -93,9 +92,9 @@ class Forest:
     _train_leaves: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        T, n = len(self.seeds), self.train.n
-        if T != self.params.n_trees:
-            raise ValueError(f"forest holds {T} trees, params say {self.params.n_trees}")
+        T, n = self.params.n_trees, self.train.n
+        if self.n_nodes.size != T:
+            raise ValueError(f"forest holds {self.n_nodes.size} trees, params say {T}")
         self.params.tree.check_dimension(self.p)
         roots, first = _check_nodes(self.feature, self.threshold, self.n_nodes, T, self.p)
         inbag = self.inbag
@@ -122,7 +121,7 @@ class Forest:
 
     @property
     def n_trees(self) -> int:
-        return len(self.roots)
+        return self.params.n_trees
 
     @property
     def p(self) -> int:
@@ -204,7 +203,7 @@ class Forest:
         return counts / counts.sum()
 
     def cut(self, min_node_size: int) -> "Forest":
-        """The forest these seeds grow at a larger min_node_size.
+        """The forest these params grow at a larger min_node_size.
 
         A node's split depends only on its path (see `grow_trees`), so
         without a leaf budget the tree grown at node size s' >= s is the
@@ -212,6 +211,7 @@ class Forest:
         rows, counted with multiplicity: they become leaves and what lies
         below them goes. The kept nodes keep their breadth-first order.
         """
+        check_integer("min_node_size", min_node_size)
         tp = self.params.tree
         if tp.max_leaves is not None:
             raise ValueError("a forest grown with max_leaves cannot be cut: its trees do not nest")
@@ -237,7 +237,6 @@ class Forest:
         return Forest(
             self.train,
             replace(self.params, tree=replace(tp, min_node_size=min_node_size)),
-            self.seeds,
             np.bincount(tree_of[keep], minlength=self.n_trees),
             np.where(split, self.feature, -1)[keep],
             np.where(split, self.threshold, np.nan)[keep],
@@ -252,13 +251,12 @@ class Forest:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the forest's fields as a `forestprox-forest-v5` file
+        """Write the forest's fields as a `forestprox-forest-v6` file
         (README "File formats"); the constructor derives the rest."""
         tr = self.train
         arrays = {
             "features": tr.features,
             "labels": tr.labels,
-            "true_probs": tr.true_probs,
             "inbag": self.inbag,
             "n_nodes": self.n_nodes,
             "feature": self.feature,
@@ -268,8 +266,7 @@ class Forest:
             "format": FOREST_FORMAT,
             "params": asdict(self.params),
             "feature_names": list(tr.feature_names),
-            "seeds": list(self.seeds),
-            "arrays": {k: None if a is None else _encode(a) for k, a in arrays.items()},
+            "arrays": {k: _encode(a) for k, a in arrays.items()},
         }
         Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
@@ -285,24 +282,17 @@ class Forest:
             params = ForestParams(**{**pp, "tree": TreeParams(**_field(pp, "tree", "params"))})
         except TypeError as exc:
             raise ValueError(f"bad params: {exc}") from exc
-        seeds = _field(payload, "seeds", "model file")
-        if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
-            raise ValueError("seeds must be a list of integers")
-        if len(seeds) != params.n_trees:
-            raise ValueError(f"file holds {len(seeds)} trees, params say {params.n_trees}")
         names = _field(payload, "feature_names", "model file")
         if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
             raise ValueError("feature_names must be a list of strings")
         arrays = _field(payload, "arrays", "model file")
         a = {k: _decode(_field(arrays, k, "arrays"), k, kind) for k, kind in _ARRAY_KINDS.items()}
-        tp = _field(arrays, "true_probs", "arrays")
-        tp = None if tp is None else _decode(tp, "true_probs", "f")
-        train = Dataset(a.pop("features"), a.pop("labels"), tuple(names), tp)
-        return cls(train, params, tuple(seeds), **a)
+        train = Dataset(a.pop("features"), a.pop("labels"), tuple(names))
+        return cls(train, params, **a)
 
 
-# Every array a v5 file must hold but true_probs, with the kind it must
-# hold ('f' float64, 'i' integers); inbag's kind is checked with its counts.
+# Every array a v6 file holds, with the kind it must hold ('f' float64,
+# 'i' integers); inbag's kind is checked with its counts.
 _ARRAY_KINDS = {
     "features": "f",
     "labels": "i",
@@ -393,5 +383,5 @@ def _check_nodes(feature, threshold, sizes, n_trees: int, p: int) -> tuple[np.nd
 
 def train_forest(d: Dataset, params: ForestParams) -> Forest:
     seeds = derive_seeds(params.seed, params.n_trees)
-    return Forest(d, params, tuple(seeds), *grow_trees(d, params.tree, seeds))
+    return Forest(d, params, *grow_trees(d, params.tree, seeds))
 

@@ -21,6 +21,7 @@ from math import comb, log
 
 import numpy as np
 
+from . import forest
 from .data_model import Dataset, check_integer
 
 
@@ -195,10 +196,15 @@ def mc_proximity(spec: NaiveKernelSpec, X, *, n_trees: int, seed: int) -> np.nda
 
     This is the direct simulation the closed form approximates; one call
     simulates one batch of n_trees trees and scores every row against it,
-    one block of trees (`_blocks`) at a time.
+    one block of trees (`_blocks`) at a time. n_trees whose (n_trees, p)
+    float64 extents exceed forest.PROXIMITY_MATRIX_MAX_BYTES, read at each
+    call, are refused before anything is allocated.
     """
     check_integer("n_trees", n_trees, 1)
     check_integer("seed", seed, 0)
+    cap, size = forest.PROXIMITY_MATRIX_MAX_BYTES, 8 * n_trees * spec.p
+    if size > cap:
+        raise ValueError(f"{n_trees} trees need {size} bytes, over the cap of {cap}")
     X = _check_unit_points(X, spec.p)
     hi = _zero_cell_extents(spec, n_trees, seed)
     # each row against one block of trees at a time (`_blocks`), so a
@@ -230,11 +236,14 @@ def bandwidth_sweep(
 ) -> np.ndarray:
     """Holdout RMSE against `targets` of the kernel-weighted label average
     under exp(-bandwidth * sum_j weights_j |x_j - z_j|), for each bandwidth;
-    NaN where the kernel degenerates. One distance matrix is shared."""
+    NaN where the kernel degenerates. One distance matrix is shared, built
+    from the differences of one row block of X_eval (`_blocks`) at a time."""
     targets = np.asarray(targets, dtype=np.float64)
     X_eval = np.asarray(X_eval, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    D = np.abs(X_eval[:, None, :] - train.features[None, :, :]).dot(w)
+    D = np.empty((len(X_eval), train.n))
+    for b in _blocks(len(X_eval), train.n * train.p):
+        D[b] = np.abs(X_eval[b, None, :] - train.features[None, :, :]).dot(w)
     out = np.empty(len(bandwidths))
     for i, lam in enumerate(np.asarray(bandwidths, dtype=np.float64)):
         K = np.exp(-lam * D)

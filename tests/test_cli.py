@@ -78,14 +78,11 @@ class TestTrainPredict:
     def test_model_file_format(self, workspace):
         _, _, model = workspace
         payload = json.loads(model.read_text())
-        assert set(payload) == {"format", "params", "feature_names", "seeds", "arrays"}
-        assert payload["format"] == "forestprox-forest-v5"
+        assert set(payload) == {"format", "params", "feature_names", "arrays"}
+        assert payload["format"] == "forestprox-forest-v6"
         assert payload["params"]["n_trees"] == 25
-        assert len(payload["seeds"]) == 25
         arrays = payload["arrays"]
-        assert set(arrays) == {
-            "features", "labels", "true_probs", "inbag", "n_nodes", "feature", "threshold",
-        }
+        assert set(arrays) == {"features", "labels", "inbag", "n_nodes", "feature", "threshold"}
         for h in arrays.values():
             assert set(h) == {"dtype", "shape", "data"}
         assert arrays["features"]["dtype"] == "<f8"
@@ -155,7 +152,10 @@ class TestTrainPredict:
     def test_predict_rejects_tree_count_mismatch(self, workspace, tmp_path, capsys, kept):
         _, data, model = workspace
         payload = json.loads(model.read_text())
-        payload["seeds"] = payload["seeds"][:kept]
+        for name in ("n_nodes", "inbag"):
+            h = payload["arrays"][name]
+            a = np.frombuffer(base64.b64decode(h["data"]), h["dtype"]).reshape(h["shape"])[:kept]
+            h["shape"], h["data"] = list(a.shape), base64.b64encode(a.tobytes()).decode("ascii")
         short = tmp_path / "short.json"
         short.write_text(json.dumps(payload), encoding="utf-8")
         rc = main([
@@ -165,7 +165,7 @@ class TestTrainPredict:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError"
-        assert f"file holds {kept} trees, params say 25" in err["message"]
+        assert f"forest holds {kept} trees, params say 25" in err["message"]
 
     def test_predict_deterministic_through_save_load(self, workspace, tmp_path):
         _, data, model = workspace
@@ -679,6 +679,19 @@ class TestBadCounts:
         assert not comparison.exists()
         self._refused(capsys, weights, f"--trees must be >= 1, got {trees}")
 
+    def test_kernel_trees_over_the_matrix_cap(self, tmp_path, capsys):
+        # 8 * 10^6 * 50 bytes of simulated extents exceed PROXIMITY_MATRIX_MAX_BYTES;
+        # both kernels are computed before either file is written
+        weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"
+        assert main([
+            "kernel", "--strong", "5", "--weak", "45", "--trees", "1000000",
+            "--out-weights", str(weights), "--out-compare", str(comparison),
+        ]) == 1
+        assert not comparison.exists()
+        self._refused(
+            capsys, weights, "1000000 trees need 400000000 bytes, over the cap of 268435456"
+        )
+
     @pytest.mark.parametrize("compare", [True, False])
     def test_kernel_without_coordinates(self, tmp_path, capsys, compare):
         weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"
@@ -744,6 +757,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("text", [
         "[]", '{"format": "forestprox-forest-v4"}', '{"format": "forestprox-forest-v5"}',
+        '{"format": "forestprox-forest-v6"}',
     ])
     def test_malformed_model_machine_readable(self, capsys, tmp_path, text):
         model = tmp_path / "model.json"

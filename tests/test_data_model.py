@@ -67,6 +67,32 @@ class TestLoadCsv:
         d = load_csv(path, "y")
         assert d.labels.tolist() == [1, 0]
 
+    @pytest.mark.parametrize(
+        "cells, labels",
+        [
+            (["1", "1.0", "0", "1e0"], [1, 1, 0, 1]),
+            (["0", "1", "0.0", "1"], [0, 1, 0, 1]),
+            (["-0", "0.5", "0", "5e-1"], [0, 1, 0, 1]),
+            # a non-finite cell makes the column text, still in numeric order
+            (["inf", "1", "inf"], [1, 0, 1]),
+        ],
+    )
+    def test_numeric_labels_compared_as_numbers(self, tmp_path, cells, labels):
+        path = write(tmp_path, "a,y\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells)))
+        assert load_csv(path, "y").labels.tolist() == labels
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (["1", "1.0", "1", "1.0"], "found 1"),  # one number written two ways
+            (["1", "1.0", "x", "1"], "found 3"),  # text: "1" and "1.0" are two values
+        ],
+    )
+    def test_distinct_labels_counted_by_value(self, tmp_path, cells, message):
+        path = write(tmp_path, "a,y\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells)))
+        with pytest.raises(DataError, match=message):
+            load_csv(path, "y")
+
     def test_non_numeric_cell_error_names_row_and_column(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,2,0\n1,oops,1\n")
         with pytest.raises(DataError, match=r"row 1, column 'b'"):

@@ -55,7 +55,7 @@ def forest_from_trees(trees, train, n_trees=None):
         n_trees=n_trees or len(trees), tree=TreeParams(mtry=1, bootstrap=False), seed=0
     )
     return Forest(
-        train, params, (0,) * len(trees), np.array([len(f) for f in feature]),
+        train, params, np.array([len(f) for f in feature]),
         np.concatenate(feature), np.concatenate(threshold), np.array(inbag),
     )
 
@@ -97,7 +97,7 @@ class TestTrainForest:
         d = random_data(np.random.default_rng(1), 50, 2)
         small = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=5))
         large = train_forest(d, ForestParams(n_trees=6, tree=TreeParams(mtry=1), seed=5))
-        assert small.seeds == large.seeds[:3]
+        assert derive_seeds(5, 3) == derive_seeds(5, 6)[:3]
         for t_small, t_large in zip(trees_of(small), trees_of(large)):
             assert same_tree(t_small, t_large)
 
@@ -191,11 +191,21 @@ def test_cut_is_the_forest_grown_at_the_larger_node_size(
 
 
 class TestCut:
-    def test_refuses_a_smaller_node_size(self):
+    @pytest.mark.parametrize(
+        "size, error, message",
+        [
+            (4, ValueError, "min_node_size 5 to 4"),
+            # refused before any work, even where the value equals the grown size
+            (5.0, TypeError, "min_node_size must be an integer, got 5.0"),
+            (True, TypeError, "min_node_size must be an integer, got True"),
+            (7.5, TypeError, "min_node_size must be an integer, got 7.5"),
+        ],
+    )
+    def test_refuses_a_smaller_node_size(self, size, error, message):
         d = random_data(np.random.default_rng(0), 80, 3)
         f = train_forest(d, ForestParams(3, TreeParams(mtry=2, min_node_size=5), seed=1))
-        with pytest.raises(ValueError, match="min_node_size 5 to 4"):
-            f.cut(4)
+        with pytest.raises(error, match=message):
+            f.cut(size)
 
     def test_refuses_a_forest_grown_with_max_leaves(self):
         d = random_data(np.random.default_rng(0), 80, 3)
@@ -360,7 +370,7 @@ class TestFromTrees:
         params = ForestParams(1, TreeParams(mtry=2, bootstrap=False))
         feature, threshold, inbag = stump([1, 1, 1, 1])
         with pytest.raises(ValueError, match="mtry=2 exceeds feature count p=1"):
-            Forest(train, params, (0,), np.array([3]), feature, threshold, np.array([inbag]))
+            Forest(train, params, np.array([3]), feature, threshold, np.array([inbag]))
 
 
 class TestProximity:
@@ -619,7 +629,7 @@ class TestSaveLoad:
             assert again.read_bytes() == path.read_bytes()
         for a, b in zip(trees_of(f), trees_of(g)):
             assert same_tree(b, a)
-        assert g.seeds == f.seeds
+        assert g.params == f.params
         X = np.vstack([d.features, rng.uniform(-0.5, 2.0, size=(5, p))])
         for pm in ("class_vote", "reg_mean", "prox"):
             assert f.predict_proba_batch(X, pm).tobytes() == g.predict_proba_batch(X, pm).tobytes()
@@ -643,21 +653,17 @@ NODE_ARRAYS = ("feature", "threshold")
 def decode_arrays(payload):
     out = {}
     for name, h in payload["arrays"].items():
-        if h is not None:
-            a = np.frombuffer(base64.b64decode(h["data"]), dtype=h["dtype"]).reshape(h["shape"])
-            h = a.astype(np.int64) if a.dtype.kind in "iu" else a.copy()
-        out[name] = h
+        a = np.frombuffer(base64.b64decode(h["data"]), dtype=h["dtype"]).reshape(h["shape"])
+        out[name] = a.astype(np.int64) if a.dtype.kind in "iu" else a.copy()
     return out
 
 
 def encode_arrays(arrays):
     out = {}
     for name, a in arrays.items():
-        if a is not None:
-            dt = a.dtype.newbyteorder("<")
-            data = base64.b64encode(a.astype(dt).tobytes()).decode("ascii")
-            a = {"dtype": dt.str, "shape": list(a.shape), "data": data}
-        out[name] = a
+        dt = a.dtype.newbyteorder("<")
+        data = base64.b64encode(a.astype(dt).tobytes()).decode("ascii")
+        out[name] = {"dtype": dt.str, "shape": list(a.shape), "data": data}
     return out
 
 
@@ -693,6 +699,14 @@ def _arrays_of_unequal_length(a, leaf_of):
 
 def _n_nodes_of_wrong_length(a, leaf_of):
     a["n_nodes"] = a["n_nodes"][:1]
+
+
+def _n_nodes_of_wrong_shape(a, leaf_of):
+    a["n_nodes"] = a["n_nodes"][:, None]
+
+
+def _n_nodes_of_no_dimension(a, leaf_of):
+    a["n_nodes"] = a["n_nodes"][0]
 
 
 def _inbag_too_short(a, leaf_of):
@@ -771,7 +785,9 @@ class TestLoadValidation:
             (_feature_out_of_range, "split feature"),
             (_threshold_not_finite, "threshold"),
             (_arrays_of_unequal_length, "one length"),
-            (_n_nodes_of_wrong_length, "one length"),
+            (_n_nodes_of_wrong_length, "forest holds 1 trees, params say 2"),
+            (_n_nodes_of_wrong_shape, "one length"),
+            (_n_nodes_of_no_dimension, "forest holds 1 trees, params say 2"),
             (_inbag_too_short, "inbag must hold 60"),
             (_negative_count, "non-negative"),
             (_counts_not_summing_to_n, "summing to 60"),
@@ -822,9 +838,8 @@ class TestLoadValidation:
         a["n_nodes"], a["inbag"] = a["n_nodes"][:kept], a["inbag"][:kept]
         for name in NODE_ARRAYS:
             a[name] = a[name][:m]
-        payload["seeds"] = payload["seeds"][:kept]
         payload["arrays"] = encode_arrays(a)
-        with pytest.raises(ValueError, match=f"file holds {kept} trees, params say 2"):
+        with pytest.raises(ValueError, match=f"forest holds {kept} trees, params say 2"):
             self._load(payload, tmp_path)
 
     def test_node_counts_wrapping_to_m_rejected(self, saved, tmp_path):
@@ -835,7 +850,6 @@ class TestLoadValidation:
         a["n_nodes"] = np.array([2**62] * 3 + [2**62 + len(a["feature"])])
         a["inbag"] = np.tile(a["inbag"][:1], (4, 1))
         payload["params"]["n_trees"] = 4
-        payload["seeds"] = [1, 2, 3, 4]
         payload["arrays"] = encode_arrays(a)
         with pytest.raises(ValueError, match="one length"):
             self._load(payload, tmp_path)
@@ -850,16 +864,17 @@ class TestLoadValidation:
 
     def test_v1_file_rejected(self, saved, tmp_path):
         # v1 stored per-leaf row lists, v2 JSON number arrays, v3 edge and
-        # depth arrays and v4 a criterion that selected nothing; none is
-        # read, whatever the rest of the file holds
-        for k in (1, 2, 3, 4):
+        # depth arrays, v4 a criterion that selected nothing and v5 the tree
+        # seeds and training true_probs; none is read, whatever the rest of
+        # the file holds
+        for k in (1, 2, 3, 4, 5):
             payload = self._copy(saved)
             payload["format"] = f"forestprox-forest-v{k}"
-            with pytest.raises(ValueError, match="not a forestprox-forest-v5 file"):
+            with pytest.raises(ValueError, match="not a forestprox-forest-v6 file"):
                 self._load(payload, tmp_path)
 
     def test_criterion_key_rejected(self, saved, tmp_path):
-        # a v4 file's params relabelled v5 are not read as v5 params
+        # a v4 file's params relabelled v6 are not read as v6 params
         payload = self._copy(saved)
         payload["params"]["tree"]["criterion"] = "gini"
         with pytest.raises(ValueError, match="bad params"):
@@ -956,14 +971,14 @@ class TestArrayHeaders:
 
     @pytest.mark.parametrize("text", ["[]", "null", "3", '"forestprox-forest-v3"'])
     def test_top_level_not_an_object(self, tmp_path, text):
-        with pytest.raises(ValueError, match="not a forestprox-forest-v5 file"):
+        with pytest.raises(ValueError, match="not a forestprox-forest-v6 file"):
             self._load(text, tmp_path)
 
     @pytest.mark.parametrize(
         "path",
         [
-            ("params",), ("params", "tree"), ("params", "tree", "mtry"), ("seeds",),
-            ("feature_names",), ("arrays",), ("arrays", "threshold"), ("arrays", "true_probs"),
+            ("params",), ("params", "tree"), ("params", "tree", "mtry"),
+            ("feature_names",), ("arrays",), ("arrays", "threshold"),
             ("arrays", "inbag", "data"), ("arrays", "labels", "dtype"),
         ],
     )
@@ -977,7 +992,7 @@ class TestArrayHeaders:
             self._load(payload, tmp_path)
 
     @pytest.mark.parametrize(
-        "key, value", [("arrays", []), ("seeds", {}), ("feature_names", "x1x2")]
+        "key, value", [("arrays", []), ("feature_names", "x1x2")]
     )
     def test_field_of_wrong_type(self, saved, tmp_path, key, value):
         payload = json.loads(saved)

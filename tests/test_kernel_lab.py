@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestprox import forest as forest_module
 from forestprox import kernel_lab
 from forestprox.data_model import Dataset
 from forestprox.kernel_lab import (
@@ -486,6 +487,21 @@ class TestMcProximity:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             mc_selection_freq(spec, 1, -1)
 
+    def test_extents_over_the_matrix_cap_refused(self, monkeypatch):
+        # the cap is read at each call, and (n_trees, p) float64 extents
+        # over it are refused before anything is allocated
+        spec = NaiveKernelSpec(2, 1, 1, 1)
+        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 8 * 100 * 2)
+        assert mc_proximity(spec, np.zeros((1, 2)), n_trees=100, seed=0).tolist() == [1.0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^100000 trees need 1600000 bytes, over the cap"):
+                mc_proximity(spec, np.zeros((1, 2)), n_trees=10**5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
     def test_batch_memory_at_20000_trees(self):
         # 30 rows against (20,000, 50) extents, compared a block of trees
         # at a time: the 8 MB extents and about 5 MB more
@@ -693,6 +709,17 @@ class TestBandwidthSweep:
             train, hold.features, hold.true_probs, np.array(weights), np.geomspace(1e-3, 10.0, 30)
         )
         np.testing.assert_array_equal(got, self.PINNED[weights])
+
+    def test_distances_built_in_row_blocks(self):
+        # the (200, 300, 50) differences at once would trace 48 MB; a row
+        # block of them, the (200, 300) distances and one kernel matrix
+        # trace about 2.5 MB
+        rng = np.random.default_rng(0)
+        train = Dataset(rng.random((300, 50)), rng.integers(0, 2, 300),
+                        tuple(f"f{j}" for j in range(50)))
+        X_eval, targets = rng.random((200, 50)), rng.random(200)
+        peak = traced_peak(bandwidth_sweep, train, X_eval, targets, np.ones(50), [0.1, 1.0])
+        assert peak <= 5e6
 
     def test_degenerate_bandwidth_reports_nan(self):
         train = Dataset(

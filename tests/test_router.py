@@ -85,7 +85,7 @@ def reference_voting_weights(f, x0):
 def with_single_leaf_tree(f):
     """f with one more tree: a single leaf holding every training row once."""
     return Forest(
-        f.train, replace(f.params, n_trees=f.n_trees + 1), (*f.seeds, 0),
+        f.train, replace(f.params, n_trees=f.n_trees + 1),
         np.append(f.n_nodes, 1), np.append(f.feature, -1), np.append(f.threshold, np.nan),
         np.vstack([f.inbag, np.ones(f.train.n, dtype=np.int64)]),
     )

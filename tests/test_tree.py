@@ -34,7 +34,7 @@ def random_data(rng, n, p):
 def grow_one(d, params, seed):
     """The one-tree forest `seed` grows: tree t of `train_forest` for
     seeds[t]. Its root is node 0, so its table ids are the tree's own."""
-    return Forest(d, ForestParams(1, params), (seed,), *grow_trees(d, params, [seed]))
+    return Forest(d, ForestParams(1, params), *grow_trees(d, params, [seed]))
 
 
 def tree_view(f, t=0):
@@ -430,7 +430,7 @@ def hand_built_stump(inbag):
     """Tree 0 of a forest of one stump, x <= 0.5, on five rows: rows 0 and 1
     on the left, rows 2 to 4 on the right, labels 1, 0, 1, 0, 1."""
     d = make_data([0.2, 0.4, 0.6, 0.7, 0.9], [1, 0, 1, 0, 1])
-    f = Forest(d, ForestParams(1, TreeParams(mtry=1)), (0,), np.array([3]),
+    f = Forest(d, ForestParams(1, TreeParams(mtry=1)), np.array([3]),
                np.array([0, -1, -1]), np.array([0.5, np.nan, np.nan]), np.array([inbag]))
     return tree_view(f)
 
