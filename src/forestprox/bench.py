@@ -19,11 +19,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data_model import (
-    TRUE_PROB_COLUMN, Dataset, augment_junk, check_integer, load_csv, train_test_split
+    TRUE_PROB_COLUMN, Dataset, augment_junk, check_integer, load_csv, store_integers,
+    train_test_split,
 )
 from .forest import PREDICT_MODES, Forest, ForestParams, derive_seeds, train_forest
 from .synthgen import get_model, sample
-from .tree import TreeParams
+from .tree import SPLIT_MODES, TreeParams
 
 # Each mtry symbol as a function of p; resolve_mtry rounds and clips it to [1, p].
 _MTRY_OF_P = {
@@ -92,7 +93,10 @@ class EstimatorSpec:
                 raise ValueError(f"bad mtry symbol {self.mtry!r}")
         else:
             # the range is checked per dataset, where p is known
-            check_integer("mtry", self.mtry)
+            store_integers(self, mtry=None)
+        if self.split_mode not in SPLIT_MODES:
+            raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
+        store_integers(self, min_node_size=1)
 
 
 def default_estimators() -> tuple[EstimatorSpec, ...]:
@@ -115,7 +119,7 @@ class ExperimentConfig:
     source: str  # synthetic model name, or "csv"
     estimators: tuple[EstimatorSpec, ...] = field(default_factory=default_estimators)
     csv_path: str | None = None
-    label_column: str | int = "label"
+    label_column: str = "label"
     true_prob_column: str | None = None  # excluded from CSV features; "auto" as in load_csv
     n_trees: int = 200
     repetitions: int = 10
@@ -127,12 +131,9 @@ class ExperimentConfig:
     bootstrap: bool = True
 
     def __post_init__(self):
-        check_integer("repetitions", self.repetitions, 1)
-        check_integer("n_trees", self.n_trees, 1)
-        check_integer("junk", self.junk, 0)
-        check_integer("train_size", self.train_size, 1)
-        check_integer("test_size", self.test_size, 1)
-        check_integer("seed", self.seed, 0)
+        store_integers(self, repetitions=1, n_trees=1, junk=0, train_size=1, test_size=1, seed=0)
+        if not isinstance(self.bootstrap, bool):
+            raise TypeError(f"bootstrap must be a bool, got {self.bootstrap!r}")
         # checked for every source, though only a csv source is split by it
         if not isinstance(self.train_fraction, numbers.Real):
             raise TypeError(f"train_fraction must be a number, got {self.train_fraction!r}")

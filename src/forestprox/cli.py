@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     queries = argparse.ArgumentParser(add_help=False)
     queries.add_argument("--model", required=True)
     queries.add_argument("--data", required=True)
-    # the positional fallback for a CSV without the model's names skips this column
+    # the positional fallback for a CSV naming none of the model's features skips this column
     queries.add_argument("--label-column", default="label")
     queries.add_argument("--out", required=True)
 

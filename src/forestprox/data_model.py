@@ -33,6 +33,16 @@ def check_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def store_integers(obj, **minimums) -> None:
+    """check_integer each named field of frozen dataclass `obj` against its
+    minimum (None for none), in order, and store it as a plain int, so a
+    numpy integer saves to JSON like any other."""
+    for name, minimum in minimums.items():
+        value = getattr(obj, name)
+        check_integer(name, value, minimum)
+        object.__setattr__(obj, name, int(value))
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.setflags(write=False)
@@ -67,6 +77,9 @@ class Dataset:
             raise DataError(f"labels must have shape ({n},), got {labs.shape}")
         if not np.isin(labs, (0, 1)).all():
             raise DataError("labels must contain only 0 and 1")
+        bad = [f for f in self.feature_names if not isinstance(f, str)]
+        if bad:
+            raise DataError(f"feature names must be strings, got {bad[0]!r}")
         if len(self.feature_names) != p:
             raise DataError(
                 f"expected {p} feature names, got {len(self.feature_names)}"
@@ -172,22 +185,9 @@ def _parse_columns(path, header: list[str], rows: list[list[str]], cols: list[in
     return out.reshape(len(rows), len(cols))
 
 
-def _column(header: list[str], column: str | int | None) -> int | None:
-    """Index of `column` in header: an int is an index, text that names a
-    column is that column, and other decimal text is an index; None when
-    the header has no such column."""
-    if column in header:
-        return header.index(column)
-    if isinstance(column, str) and column.isdecimal():
-        column = int(column)
-    if isinstance(column, int):
-        return column if 0 <= column < len(header) else None
-    return None
-
-
 def load_csv(
     path: str | Path,
-    label_column: str | int,
+    label_column: str,
     true_prob_column: str | None = None,
 ) -> Dataset:
     """Read a Dataset from a CSV file.
@@ -202,16 +202,16 @@ def load_csv(
     header, rows = _read_rows(path)
     if true_prob_column == "auto":
         true_prob_column = TRUE_PROB_COLUMN if TRUE_PROB_COLUMN in header else None
-    label_idx = _column(header, label_column)
-    if label_idx is None:
+    if label_column not in header:
         raise DataError(f"label column {label_column!r} not in header {header}")
+    label_idx = header.index(label_column)
 
     skip = {label_idx}
     tps = None
     if true_prob_column is not None:
-        tp_idx = _column(header, true_prob_column)
-        if tp_idx is None:
+        if true_prob_column not in header:
             raise DataError(f"true-prob column {true_prob_column!r} not in header")
+        tp_idx = header.index(true_prob_column)
         skip.add(tp_idx)
         tps = _parse_columns(path, header, rows, [tp_idx])[:, 0]
 
@@ -224,20 +224,22 @@ def load_csv(
     return Dataset(features=feats, labels=labels, feature_names=names, true_probs=tps)
 
 
-def load_points(path: str | Path, names, label_column: str | int | None = None) -> np.ndarray:
+def load_points(path: str | Path, names, label_column: str | None = None) -> np.ndarray:
     """Feature matrix from a CSV of query points: the columns named
-    `names` when all are present, else the first len(names) columns
-    other than `label_column` (an index or a name, as in `load_csv`)."""
+    `names`, in that order, other columns ignored. A header naming none of
+    them is read by position, its first len(names) columns other than the
+    one named `label_column`; a header naming some but not all is refused."""
     header, rows = _read_rows(path)
     p = len(names)
-    label_idx = _column(header, label_column)
-    keep = [j for j in range(len(header)) if j != label_idx]
-    if set(names) <= set(header):
+    missing = [n for n in names if n not in header]
+    if not missing:
         cols = [header.index(n) for n in names]
-    elif len(keep) >= p:
-        cols = keep[:p]
+    elif len(missing) < p:
+        raise DataError(f"{path}: feature column {missing[0]!r} not in header ({len(missing)} missing)")
     else:
-        raise DataError(f"{path}: expected columns {list(names)} or at least {p} feature columns")
+        cols = [j for j, h in enumerate(header) if h != label_column][:p]
+        if len(cols) < p:
+            raise DataError(f"{path}: names no feature column; {len(cols)} other columns, need {p}")
     return _parse_columns(path, header, rows, cols)
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import Dataset, check_integer
+from .data_model import Dataset, check_integer, store_integers
 from .tree import TreeParams, first_child, grow_trees, node_depth, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
@@ -46,8 +46,7 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("n_trees", self.n_trees, 1)
-        check_integer("seed", self.seed, 0)
+        store_integers(self, n_trees=1, seed=0)
 
 
 # Largest proximity matrix, in bytes, that `proximity_matrix` builds:

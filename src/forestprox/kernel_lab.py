@@ -22,7 +22,7 @@ from math import comb, log
 import numpy as np
 
 from . import forest
-from .data_model import Dataset, check_integer
+from .data_model import Dataset, check_integer, store_integers
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,7 @@ class NaiveKernelSpec:
     mtry: int
 
     def __post_init__(self):
-        check_integer("leaves", self.leaves, 1)
-        check_integer("strong", self.strong, 0)
-        check_integer("weak", self.weak, 0)
-        check_integer("mtry", self.mtry)
+        store_integers(self, leaves=1, strong=0, weak=0, mtry=None)
         if self.p < 1:
             raise ValueError("need at least one coordinate (strong + weak >= 1)")
         if not 1 <= self.mtry <= self.p:

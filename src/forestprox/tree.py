@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, check_integer
+from .data_model import Dataset, store_integers
 
 SPLIT_MODES = ("impurity", "completely_random")
 
@@ -73,10 +73,9 @@ class TreeParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        check_integer("mtry", self.mtry, 1)
-        check_integer("min_node_size", self.min_node_size, 1)
+        store_integers(self, mtry=1, min_node_size=1)
         if self.max_leaves is not None:
-            check_integer("max_leaves", self.max_leaves, 1)
+            store_integers(self, max_leaves=1)
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
         if not isinstance(self.bootstrap, bool):

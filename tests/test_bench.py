@@ -166,6 +166,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="bad mtry symbol"):
             EstimatorSpec("x", "prox", "quarter")
 
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"split_mode": "bogus"}, ValueError, "split_mode must be one of"),
+        ({"min_node_size": 0}, ValueError, "min_node_size must be >= 1, got 0"),
+        ({"min_node_size": 2.5}, TypeError, "min_node_size must be an integer, got 2.5"),
+    ], ids=["split_mode", "size_0", "size_float"])
+    def test_estimator_growth_fields_checked_when_built(self, kwargs, error, message):
+        # refused here, not as one error recorded per (repetition, estimator) cell
+        with pytest.raises(error, match=message):
+            EstimatorSpec("x", "prox", 1, **kwargs)
+
+    @pytest.mark.parametrize("value", ["off", 1, None])
+    def test_bootstrap_must_be_a_bool(self, value):
+        with pytest.raises(TypeError, match=f"bootstrap must be a bool, got {value!r}"):
+            ExperimentConfig(source="xor", bootstrap=value)
+
+    def test_numpy_integers_stored_as_ints(self):
+        spec = EstimatorSpec("c", "class_vote", np.int64(1), min_node_size=np.int32(2))
+        cfg = ExperimentConfig(
+            source="xor", estimators=(spec,), n_trees=np.int64(3), repetitions=np.int8(1),
+            train_size=np.uint16(40), test_size=np.int64(30), junk=np.int64(0), seed=np.int64(2),
+        )
+        fields = (spec.mtry, spec.min_node_size, cfg.n_trees, cfg.repetitions,
+                  cfg.train_size, cfg.test_size, cfg.junk, cfg.seed)
+        assert [type(v) for v in fields] == [int] * len(fields)
+        report = json.loads(json.dumps(run_experiment(cfg).to_dict()))
+        assert report["config"]["n_trees"] == 3
+        assert report["results"][0]["mtry"] == 1
+
     def test_default_roster_names(self):
         names = [e.name for e in default_estimators()]
         assert names == [

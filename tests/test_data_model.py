@@ -41,6 +41,15 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match=r"repeat: \['a'\]"):
             Dataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b", "a"))
 
+    @pytest.mark.parametrize(
+        "names, bad", [((0, 1), "0"), (("a", 1.5), "1.5"), (("a", None), "None")],
+        ids=["int", "float", "none"],
+    )
+    def test_rejects_non_string_names(self, names, bad):
+        # a forest saves its names as JSON and its load takes only strings
+        with pytest.raises(DataError, match=f"feature names must be strings, got {bad}$"):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), names)
+
     def test_arrays_readonly(self):
         d = Dataset(np.zeros((2, 1)), np.array([0, 1]), ("a",))
         with pytest.raises(ValueError):
@@ -132,11 +141,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not in header"):
             load_csv(path, "z")
 
-    def test_label_column_by_index(self, tmp_path):
+    @pytest.mark.parametrize("column", [0, "0"], ids=["int", "text"])
+    def test_label_column_is_never_an_index(self, tmp_path, column):
+        # a column is read by its header name only
         path = write(tmp_path, "y,a\n0,1\n1,2\n")
-        d = load_csv(path, 0)
-        assert d.feature_names == ("a",)
-        assert d.labels.tolist() == [0, 1]
+        with pytest.raises(DataError, match="label column .* not in header"):
+            load_csv(path, column)
 
     def test_true_prob_column_extracted(self, tmp_path):
         path = write(tmp_path, "a,label,true_prob\n1,0,0.3\n2,1,0.7\n")
@@ -154,18 +164,40 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"column names repeat: \\['{repeated}'\\]"):
             load_csv(path, "label")
 
-    def test_load_points_label_column_by_index(self, tmp_path):
-        # an int is an index, as in load_csv, never compared with the names
+    @pytest.mark.parametrize(
+        "label_column, expected", [("y", [[0.1, 0.2]]), (0, [[1.0, 0.1]]), ("0", [[1.0, 0.1]])],
+        ids=["name", "int", "text"],
+    )
+    def test_load_points_by_position_skips_the_label_column_by_name(
+        self, tmp_path, label_column, expected
+    ):
+        # a header naming none of the features is read by position; the
+        # label column is skipped by its name, never taken as an index
         path = write(tmp_path, "y,a,b\n1,0.1,0.2\n")
-        np.testing.assert_array_equal(load_points(path, ("x1", "x2"), 0), [[0.1, 0.2]])
+        np.testing.assert_array_equal(load_points(path, ("x1", "x2"), label_column), expected)
+
+    def test_load_points_by_position_needs_enough_columns(self, tmp_path):
+        path = write(tmp_path, "y,a\n1,0.1\n")
+        with pytest.raises(DataError, match="names no feature column; 1 other columns, need 2$"):
+            load_points(path, ("x1", "x2"), "y")
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [(("a", "x2"), "'x2' not in header \\(1 missing\\)"),
+         (("x1", "a", "x3"), "'x1' not in header \\(2 missing\\)")],
+        ids=["one", "two"],
+    )
+    def test_load_points_names_the_first_missing_column(self, tmp_path, names, message):
+        path = write(tmp_path, "y,a,b\n1,0.1,0.2\n")
+        with pytest.raises(DataError, match=f"feature column {message}$"):
+            load_points(path, names)
 
     @pytest.mark.parametrize(
         "header, column, labels_at",
-        [("a,b,0", "0", 2), ("y,a,b", "0", 0), ("a,b,0", 0, 0), ("1,a,y", "1", 0)],
+        [("a,b,0", "0", 2), ("1,a,y", "1", 0)],
     )
     def test_column_by_name_before_index(self, tmp_path, header, column, labels_at):
-        # text naming a header column is that column; other decimal text,
-        # and an int, is an index
+        # text naming a header column is that column, even decimal text
         cells = [["0.5", "1.5", "2.5"], ["3.5", "4.5", "5.5"]]
         for row, label in zip(cells, ("0", "1")):
             row[labels_at] = label

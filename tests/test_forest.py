@@ -218,6 +218,13 @@ class TestCut:
         f = train_forest(d, ForestParams(3, TreeParams(mtry=2, min_node_size=5), seed=1))
         assert f.cut(5) is f
 
+    def test_cut_to_a_numpy_size_can_be_saved(self, tmp_path):
+        d = random_data(np.random.default_rng(0), 120, 3)
+        cut = train_forest(d, ForestParams(4, TreeParams(mtry=2), seed=1)).cut(np.int64(5))
+        assert type(cut.params.tree.min_node_size) is int
+        cut.save(tmp_path / "c.json")
+        assert Forest.load(tmp_path / "c.json").params == cut.params
+
     def test_cut_of_a_loaded_forest_can_be_saved(self, tmp_path):
         d = random_data(np.random.default_rng(0), 120, 3)
         f = train_forest(d, ForestParams(4, TreeParams(mtry=2), seed=1))
@@ -600,6 +607,17 @@ class TestSaveLoad:
             )
         np.testing.assert_array_equal(f.train.features, g.train.features)
         assert g.params == f.params
+
+    def test_round_trip_numpy_params(self, tmp_path):
+        # numpy integers are stored as ints, so the params save as JSON
+        d = random_data(np.random.default_rng(3), 60, 3)
+        tree = TreeParams(mtry=np.int64(2), min_node_size=np.int32(3), max_leaves=np.uint8(4))
+        f = train_forest(d, ForestParams(np.int64(3), tree, seed=np.uint64(7)))
+        f.save(tmp_path / "f.json")
+        g = Forest.load(tmp_path / "f.json")
+        assert g.params == f.params
+        np.testing.assert_array_equal(g.feature, f.feature)
+        np.testing.assert_array_equal(g.threshold, f.threshold)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -139,7 +139,9 @@ class TestTreeParams:
     def test_numpy_integers_accepted(self):
         tp = TreeParams(mtry=np.int64(2), min_node_size=np.int32(3), max_leaves=np.uint8(4))
         fp = ForestParams(np.int64(2), tp, seed=np.uint64(7))
-        assert (fp.n_trees, tp.mtry, tp.min_node_size, tp.max_leaves) == (2, 2, 3, 4)
+        fields = (fp.n_trees, fp.seed, tp.mtry, tp.min_node_size, tp.max_leaves)
+        assert fields == (2, 7, 2, 3, 4)
+        assert [type(v) for v in fields] == [int] * 5
 
     # A value of every field, other than its default, that grows another
     # forest on the fixture below: an option that selects nothing has no
