@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     queries = argparse.ArgumentParser(add_help=False)
     queries.add_argument("--model", required=True)
     queries.add_argument("--data", required=True)
-    # the positional fallback for a CSV naming none of the model's features skips this column
-    queries.add_argument("--label-column", default="label")
     queries.add_argument("--out", required=True)
 
     # flags shared by the commands that grow forests from a training set
@@ -242,7 +240,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     forest = Forest.load(args.model)
-    X = load_points(args.data, forest.train.feature_names, args.label_column)
+    X = load_points(args.data, forest.train.feature_names)
     leaves = forest.leaves(X)
     P = np.column_stack([forest.estimate(leaves, mode) for mode in PREDICT_MODES])
     _write_csv(
@@ -255,7 +253,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_proximity(args) -> int:
     forest = Forest.load(args.model)
-    X = load_points(args.data, forest.train.feature_names, args.label_column)
+    X = load_points(args.data, forest.train.feature_names)
     P = forest.proximity_matrix(X)
     _write_csv(
         args.out,

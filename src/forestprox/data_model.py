@@ -224,11 +224,11 @@ def load_csv(
     return Dataset(features=feats, labels=labels, feature_names=names, true_probs=tps)
 
 
-def load_points(path: str | Path, names, label_column: str | None = None) -> np.ndarray:
+def load_points(path: str | Path, names) -> np.ndarray:
     """Feature matrix from a CSV of query points: the columns named
     `names`, in that order, other columns ignored. A header naming none of
-    them is read by position, its first len(names) columns other than the
-    one named `label_column`; a header naming some but not all is refused."""
+    them is read by position, its first len(names) columns other than one
+    named label; a header naming some but not all is refused."""
     header, rows = _read_rows(path)
     p = len(names)
     missing = [n for n in names if n not in header]
@@ -237,7 +237,7 @@ def load_points(path: str | Path, names, label_column: str | None = None) -> np.
     elif len(missing) < p:
         raise DataError(f"{path}: feature column {missing[0]!r} not in header ({len(missing)} missing)")
     else:
-        cols = [j for j, h in enumerate(header) if h != label_column][:p]
+        cols = [j for j, h in enumerate(header) if h != "label"][:p]
         if len(cols) < p:
             raise DataError(f"{path}: names no feature column; {len(cols)} other columns, need {p}")
     return _parse_columns(path, header, rows, cols)

@@ -22,7 +22,7 @@ from math import comb, log
 import numpy as np
 
 from . import forest
-from .data_model import Dataset, check_integer, store_integers
+from .data_model import Dataset, check_integer
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,10 @@ class NaiveKernelSpec:
     mtry: int
 
     def __post_init__(self):
-        store_integers(self, leaves=1, strong=0, weak=0, mtry=None)
+        check_integer("leaves", self.leaves, 1)
+        check_integer("strong", self.strong, 0)
+        check_integer("weak", self.weak, 0)
+        check_integer("mtry", self.mtry)
         if self.p < 1:
             raise ValueError("need at least one coordinate (strong + weak >= 1)")
         if not 1 <= self.mtry <= self.p:

@@ -58,8 +58,8 @@ FLAGS = {
         "--bootstrap", "--data", "--junk", "--label-column", "--min-node-size", "--mode",
         "--mtry", "--out", "--seed", "--trees", "--true-prob-column",
     ],
-    "predict": ["--data", "--label-column", "--model", "--out"],
-    "proximity": ["--data", "--label-column", "--model", "--out"],
+    "predict": ["--data", "--model", "--out"],
+    "proximity": ["--data", "--model", "--out"],
     "kernel": [
         "--leaves", "--mtry", "--out-compare", "--out-weights", "--seed", "--strong", "--trees",
         "--weak",
@@ -136,8 +136,7 @@ class TestTrainPredict:
         _, data, model = workspace
         out = tmp_path / "preds.csv"
         assert main([
-            "predict", "--model", str(model), "--data", str(data),
-            "--label-column", "label", "--out", str(out),
+            "predict", "--model", str(model), "--data", str(data), "--out", str(out),
         ]) == 0
         header, rows = read_csv(out)
         assert header == ["row", "p_class", "p_reg", "p_prox"]
@@ -193,7 +192,7 @@ class TestTrainPredict:
         short.write_text(json.dumps(payload), encoding="utf-8")
         rc = main([
             "predict", "--model", str(short), "--data", str(data),
-            "--label-column", "label", "--out", str(tmp_path / "o.csv"),
+            "--out", str(tmp_path / "o.csv"),
         ])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)["error"]
@@ -204,12 +203,15 @@ class TestTrainPredict:
         _, data, model = workspace
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
-            main(["predict", "--model", str(model), "--data", str(data),
-                  "--label-column", "label", "--out", str(out)])
+            main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
         assert a.read_text() == b.read_text()
 
-    @pytest.mark.parametrize("command", ["predict", "proximity"])
-    @pytest.mark.parametrize("header, missing", [("x1,label", "x2"), ("x2,x3", "x1")])
+    @pytest.mark.parametrize(
+        "command, header, missing",
+        [("predict", "x1,label", "x2"), ("proximity", "x1,label", "x2"),
+         ("predict", "x2,x3", "x1"), ("proximity", "x2,x3", "x1")],
+        ids=["predict", "proximity", "predict-x2,x3", "proximity-x2,x3"],
+    )
     def test_label_column_never_read_as_a_feature(
         self, workspace, tmp_path, capsys, command, header, missing
     ):
@@ -254,20 +256,15 @@ class TestTrainPredict:
         assert models[0] == models[1]
 
     @pytest.mark.parametrize("command", ["predict", "proximity"])
-    def test_label_column_named_by_a_number(self, workspace, tmp_path, command):
-        # the positional fallback skips the column named 0 and reads a, b
-        # as x1, x2; column index 0 would read b and the labels instead
-        _, _, model = workspace
-        labelled, bare = tmp_path / "labelled.csv", tmp_path / "bare.csv"
-        labelled.write_text("a,b,0\n0.1,0.5,1\n0.1,0.5,0\n-0.4,-0.3,0\n", encoding="utf-8")
-        bare.write_text("x1,x2\n0.1,0.5\n0.1,0.5\n-0.4,-0.3\n", encoding="utf-8")
-        outs = []
-        for query in (labelled, bare):
-            out = tmp_path / f"{query.stem}.out.csv"
-            assert main([command, "--model", str(model), "--data", str(query),
-                         "--label-column", "0", "--out", str(out)]) == 0
-            outs.append(out.read_text())
-        assert outs[0] == outs[1]
+    def test_label_column_is_not_a_query_flag(self, workspace, tmp_path, command):
+        # query columns are read by name; there is no label column to name
+        _, data, model = workspace
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", str(model), "--data", str(data),
+                  "--label-column", "label", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "proximity"])
     def test_header_only_query_refused(self, workspace, tmp_path, capsys, command):
@@ -299,8 +296,7 @@ class TestProximityCommand:
         main(["simulate", "--model", "logistic1_2d", "--n", "12", "--seed", "9", "--out", str(points)])
         out = tmp_path / "prox.csv"
         assert main([
-            "proximity", "--model", str(model), "--data", str(points),
-            "--label-column", "label", "--out", str(out),
+            "proximity", "--model", str(model), "--data", str(points), "--out", str(out),
         ]) == 0
         _, rows = read_csv(out)
         P = np.array([[float(v) for v in row] for row in rows])

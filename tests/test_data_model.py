@@ -164,22 +164,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"column names repeat: \\['{repeated}'\\]"):
             load_csv(path, "label")
 
-    @pytest.mark.parametrize(
-        "label_column, expected", [("y", [[0.1, 0.2]]), (0, [[1.0, 0.1]]), ("0", [[1.0, 0.1]])],
-        ids=["name", "int", "text"],
-    )
-    def test_load_points_by_position_skips_the_label_column_by_name(
-        self, tmp_path, label_column, expected
-    ):
-        # a header naming none of the features is read by position; the
-        # label column is skipped by its name, never taken as an index
-        path = write(tmp_path, "y,a,b\n1,0.1,0.2\n")
-        np.testing.assert_array_equal(load_points(path, ("x1", "x2"), label_column), expected)
+    @pytest.mark.parametrize("header", ["label,a,b", "a,label,b", "a,b,label"])
+    def test_load_points_by_position_skips_a_label_column(self, tmp_path, header):
+        # a header naming none of the features is read by position, and a
+        # column named label is never read as a feature
+        cells = {"label": "1", "a": "0.1", "b": "0.2"}
+        path = write(tmp_path, header + "\n" + ",".join(cells[h] for h in header.split(",")) + "\n")
+        np.testing.assert_array_equal(load_points(path, ("x1", "x2")), [[0.1, 0.2]])
 
     def test_load_points_by_position_needs_enough_columns(self, tmp_path):
-        path = write(tmp_path, "y,a\n1,0.1\n")
+        path = write(tmp_path, "label,a\n1,0.1\n")
         with pytest.raises(DataError, match="names no feature column; 1 other columns, need 2$"):
-            load_points(path, ("x1", "x2"), "y")
+            load_points(path, ("x1", "x2"))
 
     @pytest.mark.parametrize(
         "names, message",
