@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -142,22 +143,65 @@ class Dataset:
         )
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Stripped header and nonblank rows of a CSV file, each row holding
-    one cell per header column. Header names must be distinct, and at
-    least one row must follow the header."""
+def _read_header(reader, path: Path) -> list[str]:
+    """The stripped header row of a CSV reader; names must be distinct."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header row required") from None
+    if len(set(header)) < len(header):
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        raise DataError(f"{path}: column names repeat: {repeated}")
+    return header
+
+
+def _read_table(path: str | Path, text_column: str | None = None):
+    """(header, columns, text) of a CSV file: `columns(cols)` gives the
+    given columns of every row as float64, and `text` the stripped cells
+    of column `text_column`, None when the header lacks it.
+
+    After the header, numpy's C reader parses every cell in one pass,
+    collecting `text_column`'s as text. A table it refuses (a cell that is
+    not a number, even in a column no caller reads, rows of the wrong
+    length, no rows, a spelling only float() takes) is read again by
+    `_read_rows` and `_parse_columns`, which alone read it or name its
+    fault, so either way the values and errors are theirs.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        header = _read_header(csv.reader(fh), path)
+        text_idx = header.index(text_column) if text_column in header else None
+        text = []
+
+        def collect(cell: str) -> float:
+            text.append(cell.strip())
+            return 0.0
+
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        if len(set(header)) < len(header):
-            repeated = sorted({h for h in header if header.count(h) > 1})
-            raise DataError(f"{path}: column names repeat: {repeated}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty table warns
+                values = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                    converters=None if text_idx is None else {text_idx: collect},
+                )
+        except ValueError:
+            values = None
+    if values is not None and values.size and values.shape[1] == len(header):
+        return header, lambda cols: values[:, cols], None if text_idx is None else text
+    header, rows = _read_rows(path)
+    text = None if text_idx is None else [row[text_idx].strip() for row in rows]
+    return header, lambda cols: _parse_columns(path, header, rows, cols), text
+
+
+def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and nonblank rows of a CSV file, each row holding one cell
+    per header column, split by `csv`. At least one row must follow the
+    header."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
         rows = [r for r in reader if r]
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -197,11 +241,16 @@ def load_csv(
     when both parse as numbers, string order otherwise). A `true_prob`
     companion column (as written by `simulate`) can be pulled out of the
     feature set by name via `true_prob_column`; "auto" pulls out the
-    column named TRUE_PROB_COLUMN when the header has one.
+    column named TRUE_PROB_COLUMN when the header has one other than the
+    label column. A true-prob column named as the label column is refused
+    before the file is read.
     """
-    header, rows = _read_rows(path)
+    if true_prob_column == label_column != "auto":
+        raise DataError(f"true-prob column {label_column!r} is the label column")
+    header, columns, label_text = _read_table(path, label_column)
     if true_prob_column == "auto":
-        true_prob_column = TRUE_PROB_COLUMN if TRUE_PROB_COLUMN in header else None
+        auto = TRUE_PROB_COLUMN in header and TRUE_PROB_COLUMN != label_column
+        true_prob_column = TRUE_PROB_COLUMN if auto else None
     if label_column not in header:
         raise DataError(f"label column {label_column!r} not in header {header}")
     label_idx = header.index(label_column)
@@ -213,13 +262,13 @@ def load_csv(
             raise DataError(f"true-prob column {true_prob_column!r} not in header")
         tp_idx = header.index(true_prob_column)
         skip.add(tp_idx)
-        tps = _parse_columns(path, header, rows, [tp_idx])[:, 0]
+        tps = columns([tp_idx])[:, 0]
 
     feat_idx = [j for j in range(len(header)) if j not in skip]
     if not feat_idx:
         raise DataError(f"{path}: no feature columns left")
-    feats = _parse_columns(path, header, rows, feat_idx)
-    labels = _map_labels([row[label_idx].strip() for row in rows])
+    feats = columns(feat_idx)
+    labels = _map_labels(label_text)
     names = tuple(header[j] for j in feat_idx)
     return Dataset(features=feats, labels=labels, feature_names=names, true_probs=tps)
 
@@ -229,7 +278,7 @@ def load_points(path: str | Path, names) -> np.ndarray:
     `names`, in that order, other columns ignored. A header naming none of
     them is read by position, its first len(names) columns other than one
     named label; a header naming some but not all is refused."""
-    header, rows = _read_rows(path)
+    header, columns, _ = _read_table(path)
     p = len(names)
     missing = [n for n in names if n not in header]
     if not missing:
@@ -240,7 +289,7 @@ def load_points(path: str | Path, names) -> np.ndarray:
         cols = [j for j, h in enumerate(header) if h != "label"][:p]
         if len(cols) < p:
             raise DataError(f"{path}: names no feature column; {len(cols)} other columns, need {p}")
-    return _parse_columns(path, header, rows, cols)
+    return columns(cols)
 
 
 def _map_labels(raw: list[str]) -> np.ndarray:

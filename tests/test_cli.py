@@ -761,6 +761,16 @@ class TestTrueProbColumn:
         assert self._run("bench", data, choice, report) == 0
         assert json.loads(report.read_text())["config"]["true_prob_column"] == dropped
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_label_column_refused_as_true_prob_column(self, workspace, tmp_path, capsys, command):
+        # the labels must not be scored as the truth, nor the truth trained on
+        _, data, _ = workspace
+        out = tmp_path / "out.json"
+        assert self._run(command, data, "label", out) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "DataError", "message": "true-prob column 'label' is the label column"}
+        assert not out.exists()
+
 
 class TestErrorContract:
     def test_missing_file_machine_readable(self, capsys, tmp_path):

@@ -1,8 +1,13 @@
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from forestprox import data_model
 from forestprox.data_model import (
     DataError,
     Dataset,
@@ -18,6 +23,9 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+DEMO = Path(__file__).resolve().parent.parent / "data" / "demo_binary_200.csv"
 
 
 class TestDatasetValidation:
@@ -235,6 +243,153 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.features, d.features)
         np.testing.assert_array_equal(back.labels, d.labels)
         assert back.feature_names == d.feature_names
+
+    @pytest.mark.parametrize("path", [DEMO, "missing.csv"], ids=["demo", "missing"])
+    def test_true_prob_column_that_is_the_label_column_refused(self, path):
+        # the labels would be read as the truth and the truth as a feature;
+        # refused before the file is read, so a missing file gives the same
+        with pytest.raises(DataError, match=r"^true-prob column 'label' is the label column$"):
+            load_csv(path, "label", true_prob_column="label")
+
+    def test_auto_true_prob_column_skips_the_label_column(self, tmp_path):
+        path = write(tmp_path, "a,true_prob\n0.5,0\n1.5,1\n")
+        d = load_csv(path, "true_prob", true_prob_column="auto")
+        assert d.true_probs is None and d.feature_names == ("a",)
+        assert d.labels.tolist() == [0, 1]
+
+
+def both_paths(read):
+    """read() through numpy's C reader, then again with that reader
+    refusing every table, so that the csv path reads it."""
+    with mock.patch.object(data_model, "_read_rows", side_effect=AssertionError("csv path")):
+        fast = outcome(read)
+    with mock.patch.object(data_model.np, "loadtxt", side_effect=ValueError):
+        slow = outcome(read)
+    return fast, slow
+
+
+def outcome(read):
+    """Every byte of what read() returns, or the type and text of what it raises."""
+    try:
+        got = read()
+    except ValueError as exc:  # DataError among them
+        return type(exc).__name__, str(exc)
+    if isinstance(got, np.ndarray):
+        return got.dtype.str, got.shape, got.tobytes()
+    tps = None if got.true_probs is None else got.true_probs.tobytes()
+    return (got.features.shape, got.features.tobytes(), got.labels.tobytes(),
+            got.feature_names, tps)
+
+
+# 17 significant digits, signed zeros, exponents and subnormals
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+SPELLINGS = ["{!r}", "{:.17g}", "{:.16e}", "{:+.17E}"]
+WRAPS = ["{}", " {} ", "\t{}", '"{}"', '" {} "']
+NUMERIC_LABELS = [("0", "1"), ("1.0", "-0"), (" 2 ", '"1e1"')]
+TEXT_LABELS = [("ham", "spam"), ('"a, b"', " c ")]
+
+
+@st.composite
+def tables(draw):
+    """CSV text with features x1..xk, a label column and maybe a true_prob
+    column, in a drawn order, with quoting, padding, blank lines and CRLF;
+    and whether the labels are numbers."""
+    k = draw(st.integers(1, 4))
+    header = [f"x{j + 1}" for j in range(k)] + ["label"] + draw(st.sampled_from([[], ["true_prob"]]))
+    header = draw(st.permutations(header))
+    numeric = draw(st.booleans())
+    labels = draw(st.sampled_from(NUMERIC_LABELS if numeric else TEXT_LABELS))
+    number = st.builds(
+        lambda v, spelling, wrap: wrap.format(spelling.format(v)),
+        VALUES, st.sampled_from(SPELLINGS), st.sampled_from(WRAPS),
+    )
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")
+        lines.append(",".join(
+            draw(st.sampled_from(labels)) if h == "label" else draw(number) for h in header
+        ))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return header, eol.join(lines) + eol, numeric
+
+
+class TestCReader:
+    """numpy's C reader parses every table it accepts as the csv path and
+    float() do, and hands every other table to them."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=tables(), seed=st.integers(0, 2**16))
+    def test_c_path_and_csv_path_are_bit_identical(self, tmp_path, table, seed):
+        header, text, numeric_labels = table
+        path = write(tmp_path, text)
+        names = tuple(np.random.default_rng(seed).permutation([h for h in header if h[0] == "x"]))
+        reads = [lambda: load_csv(path, "label", true_prob_column="auto"),
+                 lambda: load_csv(path, "label")]
+        if numeric_labels:  # a text column a query ignores is the csv path's
+            reads.append(lambda: load_points(path, names))
+        for read in reads:
+            fast, slow = both_paths(read)
+            assert fast == slow
+
+    def test_demo_file_is_bit_identical(self):
+        fast, slow = both_paths(lambda: load_csv(DEMO, "label", true_prob_column="auto"))
+        assert fast == slow and fast[4] is not None
+
+    @pytest.mark.parametrize(
+        "cell, value", [("1_000", 1000.0), ("١٢", 12.0), ("７.5", 7.5)],
+        ids=["underscore", "arabic-indic", "fullwidth"],
+    )
+    def test_spellings_only_float_takes_read_by_the_csv_path(self, tmp_path, cell, value):
+        path = write(tmp_path, f"a,b,label\n{cell},2,0\n3,4,1\n")
+        with mock.patch.object(data_model, "_read_rows", wraps=data_model._read_rows) as rows:
+            d = load_csv(path, "label")
+            X = load_points(path, ("a", "b"))
+        assert rows.call_count == 2
+        np.testing.assert_array_equal(d.features, [[value, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(X, d.features)
+
+    @pytest.mark.filterwarnings("error")  # numpy warns on a table with no rows
+    @pytest.mark.parametrize(
+        "text, message",
+        [("x1,x2\n1,2,3\n4,5,6\n", "row 0 has 3 cells, expected 2"),
+         ("x1,x2,x3\n1,2\n", "row 0 has 2 cells, expected 3"),
+         ("x1\n\r\n\n", "no data rows")],
+        ids=["wider", "narrower", "empty"],
+    )
+    def test_tables_of_another_shape_refused_by_the_csv_path(self, tmp_path, text, message):
+        # numpy reads rows of one width, or none, without complaint
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=f"{message}$"):
+            load_points(path, ("x1", "x2"))
+
+    def test_text_column_a_query_does_not_use_read_by_the_csv_path(self, tmp_path):
+        path = write(tmp_path, "id,x2,x1\nfirst,0.1,0.2\nsecond,0.3,0.4\n")
+        with mock.patch.object(data_model, "_read_rows", wraps=data_model._read_rows) as rows:
+            X = load_points(path, ("x1", "x2"))
+        assert rows.call_count == 1
+        np.testing.assert_array_equal(X, [[0.2, 0.1], [0.4, 0.3]])
+
+    def test_query_read_peak_memory(self, tmp_path):
+        # a 1000 x 51 table of 17-digit values, as a query CSV with a label
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(1000, 50))
+        names = tuple(f"x{j + 1}" for j in range(50))
+        lines = [",".join(names + ("label",))]
+        lines += [",".join(map(repr, row)) + f",{i % 2}" for i, row in enumerate(X.tolist())]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            got = load_points(path, names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, X)
+        assert peak < 4 * got.nbytes
 
 
 class TestAugmentJunk:
