@@ -94,8 +94,8 @@ def naive_kernel(spec: NaiveKernelSpec, X) -> np.ndarray:
     return np.exp(-log(spec.leaves) * (p_s * strong_sum + p_w * weak_sum))
 
 
-# the simulators' work arrays hold about this many elements: they walk
-# their rows (nodes or trees) in blocks of _BLOCK_ELEMENTS // p
+# the candidate draws' and the bandwidth sweep's work arrays hold about this
+# many elements: they walk their rows (nodes, evaluation rows) in blocks
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -170,24 +170,39 @@ def mc_selection_freq(spec: NaiveKernelSpec, trials: int, seed: int) -> np.ndarr
     return counts / trials
 
 
-def _zero_cell_extents(spec: NaiveKernelSpec, n_trees: int, seed: int) -> np.ndarray:
+def _origin_cuts(
+    spec: NaiveKernelSpec, n_trees: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate the cell containing the origin for n_trees stylized trees;
-    returns its per-coordinate upper edges after growth (n_trees, p).
+    returns (tree, coord, hi): one entry for each (tree, coordinate) pair
+    that was cut, sorted by tree then coordinate, with the pair's upper
+    edge after growth. Every other edge stays at 1.
 
     Only the origin cell needs tracking: at step m there are m leaves, so
     it is selected with probability 1/m, and splits of other leaves do not
-    move its boundaries.
+    move its boundaries. A cut at u scales the pair's edge by u, so the
+    edge is the product of its cuts' u in step order: u * 1.0 is u and
+    IEEE products commute, so this is the edge a dense (n_trees, p) array
+    updated in place would hold, bit for bit.
     """
     rng = np.random.default_rng(seed)
-    hi = np.ones((n_trees, spec.p))
+    keys, us = [], []
     for m in range(1, spec.leaves):
         sel = np.flatnonzero(rng.random(n_trees) < 1.0 / m)
         if sel.size == 0:
             continue
-        coord = _split_coords(rng, spec, sel.size)
-        cuts = rng.random(sel.size) * hi[sel, coord]
-        hi[sel, coord] = cuts
-    return hi
+        keys.append(sel * spec.p + _split_coords(rng, spec, sel.size))
+        us.append(rng.random(sel.size))
+    if not keys:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    # reduceat multiplies each pair's run of cuts left to right, in step order
+    hi = np.multiply.reduceat(np.concatenate(us)[order], first)
+    tree, coord = np.divmod(key[first], spec.p)
+    return tree, coord, hi
 
 
 def mc_proximity(spec: NaiveKernelSpec, X, *, n_trees: int, seed: int) -> np.ndarray:
@@ -195,28 +210,30 @@ def mc_proximity(spec: NaiveKernelSpec, X, *, n_trees: int, seed: int) -> np.nda
     origin cell contains x (strong = first S coordinates), (m,).
 
     This is the direct simulation the closed form approximates; one call
-    simulates one batch of n_trees trees and scores every row against it,
-    one block of trees (`_blocks`) at a time. n_trees whose (n_trees, p)
-    float64 extents exceed forest.PROXIMITY_MATRIX_MAX_BYTES, read at each
-    call, are refused before anything is allocated.
+    simulates one batch of n_trees trees (`_origin_cuts`) and scores every
+    row against it: a tree holds x unless one of its cut edges lies below
+    x's coordinate. Two sizes are refused before the first draw, against
+    forest.PROXIMITY_MATRIX_MAX_BYTES read at each call: n_trees whose
+    (n_trees, p) float64 extents would exceed it, and a growth whose
+    selection draws, 8 * n_trees * (leaves - 1) bytes were they held at
+    once, would.
     """
     check_integer("n_trees", n_trees, 1)
     check_integer("seed", seed, 0)
     cap, size = forest.PROXIMITY_MATRIX_MAX_BYTES, 8 * n_trees * spec.p
     if size > cap:
         raise ValueError(f"{n_trees} trees need {size} bytes, over the cap of {cap}")
+    work = 8 * n_trees * (spec.leaves - 1)
+    if work > cap:
+        raise ValueError(
+            f"{spec.leaves} leaves on {n_trees} trees need {work} bytes of selection "
+            f"draws, over the cap of {cap}"
+        )
     X = _check_unit_points(X, spec.p)
-    hi = _zero_cell_extents(spec, n_trees, seed)
-    # each row against one block of trees at a time (`_blocks`), so a
-    # compare holds at most a block's extents, never all n_trees; a zero
-    # coordinate always passes, since the extents are >= 0
-    nonzero = [np.flatnonzero(x) for x in X]
-    inside = np.zeros(len(X), dtype=np.int64)
-    for b in _blocks(n_trees, spec.p):
-        block = hi[b]
-        for i, (x, j) in enumerate(zip(X, nonzero)):
-            inside[i] += np.count_nonzero((x[j] <= block[:, j]).all(axis=1))
-    return inside / n_trees
+    tree, coord, hi = _origin_cuts(spec, n_trees, seed)
+    # the trees come sorted: each tree with an edge below x starts one run
+    out = [np.count_nonzero(np.diff(tree[hi < x[coord]], prepend=-1)) for x in X]
+    return (n_trees - np.array(out, dtype=np.int64)) / n_trees
 
 
 def breiman_kernel(Z, x0, leaves: int) -> np.ndarray:

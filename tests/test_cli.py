@@ -709,6 +709,21 @@ class TestBadCounts:
             capsys, weights, "1000000 trees need 400000000 bytes, over the cap of 268435456"
         )
 
+    def test_kernel_leaves_over_the_matrix_cap(self, tmp_path, capsys):
+        # 10 trees of 10^7 leaves make 8 * 10 * (10^7 - 1) bytes of selection
+        # draws, over PROXIMITY_MATRIX_MAX_BYTES: refused before the first draw
+        weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"
+        assert main([
+            "kernel", "--strong", "5", "--weak", "45", "--mtry", "15", "--trees", "10",
+            "--leaves", "10000000", "--out-weights", str(weights),
+            "--out-compare", str(comparison),
+        ]) == 1
+        assert not comparison.exists()
+        self._refused(capsys, weights, (
+            "10000000 leaves on 10 trees need 799999920 bytes of selection draws, "
+            "over the cap of 268435456"
+        ))
+
     @pytest.mark.parametrize("compare", [True, False])
     def test_kernel_without_coordinates(self, tmp_path, capsys, compare):
         weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"

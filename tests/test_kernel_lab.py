@@ -100,6 +100,31 @@ def whole_split_coords(rng, spec, k):
     return pick.argmin(axis=1)
 
 
+def reference_extents(spec, n_trees, seed):
+    """The origin cell's (n_trees, p) upper edges, simulated on a dense
+    array updated in place: the reference `_origin_cuts` must reproduce,
+    draw for draw and bit for bit."""
+    rng = np.random.default_rng(seed)
+    hi = np.ones((n_trees, spec.p))
+    for m in range(1, spec.leaves):
+        sel = np.flatnonzero(rng.random(n_trees) < 1.0 / m)
+        if sel.size == 0:
+            continue
+        coord = kernel_lab._split_coords(rng, spec, sel.size)
+        cuts = rng.random(sel.size) * hi[sel, coord]
+        hi[sel, coord] = cuts
+    return hi
+
+
+def dense_extents(spec, n_trees, seed):
+    """`_origin_cuts` written out as (n_trees, p) upper edges, 1 where no
+    cut fell."""
+    tree, coord, hi = kernel_lab._origin_cuts(spec, n_trees, seed)
+    dense = np.ones((n_trees, spec.p))
+    dense[tree, coord] = hi
+    return dense
+
+
 class EighthsGenerator:
     """A generator whose doubles are cut down to eighths, floor(8 u) / 8:
     exact, still in [0, 1), and so coarse that most rows of keys tie at
@@ -461,12 +486,14 @@ class TestMcProximity:
             np.testing.assert_array_equal(got[i : i + 1], one)
 
     def test_blocks_count_every_tree(self):
-        # three blocks of trees + 5 against one broadcast compare of all of them
+        # three blocks of trees + 5 (so the first growth step draws its
+        # candidates in four blocks) against one broadcast compare of all
+        # of them
         spec = NaiveKernelSpec(32, 5, 45, 15)
         trees = 3 * (kernel_lab._BLOCK_ELEMENTS // spec.p) + 5
         X = 0.03 * np.random.default_rng(2).random((4, spec.p))
         X[0] = 0.0
-        hi = kernel_lab._zero_cell_extents(spec, trees, 6)
+        hi = dense_extents(spec, trees, 6)
         want = (X[:, None, :] <= hi[None]).all(axis=2).mean(axis=1)
         np.testing.assert_array_equal(mc_proximity(spec, X, n_trees=trees, seed=6), want)
 
@@ -503,11 +530,66 @@ class TestMcProximity:
         assert peak < 1e5
 
     def test_batch_memory_at_20000_trees(self):
-        # 30 rows against (20,000, 50) extents, compared a block of trees
-        # at a time: the 8 MB extents and about 5 MB more
+        # 30 rows against the cuts of 20,000 trees: about 5 MB, set by the
+        # first growth step's candidate draws and the sort of the cuts
+        # (11.5-12.2 MB with a dense (20,000, 50) extents array)
         spec = NaiveKernelSpec(32, 5, 45, 15)
         X = np.tile(np.linspace(0.0, 0.02, 50), (30, 1))
-        assert traced_peak(partial(mc_proximity, n_trees=20_000, seed=3), spec, X) <= 16e6
+        assert traced_peak(partial(mc_proximity, n_trees=20_000, seed=3), spec, X) <= 7e6
+
+    def test_selection_work_over_the_matrix_cap_refused(self, monkeypatch):
+        # leaves - 1 selection passes of n_trees draws, 8 bytes each, over
+        # the cap (read at each call) are refused before the first draw
+        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 8 * 100 * 2)
+        spec = NaiveKernelSpec(3, 1, 1, 1)
+        assert mc_proximity(spec, np.zeros((1, 2)), n_trees=100, seed=0).tolist() == [1.0]
+        spec = NaiveKernelSpec(10**9, 1, 1, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                "^1000000000 leaves on 1 trees need 7999999992 bytes of selection draws, "
+                "over the cap of 1600$"
+            )):
+                mc_proximity(spec, np.zeros((1, 2)), n_trees=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+        with pytest.raises(ValueError, match="^4 leaves on 100 trees need 2400 bytes"):
+            mc_proximity(NaiveKernelSpec(4, 1, 1, 1), np.zeros((1, 2)), n_trees=100, seed=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from([(0, 1), (0, 4), (1, 0), (3, 0), (1, 1), (2, 3)]),
+        leaves=st.sampled_from([1, 2, 3, 9]),
+        mtry=st.sampled_from(["1", "p", "mid"]),
+        n_trees=st.integers(1, 120),
+        block_elements=st.sampled_from([1, 30, kernel_lab._BLOCK_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equals_dense_extents_reference(
+        self, shape, leaves, mtry, n_trees, block_elements, seed, data
+    ):
+        # any shape, S = 0 and W = 0 among them, at one leaf and two, and
+        # probes holding 0, 1 and each coordinate of some tree's edge
+        # exactly; a small block size spreads the first growth step's
+        # candidate draws over many blocks
+        S, W = shape
+        spec = NaiveKernelSpec(leaves, S, W, {"1": 1, "p": S + W, "mid": (S + W + 1) // 2}[mtry])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel_lab, "_BLOCK_ELEMENTS", block_elements)
+            hi = reference_extents(spec, n_trees, seed)
+            assert dense_extents(spec, n_trees, seed).tobytes() == hi.tobytes()
+            t = data.draw(st.integers(0, n_trees - 1))
+            values = st.sampled_from([0.0, 1.0, *hi[t].tolist()]) | st.floats(0.0, 1.0)
+            X = np.array(data.draw(st.lists(
+                st.lists(values, min_size=spec.p, max_size=spec.p), min_size=1, max_size=6
+            )))
+            X = np.vstack([X, np.zeros(spec.p), np.ones(spec.p), hi[t]])
+            want = np.count_nonzero((X[:, None, :] <= hi[None]).all(axis=2), axis=1) / n_trees
+            got = mc_proximity(spec, X, n_trees=n_trees, seed=seed)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestCandidateDraws:
@@ -560,7 +642,7 @@ class TestCandidateDraws:
         coords = np.concatenate([kernel_lab._split_coords(rng, spec, 1000) for _ in range(3)])
         counts = np.bincount(coords, minlength=spec.p)
         np.testing.assert_array_equal(counts, self.SELECTION_COUNTS[k])
-        hi = kernel_lab._zero_cell_extents(spec, 500, 7)
+        hi = dense_extents(spec, 500, 7)
         assert hashlib.sha256(hi.tobytes()).hexdigest() == self.EXTENT_DIGESTS[k]
 
     @pytest.mark.parametrize("k", range(4))
@@ -568,7 +650,7 @@ class TestCandidateDraws:
         spec = self.SPECS[k]
         freq = mc_selection_freq(spec, 20_000, 5)
         np.testing.assert_array_equal(freq, np.array(self.MULTI_BLOCK_COUNTS[k]) / 20_000)
-        hi = kernel_lab._zero_cell_extents(spec, 5_000, 7)
+        hi = dense_extents(spec, 5_000, 7)
         assert hashlib.sha256(hi.tobytes()).hexdigest() == self.MULTI_BLOCK_DIGESTS[k]
 
     @pytest.mark.parametrize("k", range(4))
@@ -618,9 +700,10 @@ class TestCandidateDraws:
         assert tied > 0.5
 
     def test_transient_memory_at_20000_trees(self):
-        # the output is 8 MB and the blocked draws about 4 MB more
+        # about 63,000 cut (tree, coordinate) pairs, and the blocked draws:
+        # about 5 MB, below the 8 MB a dense (20,000, 50) extents array takes
         spec = NaiveKernelSpec(32, 5, 45, 15)
-        assert traced_peak(kernel_lab._zero_cell_extents, spec, 20_000, 3) <= 16e6
+        assert traced_peak(kernel_lab._origin_cuts, spec, 20_000, 3) <= 7e6
 
 
 class TestBreimanKernel:
