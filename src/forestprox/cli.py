@@ -42,6 +42,11 @@ MODE_GROWTH = {
     "random": ("completely_random", 1),
 }
 
+# `kernel` without --mtry computes every mtry's weights from exact binomials
+# whose cost grows about as p^3: 0.26 s at p = 2,000, 1.9 s at 4,096 and
+# 6.2 s at 6,000 on a 2-core x86 machine, so larger sweeps are refused
+SWEEP_MAX_COORDINATES = 4096
+
 
 @functools.cache  # built once a process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
@@ -276,6 +281,11 @@ def _cmd_kernel(args) -> int:
         return NaiveKernelSpec(leaves=args.leaves, strong=args.strong, weak=args.weak, mtry=m)
 
     compare = spec(args.mtry if args.mtry is not None else max(1, p // 2))
+    if args.mtry is None and p > SWEEP_MAX_COORDINATES:
+        raise ValueError(
+            f"sweeping mtry over {p} coordinates is refused above {SWEEP_MAX_COORDINATES}; "
+            "give --mtry"
+        )
     mtry_values = [args.mtry] if args.mtry is not None else list(range(1, p + 1))
     rows = [[m, *map(repr, strong_weak_weights(spec(m)))] for m in mtry_values]
     outputs = [(args.out_weights, ["mtry", "p_strong", "p_weak"], rows)]

@@ -34,6 +34,20 @@ def check_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+# Largest working set, in bytes, that one capped request may hold: a
+# proximity matrix, a kernel grid, a derivative's probes, a simulated
+# forest's cut list (256 MiB).
+MAX_REQUEST_BYTES = 1 << 28
+
+
+def check_bytes(need: str, nbytes: int) -> None:
+    """Refuse with ValueError a request of `nbytes` bytes over
+    MAX_REQUEST_BYTES, read at each call; `need` names the request and its
+    verb, as in "resolution 6000 needs"."""
+    if nbytes > MAX_REQUEST_BYTES:
+        raise ValueError(f"{need} {nbytes} bytes, over the cap of {MAX_REQUEST_BYTES}")
+
+
 def store_integers(obj, **minimums) -> None:
     """check_integer each named field of frozen dataclass `obj` against its
     minimum (None for none), in order, and store it as a plain int, so a

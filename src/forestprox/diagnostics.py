@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forest
-from .data_model import check_integer
+from .data_model import check_bytes, check_integer
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,22 @@ def derivative_report(kernel, x0, steps) -> DerivativeReport:
     x0 must be finite, and `steps` a scalar or a per-coordinate vector of
     finite steps > 0 that keep every probe finite. The kernel is called
     once, on 2p + 1 probe rows: x0, then x0 + h_j e_j for every j, then
-    x0 - h_j e_j.
+    x0 - h_j e_j. Probes whose float64 values exceed the request cap
+    (`check_bytes`) are refused before anything is allocated.
     """
     x0 = np.asarray(x0, dtype=np.float64)
+    p = x0.size
+    check_bytes(f"{2 * p + 1} probes of {p} coordinates need", 8 * (2 * p + 1) * p)
     _refuse(~np.isfinite(x0), "center must be finite", x0)
     h = np.broadcast_to(np.asarray(steps, dtype=np.float64), x0.shape).copy()
     _refuse(~(np.isfinite(h) & (h > 0)), "steps must be finite and > 0", h)
     with np.errstate(over="ignore"):  # only x0_j +- h_j can overflow
-        Z = np.vstack([x0, x0 + np.diag(h), x0 - np.diag(h)])
-    _refuse(~np.isfinite(Z).all(axis=0), "steps must keep center +- step finite", h)
+        up, down = x0 + h, x0 - h
+    _refuse(~(np.isfinite(up) & np.isfinite(down)), "steps must keep center +- step finite", h)
+    Z = np.tile(x0, (2 * p + 1, 1))
+    j = np.arange(p)
+    Z[1 + j, j] = up
+    Z[1 + p + j, j] = down
     k = np.asarray(kernel(Z, x0))
     right, left = (k[1:] - k[0]).reshape(2, -1) / h
     return DerivativeReport(steps=h, left=left, right=right)
@@ -73,16 +79,14 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
     z stay pinned to x0. `bounds` gives ((lo_i, hi_i), (lo_j, hi_j)).
     values[a, b] corresponds to (axis_i[a], axis_j[b]). `dims` and
     `resolution` must be integers; x0, the bounds and every axis value
-    must be finite. A resolution r whose (r, r) float64 values exceed
-    forest.PROXIMITY_MATRIX_MAX_BYTES, read at each call, is refused
+    must be finite. A resolution r whose (r, r) float64 values and (r, p)
+    float64 probes exceed the request cap (`check_bytes`) is refused
     before anything is allocated. The kernel is called once per axis_i
-    value, on `resolution` rows.
+    value, on the same `resolution` rows with column i rewritten.
     """
     check_integer("resolution", resolution, 2)
-    cap, size = forest.PROXIMITY_MATRIX_MAX_BYTES, 8 * resolution * resolution
-    if size > cap:
-        raise ValueError(f"resolution {resolution} needs {size} bytes, over the cap of {cap}")
     x0 = np.asarray(x0, dtype=np.float64)
+    check_bytes(f"resolution {resolution} needs", 8 * resolution * (resolution + x0.size))
     _refuse(~np.isfinite(x0), "center must be finite", x0)
     i, j = dims
     for d in (i, j):
@@ -100,10 +104,11 @@ def kernel_grid(kernel, x0, dims, resolution: int, bounds) -> KernelGrid:
     if not np.isfinite([axis_i, axis_j]).all():
         raise ValueError(f"bounds {[lo_i, hi_i, lo_j, hi_j]} span more than the finite range")
     values = np.empty((resolution, resolution))
+    # one block of probes, rewritten in column i for each row of the grid
+    Z = np.tile(x0, (resolution, 1))
+    Z[:, j] = axis_j
     for a, vi in enumerate(axis_i):
-        Z = np.tile(x0, (resolution, 1))
         Z[:, i] = vi
-        Z[:, j] = axis_j
         values[a] = kernel(Z, x0)
     return KernelGrid(axis_i=axis_i, axis_j=axis_j, values=values)
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import Dataset, check_integer, store_integers
+from .data_model import Dataset, check_bytes, check_integer, store_integers
 from .tree import TreeParams, first_child, grow_trees, node_depth, route
 
 PREDICT_MODES = ("class_vote", "reg_mean", "prox")
@@ -47,13 +47,6 @@ class ForestParams:
 
     def __post_init__(self):
         store_integers(self, n_trees=1, seed=0)
-
-
-# Largest proximity matrix, in bytes, that `proximity_matrix` builds:
-# the float64 result plus one tree's boolean co-occupancy, 9 bytes a pair
-# (about 5,460 points). `diagnostics.kernel_grid` holds its (r, r) float64
-# values to the same cap (r <= 5,792).
-PROXIMITY_MATRIX_MAX_BYTES = 1 << 28
 
 
 def derive_seeds(entropy: int, count: int, spawn_key=()) -> list[int]:
@@ -175,14 +168,12 @@ class Forest:
         """Dense (n, n) proximity of every pair of rows of X.
 
         Refused before anything is allocated when the float64 result plus
-        one tree's (n, n) boolean co-occupancy exceeds
-        PROXIMITY_MATRIX_MAX_BYTES, read at each call.
+        one tree's (n, n) boolean co-occupancy, 9 bytes a pair, exceeds
+        the request cap (`check_bytes`; about 5,460 points).
         """
         X = np.asarray(X)
         n = X.shape[0] if X.ndim else 0
-        cap = PROXIMITY_MATRIX_MAX_BYTES
-        if 9 * n * n > cap:
-            raise ValueError(f"{n} points need {9 * n * n} bytes, over the cap of {cap}")
+        check_bytes(f"{n} points need", 9 * n * n)
         L = self.leaves(X)
         P = np.zeros((n, n))
         for leaves in L:

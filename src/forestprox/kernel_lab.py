@@ -21,8 +21,7 @@ from math import comb, log
 
 import numpy as np
 
-from . import forest
-from .data_model import Dataset, check_integer
+from .data_model import Dataset, check_bytes, check_integer
 
 
 @dataclass(frozen=True)
@@ -170,6 +169,20 @@ def mc_selection_freq(spec: NaiveKernelSpec, trials: int, seed: int) -> np.ndarr
     return counts / trials
 
 
+# bytes a cut costs at the peak of `_origin_cuts`, which holds the step
+# lists, their concatenations, the sort order and the sorted copies at once:
+# tracemalloc reads 80 at leaves 2, where every cut is a pair of its own,
+# and 50-61 at more leaves, where a pair's cuts share its entries
+_CUT_BYTES = 80
+
+
+def _cut_list_bytes(cuts: int, k: int, p: int) -> int:
+    """Most bytes `_origin_cuts` holds once it has drawn `cuts` cuts, the
+    latest step's k among them: _CUT_BYTES a cut, plus that step's (k, p)
+    candidate mask and two float64 draw blocks in `_split_coords`."""
+    return _CUT_BYTES * cuts + k * p + 16 * min(k * p, max(_BLOCK_ELEMENTS, p))
+
+
 def _origin_cuts(
     spec: NaiveKernelSpec, n_trees: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,13 +197,23 @@ def _origin_cuts(
     edge is the product of its cuts' u in step order: u * 1.0 is u and
     IEEE products commute, so this is the edge a dense (n_trees, p) array
     updated in place would hold, bit for bit.
+
+    Each step's cuts are counted as its selection is drawn, before its
+    candidates are: a growth whose `_cut_list_bytes` exceed the request
+    cap (`check_bytes`) is refused then, so a refusal depends only on
+    (spec, n_trees, seed).
     """
     rng = np.random.default_rng(seed)
     keys, us = [], []
+    cuts = 0
     for m in range(1, spec.leaves):
         sel = np.flatnonzero(rng.random(n_trees) < 1.0 / m)
         if sel.size == 0:
             continue
+        cuts += sel.size
+        check_bytes(
+            f"{cuts} cuts on {n_trees} trees need", _cut_list_bytes(cuts, sel.size, spec.p)
+        )
         keys.append(sel * spec.p + _split_coords(rng, spec, sel.size))
         us.append(rng.random(sel.size))
     if not keys:
@@ -213,22 +236,20 @@ def mc_proximity(spec: NaiveKernelSpec, X, *, n_trees: int, seed: int) -> np.nda
     simulates one batch of n_trees trees (`_origin_cuts`) and scores every
     row against it: a tree holds x unless one of its cut edges lies below
     x's coordinate. Two sizes are refused before the first draw, against
-    forest.PROXIMITY_MATRIX_MAX_BYTES read at each call: n_trees whose
-    (n_trees, p) float64 extents would exceed it, and a growth whose
-    selection draws, 8 * n_trees * (leaves - 1) bytes were they held at
-    once, would.
+    the request cap (`check_bytes`): n_trees whose first growth step,
+    which cuts every tree, would hold more (`_cut_list_bytes`), and a
+    growth whose selection draws, 8 * n_trees * (leaves - 1) bytes were
+    they held at once, would. `_origin_cuts` refuses a larger cut list as
+    it is drawn.
     """
     check_integer("n_trees", n_trees, 1)
     check_integer("seed", seed, 0)
-    cap, size = forest.PROXIMITY_MATRIX_MAX_BYTES, 8 * n_trees * spec.p
-    if size > cap:
-        raise ValueError(f"{n_trees} trees need {size} bytes, over the cap of {cap}")
-    work = 8 * n_trees * (spec.leaves - 1)
-    if work > cap:
-        raise ValueError(
-            f"{spec.leaves} leaves on {n_trees} trees need {work} bytes of selection "
-            f"draws, over the cap of {cap}"
-        )
+    if spec.leaves > 1:  # step 1 selects every tree: its draws all lie below 1
+        check_bytes(f"{n_trees} trees need", _cut_list_bytes(n_trees, n_trees, spec.p))
+    check_bytes(
+        f"the selection draws of {spec.leaves} leaves on {n_trees} trees need",
+        8 * n_trees * (spec.leaves - 1),
+    )
     X = _check_unit_points(X, spec.p)
     tree, coord, hi = _origin_cuts(spec, n_trees, seed)
     # the trees come sorted: each tree with an edge below x starts one run

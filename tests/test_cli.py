@@ -566,7 +566,7 @@ class TestGridCommand:
         assert err["message"] == f"--dims needs indices in [0, 2), got {dims}"
 
     def test_resolution_over_the_matrix_cap_refused(self, workspace, tmp_path, capsys):
-        # 8 * 6000^2 bytes of grid values exceed PROXIMITY_MATRIX_MAX_BYTES
+        # 8 * 6000 * (6000 + 2) bytes of grid values and probes exceed the cap
         _, _, model = workspace
         out = tmp_path / "grid.csv"
         assert main([
@@ -577,7 +577,7 @@ class TestGridCommand:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {
             "type": "ValueError",
-            "message": "resolution 6000 needs 288000000 bytes, over the cap of 268435456",
+            "message": "resolution 6000 needs 288096000 bytes, over the cap of 268435456",
         }
 
 
@@ -697,21 +697,23 @@ class TestBadCounts:
         self._refused(capsys, weights, f"--trees must be >= 1, got {trees}")
 
     def test_kernel_trees_over_the_matrix_cap(self, tmp_path, capsys):
-        # 8 * 10^6 * 50 bytes of simulated extents exceed PROXIMITY_MATRIX_MAX_BYTES;
-        # both kernels are computed before either file is written
+        # 3 * 10^6 trees' first growth step holds 80 bytes a cut, one cut a
+        # tree, plus its (3 * 10^6, 50) candidate mask and 2 MiB of draw
+        # blocks: over the cap before the first draw, and both kernels are
+        # computed before either file is written
         weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"
         assert main([
-            "kernel", "--strong", "5", "--weak", "45", "--trees", "1000000",
+            "kernel", "--strong", "5", "--weak", "45", "--trees", "3000000",
             "--out-weights", str(weights), "--out-compare", str(comparison),
         ]) == 1
         assert not comparison.exists()
         self._refused(
-            capsys, weights, "1000000 trees need 400000000 bytes, over the cap of 268435456"
+            capsys, weights, "3000000 trees need 392097152 bytes, over the cap of 268435456"
         )
 
     def test_kernel_leaves_over_the_matrix_cap(self, tmp_path, capsys):
         # 10 trees of 10^7 leaves make 8 * 10 * (10^7 - 1) bytes of selection
-        # draws, over PROXIMITY_MATRIX_MAX_BYTES: refused before the first draw
+        # draws, over the cap: refused before the first draw
         weights, comparison = tmp_path / "w.csv", tmp_path / "c.csv"
         assert main([
             "kernel", "--strong", "5", "--weak", "45", "--mtry", "15", "--trees", "10",
@@ -720,9 +722,32 @@ class TestBadCounts:
         ]) == 1
         assert not comparison.exists()
         self._refused(capsys, weights, (
-            "10000000 leaves on 10 trees need 799999920 bytes of selection draws, "
+            "the selection draws of 10000000 leaves on 10 trees need 799999920 bytes, "
             "over the cap of 268435456"
         ))
+
+    def test_kernel_sweep_over_too_many_coordinates(self, tmp_path, capsys, monkeypatch):
+        # without --mtry every mtry in 1..p is computed from exact binomials,
+        # so p is bounded before any is
+        weights = tmp_path / "w.csv"
+        assert main([
+            "kernel", "--strong", "5", "--weak", "4092", "--out-weights", str(weights),
+        ]) == 1
+        self._refused(capsys, weights, (
+            "sweeping mtry over 4097 coordinates is refused above 4096; give --mtry"
+        ))
+        monkeypatch.setattr(cli, "SWEEP_MAX_COORDINATES", 10)
+        assert main(["kernel", "--strong", "5", "--weak", "5", "--out-weights", str(weights)]) == 0
+        assert len(weights.read_text().splitlines()) == 11
+        weights.unlink()
+        assert main(["kernel", "--strong", "5", "--weak", "6", "--out-weights", str(weights)]) == 1
+        self._refused(
+            capsys, weights, "sweeping mtry over 11 coordinates is refused above 10; give --mtry"
+        )
+        assert main([
+            "kernel", "--strong", "5", "--weak", "6", "--mtry", "3",
+            "--out-weights", str(weights),
+        ]) == 0
 
     @pytest.mark.parametrize("compare", [True, False])
     def test_kernel_without_coordinates(self, tmp_path, capsys, compare):

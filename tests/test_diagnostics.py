@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestprox import forest
+from forestprox import data_model
 from forestprox.diagnostics import derivative_report, kernel_grid, prob_histogram
 from forestprox.forest import ForestParams, train_forest
 from forestprox.kernel_lab import NaiveKernelSpec, breiman_kernel, naive_kernel
@@ -150,6 +150,20 @@ class TestDerivativeReport:
         refused_quietly(lambda: derivative_report(never_called, x0, steps),
                         rf"steps must keep center \+- step finite, got .* at coordinate {j}")
 
+    def test_probes_over_the_cap_refused_before_any_call(self, monkeypatch):
+        # 2p + 1 float64 probe rows of p coordinates against
+        # data_model.MAX_REQUEST_BYTES, read at each call
+        refused_quietly(
+            lambda: derivative_report(never_called, np.zeros(4096), 0.1),
+            "8193 probes of 4096 coordinates need 268468224 bytes, over the cap of 268435456",
+        )
+        monkeypatch.setattr(data_model, "MAX_REQUEST_BYTES", 8 * 11 * 5)
+        assert derivative_report(const, np.zeros(5), 0.1).left.shape == (5,)
+        refused_quietly(
+            lambda: derivative_report(never_called, np.zeros(6), 0.1),
+            "13 probes of 6 coordinates need 624 bytes, over the cap of 440",
+        )
+
     def test_center_evaluated_once(self):
         # one kernel call on 2p + 1 rows: x0, then x0 + h_j e_j, then x0 - h_j e_j
         k = laplace(0.7, [2.0, 1.0, 0.5, 0.0])
@@ -267,16 +281,22 @@ class TestKernelGrid:
             kernel_grid(never_called, np.zeros(2), dims, resolution, ((-1, 1), (-1, 1)))
 
     def test_resolution_over_the_matrix_cap_refused_before_any_call(self, monkeypatch):
-        # 8 r^2 bytes of values against PROXIMITY_MATRIX_MAX_BYTES, read at each call
+        # 8 r (r + p) bytes of values and probes against
+        # data_model.MAX_REQUEST_BYTES, read at each call
         refused_quietly(
-            lambda: kernel_grid(never_called, np.zeros(2), (0, 1), 5793, ((-1, 1), (-1, 1))),
-            "resolution 5793 needs 268470792 bytes, over the cap of 268435456",
+            lambda: kernel_grid(never_called, np.zeros(2), (0, 1), 5792, ((-1, 1), (-1, 1))),
+            "resolution 5792 needs 268470784 bytes, over the cap of 268435456",
         )
-        monkeypatch.setattr(forest, "PROXIMITY_MATRIX_MAX_BYTES", 8 * 5 * 5)
+        monkeypatch.setattr(data_model, "MAX_REQUEST_BYTES", 8 * 5 * 7)
         assert kernel_grid(const, np.zeros(2), (0, 1), 5, ((-1, 1), (-1, 1))).values.shape == (5, 5)
         refused_quietly(
             lambda: kernel_grid(never_called, np.zeros(2), (0, 1), 6, ((-1, 1), (-1, 1))),
-            "resolution 6 needs 288 bytes, over the cap of 200",
+            "resolution 6 needs 384 bytes, over the cap of 280",
+        )
+        # the probes count: 5 rows of 40 coordinates hold 1,600 more bytes
+        refused_quietly(
+            lambda: kernel_grid(never_called, np.zeros(40), (0, 1), 5, ((-1, 1), (-1, 1))),
+            "resolution 5 needs 1800 bytes, over the cap of 280",
         )
 
     @pytest.mark.parametrize("at, bad", [(0, np.nan), (1, np.inf), (2, -np.inf), (3, np.nan)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestprox import forest as forest_module
+from forestprox import data_model
 from forestprox import tree as tree_module
 from forestprox.data_model import Dataset
 from forestprox.forest import Forest, ForestParams, derive_seeds, train_forest
@@ -454,7 +454,7 @@ class TestProximityMatrix:
     def test_cap_guard(self, monkeypatch):
         d = random_data(np.random.default_rng(12), 30, 2)
         f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=0))
-        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 9 * 10 * 10)
+        monkeypatch.setattr(data_model, "MAX_REQUEST_BYTES", 9 * 10 * 10)
         with pytest.raises(ValueError, match="cap of 900"):
             f.proximity_matrix(d.features)
 
@@ -463,11 +463,9 @@ class TestProximityMatrix:
         # any allocation of the result or the leaves would show in the peak
         import tracemalloc
 
-        from forestprox.forest import PROXIMITY_MATRIX_MAX_BYTES
-
         d = random_data(np.random.default_rng(12), 30, 2)
         f = train_forest(d, ForestParams(n_trees=3, tree=TreeParams(mtry=1), seed=0))
-        n = int(np.sqrt(PROXIMITY_MATRIX_MAX_BYTES / 9)) + 1
+        n = int(np.sqrt(data_model.MAX_REQUEST_BYTES / 9)) + 1
         X = np.broadcast_to(np.zeros(2), (n, 2))
         tracemalloc.start()
         try:
@@ -478,9 +476,9 @@ class TestProximityMatrix:
             tracemalloc.stop()
         assert peak < 1e5
         # the bound counts 9 bytes a pair: 8 for the result, 1 for the mask
-        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 900)
+        monkeypatch.setattr(data_model, "MAX_REQUEST_BYTES", 900)
         assert f.proximity_matrix(d.features[:10]).shape == (10, 10)
-        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 899)
+        monkeypatch.setattr(data_model, "MAX_REQUEST_BYTES", 899)
         with pytest.raises(ValueError, match="cap"):
             f.proximity_matrix(d.features[:10])
 

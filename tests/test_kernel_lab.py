@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestprox import forest as forest_module
+from forestprox import data_model
 from forestprox import kernel_lab
 from forestprox.data_model import Dataset
 from forestprox.kernel_lab import (
@@ -514,20 +514,36 @@ class TestMcProximity:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             mc_selection_freq(spec, 1, -1)
 
-    def test_extents_over_the_matrix_cap_refused(self, monkeypatch):
-        # the cap is read at each call, and (n_trees, p) float64 extents
-        # over it are refused before anything is allocated
+    def test_first_step_over_the_cap_refused(self, monkeypatch):
+        # the cap is read at each call, and n_trees whose first growth step,
+        # which cuts every tree, would hold more are refused before anything
+        # is allocated
         spec = NaiveKernelSpec(2, 1, 1, 1)
-        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 8 * 100 * 2)
+        cap = kernel_lab._cut_list_bytes(100, 100, 2)
+        monkeypatch.setattr(data_model, "MAX_REQUEST_BYTES", cap)
         assert mc_proximity(spec, np.zeros((1, 2)), n_trees=100, seed=0).tolist() == [1.0]
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="^100000 trees need 1600000 bytes, over the cap"):
+            with pytest.raises(ValueError, match="^100000 trees need 10297152 bytes, over the cap"):
                 mc_proximity(spec, np.zeros((1, 2)), n_trees=10**5, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e5
+
+    def test_cut_list_over_the_cap_refused_as_it_is_drawn(self, monkeypatch):
+        # step 1's 100 cuts fill the cap exactly; step 2 cuts 40 more trees,
+        # counted before its candidates are drawn, so (spec, n_trees, seed)
+        # decide the refusal and its message
+        cap = kernel_lab._cut_list_bytes(100, 100, 1)
+        monkeypatch.setattr(data_model, "MAX_REQUEST_BYTES", cap)
+        X = np.zeros((1, 1))
+        assert mc_proximity(NaiveKernelSpec(2, 1, 0, 1), X, n_trees=100, seed=0) == 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match=(
+                "^140 cuts on 100 trees need 11880 bytes, over the cap of 9700$"
+            )):
+                mc_proximity(NaiveKernelSpec(3, 1, 0, 1), X, n_trees=100, seed=0)
 
     def test_batch_memory_at_20000_trees(self):
         # 30 rows against the cuts of 20,000 trees: about 5 MB, set by the
@@ -540,23 +556,25 @@ class TestMcProximity:
     def test_selection_work_over_the_matrix_cap_refused(self, monkeypatch):
         # leaves - 1 selection passes of n_trees draws, 8 bytes each, over
         # the cap (read at each call) are refused before the first draw
-        monkeypatch.setattr(forest_module, "PROXIMITY_MATRIX_MAX_BYTES", 8 * 100 * 2)
-        spec = NaiveKernelSpec(3, 1, 1, 1)
+        monkeypatch.setattr(data_model, "MAX_REQUEST_BYTES", 8 * 100 * 99)
+        spec = NaiveKernelSpec(100, 1, 1, 1)
         assert mc_proximity(spec, np.zeros((1, 2)), n_trees=100, seed=0).tolist() == [1.0]
         spec = NaiveKernelSpec(10**9, 1, 1, 1)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=(
-                "^1000000000 leaves on 1 trees need 7999999992 bytes of selection draws, "
-                "over the cap of 1600$"
+                "^the selection draws of 1000000000 leaves on 1 trees need 7999999992 bytes, "
+                "over the cap of 79200$"
             )):
                 mc_proximity(spec, np.zeros((1, 2)), n_trees=1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e5
-        with pytest.raises(ValueError, match="^4 leaves on 100 trees need 2400 bytes"):
-            mc_proximity(NaiveKernelSpec(4, 1, 1, 1), np.zeros((1, 2)), n_trees=100, seed=0)
+        with pytest.raises(ValueError, match=(
+            "^the selection draws of 101 leaves on 100 trees need 80000 bytes"
+        )):
+            mc_proximity(NaiveKernelSpec(101, 1, 1, 1), np.zeros((1, 2)), n_trees=100, seed=0)
 
     @settings(max_examples=80, deadline=None)
     @given(
